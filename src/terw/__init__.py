@@ -31,7 +31,6 @@ from .closure import (
 from .conjugacy import (
     ClassList,
     ConjClass,
-    class_of,
     class_products,
     conjugacy_classes,
     conjugacy_classes_bruteforce,
@@ -42,6 +41,7 @@ from .errors import (
     AxiomFailure,
     BadDicyclicYError,
     BadG2ParamsError,
+    CharacterTableFailure,
     DimensionMismatchError,
     GuardExceededError,
     IdempotencyFailure,
@@ -55,6 +55,7 @@ from .errors import (
     OracleMismatch,
     OrderTooSmallError,
     OrthogonalityFailure,
+    ParityFailure,
     TerwError,
     VerificationFailure,
     YNotFixedError,

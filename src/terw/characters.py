@@ -25,7 +25,7 @@ import numpy as np
 
 from .conjugacy import COSET, ClassList, ConjClass, conjugacy_classes
 from .cyclotomic import RootSum
-from .errors import OrthogonalityFailure
+from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group
 
 
@@ -85,8 +85,11 @@ def character_labels(group: D2Group) -> list[CharLabel]:
     labels.extend(twodim)
 
     n, d = group.n, group.d
-    assert len(twodim) == (n - d) // 2
-    assert len(labels) == 2 * d + (n - d) // 2
+    if len(twodim) != (n - d) // 2 or len(labels) != 2 * d + (n - d) // 2:
+        raise CharacterTableFailure(
+            f"{len(twodim)} two-dimensional and {len(labels)} labels in all, "
+            f"expected {(n - d) // 2} and {2 * d + (n - d) // 2} for n = {n}, d = {d}"
+        )
     return labels
 
 
@@ -216,10 +219,13 @@ def character_table(group: D2Group, classes: ClassList | None = None) -> Charact
     """Build the full character table; row count always equals class count."""
     classes = classes if classes is not None else conjugacy_classes(group)
     labels = character_labels(group)
-    assert len(labels) == len(classes)
+    if len(labels) != len(classes):
+        raise CharacterTableFailure(f"{len(labels)} characters but {len(classes)} classes")
     rows = [[char_value(group, label, cls) for cls in classes] for label in labels]
     table = CharacterTable(group=group, classes=classes, labels=labels, rows=rows)
-    assert sum(deg * deg for deg in table.degrees) == group.order
+    sum_sq = sum(deg * deg for deg in table.degrees)
+    if sum_sq != group.order:
+        raise CharacterTableFailure(f"sum of squared degrees {sum_sq} != |G| = {group.order}")
     return table
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conjugacy import ClassList, class_index_table, conjugacy_classes
 from .errors import GuardExceededError
-from .groups import D2Group, index_tables
+from .groups import D2Group, conjugation_table, index_tables
 from .limits import DEFAULT_MATRIX_GUARD
 
 SparseVec = dict[int, int]
@@ -137,22 +137,16 @@ class Orbitals:
     reps: list[tuple[int, int]]
 
 
-def conjugation_perms(group: D2Group, mult: np.ndarray, inv: np.ndarray) -> list[np.ndarray]:
+def conjugation_perms(group: D2Group) -> list[np.ndarray]:
     """Permutations x -> g x g^-1 of element indices, for group generators g."""
-    order = group.order
-    perms = []
-    for g in group.generators():
-        gi = group.index(g)
-        perm = mult[mult[gi, np.arange(order)], inv[gi]]
-        perms.append(perm.astype(np.int64))
-    return perms
+    gens = np.array([group.index(g) for g in group.generators()])
+    return list(conjugation_table(group, gens).astype(np.int64))
 
 
 def conjugation_orbitals(group: D2Group) -> Orbitals:
     """Label the simultaneous-conjugation orbits on G x G by min-propagation."""
     order = group.order
-    mult, inv = index_tables(group)
-    perms = conjugation_perms(group, mult, inv)
+    perms = conjugation_perms(group)
     # include inverses so the fixpoint is constant on whole orbits
     all_perms = []
     for p in perms:
@@ -322,7 +316,7 @@ def terwilliger_closure_dim(
     classes = classes if classes is not None else conjugacy_classes(group)
     mult, inv = index_tables(group)
     table = class_index_table(group, classes)
-    perms = conjugation_perms(group, mult, inv)
+    perms = conjugation_perms(group)
     _assert_conjugation_invariant(table, perms)
     orb = conjugation_orbitals(group)
 

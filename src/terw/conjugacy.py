@@ -12,6 +12,7 @@ classes (by mixed-radix z); class 0 is always {e}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _iterproduct
 from typing import Iterator, Literal
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .abelian import AbElem
 from .errors import GuardExceededError
-from .groups import D2Elem, D2Group
+from .groups import D2Elem, D2Group, index_tables
 from .limits import DEFAULT_MATRIX_GUARD
 
 Kind = Literal["fixed", "paired", "coset"]
@@ -65,6 +66,15 @@ class ClassList:
 
     def index_of(self, g: D2Elem) -> int:
         return self._lookup[g]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Class index of every element, by element index; read-only."""
+        out = np.empty(self.group.order, dtype=np.int32)
+        for cls in self.classes:
+            out[[self.group.index(g) for g in cls.elements]] = cls.index
+        out.flags.writeable = False
+        return out
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -179,11 +189,6 @@ def _canonicalize(group: D2Group, orbits: list[set[D2Elem]]) -> list[ConjClass]:
     return classes
 
 
-def class_of(classes: ClassList, g: D2Elem) -> int:
-    """Index of the unique class containing g."""
-    return classes.index_of(g)
-
-
 def structure_constant(group: D2Group, classes: ClassList, i: int, j: int, k: int) -> int:
     """p_ij^k: with x = e and y any element of class k, the number of z in
     class i such that y*z^-1 lies in class j.  Independent of the chosen y."""
@@ -197,11 +202,12 @@ def structure_constant(group: D2Group, classes: ClassList, i: int, j: int, k: in
 
 def class_products(group: D2Group, classes: ClassList, i: int, j: int) -> set[int]:
     """Indices of the classes contained in the elementwise product Cl_i * Cl_j."""
-    out: set[int] = set()
-    for u in classes[i].elements:
-        for v in classes[j].elements:
-            out.add(classes.index_of(group.mul(u, v)))
-    return out
+    mult, _ = index_tables(group)
+    labels = classes.labels
+    rows = np.flatnonzero(labels == i)
+    cols = np.flatnonzero(labels == j)
+    counts = np.bincount(labels[mult[np.ix_(rows, cols)]].ravel())
+    return set(np.flatnonzero(counts).tolist())
 
 
 def structure_tensor(group: D2Group, classes: ClassList) -> np.ndarray:
@@ -226,11 +232,5 @@ def structure_tensor(group: D2Group, classes: ClassList) -> np.ndarray:
 
 def class_index_table(group: D2Group, classes: ClassList) -> np.ndarray:
     """Table D with D[x, y] = class index of y * x^-1, over element indices."""
-    order = group.order
-    elems = list(group.elements())
-    table = np.empty((order, order), dtype=np.int32)
-    for xi, x in enumerate(elems):
-        x_inv = group.inv(x)
-        for yi, y in enumerate(elems):
-            table[xi, yi] = classes.index_of(group.mul(y, x_inv))
-    return table
+    mult, inv = index_tables(group)
+    return classes.labels[mult[:, inv].T]

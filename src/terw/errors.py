@@ -106,3 +106,12 @@ class MultiplicityMismatch(VerificationFailure):
 
 class OracleMismatch(VerificationFailure):
     """Two independent computations of the same quantity disagree."""
+
+
+class CharacterTableFailure(VerificationFailure):
+    """The character labels or degrees break a counting identity."""
+
+
+class ParityFailure(VerificationFailure):
+    """n and d, which always share parity, were found not to (or d was odd
+    where a closed form needs it even)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -143,6 +144,17 @@ class D2Group:
         """
         return 2 * math.lcm(*self.abelian.moduli)
 
+    # -- dense tables, built on first use ----------------------------------
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _build_index_tables(self)
+
+    @cached_property
+    def _centralizer_sizes(self) -> np.ndarray:
+        mult, _ = index_tables(self)
+        return _read_only((mult == mult.T).sum(axis=1))
+
     def __repr__(self) -> str:
         return f"<D2Group {self.name} of order {self.order}>"
 
@@ -230,13 +242,65 @@ def g2_group(n: int, s: int, t: int) -> D2Group:
 
 
 def index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
-    """Dense multiplication and inverse tables over element indices."""
-    order = group.order
-    elems = list(group.elements())
-    mult = np.empty((order, order), dtype=np.int32)
-    inv = np.empty(order, dtype=np.int32)
-    for i, g in enumerate(elems):
-        inv[i] = group.index(group.inv(g))
-        for j, h in enumerate(elems):
-            mult[i, j] = group.index(group.mul(g, h))
-    return mult, inv
+    """Dense multiplication and inverse tables over element indices.
+
+    ``mult[i, j]`` is the index of element i times element j and ``inv[i]``
+    the index of the inverse of element i.  Both are built once per group,
+    on first use, and are read-only.
+    """
+    return group._tables
+
+
+def centralizer_sizes(group: D2Group) -> np.ndarray:
+    """|C_G(g)| for every element index g, counted from the multiplication
+    table; built once per group, on first use, and read-only."""
+    return group._centralizer_sizes
+
+
+def conjugation_table(group: D2Group, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """C[r, x] = index of g x g^-1, with g the element of index rows[r]
+    (by default every element, in index order)."""
+    mult, inv = index_tables(group)
+    return mult[mult[rows], inv[rows][:, None]]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _build_index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """The tables from the normal form, one coordinate at a time.
+
+    Element index i = sum_j x_j * w_j + beta * n with w_j the mixed-radix
+    weights, so each (beta, gamma) block of ``mult`` is
+    sum_j ((x_j + f^beta(x')_j + [beta gamma] * y_j) mod m_j) * w_j
+    plus the coset offset, accumulated in place with one (n, n) int32
+    temporary.
+    """
+    A = group.abelian
+    n = group.n
+    moduli = A.moduli
+    weights = [math.prod(moduli[j + 1:]) for j in range(A.rank)]
+    coords = [x.astype(np.int32) for x in np.unravel_index(np.arange(n), moduli)]
+    twisted = [(s * x) % m for s, x, m in zip(group.twist.s, coords, moduli)]
+
+    mult = np.empty((group.order, group.order), dtype=np.int32)
+    for beta in (0, 1):
+        for gamma in (0, 1):
+            block = mult[beta * n:(beta + 1) * n, gamma * n:(gamma + 1) * n]
+            block[...] = ((beta + gamma) % 2) * n
+            for j, (m, w) in enumerate(zip(moduli, weights)):
+                right = (twisted[j] if beta else coords[j]) + beta * gamma * group.square[j]
+                term = coords[j][:, None] + right[None, :]
+                term %= m
+                term *= w
+                block += term
+
+    # (x, 0)^-1 = (-x, 0) and (x, 1)^-1 = (-f(x) - y, 1)
+    inv = np.empty(group.order, dtype=np.int32)
+    inv[:n] = sum(((-x) % m) * w for x, m, w in zip(coords, moduli, weights))
+    inv[n:] = n + sum(
+        ((-fx - y) % m) * w for fx, y, m, w in zip(twisted, group.square, moduli, weights)
+    )
+    return _read_only(mult), _read_only(inv)

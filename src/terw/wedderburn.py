@@ -35,8 +35,9 @@ from .errors import (
     IdempotencyFailure,
     MultiplicityMismatch,
     NonIntegralMultiplicity,
+    ParityFailure,
 )
-from .groups import D2Group, index_tables
+from .groups import D2Group, centralizer_sizes, conjugation_table
 from .limits import DEFAULT_MATRIX_GUARD
 from .scheme import dim_centralizer
 
@@ -71,8 +72,7 @@ def conjugation_permutation(group: D2Group, g) -> np.ndarray:
 
 def permutation_character(group: D2Group, classes: ClassList) -> list[int]:
     """psi on class representatives: psi(g) = |C_G(g)| = |G| / |Cl(g)|."""
-    mult, _ = index_tables(group)
-    cent_sizes = (mult == mult.T).sum(axis=1)
+    cent_sizes = centralizer_sizes(group)
     values = []
     for cls in classes:
         size = int(cent_sizes[group.index(cls.rep)])
@@ -133,10 +133,12 @@ def multiplicities_closed_form(
             trivial_on_quotient = all(l % di == 0 for l, di in zip(label.i_vec, d_vec))
             if trivial_on_quotient:
                 # (n + 3d)/2 for the principal sign, (n - d)/2 for the other
+                if (n - d) % 2:
+                    raise ParityFailure(f"n = {n} and d = {d} differ in parity")
                 val = (n + 3 * d) // 2 if label.sign == 1 else (n - d) // 2
-                assert (n + 3 * d) % 2 == 0 and (n - d) % 2 == 0
             elif all((ni * l) % di == 0 for l, di, ni in zip(label.i_vec, d_vec, n_vec)):
-                assert d % 2 == 0
+                if d % 2:
+                    raise ParityFailure(f"d = {d} is odd, so d/2 is not a multiplicity")
                 val = d // 2
             else:
                 val = 0
@@ -161,24 +163,13 @@ def central_idempotent(
         raise GuardExceededError(
             f"group order {order} exceeds guard {guard} for idempotent matrices"
         )
-    chi = table.complex_matrix[label_index]
-    conj_idx = _conjugation_index_table(group)
-    e = np.zeros((order, order), dtype=complex)
-    rows = np.arange(order)
-    for gi, g in enumerate(group.elements()):
-        weight = chi[table.classes.index_of(g)].conjugate()
-        np.add.at(e, (rows, conj_idx[gi]), weight)
+    # e[u, g u g^-1] accumulates conj(chi(g)) over all g
+    weights = table.complex_matrix[label_index].conjugate()[table.classes.labels]
+    targets = np.arange(order)[None, :] * order + conjugation_table(group)
+    e = np.zeros(order * order, dtype=complex)
+    np.add.at(e, targets.ravel(), np.repeat(weights, order))
     deg = table.labels[label_index].degree
-    return e * (deg / order)
-
-
-def _conjugation_index_table(group: D2Group) -> np.ndarray:
-    order = group.order
-    mult, inv = index_tables(group)
-    out = np.empty((order, order), dtype=np.int64)
-    for gi in range(order):
-        out[gi] = mult[mult[gi, np.arange(order)], inv[gi]]
-    return out
+    return e.reshape(order, order) * (deg / order)
 
 
 def block_dimension(e: np.ndarray, orb: Orbitals, tol: float = 1e-9) -> float:
