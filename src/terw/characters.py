@@ -146,10 +146,6 @@ class CharacterTable:
             [[v.eval_complex() for v in row] for row in self.rows], dtype=complex
         )
 
-    def character_of(self, row: int, g) -> RootSum:
-        """Value of a row at an arbitrary group element."""
-        return self.rows[row][self.classes.index_of(g)]
-
     # -- exports -----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -193,7 +189,7 @@ class CharacterTable:
         return {
             "root_order": self.group.root_order,
             "classes": [
-                {"index": c.index, "kind": c.kind, "size": c.size, "rep": _elem_json(c.rep)}
+                {"index": c.index, "kind": c.kind, "size": c.size, "rep": elem_json(c.rep)}
                 for c in self.classes
             ],
             "characters": [
@@ -210,7 +206,7 @@ class CharacterTable:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _elem_json(g) -> list:
+def elem_json(g) -> list:
     a, beta = g
     return [list(a), beta]
 

@@ -7,7 +7,9 @@ flags or a JSON spec file with fields ``kind`` (general | dihedral |
 dicyclic | g2), ``factors`` (list of [p, e]), ``s``/``y`` (vectors for the
 general and dicyclic kinds), and ``n``/``s``/``t`` integers for the g2 kind;
 flags override file values.  Exit codes: 0 success, 1 invalid spec, 2
-verification mismatch, 3 resource guard exceeded.
+verification mismatch, 3 resource guard exceeded.  ``sweep`` reports every
+row, with the message of a failed check or of a guard in its ``detail``
+column, and exits 2 if any row mismatched, else 3 if any row hit a guard.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .abelian import canonical_factor_order, make_abelian, make_involution
-from .characters import character_table, verify_orthogonality
-from .conjugacy import conjugacy_classes, conjugacy_classes_bruteforce
+from .characters import character_table, elem_json, verify_orthogonality
+from .conjugacy import ClassList, conjugacy_classes, conjugacy_classes_bruteforce
 from .errors import (
     GuardExceededError,
     InvalidGroupError,
+    OracleMismatch,
     TerwError,
     VerificationFailure,
 )
@@ -39,7 +42,7 @@ from .scheme import (
     verify_scheme_axioms,
 )
 from .wedderburn import (
-    multiplicities_inner_product,
+    MultiplicityVector,
     verify_central_idempotents,
     wedderburn_report,
 )
@@ -208,10 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="iterate a family over a parameter range (CSV rows)")
     p.add_argument("--kind", choices=["dihedral", "dicyclic", "g2"], required=True)
     p.add_argument("--range", required=True, help="LO:HI inclusive parameter range")
-    p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="csv")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--out", help="write the report to this file instead of stdout")
+    add_common(p, spec_flags=False)
     return parser
 
 
@@ -251,18 +251,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-# -- payload rendering -----------------------------------------------------------
+# -- reports and checks ------------------------------------------------------------
+
+DIM_KEYS = ("dim_t0", "dim_closed_form", "dim_centralizer", "dim_closure")
+SWEEP_CHECK_FIELDS = (*DIM_KEYS, "triply_transitive", "wedderburn_ok")
 
 
-def _emit(payload: Any, config: RunConfig, text_renderer=None, csv_renderer=None) -> None:
-    if config.fmt == "json":
-        body = json.dumps(payload, indent=2) + "\n"
-    elif config.fmt == "csv":
-        if csv_renderer is None:
-            raise InvalidGroupError("this command has no CSV form")
-        body = csv_renderer(payload)
-    else:
-        body = text_renderer(payload) if text_renderer else json.dumps(payload, indent=2) + "\n"
+def _write(body: str, config: RunConfig) -> None:
+    """The one place a report leaves the program: the ``--out`` file or stdout."""
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(body)
@@ -270,9 +266,80 @@ def _emit(payload: Any, config: RunConfig, text_renderer=None, csv_renderer=None
         sys.stdout.write(body)
 
 
-def _elem(g) -> list:
-    a, beta = g
-    return [list(a), beta]
+def _json(payload: Any) -> str:
+    return json.dumps(payload) + "\n"
+
+
+def _csv(keys: Sequence[str], rows: Sequence[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(keys)
+    writer.writerows([row[k] for k in keys] for row in rows)
+    return buf.getvalue()
+
+
+def _emit(payload: Any, config: RunConfig, text=None, table=None) -> int:
+    """Write the payload as ``--format`` asks: compact JSON, ``text(payload)``,
+    or the CSV of ``table(payload)``, a (keys, rows) pair."""
+    if config.fmt == "json":
+        body = _json(payload)
+    elif config.fmt == "csv":
+        if table is None:
+            raise InvalidGroupError("this command has no CSV form")
+        body = _csv(*table(payload))
+    else:
+        body = text(payload)
+    _write(body, config)
+    return EXIT_OK
+
+
+def _head(spec: GroupSpec, group: D2Group) -> dict:
+    return {"spec": spec.to_dict(), "name": group.name, "order": group.order}
+
+
+class Checks:
+    """Named checks run in order.  A ``VerificationFailure`` fails its own
+    check and the run goes on; each result is {"check", "ok"[, "detail"]}."""
+
+    def __init__(self):
+        self.results: list[dict] = []
+
+    def run(self, name: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, or None if it raised a VerificationFailure."""
+        try:
+            value = fn(*args, **kwargs)
+        except VerificationFailure as exc:
+            self.results.append({"check": name, "ok": False, "detail": str(exc)})
+            return None
+        self.results.append({"check": name, "ok": True})
+        return value
+
+    @property
+    def failed(self) -> list[dict]:
+        return [r for r in self.results if not r["ok"]]
+
+
+def _mismatch(head: dict, checks: Checks, config: RunConfig) -> int:
+    """Report failed checks, always as JSON."""
+    _write(_json({"mismatch": True, **head, "checks": checks.results, "ok": False}), config)
+    return EXIT_MISMATCH
+
+
+def _classes_agree(group: D2Group, classes: ClassList, guard: int) -> None:
+    brute = conjugacy_classes_bruteforce(group, guard=guard)
+    if [c.elements for c in brute] != [c.elements for c in classes]:
+        raise OracleMismatch("closed-form and brute-force partitions differ")
+
+
+def _dimensions_agree(
+    group: D2Group, classes: ClassList | None, config: RunConfig, into: dict
+) -> None:
+    """Every computed dimension path gives the same value and the
+    triple-transitivity verdict holds; the values are stored in ``into``."""
+    report = is_triply_transitive(group, classes, guard=config.guard, need_closure=config.oracle)
+    into.update(zip(DIM_KEYS, report.as_tuple()), triply_transitive=report.triply_transitive)
+    if len({v for v in report.as_tuple() if v is not None}) != 1 or not report.triply_transitive:
+        raise OracleMismatch(f"dimension paths disagree: {report.as_tuple()}")
 
 
 # -- commands ---------------------------------------------------------------------
@@ -282,9 +349,7 @@ def cmd_info(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
     fx = group.fixed
     payload = {
-        "spec": spec.to_dict(),
-        "name": group.name,
-        "order": group.order,
+        **_head(spec, group),
         "n": group.n,
         "d": group.d,
         "d_i": list(fx.d_vec),
@@ -294,45 +359,33 @@ def cmd_info(spec: GroupSpec, config: RunConfig) -> int:
         "fixed_subgroup_size": group.d,
         "twisted_subgroup_size": fx.twisted_size,
     }
-
-    def text(p):
-        lines = [f"{k}: {v}" for k, v in p.items() if k != "spec"]
-        return "\n".join(lines) + "\n"
-
-    def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        keys = [k for k in p if k != "spec"]
-        w.writerow(keys)
-        w.writerow([p[k] for k in keys])
-        return buf.getvalue()
-
-    _emit(payload, config, text, as_csv)
-    return EXIT_OK
+    return _emit(
+        payload,
+        config,
+        lambda p: "".join(f"{k}: {v}\n" for k, v in p.items() if k != "spec"),
+        lambda p: ([k for k in p if k != "spec"], [p]),
+    )
 
 
 def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
     classes = conjugacy_classes(group)
+    head = _head(spec, group)
     if config.oracle:
-        brute = conjugacy_classes_bruteforce(group, guard=config.guard)
-        if [c.elements for c in brute] != [c.elements for c in classes]:
-            return _mismatch(
-                {"identity": "closed-form vs brute-force classes", "group": group.name},
-                config,
-            )
+        checks = Checks()
+        checks.run("conjugacy_classes", _classes_agree, group, classes, config.guard)
+        if checks.failed:
+            return _mismatch(head, checks, config)
     payload = {
-        "spec": spec.to_dict(),
-        "name": group.name,
-        "order": group.order,
+        **head,
         "counts": dict(zip(("fixed", "paired", "coset"), classes.counts)),
         "classes": [
             {
                 "index": c.index,
                 "kind": c.kind,
                 "size": c.size,
-                "rep": _elem(c.rep),
-                "elements": [_elem(g) for g in c.elements],
+                "rep": elem_json(c.rep),
+                "elements": [elem_json(g) for g in c.elements],
             }
             for c in classes
         ],
@@ -347,75 +400,46 @@ def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
             lines.append(f"  [{c['index']:>2}] {c['kind']:<6} size {c['size']:>3} rep {c['rep']}")
         return "\n".join(lines) + "\n"
 
-    def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["index", "kind", "size", "rep"])
-        for c in p["classes"]:
-            w.writerow([c["index"], c["kind"], c["size"], json.dumps(c["rep"])])
-        return buf.getvalue()
+    def table(p):
+        rows = [{**c, "rep": json.dumps(c["rep"])} for c in p["classes"]]
+        return ["index", "kind", "size", "rep"], rows
 
-    _emit(payload, config, text, as_csv)
-    return EXIT_OK
+    return _emit(payload, config, text, table)
 
 
 def cmd_chartable(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
     table = character_table(group)
     if config.oracle:
-        verify_orthogonality(table)
+        checks = Checks()
+        checks.run("orthogonality", verify_orthogonality, table)
+        if checks.failed:
+            return _mismatch(_head(spec, group), checks, config)
     if config.fmt == "json":
-        payload = {"spec": spec.to_dict(), "name": group.name, **table.to_json_dict()}
-        _emit(payload, config)
-    elif config.fmt == "csv":
-        _write_text(table.to_csv(), config)
-    else:
-        _write_text(table.to_text() + "\n", config)
+        return _emit({"spec": spec.to_dict(), "name": group.name, **table.to_json_dict()}, config)
+    _write(table.to_csv() if config.fmt == "csv" else table.to_text() + "\n", config)
     return EXIT_OK
 
 
 def cmd_dims(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
-    report = is_triply_transitive(group, guard=config.guard, need_closure=config.oracle)
-    dims = {
-        "dim_t0": report.dim_t0,
-        "dim_closed_form": report.dim_closed_form,
-        "dim_centralizer": report.dim_centralizer,
-        "dim_closure": report.dim_closure,
-    }
-    payload = {
-        "spec": spec.to_dict(),
-        "name": group.name,
-        "order": group.order,
-        **dims,
-        "triply_transitive": report.triply_transitive,
-    }
-    computed = [v for v in dims.values() if v is not None]
-    if len(set(computed)) != 1 or not report.triply_transitive:
-        return _mismatch({"identity": "dimension paths disagree", **payload}, config)
-
-    def text(p):
-        vals = ", ".join(
-            f"{k}={p[k]}" for k in dims
-        )
-        return f"{p['name']}: {vals}, triply_transitive={p['triply_transitive']}\n"
-
-    def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        keys = ["name", "order", *dims.keys(), "triply_transitive"]
-        w.writerow(keys)
-        w.writerow([p[k] for k in keys])
-        return buf.getvalue()
-
-    _emit(payload, config, text, as_csv)
-    return EXIT_OK
+    payload = _head(spec, group)
+    checks = Checks()
+    checks.run("dimensions", _dimensions_agree, group, None, config, payload)
+    if checks.failed:
+        return _mismatch(payload, checks, config)
+    keys = (*DIM_KEYS, "triply_transitive")
+    return _emit(
+        payload,
+        config,
+        lambda p: f"{p['name']}: " + ", ".join(f"{k}={p[k]}" for k in keys) + "\n",
+        lambda p: (["name", "order", *keys], [p]),
+    )
 
 
 def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
-    report = wedderburn_report(group)
-    payload = {"spec": spec.to_dict(), **report.to_json_dict()}
+    payload = {"spec": spec.to_dict(), **wedderburn_report(group).to_json_dict()}
 
     def text(p):
         lines = [
@@ -427,135 +451,71 @@ def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
             lines.append(f"  {c['label']:<16} deg {c['degree']}  mult {c['multiplicity']}")
         return "\n".join(lines) + "\n"
 
-    def as_csv(p):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["label", "degree", "multiplicity"])
-        for c in p["characters"]:
-            w.writerow([c["label"], c["degree"], c["multiplicity"]])
-        return buf.getvalue()
-
-    _emit(payload, config, text, as_csv)
-    return EXIT_OK
+    return _emit(
+        payload, config, text, lambda p: (["label", "degree", "multiplicity"], p["characters"])
+    )
 
 
 def cmd_verify(spec: GroupSpec, config: RunConfig) -> int:
+    config = replace(config, oracle=True)
     group = spec.build()
-    checks: list[dict] = []
-    failures = 0
-
-    def run(name: str, fn) -> None:
-        nonlocal failures
-        try:
-            fn()
-            checks.append({"check": name, "ok": True})
-        except VerificationFailure as exc:
-            failures += 1
-            checks.append({"check": name, "ok": False, "detail": str(exc)})
-
     classes = conjugacy_classes(group)
-
-    def check_classes():
-        brute = conjugacy_classes_bruteforce(group, guard=config.guard)
-        if [c.elements for c in brute] != [c.elements for c in classes]:
-            raise VerificationFailure("closed-form and brute-force partitions differ")
-
-    run("conjugacy_classes", check_classes)
-    run("scheme_axioms", lambda: verify_scheme_axioms(group, classes, guard=config.guard))
+    checks = Checks()
+    checks.run("conjugacy_classes", _classes_agree, group, classes, config.guard)
+    checks.run("scheme_axioms", verify_scheme_axioms, group, classes, guard=config.guard)
     table = character_table(group, classes)
-    run("orthogonality", lambda: verify_orthogonality(table))
-
-    def check_dims():
-        report = is_triply_transitive(group, classes, guard=config.guard, need_closure=True)
-        values = {report.dim_t0, report.dim_closed_form, report.dim_centralizer, report.dim_closure}
-        if len(values) != 1:
-            raise VerificationFailure(f"dimension paths disagree: {report.as_tuple()}")
-
-    run("dimensions", check_dims)
-    wreport = {}
-
-    def check_wedderburn():
-        wreport["report"] = wedderburn_report(group, classes, table)
-
-    run("wedderburn", check_wedderburn)
-    if "report" in wreport:
-        run(
-            "central_idempotents",
-            lambda: verify_central_idempotents(
-                group,
-                table,
-                multiplicities_inner_product(group, table),
-                guard=config.guard,
-            ),
+    checks.run("orthogonality", verify_orthogonality, table)
+    checks.run("dimensions", _dimensions_agree, group, classes, config, {})
+    report = checks.run("wedderburn", wedderburn_report, group, classes, table)
+    if report is not None:
+        inner = MultiplicityVector(report.labels, report.inner_product)
+        checks.run(
+            "central_idempotents", verify_central_idempotents, group, table, inner, config.guard
         )
-
-    payload = {
-        "spec": spec.to_dict(),
-        "name": group.name,
-        "order": group.order,
-        "checks": checks,
-        "ok": failures == 0,
-    }
-    if failures:
-        return _mismatch(payload, config)
+    head = _head(spec, group)
+    if checks.failed:
+        return _mismatch(head, checks, config)
 
     def text(p):
         lines = [f"{p['name']}: all {len(p['checks'])} checks passed"]
         lines.extend(f"  ok {c['check']}" for c in p["checks"])
         return "\n".join(lines) + "\n"
 
-    _emit(payload, config, text)
-    return EXIT_OK
+    return _emit({**head, "checks": checks.results, "ok": True}, config, text)
 
 
 def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     lo, hi = (int(v) for v in args.range.split(":"))
     rows = []
-    mismatches = 0
+    mismatched = guarded = False
     for spec in _sweep_specs(args.kind, lo, hi):
         group = spec.build()
-        report = is_triply_transitive(group, guard=config.guard)
-        wed_ok = True
+        row = {
+            "kind": spec.kind,
+            "params": json.dumps(spec.to_dict()),
+            "order": group.order,
+            "n": group.n,
+            "d": group.d,
+            **dict.fromkeys(SWEEP_CHECK_FIELDS),
+        }
+        checks, guard_hit = Checks(), []
         try:
-            wedderburn_report(group)
-        except VerificationFailure:
-            wed_ok = False
-        dims = [report.dim_t0, report.dim_closed_form, report.dim_centralizer]
-        if report.dim_closure is not None:
-            dims.append(report.dim_closure)
-        ok = report.triply_transitive and len(set(dims)) == 1 and wed_ok
-        if not ok:
-            mismatches += 1
-        rows.append(
-            {
-                "kind": spec.kind,
-                "params": json.dumps(spec.to_dict()),
-                "order": group.order,
-                "n": group.n,
-                "d": group.d,
-                "dim_t0": report.dim_t0,
-                "dim_closed_form": report.dim_closed_form,
-                "dim_centralizer": report.dim_centralizer,
-                "dim_closure": report.dim_closure,
-                "triply_transitive": report.triply_transitive,
-                "wedderburn_ok": wed_ok,
-            }
-        )
+            checks.run("dimensions", _dimensions_agree, group, None, config, row)
+            row["wedderburn_ok"] = checks.run("wedderburn", wedderburn_report, group) is not None
+        except GuardExceededError as exc:
+            row.update(dict.fromkeys(SWEEP_CHECK_FIELDS))
+            guard_hit.append(str(exc))
+        mismatched |= bool(checks.failed)
+        guarded |= bool(guard_hit)
+        notes = [f"{c['check']}: {c['detail']}" for c in checks.failed] + guard_hit
+        row["detail"] = "; ".join(notes) or None
+        rows.append(row)
 
-    def as_csv(payload):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        keys = list(payload[0].keys()) if payload else []
-        w.writerow(keys)
-        for row in payload:
-            w.writerow([row[k] for k in keys])
-        return buf.getvalue()
+    def table(payload):
+        return (list(payload[0]) if payload else []), payload
 
-    def text(payload):
-        return as_csv(payload)
-
-    _emit(rows, config, text, as_csv)
-    return EXIT_MISMATCH if mismatches else EXIT_OK
+    _emit(rows, config, lambda payload: _csv(*table(payload)), table)
+    return EXIT_MISMATCH if mismatched else EXIT_GUARD if guarded else EXIT_OK
 
 
 def _sweep_specs(kind: str, lo: int, hi: int) -> list[GroupSpec]:
@@ -579,25 +539,6 @@ def _sweep_specs(kind: str, lo: int, hi: int) -> list[GroupSpec]:
             if n >= lo:
                 specs.append(GroupSpec(kind="g2", n=n, s=s, t=t))
     return specs
-
-
-def _mismatch(payload: dict, config: RunConfig) -> int:
-    payload = {"mismatch": True, **payload}
-    body = json.dumps(payload, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-    return EXIT_MISMATCH
-
-
-def _write_text(body: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

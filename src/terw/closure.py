@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .conjugacy import ClassList, class_index_table, conjugacy_classes
-from .errors import GuardExceededError
+from .errors import GuardExceededError, OracleMismatch
 from .groups import D2Group, conjugation_table, index_tables
 from .limits import DEFAULT_MATRIX_GUARD
 
@@ -80,7 +80,6 @@ class SparseRationalBasis:
 def algebra_dimension(
     generators: Sequence[np.ndarray],
     guard: int = DEFAULT_MATRIX_GUARD,
-    max_rounds: int | None = None,
 ) -> int:
     """Dimension of the matrix algebra generated by the given integer matrices.
 
@@ -105,11 +104,7 @@ def algebra_dimension(
 
     basis = SparseRationalBasis()
     frontier = [g for g in gens if basis.insert(flat(g))]
-    rounds = 0
     while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
         new: list[np.ndarray] = []
         for mat in frontier:
             for gen in gens:
@@ -190,7 +185,7 @@ def _assert_conjugation_invariant(table: np.ndarray, perms: Iterable[np.ndarray]
     simultaneous conjugation, and classes are conjugation-stable."""
     for p in perms:
         if not np.array_equal(table[np.ix_(p, p)], table):
-            raise AssertionError(
+            raise OracleMismatch(
                 "conjugation does not preserve the class table; generators "
                 "would not lie in the centralizer algebra"
             )

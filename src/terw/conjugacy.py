@@ -86,9 +86,6 @@ class ClassList:
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.classes)
 
-    def reps(self) -> list[D2Elem]:
-        return [c.rep for c in self.classes]
-
 
 def _twisted_subgroup(group: D2Group) -> list[AbElem]:
     """Elements of B = {f(x) - x}: per-coordinate multiples of d_i."""

@@ -12,7 +12,7 @@ used by callers.
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import MixedRootOrdersError
 

@@ -16,7 +16,6 @@ identity, and the two-sided block T~ e_j has dimension d_j^2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +58,6 @@ class MultiplicityVector:
 
     def sum_d_deg(self) -> int:
         return sum(v * label.degree for v, label in zip(self.values, self.labels))
-
-
-def conjugation_permutation(group: D2Group, g) -> np.ndarray:
-    """The permutation matrix of u -> g u g^-1 over element indices."""
-    order = group.order
-    mat = np.zeros((order, order), dtype=np.int64)
-    for u in group.elements():
-        mat[group.index(u), group.index(group.conjugate(u, g))] = 1
-    return mat
 
 
 def permutation_character(group: D2Group, classes: ClassList) -> list[int]:
@@ -286,9 +276,6 @@ class WedderburnReport:
             "centralizer_dim": self.centralizer_dim,
             "sum_d_times_degree": self.sum_d_deg,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def wedderburn_report(

@@ -1,16 +1,20 @@
 """Command-line interface: spec parsing, formats, exit codes, round-trips."""
 
 import csv
+import dataclasses
 import io
 import json
 
+from terw import MultiplicityMismatch, OrthogonalityFailure, cli
 from terw.cli import (
     EXIT_GUARD,
     EXIT_INVALID_SPEC,
+    EXIT_MISMATCH,
     EXIT_OK,
     GroupSpec,
     main,
 )
+from terw.conjugacy import class_index_table
 
 
 def run_cli(capsys, *argv):
@@ -225,3 +229,155 @@ def test_guard_minimum(capsys):
         capsys, "dims", "--kind", "dihedral", "--factors", "3", "--guard", "2"
     )
     assert code == EXIT_INVALID_SPEC
+
+
+# -- one writer and one check runner ------------------------------------------------
+
+S3 = ["--kind", "dihedral", "--factors", "3"]
+
+
+def test_json_is_compact_one_line(capsys):
+    code, out, _ = run_cli(capsys, "chartable", *S3, "--format", "json")
+    assert code == EXIT_OK
+    assert out.count("\n") == 1 and out.endswith("}\n")
+    assert json.loads(out)["name"] == "Dih(C3)"
+
+
+def test_dims_mismatch_names_the_check(capsys, monkeypatch):
+    real = cli.is_triply_transitive
+
+    def off_by_one(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, dim_centralizer=report.dim_centralizer + 1)
+
+    monkeypatch.setattr(cli, "is_triply_transitive", off_by_one)
+    code, out, _ = run_cli(capsys, "dims", *S3)
+    assert code == EXIT_MISMATCH
+    payload = json.loads(out)  # a mismatch is reported as JSON whatever the format
+    assert payload["mismatch"] is True and payload["ok"] is False
+    assert payload["dim_centralizer"] == 12
+    [check] = payload["checks"]
+    assert check["check"] == "dimensions" and check["ok"] is False
+    assert "dimension paths disagree" in check["detail"]
+
+
+def test_verify_mismatch_names_the_check(capsys, monkeypatch):
+    def broken(table, *args, **kwargs):
+        raise OrthogonalityFailure("row", (0, 1), 0.5)
+
+    monkeypatch.setattr(cli, "verify_orthogonality", broken)
+    code, out, _ = run_cli(capsys, "verify", *S3, "--format", "json")
+    assert code == EXIT_MISMATCH
+    payload = json.loads(out)
+    assert payload["mismatch"] is True and payload["ok"] is False
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert [c["check"] for c in failed] == ["orthogonality"]
+    assert "row orthogonality failed" in failed[0]["detail"]
+    assert len(payload["checks"]) == 6  # the other checks still ran
+
+
+def test_verify_reports_a_broken_closure_certificate(capsys, monkeypatch):
+    import terw.closure
+
+    def shifted(group, classes):
+        table = class_index_table(group, classes).copy()
+        table[0, 1] = (table[0, 1] + 1) % len(classes)
+        return table
+
+    monkeypatch.setattr(terw.closure, "class_index_table", shifted)
+    code, out, _ = run_cli(capsys, "verify", *S3, "--format", "json")
+    assert code == EXIT_MISMATCH
+    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert [c["check"] for c in failed] == ["dimensions"]
+    assert "conjugation does not preserve" in failed[0]["detail"]
+
+
+def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):
+    real = cli.conjugacy_classes_bruteforce
+    monkeypatch.setattr(
+        cli, "conjugacy_classes_bruteforce", lambda *a, **k: list(real(*a, **k))[::-1]
+    )
+    code, out, _ = run_cli(capsys, "classes", *S3, "--oracle")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["checks"][0]["check"] == "conjugacy_classes"
+
+    def broken(table, *args, **kwargs):
+        raise OrthogonalityFailure("column", (1, 2), 0.5)
+
+    monkeypatch.setattr(cli, "verify_orthogonality", broken)
+    code, out, _ = run_cli(capsys, "chartable", *S3, "--oracle")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["checks"][0]["check"] == "orthogonality"
+
+
+def test_verify_computes_inner_products_once(capsys, monkeypatch):
+    import terw.wedderburn
+
+    calls = []
+    real = terw.wedderburn.multiplicities_inner_product
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(terw.wedderburn, "multiplicities_inner_product", counted)
+    code, _, _ = run_cli(capsys, "verify", *S3)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def _sweep_rows(out):
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def test_sweep_isolates_guarded_rows(capsys, monkeypatch):
+    import terw.scheme
+
+    monkeypatch.setattr(terw.scheme, "ENUMERATION_LIMIT", 20)
+    code, out, _ = run_cli(capsys, "sweep", "--kind", "dihedral", "--range", "3:12")
+    assert code == EXIT_GUARD
+    rows = _sweep_rows(out)
+    assert [int(r["order"]) for r in rows] == [2 * n for n in range(3, 13)]
+    for row in rows:
+        if int(row["order"]) > 20:
+            assert "enumeration limit" in row["detail"]
+            assert row["dim_t0"] == row["triply_transitive"] == row["wedderburn_ok"] == ""
+        else:
+            assert row["detail"] == ""
+            assert row["triply_transitive"] == row["wedderburn_ok"] == "True"
+
+
+def test_sweep_oracle_guards_rows_above_the_matrix_guard(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--kind", "dihedral", "--range", "6:10",
+        "--guard", "16", "--oracle", "--format", "json",
+    )
+    assert code == EXIT_GUARD
+    rows = json.loads(out)
+    # orders 12 to 20: the closure runs up to the guard, and above it
+    # --oracle turns the skipped closure into a guarded row
+    assert [r["dim_closure"] is None for r in rows] == [False, False, False, True, True]
+    assert [r["detail"] is None for r in rows] == [True, True, True, False, False]
+
+
+def test_sweep_mismatch_outranks_guard_and_keeps_its_message(capsys, monkeypatch):
+    import terw.scheme
+
+    real = cli.wedderburn_report
+
+    def fails_on_d4(group, *args, **kwargs):
+        if group.order == 8:
+            raise MultiplicityMismatch("planted on D4")
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "wedderburn_report", fails_on_d4)
+    monkeypatch.setattr(terw.scheme, "ENUMERATION_LIMIT", 9)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--kind", "dihedral", "--range", "3:5", "--format", "json"
+    )
+    assert code == EXIT_MISMATCH
+    rows = json.loads(out)
+    assert [r["wedderburn_ok"] for r in rows] == [True, False, None]
+    assert rows[1]["detail"] == "wedderburn: planted on D4"
+    assert rows[1]["dim_t0"] == 28
+    assert "enumeration limit" in rows[2]["detail"]

@@ -110,3 +110,19 @@ def test_orbital_labels_partition(d4):
 def test_closure_guard(sd16):
     with pytest.raises(GuardExceededError):
         terwilliger_closure_dim(sd16, guard=8)
+
+
+def test_conjugation_invariance_failure_is_typed(s3):
+    from terw import OracleMismatch, VerificationFailure
+    from terw.closure import _assert_conjugation_invariant, conjugation_perms
+    from terw.conjugacy import class_index_table
+
+    classes = conjugacy_classes(s3)
+    table = class_index_table(s3, classes).copy()
+    perms = conjugation_perms(s3)
+    _assert_conjugation_invariant(table, perms)  # the real table passes
+    # conjugation by b moves a to a^-1, so one changed entry breaks invariance
+    table[0, 1] = (table[0, 1] + 1) % len(classes)
+    with pytest.raises(OracleMismatch) as info:
+        _assert_conjugation_invariant(table, perms)
+    assert isinstance(info.value, VerificationFailure)

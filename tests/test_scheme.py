@@ -177,9 +177,15 @@ def test_closure_guard_propagates():
     assert full.dim_closure == full.dim_closed_form
 
 
-def test_scheme_matrices_commute_with_conjugation(sd16):
-    from terw.wedderburn import conjugation_permutation
+def conjugation_permutation(group, g) -> np.ndarray:
+    """The permutation matrix of u -> g u g^-1, from ``group.conjugate`` alone."""
+    mat = np.zeros((group.order, group.order), dtype=np.int64)
+    for u in group.elements():
+        mat[group.index(u), group.index(group.conjugate(u, g))] = 1
+    return mat
 
+
+def test_scheme_matrices_commute_with_conjugation(sd16):
     mats = adjacency_matrices(sd16)
     for g in list(sd16.elements())[:6]:
         phi = conjugation_permutation(sd16, g)

@@ -18,7 +18,8 @@ from terw import (
     verify_central_idempotents,
     wedderburn_report,
 )
-from terw.wedderburn import conjugation_permutation, permutation_character
+from terw.groups import conjugation_table
+from terw.wedderburn import permutation_character
 
 
 def test_s3_multiplicities(s3):
@@ -48,22 +49,23 @@ def test_trivial_character_multiplicity_is_class_count(sd16):
 
 
 def test_permutation_character_is_trace(d4):
-    elems = list(d4.elements())
+    # psi(g) is the number of fixed points of u -> g u g^-1
     classes = conjugacy_classes(d4)
     psi = permutation_character(d4, classes)
-    for g in elems:
-        mat = conjugation_permutation(d4, g)
-        assert mat.sum(axis=0).tolist() == [1] * d4.order
-        assert np.trace(mat) == psi[classes.index_of(g)]
+    conj = conjugation_table(d4)
+    for g in d4.elements():
+        perm = conj[d4.index(g)]
+        assert sorted(perm.tolist()) == list(range(d4.order))
+        assert int((perm == np.arange(d4.order)).sum()) == psi[classes.index_of(g)]
 
 
 def test_conjugation_permutation_is_homomorphism(q8):
-    elems = list(q8.elements())
-    for g in elems:
-        for h in elems:
-            lhs = conjugation_permutation(q8, g) @ conjugation_permutation(q8, h)
-            rhs = conjugation_permutation(q8, (q8.mul(g, h)))
-            assert np.array_equal(lhs, rhs)
+    # conjugating by h, then by g, is conjugating by gh
+    conj = conjugation_table(q8)
+    for g in q8.elements():
+        for h in q8.elements():
+            gh = q8.index(q8.mul(g, h))
+            assert np.array_equal(conj[q8.index(g)][conj[q8.index(h)]], conj[gh])
 
 
 def test_report_identities(s3, d4, q8, sd16):
