@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iterproduct
@@ -26,7 +25,7 @@ import numpy as np
 from .conjugacy import COSET, ClassList, ConjClass, conjugacy_classes
 from .cyclotomic import RootSum
 from .errors import CharacterTableFailure, OrthogonalityFailure
-from .groups import D2Group
+from .groups import D2Group, per_group, read_only
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,17 @@ def char_value(group: D2Group, label: CharLabel, cls: ConjClass) -> RootSum:
 
 @dataclass
 class CharacterTable:
-    """Rows are irreducible characters, columns are conjugacy classes."""
+    """Rows are irreducible characters, columns are conjugacy classes.
 
-    group: D2Group
+    It keeps the group's order and root order, not the group, because the
+    group keeps the table.
+    """
+
+    order: int
+    root_order: int
     classes: ClassList
-    labels: list[CharLabel]
-    rows: list[list[RootSum]]
+    labels: tuple[CharLabel, ...]
+    rows: tuple[tuple[RootSum, ...], ...]
 
     @property
     def degrees(self) -> list[int]:
@@ -142,8 +146,8 @@ class CharacterTable:
 
     @cached_property
     def complex_matrix(self) -> np.ndarray:
-        return np.array(
-            [[v.eval_complex() for v in row] for row in self.rows], dtype=complex
+        return read_only(
+            np.array([[v.eval_complex() for v in row] for row in self.rows], dtype=complex)
         )
 
     # -- exports -----------------------------------------------------------
@@ -187,7 +191,7 @@ class CharacterTable:
             }
 
         return {
-            "root_order": self.group.root_order,
+            "root_order": self.root_order,
             "classes": [
                 {"index": c.index, "kind": c.kind, "size": c.size, "rep": elem_json(c.rep)}
                 for c in self.classes
@@ -202,23 +206,21 @@ class CharacterTable:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def elem_json(g) -> list:
     a, beta = g
     return [list(a), beta]
 
 
-def character_table(group: D2Group, classes: ClassList | None = None) -> CharacterTable:
+@per_group
+def character_table(group: D2Group) -> CharacterTable:
     """Build the full character table; row count always equals class count."""
-    classes = classes if classes is not None else conjugacy_classes(group)
-    labels = character_labels(group)
+    classes = conjugacy_classes(group)
+    labels = tuple(character_labels(group))
     if len(labels) != len(classes):
         raise CharacterTableFailure(f"{len(labels)} characters but {len(classes)} classes")
-    rows = [[char_value(group, label, cls) for cls in classes] for label in labels]
-    table = CharacterTable(group=group, classes=classes, labels=labels, rows=rows)
+    rows = tuple(tuple(char_value(group, label, cls) for cls in classes) for label in labels)
+    table = CharacterTable(group.order, group.root_order, classes, labels, rows)
     sum_sq = sum(deg * deg for deg in table.degrees)
     if sum_sq != group.order:
         raise CharacterTableFailure(f"sum of squared degrees {sum_sq} != |G| = {group.order}")
@@ -239,7 +241,7 @@ def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> Orthogonal
     """
     mat = table.complex_matrix
     sizes = np.array([c.size for c in table.classes], dtype=float)
-    order = table.group.order
+    order = table.order
 
     gram = (mat * sizes) @ mat.conj().T / order
     dev1 = np.abs(gram - np.eye(len(table.labels)))

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 from .abelian import canonical_factor_order, make_abelian, make_involution
 from .characters import character_table, elem_json, verify_orthogonality
-from .conjugacy import ClassList, conjugacy_classes, conjugacy_classes_bruteforce
+from .conjugacy import conjugacy_classes, conjugacy_classes_bruteforce
 from .errors import (
     GuardExceededError,
     InvalidGroupError,
@@ -325,18 +325,16 @@ def _mismatch(head: dict, checks: Checks, config: RunConfig) -> int:
     return EXIT_MISMATCH
 
 
-def _classes_agree(group: D2Group, classes: ClassList, guard: int) -> None:
+def _classes_agree(group: D2Group, guard: int) -> None:
     brute = conjugacy_classes_bruteforce(group, guard=guard)
-    if [c.elements for c in brute] != [c.elements for c in classes]:
+    if [c.elements for c in brute] != [c.elements for c in conjugacy_classes(group)]:
         raise OracleMismatch("closed-form and brute-force partitions differ")
 
 
-def _dimensions_agree(
-    group: D2Group, classes: ClassList | None, config: RunConfig, into: dict
-) -> None:
+def _dimensions_agree(group: D2Group, config: RunConfig, into: dict) -> None:
     """Every computed dimension path gives the same value and the
     triple-transitivity verdict holds; the values are stored in ``into``."""
-    report = is_triply_transitive(group, classes, guard=config.guard, need_closure=config.oracle)
+    report = is_triply_transitive(group, guard=config.guard, need_closure=config.oracle)
     into.update(zip(DIM_KEYS, report.as_tuple()), triply_transitive=report.triply_transitive)
     if len({v for v in report.as_tuple() if v is not None}) != 1 or not report.triply_transitive:
         raise OracleMismatch(f"dimension paths disagree: {report.as_tuple()}")
@@ -373,7 +371,7 @@ def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
     head = _head(spec, group)
     if config.oracle:
         checks = Checks()
-        checks.run("conjugacy_classes", _classes_agree, group, classes, config.guard)
+        checks.run("conjugacy_classes", _classes_agree, group, config.guard)
         if checks.failed:
             return _mismatch(head, checks, config)
     payload = {
@@ -392,7 +390,7 @@ def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
     }
     if config.dump_matrices:
         with open(config.dump_matrices, "w") as fh:
-            fh.write(dump_matrices(group, classes, guard=config.guard))
+            fh.write(dump_matrices(group, guard=config.guard))
 
     def text(p):
         lines = [f"{p['name']}: {len(p['classes'])} classes {p['counts']}"]
@@ -425,7 +423,7 @@ def cmd_dims(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
     payload = _head(spec, group)
     checks = Checks()
-    checks.run("dimensions", _dimensions_agree, group, None, config, payload)
+    checks.run("dimensions", _dimensions_agree, group, config, payload)
     if checks.failed:
         return _mismatch(payload, checks, config)
     keys = (*DIM_KEYS, "triply_transitive")
@@ -439,7 +437,11 @@ def cmd_dims(spec: GroupSpec, config: RunConfig) -> int:
 
 def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
     group = spec.build()
-    payload = {"spec": spec.to_dict(), **wedderburn_report(group).to_json_dict()}
+    checks = Checks()
+    report = checks.run("wedderburn", wedderburn_report, group)
+    if checks.failed:
+        return _mismatch(_head(spec, group), checks, config)
+    payload = {"spec": spec.to_dict(), **report.to_json_dict()}
 
     def text(p):
         lines = [
@@ -459,14 +461,13 @@ def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
 def cmd_verify(spec: GroupSpec, config: RunConfig) -> int:
     config = replace(config, oracle=True)
     group = spec.build()
-    classes = conjugacy_classes(group)
     checks = Checks()
-    checks.run("conjugacy_classes", _classes_agree, group, classes, config.guard)
-    checks.run("scheme_axioms", verify_scheme_axioms, group, classes, guard=config.guard)
-    table = character_table(group, classes)
+    checks.run("conjugacy_classes", _classes_agree, group, config.guard)
+    checks.run("scheme_axioms", verify_scheme_axioms, group, guard=config.guard)
+    table = character_table(group)
     checks.run("orthogonality", verify_orthogonality, table)
-    checks.run("dimensions", _dimensions_agree, group, classes, config, {})
-    report = checks.run("wedderburn", wedderburn_report, group, classes, table)
+    checks.run("dimensions", _dimensions_agree, group, config, {})
+    report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:
         inner = MultiplicityVector(report.labels, report.inner_product)
         checks.run(
@@ -500,7 +501,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         }
         checks, guard_hit = Checks(), []
         try:
-            checks.run("dimensions", _dimensions_agree, group, None, config, row)
+            checks.run("dimensions", _dimensions_agree, group, config, row)
             row["wedderburn_ok"] = checks.run("wedderburn", wedderburn_report, group) is not None
         except GuardExceededError as exc:
             row.update(dict.fromkeys(SWEEP_CHECK_FIELDS))

@@ -28,10 +28,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .conjugacy import ClassList, class_index_table, conjugacy_classes
+from .conjugacy import class_index_table, conjugacy_classes
 from .errors import GuardExceededError, OracleMismatch
-from .groups import D2Group, conjugation_table, index_tables
-from .limits import DEFAULT_MATRIX_GUARD
+from .groups import D2Group, conjugation_table, index_tables, per_group, read_only
+from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
 
@@ -129,7 +129,7 @@ class Orbitals:
 
     count: int
     labels: np.ndarray
-    reps: list[tuple[int, int]]
+    reps: tuple[tuple[int, int], ...]
 
 
 def conjugation_perms(group: D2Group) -> list[np.ndarray]:
@@ -138,6 +138,7 @@ def conjugation_perms(group: D2Group) -> list[np.ndarray]:
     return list(conjugation_table(group, gens).astype(np.int64))
 
 
+@per_group
 def conjugation_orbitals(group: D2Group) -> Orbitals:
     """Label the simultaneous-conjugation orbits on G x G by min-propagation."""
     order = group.order
@@ -163,10 +164,10 @@ def conjugation_orbitals(group: D2Group) -> Orbitals:
                 labels = np.minimum(labels, moved)
                 changed = True
     uniq, first, relabeled = np.unique(labels, return_index=True, return_inverse=True)
-    reps = [(int(i // order), int(i % order)) for i in first]
+    reps = tuple((int(i // order), int(i % order)) for i in first)
     return Orbitals(
         count=len(uniq),
-        labels=relabeled.reshape(order, order).astype(np.int32),
+        labels=read_only(relabeled.reshape(order, order).astype(np.int32)),
         reps=reps,
     )
 
@@ -244,23 +245,33 @@ def _mask_operator(keep: np.ndarray) -> Operator:
 
 
 def terwilliger_generator_coords(
-    group: D2Group, classes: ClassList, orb: Orbitals, table: np.ndarray
-) -> tuple[list[SparseVec], list[SparseVec]]:
-    """Orbit coordinates of the scheme matrices and of the dual idempotents."""
-    ell = len(classes)
-    rep_u = np.array([u for u, _ in orb.reps])
-    rep_v = np.array([v for _, v in orb.reps])
-    rel = table[rep_u, rep_v]  # class of v*u^-1 at each orbit rep
-    scheme = [
-        {int(c): 1 for c in np.nonzero(rel == j)[0]} for j in range(ell)
-    ]
-    diag_class = np.where(
-        rep_u == rep_v, table[np.zeros_like(rep_u), rep_u], -1
-    )  # class of the diagonal element, or -1 off the diagonal
-    dual = [
-        {int(c): 1 for c in np.nonzero(diag_class == i)[0]} for i in range(ell)
-    ]
-    return scheme, dual
+    group: D2Group, include_scheme: bool = True, include_dual: bool = True
+) -> tuple[list[SparseVec], list[Operator]]:
+    """Orbit coordinates of the scheme matrices and of the dual idempotents
+    (either family may be left out), and the operators that multiply by them
+    on the left and on the right."""
+    classes = conjugacy_classes(group)
+    orb = conjugation_orbitals(group)
+    rep_u, rep_v = np.array(orb.reps).T
+    row_class = classes.labels[rep_u]  # class of u at each orbit rep (u, v)
+    col_class = classes.labels[rep_v]
+    vectors: list[SparseVec] = []
+    operators: list[Operator] = []
+    if include_scheme:
+        mult, inv = index_tables(group)
+        rel = class_index_table(group)[rep_u, rep_v]  # class of v*u^-1
+        for j in range(len(classes)):
+            vectors.append({int(c): 1 for c in np.flatnonzero(rel == j)})
+            elems = np.flatnonzero(classes.labels == j)
+            operators.append(_left_class_operator(orb, mult, elems))
+            operators.append(_right_class_operator(orb, mult, inv, elems))
+    if include_dual:
+        diag_class = np.where(rep_u == rep_v, row_class, -1)  # -1 off the diagonal
+        for i in range(len(classes)):
+            vectors.append({int(c): 1 for c in np.flatnonzero(diag_class == i)})
+            operators.append(_mask_operator(row_class == i))
+            operators.append(_mask_operator(col_class == i))
+    return vectors, operators
 
 
 def closure_dim_in_orbit_coords(
@@ -293,7 +304,6 @@ def closure_dim_in_orbit_coords(
 
 def terwilliger_closure_dim(
     group: D2Group,
-    classes: ClassList | None = None,
     guard: int = DEFAULT_MATRIX_GUARD,
     include_scheme: bool = True,
     include_dual: bool = True,
@@ -304,37 +314,9 @@ def terwilliger_closure_dim(
     Restricting the generator set exercises genuinely smaller algebras, e.g.
     the scheme matrices alone span the commutative adjacency algebra.
     """
-    if group.order > guard:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for the closure path"
-        )
-    classes = classes if classes is not None else conjugacy_classes(group)
-    mult, inv = index_tables(group)
-    table = class_index_table(group, classes)
-    perms = conjugation_perms(group)
-    _assert_conjugation_invariant(table, perms)
-    orb = conjugation_orbitals(group)
-
-    scheme_vecs, dual_vecs = terwilliger_generator_coords(group, classes, orb, table)
-    rep_u = np.array([u for u, _ in orb.reps])
-    rep_v = np.array([v for _, v in orb.reps])
-    row_class = table[np.zeros_like(rep_u), rep_u]
-    col_class = table[np.zeros_like(rep_v), rep_v]
-
-    vectors: list[SparseVec] = []
-    operators: list[Operator] = []
-    if include_scheme:
-        vectors.extend(scheme_vecs)
-        for cls in classes:
-            elems = np.array([group.index(g) for g in cls.elements])
-            operators.append(_left_class_operator(orb, mult, elems))
-            operators.append(_right_class_operator(orb, mult, inv, elems))
-    if include_dual:
-        vectors.extend(dual_vecs)
-        for i in range(len(classes)):
-            operators.append(_mask_operator(row_class == i))
-            operators.append(_mask_operator(col_class == i))
+    check_guard(group.order, guard, "the closure path")
+    _assert_conjugation_invariant(class_index_table(group), conjugation_perms(group))
+    vectors, operators = terwilliger_generator_coords(group, include_scheme, include_dual)
     if not vectors:
         raise ValueError("need at least one family of generators")
-
-    return closure_dim_in_orbit_coords(vectors, operators, cap=orb.count)
+    return closure_dim_in_orbit_coords(vectors, operators, cap=conjugation_orbitals(group).count)

@@ -11,17 +11,15 @@ classes (by mixed-radix z); class 0 is always {e}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from itertools import product as _iterproduct
 from typing import Iterator, Literal
 
 import numpy as np
 
 from .abelian import AbElem
-from .errors import GuardExceededError
-from .groups import D2Elem, D2Group, index_tables
-from .limits import DEFAULT_MATRIX_GUARD
+from .groups import D2Elem, D2Group, index_tables, per_group, read_only
+from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 Kind = Literal["fixed", "paired", "coset"]
 
@@ -44,16 +42,24 @@ class ConjClass:
 
 @dataclass
 class ClassList:
-    """All conjugacy classes of a group, canonically ordered."""
+    """All conjugacy classes of a group, canonically ordered.
 
-    group: D2Group
+    ``labels`` is the class index of every element, by element index, and is
+    read-only.  The group is not kept, because the group keeps the list.
+    """
+
+    group: InitVar[D2Group]
     classes: tuple[ConjClass, ...]
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
     _lookup: dict[D2Elem, int] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, group: D2Group):
+        labels = np.empty(group.order, dtype=np.int32)
         for cls in self.classes:
+            labels[[group.index(g) for g in cls.elements]] = cls.index
             for g in cls.elements:
                 self._lookup[g] = cls.index
+        self.labels = read_only(labels)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -66,15 +72,6 @@ class ClassList:
 
     def index_of(self, g: D2Elem) -> int:
         return self._lookup[g]
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Class index of every element, by element index; read-only."""
-        out = np.empty(self.group.order, dtype=np.int32)
-        for cls in self.classes:
-            out[[self.group.index(g) for g in cls.elements]] = cls.index
-        out.flags.writeable = False
-        return out
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -101,6 +98,7 @@ def residue_box(group: D2Group) -> list[AbElem]:
     return list(_iterproduct(*(range(d) for d in group.fixed.d_vec)))
 
 
+@per_group
 def conjugacy_classes(group: D2Group) -> ClassList:
     """Conjugacy classes by the closed form."""
     A = group.abelian
@@ -137,10 +135,7 @@ def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
     """Conjugacy classes as orbits of g -> hgh^-1, then canonically ordered."""
-    if group.order > guard:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for orbit enumeration"
-        )
+    check_guard(group.order, guard, "orbit enumeration")
     elems = list(group.elements())
     remaining = set(elems)
     orbits: list[set[D2Elem]] = []
@@ -186,9 +181,10 @@ def _canonicalize(group: D2Group, orbits: list[set[D2Elem]]) -> list[ConjClass]:
     return classes
 
 
-def structure_constant(group: D2Group, classes: ClassList, i: int, j: int, k: int) -> int:
+def structure_constant(group: D2Group, i: int, j: int, k: int) -> int:
     """p_ij^k: with x = e and y any element of class k, the number of z in
     class i such that y*z^-1 lies in class j.  Independent of the chosen y."""
+    classes = conjugacy_classes(group)
     y = classes[k].rep
     count = 0
     for z in classes[i].elements:
@@ -197,22 +193,23 @@ def structure_constant(group: D2Group, classes: ClassList, i: int, j: int, k: in
     return count
 
 
-def class_products(group: D2Group, classes: ClassList, i: int, j: int) -> set[int]:
+def class_products(group: D2Group, i: int, j: int) -> set[int]:
     """Indices of the classes contained in the elementwise product Cl_i * Cl_j."""
     mult, _ = index_tables(group)
-    labels = classes.labels
+    labels = conjugacy_classes(group).labels
     rows = np.flatnonzero(labels == i)
     cols = np.flatnonzero(labels == j)
     counts = np.bincount(labels[mult[np.ix_(rows, cols)]].ravel())
     return set(np.flatnonzero(counts).tolist())
 
 
-def structure_tensor(group: D2Group, classes: ClassList) -> np.ndarray:
+def structure_tensor(group: D2Group) -> np.ndarray:
     """Full tensor p[i, j, k], computed from product distributions.
 
     (N_i N_j)(x, y) counts factorizations y*x^-1 = v*u with u in class i and
     v in class j, so p[i, j, k] is that count at any representative of class k.
     """
+    classes = conjugacy_classes(group)
     ell = len(classes)
     p = np.zeros((ell, ell, ell), dtype=np.int64)
     for i in range(ell):
@@ -227,7 +224,8 @@ def structure_tensor(group: D2Group, classes: ClassList) -> np.ndarray:
     return p
 
 
-def class_index_table(group: D2Group, classes: ClassList) -> np.ndarray:
+@per_group
+def class_index_table(group: D2Group) -> np.ndarray:
     """Table D with D[x, y] = class index of y * x^-1, over element indices."""
     mult, inv = index_tables(group)
-    return classes.labels[mult[:, inv].T]
+    return read_only(conjugacy_classes(group).labels[mult[:, inv].T])

@@ -17,10 +17,10 @@ in prime-power coordinates via the Chinese remainder theorem.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -72,6 +72,7 @@ class D2Group:
         self.d = self.fixed.d
         self.order = 2 * abelian.order
         self.name = name or f"D2({abelian.describe()}; s={list(twist.s)}; y={list(y)})"
+        self._memo: dict[Callable, object] = {}  # artefacts built by ``per_group`` builders
 
     # -- element arithmetic --------------------------------------------
 
@@ -143,17 +144,6 @@ class D2Group:
         the abelian part (needed on the b-coset) are still integral powers.
         """
         return 2 * math.lcm(*self.abelian.moduli)
-
-    # -- dense tables, built on first use ----------------------------------
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _build_index_tables(self)
-
-    @cached_property
-    def _centralizer_sizes(self) -> np.ndarray:
-        mult, _ = index_tables(self)
-        return _read_only((mult == mult.T).sum(axis=1))
 
     def __repr__(self) -> str:
         return f"<D2Group {self.name} of order {self.order}>"
@@ -241,39 +231,42 @@ def g2_group(n: int, s: int, t: int) -> D2Group:
     return d2
 
 
-def index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
-    """Dense multiplication and inverse tables over element indices.
+T = TypeVar("T")
 
-    ``mult[i, j]`` is the index of element i times element j and ``inv[i]``
-    the index of the inverse of element i.  Both are built once per group,
-    on first use, and are read-only.
+
+def per_group(build: Callable[[D2Group], T]) -> Callable[[D2Group], T]:
+    """Make ``build(group)`` run once per group, on first use.
+
+    The result is kept on the group and every later call returns the same
+    object, so each artefact is shared by all its users and is read-only.
+    The builder stays reachable as ``__wrapped__``, which is where each
+    first call looks it up.
     """
-    return group._tables
+
+    @functools.wraps(build)
+    def cached(group: D2Group) -> T:
+        memo = group._memo
+        if build not in memo:
+            memo[build] = cached.__wrapped__(group)
+        return memo[build]
+
+    return cached
 
 
-def centralizer_sizes(group: D2Group) -> np.ndarray:
-    """|C_G(g)| for every element index g, counted from the multiplication
-    table; built once per group, on first use, and read-only."""
-    return group._centralizer_sizes
-
-
-def conjugation_table(group: D2Group, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """C[r, x] = index of g x g^-1, with g the element of index rows[r]
-    (by default every element, in index order)."""
-    mult, inv = index_tables(group)
-    return mult[mult[rows], inv[rows][:, None]]
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-def _build_index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
-    """The tables from the normal form, one coordinate at a time.
+@per_group
+def index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """Dense multiplication and inverse tables over element indices.
 
-    Element index i = sum_j x_j * w_j + beta * n with w_j the mixed-radix
-    weights, so each (beta, gamma) block of ``mult`` is
+    ``mult[i, j]`` is the index of element i times element j and ``inv[i]``
+    the index of the inverse of element i.  They are built from the normal
+    form, one coordinate at a time: element index
+    i = sum_j x_j * w_j + beta * n with w_j the mixed-radix weights, so each
+    (beta, gamma) block of ``mult`` is
     sum_j ((x_j + f^beta(x')_j + [beta gamma] * y_j) mod m_j) * w_j
     plus the coset offset, accumulated in place with one (n, n) int32
     temporary.
@@ -303,4 +296,18 @@ def _build_index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     inv[n:] = n + sum(
         ((-fx - y) % m) * w for fx, y, m, w in zip(twisted, group.square, moduli, weights)
     )
-    return _read_only(mult), _read_only(inv)
+    return read_only(mult), read_only(inv)
+
+
+@per_group
+def centralizer_sizes(group: D2Group) -> np.ndarray:
+    """|C_G(g)| for every element index g, counted from the multiplication table."""
+    mult, _ = index_tables(group)
+    return read_only((mult == mult.T).sum(axis=1))
+
+
+def conjugation_table(group: D2Group, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """C[r, x] = index of g x g^-1, with g the element of index rows[r]
+    (by default every element, in index order)."""
+    mult, inv = index_tables(group)
+    return mult[mult[rows], inv[rows][:, None]]

@@ -6,8 +6,16 @@ are gated behind ``DEFAULT_MATRIX_GUARD``.  Formula and counting paths stay
 cheap much longer and are capped only by ``ENUMERATION_LIMIT``.
 """
 
+from .errors import GuardExceededError
+
 DEFAULT_MATRIX_GUARD = 64
 
 ENUMERATION_LIMIT = 4096
 
 MIN_GUARD = 6
+
+
+def check_guard(order: int, guard: int, path: str) -> None:
+    """Raise GuardExceededError if a group of this order is above the guard for the path."""
+    if order > guard:
+        raise GuardExceededError(f"group order {order} exceeds guard {guard} for {path}")

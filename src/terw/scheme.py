@@ -26,46 +26,24 @@ from .closure import (
     centralizer_orbit_count,
     terwilliger_closure_dim,
 )
-from .conjugacy import (
-    ClassList,
-    class_index_table,
-    conjugacy_classes,
-    structure_tensor,
-)
+from .conjugacy import class_index_table, conjugacy_classes, structure_tensor
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
 from .groups import D2Group, centralizer_sizes, index_tables
-from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT
+from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
-def adjacency_matrices(
-    group: D2Group, classes: ClassList | None = None, guard: int = DEFAULT_MATRIX_GUARD
-) -> list[np.ndarray]:
+def adjacency_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> list[np.ndarray]:
     """The 0/1 scheme matrices, one per class, over element indices."""
-    if group.order > guard:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for dense matrices"
-        )
-    classes = classes if classes is not None else conjugacy_classes(group)
-    table = class_index_table(group, classes)
-    return [(table == i).astype(np.int64) for i in range(len(classes))]
+    check_guard(group.order, guard, "dense matrices")
+    table = class_index_table(group)
+    return [(table == i).astype(np.int64) for i in range(len(conjugacy_classes(group)))]
 
 
-def dual_idempotents(
-    group: D2Group, classes: ClassList | None = None, guard: int = DEFAULT_MATRIX_GUARD
-) -> list[np.ndarray]:
+def dual_idempotents(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> list[np.ndarray]:
     """Diagonal 0/1 idempotents E*_i marking the elements of each class."""
-    if group.order > guard:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for dense matrices"
-        )
-    classes = classes if classes is not None else conjugacy_classes(group)
-    out = []
-    for cls in classes:
-        diag = np.zeros(group.order, dtype=np.int64)
-        for g in cls.elements:
-            diag[group.index(g)] = 1
-        out.append(np.diag(diag))
-    return out
+    check_guard(group.order, guard, "dense matrices")
+    classes = conjugacy_classes(group)
+    return [np.diag((classes.labels == i).astype(np.int64)) for i in range(len(classes))]
 
 
 @dataclass(frozen=True)
@@ -76,7 +54,6 @@ class SchemeAxiomReport:
 
 def verify_scheme_axioms(
     group: D2Group,
-    classes: ClassList | None = None,
     matrices: list[np.ndarray] | None = None,
     guard: int = DEFAULT_MATRIX_GUARD,
 ) -> SchemeAxiomReport:
@@ -87,9 +64,8 @@ def verify_scheme_axioms(
     counted from the classes.  Raises AxiomFailure naming the first violated
     clause; matrices may be passed in explicitly (e.g. corrupted, in tests).
     """
-    classes = classes if classes is not None else conjugacy_classes(group)
     if matrices is None:
-        matrices = adjacency_matrices(group, classes, guard=guard)
+        matrices = adjacency_matrices(group, guard=guard)
     order = group.order
     stack = np.stack([np.asarray(m, dtype=np.int64) for m in matrices])
 
@@ -107,7 +83,7 @@ def verify_scheme_axioms(
             raise AxiomFailure("(iii)", f"transpose of N_{i} is not a scheme matrix")
         pairing.append(partner)
 
-    p = structure_tensor(group, classes)
+    p = structure_tensor(group)
     products = np.einsum("aij,bjk->abik", stack, stack)
     recon = np.tensordot(p, stack, axes=([2], [0]))
     if not np.array_equal(products, recon):
@@ -116,14 +92,14 @@ def verify_scheme_axioms(
             "(iv)", f"N_{bad[0]} N_{bad[1]} differs from its structure-constant expansion"
         )
 
-    return SchemeAxiomReport(transpose_pairing=tuple(pairing), class_count=len(classes))
+    return SchemeAxiomReport(transpose_pairing=tuple(pairing), class_count=len(p))
 
 
-def dump_matrices(group: D2Group, classes: ClassList | None = None, guard: int = DEFAULT_MATRIX_GUARD) -> str:
+def dump_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> str:
     """Dense integer grids of every N_i and E*_i, for external verification."""
-    classes = classes if classes is not None else conjugacy_classes(group)
-    mats = adjacency_matrices(group, classes, guard=guard)
-    duals = dual_idempotents(group, classes, guard=guard)
+    classes = conjugacy_classes(group)
+    mats = adjacency_matrices(group, guard=guard)
+    duals = dual_idempotents(group, guard=guard)
     chunks = []
     for i, mat in enumerate(mats):
         chunks.append(f"N_{i} (class {classes[i].kind}, size {classes[i].size})")
@@ -137,19 +113,14 @@ def dump_matrices(group: D2Group, classes: ClassList | None = None, guard: int =
 # -- dimension paths ---------------------------------------------------------
 
 
-def dim_t0(
-    group: D2Group,
-    classes: ClassList | None = None,
-    strategy: str = "triples",
-    guard: int = DEFAULT_MATRIX_GUARD,
-) -> int:
+def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRIX_GUARD) -> int:
     """Dimension of the span of the sandwiches E*_i N_j E*_k.
 
     The default strategy counts class triples (i, j, k) with Cl_k inside
     Cl_i * Cl_j; the "span" strategy ranks the flattened sandwich matrices
     over exact rationals.
     """
-    classes = classes if classes is not None else conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     ell = len(classes)
     if strategy == "triples":
         # one code per (class of u, class of v, class of u*v), over all pairs;
@@ -161,13 +132,10 @@ def dim_t0(
         return int(np.count_nonzero(np.diff(codes))) + 1
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if group.order > guard:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for the span path"
-        )
+    check_guard(group.order, guard, "the span path")
     order = group.order
-    table = class_index_table(group, classes)
-    row_class = table[0]
+    table = class_index_table(group)
+    row_class = classes.labels
     basis = SparseRationalBasis()
     for i in range(ell):
         rows = np.nonzero(row_class == i)[0]
@@ -229,10 +197,7 @@ class TransitivityReport:
 
 
 def is_triply_transitive(
-    group: D2Group,
-    classes: ClassList | None = None,
-    guard: int = DEFAULT_MATRIX_GUARD,
-    need_closure: bool = False,
+    group: D2Group, guard: int = DEFAULT_MATRIX_GUARD, need_closure: bool = False
 ) -> TransitivityReport:
     """Compute all dimension paths; the verdict compares the sandwich span
     against the centralizer algebra.
@@ -241,19 +206,12 @@ def is_triply_transitive(
     is None unless ``need_closure`` forces the computation, in which case the
     guard violation propagates.
     """
-    classes = classes if classes is not None else conjugacy_classes(group)
-    t0 = dim_t0(group, classes)
+    t0 = dim_t0(group)
     closed = dim_closed_form(group)
     cent = dim_centralizer(group)
-    closure: int | None
-    if group.order <= guard:
-        closure = terwilliger_closure_dim(group, classes, guard=guard)
-    elif need_closure:
-        raise GuardExceededError(
-            f"group order {group.order} exceeds guard {guard} for the closure path"
-        )
-    else:
-        closure = None
+    closure: int | None = None
+    if group.order <= guard or need_closure:  # above the guard, the closure raises
+        closure = terwilliger_closure_dim(group, guard=guard)
     return TransitivityReport(
         dim_t0=t0,
         dim_closed_form=closed,

@@ -28,16 +28,10 @@ from .characters import (
     character_table,
 )
 from .closure import Orbitals, conjugation_orbitals
-from .conjugacy import ClassList, conjugacy_classes
-from .errors import (
-    GuardExceededError,
-    IdempotencyFailure,
-    MultiplicityMismatch,
-    NonIntegralMultiplicity,
-    ParityFailure,
-)
+from .conjugacy import conjugacy_classes
+from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
 from .groups import D2Group, centralizer_sizes, conjugation_table
-from .limits import DEFAULT_MATRIX_GUARD
+from .limits import DEFAULT_MATRIX_GUARD, check_guard
 from .scheme import dim_centralizer
 
 
@@ -60,11 +54,11 @@ class MultiplicityVector:
         return sum(v * label.degree for v, label in zip(self.values, self.labels))
 
 
-def permutation_character(group: D2Group, classes: ClassList) -> list[int]:
+def permutation_character(group: D2Group) -> list[int]:
     """psi on class representatives: psi(g) = |C_G(g)| = |G| / |Cl(g)|."""
     cent_sizes = centralizer_sizes(group)
     values = []
-    for cls in classes:
+    for cls in conjugacy_classes(group):
         size = int(cent_sizes[group.index(cls.rep)])
         if size * cls.size != group.order:
             raise MultiplicityMismatch(
@@ -92,7 +86,7 @@ def multiplicities_char_sum(group: D2Group, table: CharacterTable) -> Multiplici
 
 def multiplicities_inner_product(group: D2Group, table: CharacterTable) -> MultiplicityVector:
     """d_j = <psi, chi_j> with psi the conjugation permutation character."""
-    psi = permutation_character(group, table.classes)
+    psi = permutation_character(group)
     order = group.order
     values = []
     for row in table.rows:
@@ -109,11 +103,9 @@ def multiplicities_inner_product(group: D2Group, table: CharacterTable) -> Multi
     return MultiplicityVector(labels=tuple(table.labels), values=tuple(values))
 
 
-def multiplicities_closed_form(
-    group: D2Group, labels: list[CharLabel] | None = None
-) -> MultiplicityVector:
+def multiplicities_closed_form(group: D2Group) -> MultiplicityVector:
     """The case-by-case closed form, driven by divisibility of the labels."""
-    labels = labels if labels is not None else character_labels(group)
+    labels = character_labels(group)
     n, d = group.n, group.d
     d_vec = group.fixed.d_vec
     n_vec = group.fixed.n_vec
@@ -149,10 +141,7 @@ def central_idempotent(
 ) -> np.ndarray:
     """e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), as a complex matrix."""
     order = group.order
-    if order > guard:
-        raise GuardExceededError(
-            f"group order {order} exceeds guard {guard} for idempotent matrices"
-        )
+    check_guard(order, guard, "idempotent matrices")
     # e[u, g u g^-1] accumulates conj(chi(g)) over all g
     weights = table.complex_matrix[label_index].conjugate()[table.classes.labels]
     targets = np.arange(order)[None, :] * order + conjugation_table(group)
@@ -278,20 +267,14 @@ class WedderburnReport:
         }
 
 
-def wedderburn_report(
-    group: D2Group,
-    classes: ClassList | None = None,
-    table: CharacterTable | None = None,
-) -> WedderburnReport:
+def wedderburn_report(group: D2Group) -> WedderburnReport:
     """Compute all three multiplicity vectors and check the global identities.
 
     Raises MultiplicityMismatch if the three vectors differ or if either
     sum d^2 = dim of the centralizer algebra or sum d*deg = |G| fails.
     """
-    classes = classes if classes is not None else conjugacy_classes(group)
-    table = table if table is not None else character_table(group, classes)
-
-    closed = multiplicities_closed_form(group, table.labels)
+    table = character_table(group)
+    closed = multiplicities_closed_form(group)
     sums = multiplicities_char_sum(group, table)
     inner = multiplicities_inner_product(group, table)
 

@@ -41,35 +41,29 @@ from terw.instances import (
 
 
 class Bundle:
-    """Lazily computed per-instance data, shared across criteria."""
+    """Lazily computed per-instance results, shared across criteria; the
+    classes and the character table are cached on the group itself."""
 
     def __init__(self, group, family):
         self.group = group
         self.family = family
 
     @cached_property
-    def classes(self):
-        return conjugacy_classes(self.group)
-
-    @cached_property
     def dims(self):
         return {
-            "t0": dim_t0(self.group, self.classes),
+            "t0": dim_t0(self.group),
             "closed": dim_closed_form(self.group),
             "centralizer": dim_centralizer(self.group),
-            "closure": terwilliger_closure_dim(self.group, self.classes),
+            "closure": terwilliger_closure_dim(self.group),
         }
 
     @cached_property
-    def table(self):
-        return character_table(self.group, self.classes)
-
-    @cached_property
     def multiplicities(self):
+        table = character_table(self.group)
         return {
-            "closed": multiplicities_closed_form(self.group, self.table.labels),
-            "char_sum": multiplicities_char_sum(self.group, self.table),
-            "inner": multiplicities_inner_product(self.group, self.table),
+            "closed": multiplicities_closed_form(self.group),
+            "char_sum": multiplicities_char_sum(self.group, table),
+            "inner": multiplicities_inner_product(self.group, table),
         }
 
 
@@ -161,15 +155,15 @@ def test_criterion_3_family_special_cases(corpus):
 def test_criterion_4_character_tables(corpus):
     """Row count, degree identity, 1e-9 orthogonality, exact coset zeros."""
     for bundle in corpus:
-        table = bundle.table
-        assert len(table.rows) == len(bundle.classes)
+        table = character_table(bundle.group)
+        assert len(table.rows) == len(conjugacy_classes(bundle.group))
         assert sum(deg * deg for deg in table.degrees) == bundle.group.order
         report = verify_orthogonality(table, tol=1e-9)
         assert report.first_max_deviation < 1e-9
         assert report.second_max_deviation < 1e-9
         for row, label in zip(table.rows, table.labels):
             if label.degree == 2:
-                for cls in bundle.classes:
+                for cls in table.classes:
                     if cls.kind == COSET:
                         assert row[cls.index].is_zero_exact()
     _report(4, f"tables on {len(corpus)} instances: counts, degrees, orthogonality, coset zeros")
@@ -191,7 +185,7 @@ def test_criterion_5_multiplicity_agreement(corpus):
     ]:
         table = character_table(group)
         assert multiplicities_inner_product(group, table).values == want
-        assert multiplicities_closed_form(group, table.labels).values == want
+        assert multiplicities_closed_form(group).values == want
     _report(5, f"three-way agreement on {len(corpus)} instances + named vectors")
 
 
@@ -202,7 +196,7 @@ def test_criterion_6_idempotent_oracle(corpus):
         if bundle.group.order > 32:
             continue
         report = verify_central_idempotents(
-            bundle.group, bundle.table, bundle.multiplicities["inner"], tol=1e-9
+            bundle.group, character_table(bundle.group), bundle.multiplicities["inner"], tol=1e-9
         )
         assert report.block_dims == tuple(v * v for v in bundle.multiplicities["inner"].values)
         checked += 1
@@ -215,8 +209,8 @@ def test_criterion_7_structural_suite(corpus):
     closed-form vs brute-force class partitions."""
     for bundle in corpus:
         group = bundle.group
-        classes = bundle.classes
-        verify_scheme_axioms(group, classes)
+        classes = conjugacy_classes(group)
+        verify_scheme_axioms(group)
 
         brute = conjugacy_classes_bruteforce(group)
         assert [c.elements for c in brute] == [c.elements for c in classes], group.name
@@ -231,7 +225,7 @@ def test_criterion_7_structural_suite(corpus):
                     (group.abelian.mul(y_r, group.twist.apply(y_j)), 0)
                 )
                 assert one != other, group.name
-                assert class_products(group, classes, u.index, v.index) == {one, other}
+                assert class_products(group, u.index, v.index) == {one, other}
 
         cosets = [c for c in classes if c.kind == COSET]
         for r in cosets:

@@ -1,6 +1,7 @@
 """Character tables: counts, known tables, homomorphism and class-constancy
 properties, orthogonality, and the fault-injection path."""
 
+import dataclasses
 import json
 
 import pytest
@@ -123,7 +124,7 @@ def test_values_constant_on_classes():
         [4, 0],
     )
     classes = conjugacy_classes(group)
-    table = character_table(group, classes)
+    table = character_table(group)
     # recompute each value from every member of the class, not just the rep
     for r, label in enumerate(table.labels):
         for cls in classes:
@@ -199,9 +200,12 @@ def test_orthogonality_passes(s3, d4, q8, sd16):
 
 def test_orthogonality_detects_corruption(d4):
     table = character_table(d4)
-    table.rows[1][2] = -table.rows[1][2]  # flip one sign
+    rows = [list(row) for row in table.rows]
+    rows[1][2] = -rows[1][2]  # flip one sign
+    corrupted = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
     with pytest.raises(OrthogonalityFailure):
-        verify_orthogonality(table)
+        verify_orthogonality(corrupted)
+    verify_orthogonality(table)  # the cached table is untouched
 
 
 def test_exports(d4):
@@ -210,7 +214,7 @@ def test_exports(d4):
     assert text.count("\n") == len(table.rows)
     csv_body = table.to_csv()
     assert csv_body.splitlines()[0].startswith("character,")
-    data = json.loads(table.to_json())
+    data = json.loads(json.dumps(table.to_json_dict()))
     assert len(data["characters"]) == len(table.rows)
     assert data["characters"][0]["degree"] == 1
     # terms round-trip to the evaluated complex value

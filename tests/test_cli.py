@@ -14,7 +14,7 @@ from terw.cli import (
     GroupSpec,
     main,
 )
-from terw.conjugacy import class_index_table
+from terw.conjugacy import class_index_table, conjugacy_classes
 
 
 def run_cli(capsys, *argv):
@@ -279,9 +279,9 @@ def test_verify_mismatch_names_the_check(capsys, monkeypatch):
 def test_verify_reports_a_broken_closure_certificate(capsys, monkeypatch):
     import terw.closure
 
-    def shifted(group, classes):
-        table = class_index_table(group, classes).copy()
-        table[0, 1] = (table[0, 1] + 1) % len(classes)
+    def shifted(group):
+        table = class_index_table(group).copy()
+        table[0, 1] = (table[0, 1] + 1) % len(conjugacy_classes(group))
         return table
 
     monkeypatch.setattr(terw.closure, "class_index_table", shifted)
@@ -308,6 +308,19 @@ def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "chartable", *S3, "--oracle")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["checks"][0]["check"] == "orthogonality"
+
+
+def test_wedderburn_mismatch_names_the_check(capsys, monkeypatch):
+    def planted(group):
+        raise MultiplicityMismatch("planted")
+
+    monkeypatch.setattr(cli, "wedderburn_report", planted)
+    code, out, _ = run_cli(capsys, "wedderburn", *S3, "--format", "json")
+    assert code == EXIT_MISMATCH
+    payload = json.loads(out)
+    assert payload["mismatch"] is True and payload["ok"] is False
+    assert payload["name"] == "Dih(C3)" and payload["order"] == 6
+    assert payload["checks"] == [{"check": "wedderburn", "ok": False, "detail": "planted"}]
 
 
 def test_verify_computes_inner_products_once(capsys, monkeypatch):

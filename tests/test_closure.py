@@ -41,23 +41,23 @@ def test_full_matrix_algebra():
 
 def test_generic_closure_s3(s3):
     classes = conjugacy_classes(s3)
-    gens = adjacency_matrices(s3, classes) + dual_idempotents(s3, classes)
+    gens = adjacency_matrices(s3) + dual_idempotents(s3)
     assert algebra_dimension(gens) == 11
 
 
 def test_generic_closure_matches_fast_path(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
         classes = conjugacy_classes(group)
-        gens = adjacency_matrices(group, classes) + dual_idempotents(group, classes)
-        assert algebra_dimension(gens) == terwilliger_closure_dim(group, classes)
+        gens = adjacency_matrices(group) + dual_idempotents(group)
+        assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
 
 def test_generic_closure_matches_fast_path_general_instance():
     abelian = make_abelian([(2, 1), (3, 1)])
     group = make_d2(abelian, make_involution(abelian, [1, 2]), [0, 0])
     classes = conjugacy_classes(group)
-    gens = adjacency_matrices(group, classes) + dual_idempotents(group, classes)
-    assert algebra_dimension(gens) == terwilliger_closure_dim(group, classes)
+    gens = adjacency_matrices(group) + dual_idempotents(group)
+    assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
 
 def test_guard_on_generic_closure():
@@ -70,16 +70,16 @@ def test_adjacency_algebra_alone_is_commutative_span(s3, d4, sd16):
     # strictly below the orbit-count ceiling (exercises the product rounds)
     for group in (s3, d4, sd16):
         classes = conjugacy_classes(group)
-        dim = terwilliger_closure_dim(group, classes, include_dual=False)
+        dim = terwilliger_closure_dim(group, include_dual=False)
         assert dim == len(classes)
-        gens = adjacency_matrices(group, classes)
+        gens = adjacency_matrices(group)
         assert algebra_dimension(gens) == dim
 
 
 def test_dual_algebra_alone(s3, sd16):
     for group in (s3, sd16):
         classes = conjugacy_classes(group)
-        dim = terwilliger_closure_dim(group, classes, include_scheme=False)
+        dim = terwilliger_closure_dim(group, include_scheme=False)
         assert dim == len(classes)
 
 
@@ -118,7 +118,7 @@ def test_conjugation_invariance_failure_is_typed(s3):
     from terw.conjugacy import class_index_table
 
     classes = conjugacy_classes(s3)
-    table = class_index_table(s3, classes).copy()
+    table = class_index_table(s3).copy()
     perms = conjugation_perms(s3)
     _assert_conjugation_invariant(table, perms)  # the real table passes
     # conjugation by b moves a to a^-1, so one changed entry breaks invariance

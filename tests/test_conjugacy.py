@@ -117,15 +117,15 @@ def test_guard_exceeded():
 def test_structure_constants_s3(s3):
     cl = conjugacy_classes(s3)
     # z, z' in {a, a^2} with z z' = e: exactly (a, a^2) and (a^2, a)
-    assert structure_constant(s3, cl, 1, 1, 0) == 2
+    assert structure_constant(s3, 1, 1, 0) == 2
     for j in range(3):
         for k in range(3):
-            assert structure_constant(s3, cl, 0, j, k) == (1 if j == k else 0)
+            assert structure_constant(s3, 0, j, k) == (1 if j == k else 0)
 
 
 def test_structure_constants_d4(d4):
     cl = conjugacy_classes(d4)
-    assert structure_constant(d4, cl, 3, 3, 0) == 2  # b^2 = (a^2 b)^2 = e
+    assert structure_constant(d4, 3, 3, 0) == 2  # b^2 = (a^2 b)^2 = e
 
 
 def test_structure_constant_rep_independent(sd16, q8):
@@ -148,9 +148,9 @@ def test_structure_constant_rep_independent(sd16, q8):
 
 def test_class_products_s3(s3):
     cl = conjugacy_classes(s3)
-    assert class_products(s3, cl, 1, 1) == {0, 1}
-    assert class_products(s3, cl, 2, 2) == {0, 1}
-    assert class_products(s3, cl, 1, 2) == {2}
+    assert class_products(s3, 1, 1) == {0, 1}
+    assert class_products(s3, 2, 2) == {0, 1}
+    assert class_products(s3, 1, 2) == {2}
 
 
 def test_triple_count_equals_nonzero_structure_constants(d4, sd16):
@@ -158,14 +158,14 @@ def test_triple_count_equals_nonzero_structure_constants(d4, sd16):
         cl = conjugacy_classes(group)
         ell = len(cl)
         triples = sum(
-            len(class_products(group, cl, i, j)) for i in range(ell) for j in range(ell)
+            len(class_products(group, i, j)) for i in range(ell) for j in range(ell)
         )
         nonzero = sum(
             1
             for i in range(ell)
             for j in range(ell)
             for k in range(ell)
-            if structure_constant(group, cl, i, j, k) != 0
+            if structure_constant(group, i, j, k) != 0
         )
         assert triples == nonzero
 
@@ -181,7 +181,7 @@ def test_paired_product_distinctness(sd16):
             one = cl.index_of((group.abelian.mul(y_r, y_j), 0))
             other = cl.index_of((group.abelian.mul(y_r, group.twist.apply(y_j)), 0))
             assert one != other
-            assert class_products(group, cl, u.index, v.index) == {one, other}
+            assert class_products(group, u.index, v.index) == {one, other}
 
 
 def test_coset_products_partition_abelian_part(sd16, d4):
@@ -198,6 +198,6 @@ def test_coset_products_partition_abelian_part(sd16, d4):
                 }
                 assert not (seen & prod)
                 seen |= prod
-                covered |= class_products(group, cl, r.index, j.index)
+                covered |= class_products(group, r.index, j.index)
             assert len(seen) == group.n
             assert covered == abelian_classes

@@ -46,7 +46,7 @@ def test_n0_is_identity_and_sum_is_ones(s3, sd16):
 def test_row_sums_equal_class_sizes(s3, d4):
     for group in (s3, d4):
         classes = conjugacy_classes(group)
-        mats = adjacency_matrices(group, classes)
+        mats = adjacency_matrices(group)
         for cls, mat in zip(classes, mats):
             assert (mat.sum(axis=1) == cls.size).all()
 
@@ -75,10 +75,10 @@ def test_sd16_has_asymmetric_matrix(sd16):
 
 def test_axiom_failure_on_corruption(d4):
     classes = conjugacy_classes(d4)
-    mats = adjacency_matrices(d4, classes)
+    mats = adjacency_matrices(d4)
     mats[2][0, 1] ^= 1
     with pytest.raises(AxiomFailure):
-        verify_scheme_axioms(d4, classes, matrices=mats)
+        verify_scheme_axioms(d4, matrices=mats)
 
 
 def test_axiom_iv_detects_swapped_rows(q8):
@@ -86,16 +86,16 @@ def test_axiom_iv_detects_swapped_rows(q8):
     # (swapping the two size-2 coset classes would not: that relabeling is a
     # genuine automorphism of the scheme)
     classes = conjugacy_classes(q8)
-    mats = adjacency_matrices(q8, classes)
+    mats = adjacency_matrices(q8)
     mats[1], mats[2] = mats[2], mats[1]
     with pytest.raises(AxiomFailure):
-        verify_scheme_axioms(q8, classes, matrices=mats)
+        verify_scheme_axioms(q8, matrices=mats)
 
 
 def test_dual_idempotents(s3, d4):
     for group in (s3, d4):
         classes = conjugacy_classes(group)
-        duals = dual_idempotents(group, classes)
+        duals = dual_idempotents(group)
         total = np.zeros((group.order, group.order), dtype=np.int64)
         for cls, mat in zip(classes, duals):
             assert np.trace(mat) == cls.size
@@ -109,7 +109,7 @@ def test_dual_idempotents(s3, d4):
 
 def test_s3_coset_dual_has_three_ones(s3):
     classes = conjugacy_classes(s3)
-    duals = dual_idempotents(s3, classes)
+    duals = dual_idempotents(s3)
     assert duals[2].sum() == 3
 
 

@@ -1,14 +1,25 @@
 """The cached dense tables and the gathers built on them, against loops over
-``group.mul`` and ``group.inv``."""
+``group.mul`` and ``group.inv``; every per-group artefact is built once."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from terw import conjugacy_classes, dicyclic, dihedral, dim_t0, g2_group
+from terw import (
+    character_table,
+    conjugacy_classes,
+    conjugation_orbitals,
+    dicyclic,
+    dihedral,
+    dim_t0,
+    g2_group,
+)
+from terw.cli import main
 from terw.conjugacy import class_index_table, class_products
 from terw.groups import centralizer_sizes, conjugation_table, index_tables
 from terw.instances import random_general_instances
@@ -76,13 +87,13 @@ SMALL = [dihedral([(3, 1)]), dicyclic([(2, 2)], [2]), g2_group(8, 3, 0)] + rando
 @pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
 def test_gathers_match_loops(group):
     classes = conjugacy_classes(group)
-    assert np.array_equal(class_index_table(group, classes), loop_class_index_table(group, classes))
-    assert dim_t0(group, classes) == loop_triple_count(group, classes)
+    assert np.array_equal(class_index_table(group), loop_class_index_table(group, classes))
+    assert dim_t0(group) == loop_triple_count(group, classes)
     elems = list(group.elements())
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             expected = {classes.index_of(group.mul(u, v)) for u in ci.elements for v in cj.elements}
-            assert class_products(group, classes, i, j) == expected
+            assert class_products(group, i, j) == expected
     conj = [[group.index(group.conjugate(x, g)) for x in elems] for g in elems]
     assert np.array_equal(conjugation_table(group), conj)
     gens = np.array([5, 0, group.order - 1])
@@ -96,14 +107,74 @@ def test_tables_are_built_once_and_read_only():
     mult, inv = index_tables(group)
     again = index_tables(group)
     assert again[0] is mult and again[1] is inv
-    assert centralizer_sizes(group) is centralizer_sizes(group)
+    for build in CACHED:
+        assert build(group) is build(group), build.__name__
     classes = conjugacy_classes(group)
     assert classes.labels is classes.labels
-    for arr in (mult, inv, centralizer_sizes(group), classes.labels):
+    table = character_table(group)
+    assert table.classes is classes
+    orb = conjugation_orbitals(group)
+    arrays = (
+        mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
+        table.complex_matrix, orb.labels,
+    )
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1
+    for seq in (table.rows, table.rows[0], table.labels, orb.reps):
+        with pytest.raises(TypeError):
+            seq[0] = None
     # a fresh group of the same shape builds its own tables
     assert index_tables(g2_group(16, 7, 8))[0] is not mult
+
+
+CACHED = [
+    index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_table,
+    conjugation_orbitals,
+]
+
+
+def test_a_dropped_group_is_freed_with_its_artefacts():
+    # the group keeps its artefacts and none of them keeps the group, so
+    # reference counting frees them all, without waiting for the collector
+    group = g2_group(16, 7, 8)
+    for build in CACHED:
+        build(group)
+    ref = weakref.ref(group)
+    gc.disable()
+    try:
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of each cached artefact's builder, counted by name."""
+    counts = dict.fromkeys((build.__name__ for build in CACHED), 0)
+    for cached in CACHED:
+        build = cached.__wrapped__
+
+        def counted(group, build=build):
+            counts[build.__name__] += 1
+            return build(group)
+
+        monkeypatch.setattr(cached, "__wrapped__", counted)
+    return counts
+
+
+def test_sweep_builds_each_row_once(builds):
+    assert main(["sweep", "--kind", "dihedral", "--range", "3:12"]) == 0
+    # ten rows, each through the dimensions and wedderburn checks
+    assert builds["conjugacy_classes"] == builds["character_table"] == 10
+    assert builds["index_tables"] == builds["centralizer_sizes"] == 10
+
+
+def test_verify_builds_each_artefact_once(builds, capsys):
+    assert main(["verify", "--kind", "dihedral", "--factors", "2^5"]) == 0
+    capsys.readouterr()
+    assert builds == dict.fromkeys(builds, 1)
 
 
 def test_invariant_fires_under_optimize():

@@ -1,6 +1,8 @@
 """Block multiplicities three ways, the permutation character, and the
 central-idempotent oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from terw.wedderburn import permutation_character
 def test_s3_multiplicities(s3):
     table = character_table(s3)
     # inner-product oracle by hand: psi = (6, 3, 2) on classes of size (1, 2, 3)
-    psi = permutation_character(s3, table.classes)
+    psi = permutation_character(s3)
     assert psi == [6, 3, 2]
     assert multiplicities_inner_product(s3, table).values == (3, 1, 1)
     assert multiplicities_char_sum(s3, table).values == (3, 1, 1)
@@ -51,7 +53,7 @@ def test_trivial_character_multiplicity_is_class_count(sd16):
 def test_permutation_character_is_trace(d4):
     # psi(g) is the number of fixed points of u -> g u g^-1
     classes = conjugacy_classes(d4)
-    psi = permutation_character(d4, classes)
+    psi = permutation_character(d4)
     conj = conjugation_table(d4)
     for g in d4.elements():
         perm = conj[d4.index(g)]
@@ -117,20 +119,27 @@ def test_nonintegral_multiplicity_detected(d4):
     from terw import RootSum
 
     table = character_table(d4)
-    table.rows[2][1] = RootSum.root(d4.root_order, 1)  # irrational corruption
+    rows = [list(row) for row in table.rows]
+    rows[2][1] = RootSum.root(d4.root_order, 1)  # irrational corruption
+    corrupted = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
     with pytest.raises(NonIntegralMultiplicity):
-        multiplicities_char_sum(d4, table)
+        multiplicities_char_sum(d4, corrupted)
     with pytest.raises(NonIntegralMultiplicity):
-        multiplicities_inner_product(d4, table)
+        multiplicities_inner_product(d4, corrupted)
 
 
-def test_mismatch_detected_on_corrupted_table(d4):
+def test_mismatch_detected_on_corrupted_table(d4, monkeypatch):
+    import terw.wedderburn
+
     table = character_table(d4)
     # swap two full linear rows: sums survive but both oracles move away
     # from the closed form's per-label assignment
-    table.rows[0], table.rows[3] = table.rows[3], table.rows[0]
+    rows = list(table.rows)
+    rows[0], rows[3] = rows[3], rows[0]
+    corrupted = dataclasses.replace(table, rows=tuple(rows))
+    monkeypatch.setattr(terw.wedderburn, "character_table", lambda group: corrupted)
     with pytest.raises(MultiplicityMismatch):
-        wedderburn_report(d4, table=table)
+        wedderburn_report(d4)
 
 
 def test_s3_idempotent_ranks(s3):
