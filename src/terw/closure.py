@@ -17,7 +17,15 @@ orbits of G acting on G x G by simultaneous conjugation.  Each matrix is
 then represented by one integer per orbit, products with generators become
 sparse operator applications, and the orbit count is a hard ceiling for the
 dimension (reaching it certifies equality with the centralizer algebra and
-closure in one step).  The eliminations stay exact rational throughout.
+closure in one step).
+
+The orbit-coordinate closure first runs over GF(p), p = 2^31 - 1, with every
+product reduced mod p.  Each vector it inserts is the reduction of an integer
+vector of the closure over Q, and the rank of integer vectors mod p is at
+most their rank over Q, which is at most the cap; so a mod-p rank that
+reaches the cap proves the dimension exactly (the modular method of Dixon,
+Numer. Math. 40, 1982).  Below the cap the mod-p rank proves nothing, and
+the same search reruns over exact rationals, whose result is returned.
 """
 
 from __future__ import annotations
@@ -77,6 +85,50 @@ class SparseRationalBasis:
         return True
 
 
+MODULUS = 2**31 - 1  # a prime; the field of the certifying rank
+
+
+def _mod_p(vec: SparseVec) -> SparseVec:
+    return {col: r for col, val in vec.items() if (r := val % MODULUS)}
+
+
+class ModularBasis:
+    """Row-reduced basis of sparse integer vectors over GF(MODULUS).
+
+    Same layout as ``SparseRationalBasis``: pivot coefficient 1, pivot at the
+    smallest nonzero coordinate; entries are Python ints in [0, MODULUS).
+    """
+
+    def __init__(self):
+        self.rows: dict[int, SparseVec] = {}
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: SparseVec) -> bool:
+        """Reduce vec mod p against the basis; add the residual if nonzero."""
+        work = _mod_p(vec)
+        while work:
+            pivot = min(work)
+            row = self.rows.get(pivot)
+            if row is None:
+                break
+            coeff = work[pivot]
+            for col, val in row.items():
+                new = (work.get(col, 0) - coeff * val) % MODULUS
+                if new:
+                    work[col] = new
+                else:
+                    work.pop(col, None)
+        if not work:
+            return False
+        pivot = min(work)
+        scale = pow(work[pivot], -1, MODULUS)
+        self.rows[pivot] = {col: val * scale % MODULUS for col, val in work.items()}
+        return True
+
+
 def algebra_dimension(
     generators: Sequence[np.ndarray],
     guard: int = DEFAULT_MATRIX_GUARD,
@@ -132,10 +184,12 @@ class Orbitals:
     reps: tuple[tuple[int, int], ...]
 
 
-def conjugation_perms(group: D2Group) -> list[np.ndarray]:
-    """Permutations x -> g x g^-1 of element indices, for group generators g."""
+@per_group
+def conjugation_perms(group: D2Group) -> np.ndarray:
+    """Permutations x -> g x g^-1 of element indices, one row per group
+    generator g."""
     gens = np.array([group.index(g) for g in group.generators()])
-    return list(conjugation_table(group, gens).astype(np.int64))
+    return read_only(conjugation_table(group, gens).astype(np.int64))
 
 
 @per_group
@@ -195,36 +249,20 @@ def _assert_conjugation_invariant(table: np.ndarray, perms: Iterable[np.ndarray]
 Operator = Callable[[SparseVec], SparseVec]
 
 
-def _left_class_operator(
-    orb: Orbitals, mult: np.ndarray, class_elems: np.ndarray
-) -> Operator:
-    """Coordinates of N_j * X from coordinates of X.
+def _gather_operator(sources: np.ndarray) -> Operator:
+    """The operator whose output at orbit ``row`` is the sum over k of its
+    input at orbit ``sources[k, row]``; the rows reading each source are
+    kept in increasing order."""
+    rows = np.repeat(np.arange(sources.shape[1]), sources.shape[0])
+    sources = sources.T.ravel()
+    order = np.argsort(sources, kind="stable")
+    sources, rows = sources[order], rows[order]
+    bounds = (np.flatnonzero(np.diff(sources)) + 1).tolist()
+    starts, ends, rows = [0, *bounds], [*bounds, len(rows)], rows.tolist()
+    incoming = {
+        src: rows[a:b] for src, a, b in zip(sources[starts].tolist(), starts, ends)
+    }
 
-    (N_j X)(u, v) = sum over c in class j of X(c*u, v), so orbit rep (u, v)
-    accumulates the coordinates at orbits of (c*u, v).
-    """
-    labels = orb.labels
-    incoming: dict[int, list[int]] = {}
-    for row, (u, v) in enumerate(orb.reps):
-        for src in labels[mult[class_elems, u], v]:
-            incoming.setdefault(int(src), []).append(row)
-    return _accumulator(incoming)
-
-
-def _right_class_operator(
-    orb: Orbitals, mult: np.ndarray, inv: np.ndarray, class_elems: np.ndarray
-) -> Operator:
-    """Coordinates of X * N_j: (X N_j)(u, v) = sum over c of X(u, c^-1 * v)."""
-    labels = orb.labels
-    inv_elems = inv[class_elems]
-    incoming: dict[int, list[int]] = {}
-    for row, (u, v) in enumerate(orb.reps):
-        for src in labels[u, mult[inv_elems, v]]:
-            incoming.setdefault(int(src), []).append(row)
-    return _accumulator(incoming)
-
-
-def _accumulator(incoming: dict[int, list[int]]) -> Operator:
     def apply(vec: SparseVec) -> SparseVec:
         out: SparseVec = {}
         for col, val in vec.items():
@@ -263,8 +301,12 @@ def terwilliger_generator_coords(
         for j in range(len(classes)):
             vectors.append({int(c): 1 for c in np.flatnonzero(rel == j)})
             elems = np.flatnonzero(classes.labels == j)
-            operators.append(_left_class_operator(orb, mult, elems))
-            operators.append(_right_class_operator(orb, mult, inv, elems))
+            # (N_j X)(u, v) = sum over c in class j of X(c*u, v)
+            operators.append(_gather_operator(orb.labels[mult[np.ix_(elems, rep_u)], rep_v]))
+            # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
+            operators.append(
+                _gather_operator(orb.labels[rep_u, mult[np.ix_(inv[elems], rep_v)]])
+            )
     if include_dual:
         diag_class = np.where(rep_u == rep_v, row_class, -1)  # -1 off the diagonal
         for i in range(len(classes)):
@@ -277,12 +319,28 @@ def terwilliger_generator_coords(
 def closure_dim_in_orbit_coords(
     vectors: list[SparseVec], operators: list[Operator], cap: int
 ) -> int:
-    """Breadth-first closure over exact rationals in orbit coordinates.
+    """Exact breadth-first closure dimension in orbit coordinates.
 
     ``cap`` is the orbit count: since every product stays constant on
     orbits, hitting the cap proves closure without generating more products.
+    The search runs over GF(MODULUS) first and, unless its rank reaches the
+    cap, again over exact rationals.
     """
-    basis = SparseRationalBasis()
+    mod_p_operators = [lambda vec, op=op: _mod_p(op(vec)) for op in operators]
+    if _closure_search(ModularBasis(), vectors, mod_p_operators, cap) == cap:
+        return cap
+    return _closure_search(SparseRationalBasis(), vectors, operators, cap)
+
+
+def _closure_search(
+    basis: ModularBasis | SparseRationalBasis,
+    vectors: list[SparseVec],
+    operators: list[Operator],
+    cap: int,
+) -> int:
+    """Rank in ``basis`` of the closure of ``vectors`` under ``operators``,
+    stopping at ``cap``: each round applies every operator to the vectors
+    that grew the basis in the round before."""
     frontier: list[SparseVec] = []
     for vec in vectors:
         if basis.insert(vec):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import (
-    SparseRationalBasis,
     centralizer_orbit_count,
+    closure_dim_in_orbit_coords,
     terwilliger_closure_dim,
 )
 from .conjugacy import class_index_table, conjugacy_classes, structure_tensor
@@ -118,7 +118,9 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
 
     The default strategy counts class triples (i, j, k) with Cl_k inside
     Cl_i * Cl_j; the "span" strategy ranks the flattened sandwich matrices
-    over exact rationals.
+    exactly, with the certified rank of the closure module: the count of
+    nonzero sandwiches bounds their rank, so a mod-p rank reaching that
+    count proves it, and otherwise the rank is taken over exact rationals.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
@@ -136,7 +138,7 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     order = group.order
     table = class_index_table(group)
     row_class = classes.labels
-    basis = SparseRationalBasis()
+    vectors = []
     for i in range(ell):
         rows = np.nonzero(row_class == i)[0]
         for k in range(ell):
@@ -145,11 +147,11 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
             for j in range(ell):
                 rr, cc = np.nonzero(block == j)
                 if rr.size:
-                    vec = {
-                        int(rows[a] * order + cols[b]): 1 for a, b in zip(rr, cc)
-                    }
-                    basis.insert(vec)
-    return basis.dimension
+                    vectors.append(
+                        {int(rows[a] * order + cols[b]): 1 for a, b in zip(rr, cc)}
+                    )
+    # with no operators the closure is the span of the vectors
+    return closure_dim_in_orbit_coords(vectors, [], cap=len(vectors))
 
 
 def dim_centralizer(group: D2Group, strategy: str = "formula") -> int:

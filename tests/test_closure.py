@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terw import (
     GuardExceededError,
@@ -18,6 +20,13 @@ from terw import (
     make_d2,
     make_involution,
     terwilliger_closure_dim,
+)
+from terw.closure import (
+    MODULUS,
+    SparseRationalBasis,
+    _closure_search,
+    closure_dim_in_orbit_coords,
+    terwilliger_generator_coords,
 )
 
 
@@ -107,6 +116,26 @@ def test_orbital_labels_partition(d4):
                 assert labels[hu, hv] == labels[u, v]
 
 
+def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
+    # generator vectors and operators in orbit coordinates against the dense
+    # matrices and their products with an orbit-constant X
+    abelian = make_abelian([(2, 1), (3, 1)])
+    general = make_d2(abelian, make_involution(abelian, [1, 2]), [0, 0])
+    for group in (s3, d4, sd16, general):
+        orb = conjugation_orbitals(group)
+        u, v = np.array(orb.reps).T
+        x = np.random.default_rng(0).integers(-3, 4, orb.count)[orb.labels]
+        products = []
+        for gen in adjacency_matrices(group) + dual_idempotents(group):
+            products += [gen @ x, x @ gen]
+        vectors, operators = terwilliger_generator_coords(group)
+        gens = adjacency_matrices(group) + dual_idempotents(group)
+        assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in gens]
+        for op, prod in zip(operators, products, strict=True):
+            expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
+            assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
+
+
 def test_closure_guard(sd16):
     with pytest.raises(GuardExceededError):
         terwilliger_closure_dim(sd16, guard=8)
@@ -126,3 +155,65 @@ def test_conjugation_invariance_failure_is_typed(s3):
     with pytest.raises(OracleMismatch) as info:
         _assert_conjugation_invariant(table, perms)
     assert isinstance(info.value, VerificationFailure)
+
+
+def test_rank_below_the_cap_mod_p_falls_back_to_rationals():
+    # the vector vanishes mod p, so only the rational search counts it
+    assert closure_dim_in_orbit_coords([{0: MODULUS}], [], cap=1) == 1
+
+
+@pytest.fixture
+def rational_inserts(monkeypatch):
+    calls = []
+    insert = SparseRationalBasis.insert
+
+    def counted(basis, vec):
+        calls.append(vec)
+        return insert(basis, vec)
+
+    monkeypatch.setattr(SparseRationalBasis, "insert", counted)
+    return calls
+
+
+def test_no_rational_work_at_the_cap(rational_inserts):
+    group = dihedral([(2, 4)])
+    assert terwilliger_closure_dim(group) == centralizer_orbit_count(group)
+    assert len(rational_inserts) == 0
+    # the adjacency algebra stays below the cap, so the rational search decides
+    assert terwilliger_closure_dim(group, include_dual=False) == len(conjugacy_classes(group))
+    assert len(rational_inserts) > 0
+
+
+# entries that vanish mod p make the mod-p rank fall short of the rational one
+ENTRIES = st.integers(-3, 3) | st.sampled_from([MODULUS, -MODULUS, 2 * MODULUS, MODULUS + 1])
+
+
+@st.composite
+def closure_problems(draw):
+    cap = draw(st.integers(1, 6))
+    coords = st.integers(0, cap - 1)
+    vectors = draw(st.lists(st.dictionaries(coords, ENTRIES, max_size=cap), max_size=5))
+    matrices = draw(st.lists(
+        st.dictionaries(st.tuples(coords, coords), ENTRIES, max_size=2 * cap), max_size=3
+    ))
+    return vectors, matrices, cap
+
+
+def sparse_operator(matrix):
+    def apply(vec):
+        out = {}
+        for (row, col), coeff in matrix.items():
+            if col in vec:
+                out[row] = out.get(row, 0) + coeff * vec[col]
+        return {k: v for k, v in out.items() if v}
+
+    return apply
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_problems())
+def test_certified_closure_equals_rational_closure(problem):
+    vectors, matrices, cap = problem
+    operators = [sparse_operator(m) for m in matrices]
+    rational = _closure_search(SparseRationalBasis(), vectors, operators, cap)
+    assert closure_dim_in_orbit_coords(vectors, operators, cap) == rational

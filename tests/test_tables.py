@@ -20,6 +20,7 @@ from terw import (
     g2_group,
 )
 from terw.cli import main
+from terw.closure import conjugation_perms
 from terw.conjugacy import class_index_table, class_products
 from terw.groups import centralizer_sizes, conjugation_table, index_tables
 from terw.instances import random_general_instances
@@ -116,7 +117,7 @@ def test_tables_are_built_once_and_read_only():
     orb = conjugation_orbitals(group)
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
-        table.complex_matrix, orb.labels,
+        table.complex_matrix, orb.labels, conjugation_perms(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ def test_tables_are_built_once_and_read_only():
 
 CACHED = [
     index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_table,
-    conjugation_orbitals,
+    conjugation_perms, conjugation_orbitals,
 ]
 
 
