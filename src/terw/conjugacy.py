@@ -18,6 +18,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .abelian import AbElem
+from .errors import OracleMismatch
 from .groups import D2Elem, D2Group, index_tables, per_group, read_only
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
@@ -222,6 +223,33 @@ def structure_tensor(group: D2Group) -> np.ndarray:
             for k in range(ell):
                 p[i, j, k] = dist.get(classes[k].rep, 0)
     return p
+
+
+def class_triple_codes(group: D2Group) -> np.ndarray:
+    """Code (class of u * l + class of v) * l + class of u*v of every pair
+    (u, v), with l the class count, over element indices."""
+    mult, _ = index_tables(group)
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    labels = classes.labels.astype(np.int64)
+    return (labels[:, None] * ell + labels[None, :]) * ell + labels[mult]
+
+
+def class_structure_constants(group: D2Group) -> np.ndarray:
+    """a[i, j, k] = #{(x, y) in Cl_i x Cl_j : x*y = z} for any z in Cl_k.
+
+    These multiply the class sums of the group algebra,
+    K_i K_j = sum_k a[i, j, k] K_k, and a[i, j, k] = p[j, i, k] of
+    ``structure_tensor``.  One count over the multiplication table gives
+    |Cl_k| * a[i, j, k], divided exactly by the class size.
+    """
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    counts = np.bincount(class_triple_codes(group).ravel(), minlength=ell**3)
+    consts, rest = np.divmod(counts.reshape(ell, ell, ell), np.array(classes.sizes))
+    if rest.any():
+        raise OracleMismatch("a class product is not constant on a class")
+    return consts
 
 
 @per_group

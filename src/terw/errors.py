@@ -97,7 +97,8 @@ class NonIntegralMultiplicity(VerificationFailure):
 
 
 class IdempotencyFailure(VerificationFailure):
-    """A central idempotent failed one of its defining matrix identities."""
+    """A central idempotent failed one of its defining identities, or its
+    block has the wrong dimension."""
 
 
 class MultiplicityMismatch(VerificationFailure):

@@ -26,9 +26,14 @@ from .closure import (
     closure_dim_in_orbit_coords,
     terwilliger_closure_dim,
 )
-from .conjugacy import class_index_table, conjugacy_classes, structure_tensor
+from .conjugacy import (
+    class_index_table,
+    class_triple_codes,
+    conjugacy_classes,
+    structure_tensor,
+)
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, centralizer_sizes, index_tables
+from .groups import D2Group, centralizer_sizes
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -57,42 +62,73 @@ def verify_scheme_axioms(
     matrices: list[np.ndarray] | None = None,
     guard: int = DEFAULT_MATRIX_GUARD,
 ) -> SchemeAxiomReport:
-    """Check the four defining identities on explicit matrices.
+    """Check the four defining identities of the scheme matrices.
 
     (i) N_0 = I, (ii) sum N_i = J, (iii) each transpose is again a scheme
     matrix, (iv) N_i N_j = sum_k p_ij^k N_k with the structure constants
-    counted from the classes.  Raises AxiomFailure naming the first violated
-    clause; matrices may be passed in explicitly (e.g. corrupted, in tests).
+    counted from the classes by ``structure_tensor``.  Raises AxiomFailure
+    naming the first violated clause.
+
+    The matrices are read as the class-index table D, D[u, v] = i iff
+    N_i(u, v) = 1: by default ``class_index_table``, for which (ii) holds by
+    construction.  Matrices passed explicitly (e.g. corrupted, in tests) are
+    checked to be 0/1 and to partition J, which is (ii), and then converted.
     """
-    if matrices is None:
-        matrices = adjacency_matrices(group, guard=guard)
     order = group.order
-    stack = np.stack([np.asarray(m, dtype=np.int64) for m in matrices])
+    check_guard(order, guard, "the scheme axioms")
+    ell = len(conjugacy_classes(group))
+    if matrices is None:
+        table = class_index_table(group)
+    else:
+        table = _class_index_of(matrices, order)
+        if len(matrices) != ell:
+            raise AxiomFailure("(iv)", f"{len(matrices)} matrices for {ell} classes")
 
-    if not np.array_equal(stack[0], np.eye(order, dtype=np.int64)):
+    if not ((np.diagonal(table) == 0).all() and np.count_nonzero(table == 0) == order):
         raise AxiomFailure("(i)", "N_0 is not the identity")
-    if not np.array_equal(stack.sum(axis=0), np.ones((order, order), dtype=np.int64)):
-        raise AxiomFailure("(ii)", "matrices do not sum to the all-ones matrix")
 
-    pairing = []
-    for i, mat in enumerate(stack):
-        partner = next(
-            (j for j, other in enumerate(stack) if np.array_equal(mat.T, other)), None
-        )
-        if partner is None:
-            raise AxiomFailure("(iii)", f"transpose of N_{i} is not a scheme matrix")
-        pairing.append(partner)
+    # N_i^T = N_j iff the cell D == i is the cell D.T == j.  pairing[i] takes
+    # any D.T value of cell i, and a cell that holds another one is split;
+    # classes with an empty cell (a zero matrix) are their own transposes
+    sizes = np.bincount(table.ravel(), minlength=ell)
+    pairing = np.arange(ell)
+    pairing[table] = table.T
+    split = np.bincount(table[pairing[table] != table.T], minlength=ell) > 0
+    bad = np.flatnonzero(split | (sizes != sizes[pairing]))
+    if bad.size:
+        raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
-    p = structure_tensor(group)
-    products = np.einsum("aij,bjk->abik", stack, stack)
-    recon = np.tensordot(p, stack, axes=([2], [0]))
-    if not np.array_equal(products, recon):
-        bad = np.argwhere((products != recon).any(axis=(2, 3)))[0]
+    # (N_i N_j)(u, w) = #{v : D[u, v] = i, D[v, w] = j} must be p[i, j, D[u, w]]:
+    # per row u, count the codes (w, D[u, v], D[v, w]) of all (v, w)
+    by_target = np.ascontiguousarray(structure_tensor(group).transpose(2, 0, 1))
+    inner = table.astype(np.int64) + np.arange(order) * (ell * ell)
+    mismatch = np.zeros((ell, ell), dtype=bool)
+    for row in table:
+        codes = inner + (row * ell)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=order * ell * ell)
+        mismatch |= (counts.reshape(order, ell, ell) != by_target[row]).any(axis=0)
+    if mismatch.any():
+        a, b = np.argwhere(mismatch)[0]
         raise AxiomFailure(
-            "(iv)", f"N_{bad[0]} N_{bad[1]} differs from its structure-constant expansion"
+            "(iv)", f"N_{a} N_{b} differs from its structure-constant expansion"
         )
 
-    return SchemeAxiomReport(transpose_pairing=tuple(pairing), class_count=len(p))
+    return SchemeAxiomReport(transpose_pairing=tuple(pairing.tolist()), class_count=ell)
+
+
+def _class_index_of(matrices: list[np.ndarray], order: int) -> np.ndarray:
+    """Clause (ii) on explicit matrices, then their class-index table."""
+    table = np.zeros((order, order), dtype=np.int64)
+    covered = np.zeros((order, order), dtype=np.int64)
+    for i, mat in enumerate(matrices):
+        mat = np.asarray(mat)
+        if mat.shape != (order, order) or not ((mat == 0) | (mat == 1)).all():
+            raise AxiomFailure("(ii)", f"N_{i} is not a 0/1 matrix of side {order}")
+        covered += mat
+        table += i * mat
+    if not (covered == 1).all():
+        raise AxiomFailure("(ii)", "matrices do not sum to the all-ones matrix")
+    return table
 
 
 def dump_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> str:
@@ -125,12 +161,9 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     classes = conjugacy_classes(group)
     ell = len(classes)
     if strategy == "triples":
-        # one code per (class of u, class of v, class of u*v), over all pairs;
-        # counted by sorting, which here beats np.unique's hashing
-        mult, _ = index_tables(group)
-        labels = classes.labels.astype(np.int64)
-        codes = (labels[:, None] * ell + labels[None, :]) * ell + labels[mult]
-        codes = np.sort(codes, axis=None)
+        # distinct codes counted by sorting: np.unique's hashing is slower
+        # here, and a bincount would need l^3 bins
+        codes = np.sort(class_triple_codes(group), axis=None)
         return int(np.count_nonzero(np.diff(codes))) + 1
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -10,8 +10,13 @@ Terwilliger algebra here).  The three routes to the d_j:
   * the inner product <psi, chi_j>.
 
 The primitive central idempotents e_j built from the characters provide a
-matrix-level oracle: e_j^2 = e_j, mutually annihilating, summing to the
-identity, and the two-sided block T~ e_j has dimension d_j^2.
+further oracle: e_j^2 = e_j, mutually annihilating, summing to the
+identity, and the two-sided block T~ e_j has dimension d_j^2.  Each e_j is
+the image under the conjugation representation of a central element eps_j
+of the group algebra, so the relations are checked on the class
+coefficients of the eps_j with exact class structure constants, and the
+block dimensions come from exact integer counts over the orbit
+representatives; ``central_idempotent`` builds e_j as a dense matrix.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from .characters import (
     character_labels,
     character_table,
 )
-from .closure import Orbitals, conjugation_orbitals
-from .conjugacy import conjugacy_classes
+from .closure import conjugation_orbitals
+from .conjugacy import class_structure_constants, conjugacy_classes
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
-from .groups import D2Group, centralizer_sizes, conjugation_table
+from .groups import D2Group, centralizer_sizes, conjugation_table, index_tables
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 from .scheme import dim_centralizer
 
@@ -151,26 +156,14 @@ def central_idempotent(
     return e.reshape(order, order) * (deg / order)
 
 
-def block_dimension(e: np.ndarray, orb: Orbitals, tol: float = 1e-9) -> float:
-    """Dimension of the two-sided block T~ e_j.
-
-    Right multiplication by a verified idempotent is an idempotent linear map
-    on the centralizer algebra, so its rank equals its trace; in orbit
-    coordinates the trace is sum over orbits c with rep (u, v) of
-    sum_{w in orbit-row of c at u} e[w, v].
-    """
-    trace = 0.0 + 0.0j
-    labels = orb.labels
-    for c, (u, v) in enumerate(orb.reps):
-        members = np.nonzero(labels[u] == c)[0]
-        trace += e[members, v].sum()
-    if abs(trace.imag) > tol:
-        raise IdempotencyFailure(f"block trace {trace} is not real")
-    return trace.real
-
-
 @dataclass(frozen=True)
 class IdempotentReport:
+    """Block dimensions and the largest deviation of each idempotent relation.
+
+    The deviations are taken on the class coefficients of the central
+    elements eps_j of the group algebra (see ``verify_central_idempotents``).
+    """
+
     multiplicities: tuple[int, ...]
     block_dims: tuple[int, ...]
     max_idempotency_dev: float
@@ -185,40 +178,52 @@ def verify_central_idempotents(
     guard: int = DEFAULT_MATRIX_GUARD,
     tol: float = 1e-9,
 ) -> IdempotentReport:
-    """Check e_j^2 = e_j, e_j e_k = 0, sum e_j = I, and dim(T~ e_j) = d_j^2."""
-    idems = [
-        central_idempotent(group, table, j, guard=guard) for j in range(len(table.labels))
-    ]
-    order = group.order
+    """Check e_j^2 = e_j, e_j e_k = 0, sum e_j = I, and dim(T~ e_j) = d_j^2.
+
+    e_j = Phi(eps_j), with Phi the conjugation representation and
+    eps_j = (deg_j / |G|) sum_g conj(chi_j(g)) g central in the group algebra.
+    The three relations are checked on the eps_j, which implies them for the
+    e_j: each eps_j is a vector of class-sum coefficients, multiplied with the
+    exact class structure constants.  The block dimensions come from exact
+    integer counts over the orbit representatives (``_block_trace_counts``).
+    """
+    check_guard(group.order, guard, "the central idempotents")
+    degrees = np.array(table.degrees)
+    coeffs = table.complex_matrix.conj() * (degrees[:, None] / group.order)
+    consts = class_structure_constants(group)
+    # products[j, m, c]: coefficient of class sum c in eps_j eps_m
+    products = coeffs @ np.tensordot(coeffs, consts, axes=(1, 0))
 
     max_idem = 0.0
-    for j, e in enumerate(idems):
-        dev = float(np.abs(e @ e - e).max())
+    for j in range(len(coeffs)):
+        dev = float(np.abs(products[j, j] - coeffs[j]).max())
         max_idem = max(max_idem, dev)
         if dev > tol:
-            raise IdempotencyFailure(f"e_{j}^2 != e_{j} (deviation {dev:.3e})")
+            raise IdempotencyFailure(f"eps_{j}^2 != eps_{j} (deviation {dev:.3e})")
 
     max_prod = 0.0
-    for j in range(len(idems)):
-        for k in range(j + 1, len(idems)):
-            dev = float(np.abs(idems[j] @ idems[k]).max())
+    for j in range(len(coeffs)):
+        for k in range(j + 1, len(coeffs)):
+            dev = float(np.abs(products[j, k]).max())
             max_prod = max(max_prod, dev)
             if dev > tol:
-                raise IdempotencyFailure(f"e_{j} e_{k} != 0 (deviation {dev:.3e})")
+                raise IdempotencyFailure(f"eps_{j} eps_{k} != 0 (deviation {dev:.3e})")
 
-    resolution = sum(idems)
-    max_res = float(np.abs(resolution - np.eye(order)).max())
+    unit = np.zeros(len(coeffs))
+    unit[0] = 1.0  # class 0 is {e}
+    max_res = float(np.abs(coeffs.sum(axis=0) - unit).max())
     if max_res > tol:
         raise IdempotencyFailure(f"sum of idempotents != identity (deviation {max_res:.3e})")
 
-    orb = conjugation_orbitals(group)
+    traces = coeffs @ _block_trace_counts(group)
     block_dims = []
-    for j, e in enumerate(idems):
-        dim = block_dimension(e, orb, tol=tol)
+    for j, trace in enumerate(traces):
+        if abs(trace.imag) > tol:
+            raise IdempotencyFailure(f"block trace {trace} is not real")
         target = multiplicities.values[j] ** 2
-        if abs(dim - target) > 1e-6:
+        if abs(trace.real - target) > 1e-6:
             raise IdempotencyFailure(
-                f"block of e_{j} has dimension {dim:.6f}, expected {target}"
+                f"block of e_{j} has dimension {trace.real:.6f}, expected {target}"
             )
         block_dims.append(target)
 
@@ -229,6 +234,30 @@ def verify_central_idempotents(
         max_product_dev=max_prod,
         max_resolution_dev=max_res,
     )
+
+
+def _block_trace_counts(group: D2Group) -> np.ndarray:
+    """K[k] = sum over g in class k of the number of orbits c, with
+    representative (u, v), such that (u, g^-1 v g) lies in c again; exact.
+
+    Right multiplication by an idempotent e_j of T~ is an idempotent map on
+    T~, so dim(T~ e_j) is its trace: in orbit coordinates, the sum over
+    orbits c of (B_c e_j)(u, v), with B_c the orbit's 0/1 matrix.  That is
+    linear in e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), and
+    (B_c Phi(g))(u, v) = 1 iff (u, g^-1 v g) lies in c, so
+    dim(T~ e_j) = (deg_j / |G|) sum_k conj(chi_j(k)) K[k].
+    """
+    orb = conjugation_orbitals(group)
+    rep_u, rep_v = np.array(orb.reps).T
+    orbit_ids = np.arange(orb.count)
+    _, inv = index_tables(group)
+    classes = conjugacy_classes(group)
+    counts = []
+    for k in range(len(classes)):
+        inverses = inv[classes.labels == k]
+        moved = conjugation_table(group, inverses)[:, rep_v]  # g^-1 v g
+        counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
+    return np.array(counts)
 
 
 # -- combined report -----------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Dense reference versions of the scheme-axiom and central-idempotent checks.
+
+They work on explicit |G| x |G| matrices: the axioms by one einsum over all
+pairs of scheme matrices (l^2 |G|^3 work), the idempotents by products of the
+dense e_j and a loop over the orbits for each block trace.  The library
+checks the same identities without dense products; the tests compare the two
+on small groups.
+"""
+
+import numpy as np
+
+from terw import AxiomFailure, IdempotencyFailure, adjacency_matrices, central_idempotent
+from terw.closure import conjugation_orbitals
+from terw.conjugacy import structure_tensor
+
+
+def dense_scheme_axioms(group, matrices=None):
+    """(transpose pairing, class count), or AxiomFailure naming the first
+    violated clause in the order (i), (ii), (iii), (iv)."""
+    if matrices is None:
+        matrices = adjacency_matrices(group)
+    order = group.order
+    stack = np.stack([np.asarray(m, dtype=np.int64) for m in matrices])
+
+    if not np.array_equal(stack[0], np.eye(order, dtype=np.int64)):
+        raise AxiomFailure("(i)", "N_0 is not the identity")
+    if not np.array_equal(stack.sum(axis=0), np.ones((order, order), dtype=np.int64)):
+        raise AxiomFailure("(ii)", "matrices do not sum to the all-ones matrix")
+
+    pairing = []
+    for i, mat in enumerate(stack):
+        partner = next(
+            (j for j, other in enumerate(stack) if np.array_equal(mat.T, other)), None
+        )
+        if partner is None:
+            raise AxiomFailure("(iii)", f"transpose of N_{i} is not a scheme matrix")
+        pairing.append(partner)
+
+    p = structure_tensor(group)
+    products = np.einsum("aij,bjk->abik", stack, stack)
+    recon = np.tensordot(p, stack, axes=([2], [0]))
+    if not np.array_equal(products, recon):
+        bad = np.argwhere((products != recon).any(axis=(2, 3)))[0]
+        raise AxiomFailure(
+            "(iv)", f"N_{bad[0]} N_{bad[1]} differs from its structure-constant expansion"
+        )
+    return tuple(pairing), len(p)
+
+
+def dense_block_dimension(e, orb, tol=1e-9):
+    """Trace of X -> X e on the centralizer algebra: in orbit coordinates,
+    the sum over orbits c with rep (u, v) of the sum of e[w, v] over the w
+    with (u, w) in c."""
+    trace = 0.0 + 0.0j
+    for c, (u, v) in enumerate(orb.reps):
+        members = np.nonzero(orb.labels[u] == c)[0]
+        trace += e[members, v].sum()
+    if abs(trace.imag) > tol:
+        raise IdempotencyFailure(f"block trace {trace} is not real")
+    return trace.real
+
+
+def dense_block_dims(group, table, multiplicities, tol=1e-9):
+    """Block dimensions d_j^2 after checking e_j^2 = e_j, e_j e_k = 0 and
+    sum e_j = I on the dense matrices, or IdempotencyFailure."""
+    idems = [central_idempotent(group, table, j) for j in range(len(table.labels))]
+    for j, e in enumerate(idems):
+        if np.abs(e @ e - e).max() > tol:
+            raise IdempotencyFailure(f"e_{j}^2 != e_{j}")
+    for j in range(len(idems)):
+        for k in range(j + 1, len(idems)):
+            if np.abs(idems[j] @ idems[k]).max() > tol:
+                raise IdempotencyFailure(f"e_{j} e_{k} != 0")
+    if np.abs(sum(idems) - np.eye(group.order)).max() > tol:
+        raise IdempotencyFailure("sum of idempotents != identity")
+
+    orb = conjugation_orbitals(group)
+    dims = []
+    for j, e in enumerate(idems):
+        dim = dense_block_dimension(e, orb, tol=tol)
+        target = multiplicities.values[j] ** 2
+        if abs(dim - target) > 1e-6:
+            raise IdempotencyFailure(f"block of e_{j} has dimension {dim:.6f}, expected {target}")
+        dims.append(target)
+    return tuple(dims)

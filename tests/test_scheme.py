@@ -20,7 +20,12 @@ from terw import (
     make_involution,
     verify_scheme_axioms,
 )
+from terw.instances import random_general_instances
 from terw.scheme import dump_matrices
+
+from dense_reference import dense_scheme_axioms
+
+SEEDED = random_general_instances(6, 64, seed=606)
 
 
 def brute_centralizer_dim(group):
@@ -90,6 +95,53 @@ def test_axiom_iv_detects_swapped_rows(q8):
     mats[1], mats[2] = mats[2], mats[1]
     with pytest.raises(AxiomFailure):
         verify_scheme_axioms(q8, matrices=mats)
+
+
+def test_axioms_agree_with_dense_reference(s3, d4, q8, sd16):
+    for group in [s3, d4, q8, sd16, *SEEDED]:
+        report = verify_scheme_axioms(group)
+        assert (report.transpose_pairing, report.class_count) == dense_scheme_axioms(group)
+
+
+def _flip_entry(mats):
+    mats[2][0, 1] ^= 1
+
+
+def _swap_identity(mats):
+    # N_1 is the other central singleton, so the set still partitions J
+    mats[0], mats[1] = mats[1], mats[0]
+
+
+def _swap_sizes(mats):
+    # a central singleton against a paired class of size 2
+    mats[1], mats[2] = mats[2], mats[1]
+
+
+def _split_transpose(mats):
+    # move one entry of the symmetric N_2 into N_3: J stays partitioned
+    col = int(np.flatnonzero(mats[2][0])[0])
+    mats[2][0, col], mats[3][0, col] = 0, 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, clause",
+    [
+        (_flip_entry, "(ii)"),
+        (_swap_identity, "(i)"),
+        (_swap_sizes, "(iv)"),
+        (_split_transpose, "(iii)"),
+    ],
+)
+def test_axiom_clauses_agree_with_dense_reference(d4, q8, corrupt, clause):
+    for group in (d4, q8):
+        mats = adjacency_matrices(group)
+        corrupt(mats)
+        with pytest.raises(AxiomFailure) as dense:
+            dense_scheme_axioms(group, mats)
+        with pytest.raises(AxiomFailure) as gathered:
+            verify_scheme_axioms(group, matrices=mats)
+        assert dense.value.clause == gathered.value.clause == clause
+        assert str(dense.value) == str(gathered.value)
 
 
 def test_dual_idempotents(s3, d4):

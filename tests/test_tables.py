@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,6 +19,9 @@ from terw import (
     dihedral,
     dim_t0,
     g2_group,
+    multiplicities_inner_product,
+    verify_central_idempotents,
+    verify_scheme_axioms,
 )
 from terw.cli import main
 from terw.closure import conjugation_perms
@@ -196,3 +200,25 @@ def test_invariant_fires_under_optimize():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
     )
     assert out.stdout.startswith("raised"), out.stderr
+
+
+def test_oracle_checks_stay_below_a_dense_stack():
+    # the stack of l dense |G| x |G| int64 scheme matrices, or of l complex
+    # idempotent matrices, would alone exceed these peaks
+    group = dihedral([(2, 6)])  # Dih(C64), |G| = 128
+    table = character_table(group)
+    vec = multiplicities_inner_product(group, table)
+    class_index_table(group)  # per-group artefacts, built before tracing
+    conjugation_orbitals(group)
+    stack = len(table.labels) * group.order**2
+    tracemalloc.start()
+    try:
+        verify_scheme_axioms(group, guard=128)
+        axioms_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_central_idempotents(group, table, vec, guard=128)
+        idempotents_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert axioms_peak < stack * 8
+    assert idempotents_peak < stack * 16

@@ -7,21 +7,38 @@ import numpy as np
 import pytest
 
 from terw import (
+    IdempotencyFailure,
     MultiplicityMismatch,
     NonIntegralMultiplicity,
     central_idempotent,
     character_table,
     conjugacy_classes,
+    dicyclic,
     dihedral,
     dim_centralizer,
+    g2_group,
     multiplicities_char_sum,
     multiplicities_closed_form,
     multiplicities_inner_product,
     verify_central_idempotents,
     wedderburn_report,
 )
+from terw.closure import conjugation_orbitals
+from terw.conjugacy import class_structure_constants, structure_tensor
 from terw.groups import conjugation_table
-from terw.wedderburn import permutation_character
+from terw.instances import random_general_instances
+from terw.wedderburn import _block_trace_counts, permutation_character
+
+from dense_reference import dense_block_dimension, dense_block_dims
+
+SMALL = [
+    dihedral([(3, 1)]),
+    dihedral([(2, 2), (3, 1)]),
+    dicyclic([(2, 2)], [2]),
+    dicyclic([(3, 1), (2, 2)], [0, 2]),
+    g2_group(8, 3, 0),
+    g2_group(16, 7, 8),
+]
 
 
 def test_s3_multiplicities(s3):
@@ -169,3 +186,56 @@ def test_idempotent_reports(s3, d4, q8, sd16):
         assert report.max_idempotency_dev < 1e-9
         assert report.max_product_dev < 1e-9
         assert report.max_resolution_dev < 1e-9
+
+
+def test_idempotents_agree_with_dense_reference(s3, d4, q8, sd16):
+    for group in [s3, d4, q8, sd16, *random_general_instances(6, 64, seed=606)]:
+        table = character_table(group)
+        vec = multiplicities_inner_product(group, table)
+        report = verify_central_idempotents(group, table, vec)
+        assert report.block_dims == dense_block_dims(group, table, vec), group.name
+
+
+def test_idempotent_check_rejects_corrupted_table(sd16):
+    table = character_table(sd16)
+    vec = multiplicities_inner_product(sd16, table)
+    rows = [list(row) for row in table.rows]
+    rows[1][1] = -rows[1][1]  # one value of a linear character
+    perturbed = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    linear = next(r for r, label in enumerate(table.labels) if label.degree == 1)
+    twodim = next(r for r, label in enumerate(table.labels) if label.degree == 2)
+    rows = list(table.rows)
+    rows[linear], rows[twodim] = rows[twodim], rows[linear]
+    swapped = dataclasses.replace(table, rows=tuple(rows))
+    for corrupted in (perturbed, swapped):
+        with pytest.raises(IdempotencyFailure):
+            verify_central_idempotents(sd16, corrupted, vec)
+
+
+def test_idempotent_check_rejects_wrong_block_dimension(sd16):
+    table = character_table(sd16)
+    vec = multiplicities_inner_product(sd16, table)
+    values = list(vec.values)
+    values[0], values[1] = values[1], values[0]
+    with pytest.raises(IdempotencyFailure, match="block of e_0"):
+        verify_central_idempotents(sd16, table, dataclasses.replace(vec, values=tuple(values)))
+
+
+@pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
+def test_class_structure_constants_match_structure_tensor(group):
+    # K_i K_j = sum_k a[i, j, k] K_k, while p[i, j, k] counts v*u with u in
+    # class i and v in class j
+    p = structure_tensor(group)
+    assert np.array_equal(class_structure_constants(group), p.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
+def test_block_trace_counts_match_dense_trace(group):
+    table = character_table(group)
+    orb = conjugation_orbitals(group)
+    counts = _block_trace_counts(group)
+    assert counts.dtype.kind == "i"
+    for j, (label, row) in enumerate(zip(table.labels, table.complex_matrix)):
+        trace = label.degree / group.order * (row.conj() @ counts)
+        dense = dense_block_dimension(central_idempotent(group, table, j), orb)
+        assert abs(trace - dense) < 1e-9
