@@ -4,8 +4,8 @@ Two closure paths are provided.
 
 ``algebra_dimension`` is the plain oracle: seed a basis with the generator
 matrices, repeatedly append products of basis elements with generators
-(both sides), and row-reduce the flattened matrices over exact rationals
-until the dimension stabilizes.  Integer matrices are multiplied with
+(both sides), and row-reduce the flattened matrices exactly until the
+dimension stabilizes.  Integer matrices are multiplied with
 arbitrary-precision entries, so there is no tolerance anywhere.
 
 ``terwilliger_closure_dim`` specializes the same idea to the generators of
@@ -19,19 +19,16 @@ sparse operator applications, and the orbit count is a hard ceiling for the
 dimension (reaching it certifies equality with the centralizer algebra and
 closure in one step).
 
-The orbit-coordinate closure first runs over GF(p), p = 2^31 - 1, with every
-product reduced mod p.  Each vector it inserts is the reduction of an integer
-vector of the closure over Q, and the rank of integer vectors mod p is at
-most their rank over Q, which is at most the cap; so a mod-p rank that
-reaches the cap proves the dimension exactly (the modular method of Dixon,
-Numer. Math. 40, 1982).  Below the cap the mod-p rank proves nothing, and
-the same search reruns over exact rationals, whose result is returned.
+Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
+It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
+each row primitive instead of dividing by the previous pivot; no rational
+number is ever formed.  The rank stops at ``cap`` only when it reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,58 +42,11 @@ SparseVec = dict[int, int]
 
 
 class SparseRationalBasis:
-    """Row-reduced basis of sparse vectors over exact rationals.
+    """Row-reduced basis of sparse integer vectors, ranked over Q.
 
-    Rows are kept normalized with pivot coefficient 1; the pivot of a row is
-    its smallest nonzero coordinate.
-    """
-
-    def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        while vec:
-            pivot = min(vec)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec
-            coeff = vec[pivot]
-            for col, val in row.items():
-                new = vec.get(col, Fraction(0)) - coeff * val
-                if new:
-                    vec[col] = new
-                else:
-                    vec.pop(col, None)
-        return vec
-
-    def insert(self, vec: SparseVec | dict[int, Fraction]) -> bool:
-        """Reduce vec against the basis; add the residual if nonzero."""
-        work = {col: Fraction(val) for col, val in vec.items() if val}
-        residual = self._reduce(work)
-        if not residual:
-            return False
-        pivot = min(residual)
-        scale = residual[pivot]
-        self.rows[pivot] = {col: val / scale for col, val in residual.items()}
-        return True
-
-
-MODULUS = 2**31 - 1  # a prime; the field of the certifying rank
-
-
-def _mod_p(vec: SparseVec) -> SparseVec:
-    return {col: r for col, val in vec.items() if (r := val % MODULUS)}
-
-
-class ModularBasis:
-    """Row-reduced basis of sparse integer vectors over GF(MODULUS).
-
-    Same layout as ``SparseRationalBasis``: pivot coefficient 1, pivot at the
-    smallest nonzero coordinate; entries are Python ints in [0, MODULUS).
+    The pivot of a row is its smallest nonzero coordinate.  Each row is
+    primitive (its entries have gcd 1) with a positive pivot coefficient.
+    Entries are Python ints, so no product can overflow.
     """
 
     def __init__(self):
@@ -107,16 +57,22 @@ class ModularBasis:
         return len(self.rows)
 
     def insert(self, vec: SparseVec) -> bool:
-        """Reduce vec mod p against the basis; add the residual if nonzero."""
-        work = _mod_p(vec)
+        """Reduce vec against the basis; add the residual if nonzero."""
+        work = {int(col): int(val) for col, val in vec.items() if val}
         while work:
             pivot = min(work)
             row = self.rows.get(pivot)
             if row is None:
                 break
-            coeff = work[pivot]
+            coeff, lead = work[pivot], row[pivot]
+            if lead != 1:
+                # scale by lead / gcd(coeff, lead) rather than by lead, to keep
+                # entries small
+                shared = gcd(coeff, lead)
+                coeff, lead = coeff // shared, lead // shared
+                work = {col: val * lead for col, val in work.items()}
             for col, val in row.items():
-                new = (work.get(col, 0) - coeff * val) % MODULUS
+                new = work.get(col, 0) - coeff * val
                 if new:
                     work[col] = new
                 else:
@@ -124,8 +80,10 @@ class ModularBasis:
         if not work:
             return False
         pivot = min(work)
-        scale = pow(work[pivot], -1, MODULUS)
-        self.rows[pivot] = {col: val * scale % MODULUS for col, val in work.items()}
+        content = gcd(*work.values())
+        if work[pivot] < 0:
+            content = -content
+        self.rows[pivot] = {col: val // content for col, val in work.items()}
         return True
 
 
@@ -147,12 +105,9 @@ def algebra_dimension(
     gens = [np.asarray(g, dtype=object) for g in generators]
 
     def flat(mat: np.ndarray) -> SparseVec:
-        return {
-            int(i * side + j): int(mat[i, j])
-            for i in range(side)
-            for j in range(side)
-            if mat[i, j] != 0
-        }
+        entries = mat.ravel()
+        cols = np.flatnonzero(entries)
+        return dict(zip(cols.tolist(), entries[cols].tolist()))
 
     basis = SparseRationalBasis()
     frontier = [g for g in gens if basis.insert(flat(g))]
@@ -321,43 +276,23 @@ def closure_dim_in_orbit_coords(
 ) -> int:
     """Exact breadth-first closure dimension in orbit coordinates.
 
-    ``cap`` is the orbit count: since every product stays constant on
-    orbits, hitting the cap proves closure without generating more products.
-    The search runs over GF(MODULUS) first and, unless its rank reaches the
-    cap, again over exact rationals.
+    Each round applies every operator to the vectors that grew the basis in
+    the round before.  ``cap`` is the orbit count: since every product stays
+    constant on orbits, a rank that reaches it proves closure without
+    generating more products.
     """
-    mod_p_operators = [lambda vec, op=op: _mod_p(op(vec)) for op in operators]
-    if _closure_search(ModularBasis(), vectors, mod_p_operators, cap) == cap:
-        return cap
-    return _closure_search(SparseRationalBasis(), vectors, operators, cap)
-
-
-def _closure_search(
-    basis: ModularBasis | SparseRationalBasis,
-    vectors: list[SparseVec],
-    operators: list[Operator],
-    cap: int,
-) -> int:
-    """Rank in ``basis`` of the closure of ``vectors`` under ``operators``,
-    stopping at ``cap``: each round applies every operator to the vectors
-    that grew the basis in the round before."""
-    frontier: list[SparseVec] = []
-    for vec in vectors:
-        if basis.insert(vec):
-            frontier.append(vec)
-            if basis.dimension == cap:
-                return cap
-    while frontier:
-        new: list[SparseVec] = []
-        for vec in frontier:
-            for op in operators:
-                prod = op(vec)
-                if prod and basis.insert(prod):
-                    new.append(prod)
-                    if basis.dimension == cap:
-                        return cap
-        frontier = new
-    return basis.dimension
+    basis = SparseRationalBasis()
+    batch: Iterable[SparseVec] = vectors
+    while True:
+        frontier = []
+        for vec in batch:
+            if vec and basis.insert(vec):
+                if basis.dimension == cap:
+                    return cap
+                frontier.append(vec)
+        if not frontier:
+            return basis.dimension
+        batch = (op(vec) for vec in frontier for op in operators)
 
 
 def terwilliger_closure_dim(

@@ -98,15 +98,27 @@ def verify_scheme_axioms(
     if bad.size:
         raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
-    # (N_i N_j)(u, w) = #{v : D[u, v] = i, D[v, w] = j} must be p[i, j, D[u, w]]:
-    # per row u, count the codes (w, D[u, v], D[v, w]) of all (v, w)
-    by_target = np.ascontiguousarray(structure_tensor(group).transpose(2, 0, 1))
-    inner = table.astype(np.int64) + np.arange(order) * (ell * ell)
+    # (N_i N_j)(u, w) = #{v : D[u, v] = i, D[v, w] = j} must be p[i, j, D[u, w]]
+    # for all (u, w).  Equivalently, the codes D[u, v] * l + D[v, w] of all v,
+    # sorted, are expected[D[u, w]]: each code i * l + j repeated p[i, j, k]
+    # times, |G| codes in all iff p[:, :, k] sums to |G|.  A cell (u, w) that
+    # differs is counted in full, to name the first pair (i, j) failing anywhere
+    p = structure_tensor(group)
+    if not (p.sum(axis=(0, 1)) == order).all():
+        raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
+    code = np.min_scalar_type(ell * ell - 1)
+    expected = np.repeat(
+        np.tile(np.arange(ell * ell, dtype=code), ell), p.transpose(2, 0, 1).ravel()
+    ).reshape(ell, order)
+    columns = table.T.astype(code)
     mismatch = np.zeros((ell, ell), dtype=bool)
-    for row in table:
-        codes = inner + (row * ell)[:, None]
-        counts = np.bincount(codes.ravel(), minlength=order * ell * ell)
-        mismatch |= (counts.reshape(order, ell, ell) != by_target[row]).any(axis=0)
+    step = max(1, 2**16 // (order * order))  # rows u per block, to bound memory
+    for start in range(0, order, step):
+        rows = table[start:start + step]
+        codes = np.sort(rows.astype(code)[:, None, :] * ell + columns, axis=2)
+        for u, w in np.argwhere((codes != expected[rows]).any(axis=2)) + (start, 0):
+            full = np.bincount(table[u] * ell + table[:, w], minlength=ell * ell)
+            mismatch |= full.reshape(ell, ell) != p[:, :, table[u, w]]
     if mismatch.any():
         a, b = np.argwhere(mismatch)[0]
         raise AxiomFailure(
@@ -154,9 +166,8 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
 
     The default strategy counts class triples (i, j, k) with Cl_k inside
     Cl_i * Cl_j; the "span" strategy ranks the flattened sandwich matrices
-    exactly, with the certified rank of the closure module: the count of
-    nonzero sandwiches bounds their rank, so a mod-p rank reaching that
-    count proves it, and otherwise the rank is taken over exact rationals.
+    over Q with the exact basis of the closure module, stopping early if the
+    rank reaches the count of nonzero sandwiches.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)

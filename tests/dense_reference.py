@@ -1,11 +1,15 @@
-"""Dense reference versions of the scheme-axiom and central-idempotent checks.
+"""Reference versions of the library's checks and of its exact rank.
 
-They work on explicit |G| x |G| matrices: the axioms by one einsum over all
-pairs of scheme matrices (l^2 |G|^3 work), the idempotents by products of the
-dense e_j and a loop over the orbits for each block trace.  The library
-checks the same identities without dense products; the tests compare the two
-on small groups.
+The scheme-axiom and central-idempotent references work on explicit
+|G| x |G| matrices: the axioms by one einsum over all pairs of scheme
+matrices (l^2 |G|^3 work), the idempotents by products of the dense e_j and
+a loop over the orbits for each block trace.  The library checks the same
+identities without dense products.  The rank reference eliminates over
+``Fraction``, where the library keeps primitive integer rows.  The tests
+compare each pair on small inputs.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,3 +87,48 @@ def dense_block_dims(group, table, multiplicities, tol=1e-9):
             raise IdempotencyFailure(f"block of e_{j} has dimension {dim:.6f}, expected {target}")
         dims.append(target)
     return tuple(dims)
+
+
+class FractionBasis:
+    """Row-reduced basis of sparse vectors over exact rationals, with pivot
+    coefficient 1 at each row's smallest nonzero coordinate."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @property
+    def dimension(self):
+        return len(self.rows)
+
+    def insert(self, vec):
+        """Reduce vec against the basis; add the residual if nonzero."""
+        work = {col: Fraction(int(val)) for col, val in vec.items() if val}
+        while work:
+            pivot = min(work)
+            row = self.rows.get(pivot)
+            if row is None:
+                break
+            coeff = work[pivot]
+            for col, val in row.items():
+                new = work.get(col, Fraction(0)) - coeff * val
+                if new:
+                    work[col] = new
+                else:
+                    work.pop(col, None)
+        if not work:
+            return False
+        pivot = min(work)
+        scale = work[pivot]
+        self.rows[pivot] = {col: val / scale for col, val in work.items()}
+        return True
+
+
+def fraction_closure_rank(vectors, operators):
+    """Rank over Q of the closure of vectors under the operators, searched to
+    exhaustion: each round applies every operator to the vectors that grew
+    the basis in the round before."""
+    basis = FractionBasis()
+    frontier = [vec for vec in vectors if basis.insert(vec)]
+    while frontier:
+        frontier = [prod for vec in frontier for op in operators if basis.insert(prod := op(vec))]
+    return basis.dimension

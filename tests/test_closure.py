@@ -1,7 +1,10 @@
 """Algebra-closure oracles: generic flattened path vs orbit-coordinate path."""
 
+import math
+
 import numpy as np
 import pytest
+from dense_reference import FractionBasis, fraction_closure_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +25,7 @@ from terw import (
     terwilliger_closure_dim,
 )
 from terw.closure import (
-    MODULUS,
     SparseRationalBasis,
-    _closure_search,
     closure_dim_in_orbit_coords,
     terwilliger_generator_coords,
 )
@@ -157,35 +158,60 @@ def test_conjugation_invariance_failure_is_typed(s3):
     assert isinstance(info.value, VerificationFailure)
 
 
-def test_rank_below_the_cap_mod_p_falls_back_to_rationals():
-    # the vector vanishes mod p, so only the rational search counts it
-    assert closure_dim_in_orbit_coords([{0: MODULUS}], [], cap=1) == 1
+def test_vector_that_vanishes_mod_a_prime_has_rank_one():
+    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], [], cap=1) == 1
+
+
+def test_int64_entries_whose_products_overflow_keep_the_exact_rank():
+    # reducing the second vector computes 0 - 2^32 * 2^32 = -2^64, which is 0
+    # in int64 arithmetic; the vectors are independent over Q
+    vectors = [{0: np.int64(1), 1: np.int64(2**32)}, {0: np.int64(2**32)}]
+    assert closure_dim_in_orbit_coords(vectors, [], cap=3) == 2
+
+
+def assert_rows_primitive(basis):
+    for pivot, row in basis.rows.items():
+        assert pivot == min(row)
+        assert row[pivot] > 0
+        assert math.gcd(*row.values()) == 1
+        assert all(type(val) is int for val in row.values())
+
+
+def test_stored_rows_are_primitive_with_a_positive_pivot():
+    basis = SparseRationalBasis()
+    for vec in ({0: -4, 2: 6}, {0: 6, 1: -9, 3: 3}, {1: 2, 2: 8}, {2: -5, 4: 10}):
+        assert basis.insert(vec)
+    assert_rows_primitive(basis)
+    assert basis.rows[0] == {0: 2, 2: -3}
+    assert basis.dimension == 4
+    assert not basis.insert({0: 2, 1: -9, 2: 6, 3: 3})  # the sum of the first two
 
 
 @pytest.fixture
-def rational_inserts(monkeypatch):
-    calls = []
+def basis_inserts(monkeypatch):
+    grew = []
     insert = SparseRationalBasis.insert
 
-    def counted(basis, vec):
-        calls.append(vec)
-        return insert(basis, vec)
+    def recorded(basis, vec):
+        grew.append(insert(basis, vec))
+        return grew[-1]
 
-    monkeypatch.setattr(SparseRationalBasis, "insert", counted)
-    return calls
+    monkeypatch.setattr(SparseRationalBasis, "insert", recorded)
+    return grew
 
 
-def test_no_rational_work_at_the_cap(rational_inserts):
+def test_closure_grows_the_basis_cap_times_then_stops(basis_inserts):
     group = dihedral([(2, 4)])
-    assert terwilliger_closure_dim(group) == centralizer_orbit_count(group)
-    assert len(rational_inserts) == 0
-    # the adjacency algebra stays below the cap, so the rational search decides
-    assert terwilliger_closure_dim(group, include_dual=False) == len(conjugacy_classes(group))
-    assert len(rational_inserts) > 0
+    cap = centralizer_orbit_count(group)
+    assert terwilliger_closure_dim(group) == cap
+    assert sum(basis_inserts) == cap
+    assert basis_inserts[-1]  # no product is generated after the cap
 
 
-# entries that vanish mod p make the mod-p rank fall short of the rational one
-ENTRIES = st.integers(-3, 3) | st.sampled_from([MODULUS, -MODULUS, 2 * MODULUS, MODULUS + 1])
+# large entries, including ones that vanish mod 2^31 - 1 and ones above int64
+ENTRIES = st.integers(-3, 3) | st.sampled_from(
+    [2**31 - 1, -(2**31 - 1), 2 * (2**31 - 1), 2**64 + 1, -(2**64 + 1)]
+)
 
 
 @st.composite
@@ -212,8 +238,20 @@ def sparse_operator(matrix):
 
 @settings(max_examples=300, deadline=None)
 @given(closure_problems())
-def test_certified_closure_equals_rational_closure(problem):
+def test_closure_rank_equals_fraction_reference(problem):
+    # the coordinates are below the cap, so the rank never exceeds it and the
+    # reference may search to exhaustion
     vectors, matrices, cap = problem
     operators = [sparse_operator(m) for m in matrices]
-    rational = _closure_search(SparseRationalBasis(), vectors, operators, cap)
-    assert closure_dim_in_orbit_coords(vectors, operators, cap) == rational
+    assert closure_dim_in_orbit_coords(vectors, operators, cap) == fraction_closure_rank(
+        vectors, operators
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), ENTRIES, max_size=6), max_size=8))
+def test_basis_rank_equals_fraction_reference(vectors):
+    basis, reference = SparseRationalBasis(), FractionBasis()
+    for vec in vectors:
+        assert basis.insert(vec) == reference.insert(vec)
+    assert_rows_primitive(basis)

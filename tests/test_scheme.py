@@ -23,6 +23,7 @@ from terw import (
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices
 
+import dense_reference
 from dense_reference import dense_scheme_axioms
 
 SEEDED = random_general_instances(6, 64, seed=606)
@@ -142,6 +143,40 @@ def test_axiom_clauses_agree_with_dense_reference(d4, q8, corrupt, clause):
             verify_scheme_axioms(group, matrices=mats)
         assert dense.value.clause == gathered.value.clause == clause
         assert str(dense.value) == str(gathered.value)
+
+
+def _added_mass(p):
+    # one more at a zero constant: no code counted there ever occurs
+    p[tuple(np.argwhere(p == 0)[-1])] += 1
+
+
+def _moved_mass(p):
+    # one unit from the last positive constant to a zero one of the same k,
+    # so every p[:, :, k] still sums to |G|
+    i, j, k = np.argwhere(p > 0)[-1]
+    p[i, j, k] -= 1
+    zi, zj = np.argwhere(p[:, :, k] == 0)[0]
+    p[zi, zj, k] += 1
+
+
+@pytest.mark.parametrize("corrupt", [_added_mass, _moved_mass])
+def test_axiom_iv_checks_the_constants_at_codes_that_never_occur(
+    d4, q8, sd16, monkeypatch, corrupt
+):
+    from terw.conjugacy import structure_tensor
+
+    for group in (d4, q8, sd16):
+        p = structure_tensor(group).copy()
+        corrupt(p)
+        monkeypatch.setattr(dense_reference, "structure_tensor", lambda _: p)
+        monkeypatch.setattr("terw.scheme.structure_tensor", lambda _: p)
+        with pytest.raises(AxiomFailure) as dense:
+            dense_scheme_axioms(group)
+        with pytest.raises(AxiomFailure) as gathered:
+            verify_scheme_axioms(group)
+        assert dense.value.clause == gathered.value.clause == "(iv)"
+        if corrupt is _moved_mass:
+            assert str(dense.value) == str(gathered.value)
 
 
 def test_dual_idempotents(s3, d4):
