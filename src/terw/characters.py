@@ -3,13 +3,17 @@
 The group has 2d one-dimensional characters, indexed by a residue vector I
 (0 <= I_i < d_i) and a sign, and (n-d)/2 two-dimensional characters, indexed
 by the orbit {J, J*s} of a character of the abelian part that is nontrivial
-on the twisted commutator subgroup.  All values are products of roots of
-unity or sums of two, and are represented as exact RootSum terms over the
-group's common root order; the b-coset values of the linear characters need
-the doubled order because they are square roots of values on the abelian
-part.  The sign convention: the "+" character takes the principal square
-root on the coset.  Swapping the two signs permutes rows but never changes
-the table as a multiset (tested, not assumed).
+on the twisted commutator subgroup.  Every value is 0, +-z^e or
+z^e1 + z^e2 with z a primitive root of unity of the group's common root
+order M; the b-coset values of the linear characters need the doubled order
+because they are square roots of values on the abelian part.  The table
+keeps them exactly as two (l, l, 2) integer arrays, exponents mod M and
+coefficients, filled by integer matrix products over the label vectors and
+the class representatives; ``char_value`` computes one entry on its own as
+a RootSum, and ``CharacterTable.value`` reads one entry as a RootSum, so
+the two can be compared.  The sign convention: the "+" character takes the
+principal square root on the coset.  Swapping the two signs permutes rows
+but never changes the table as a multiset (tested, not assumed).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .conjugacy import COSET, ClassList, ConjClass, conjugacy_classes
-from .cyclotomic import RootSum
+from .cyclotomic import RootSum, unit_roots
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
 
@@ -123,47 +127,72 @@ def char_value(group: D2Group, label: CharLabel, cls: ConjClass) -> RootSum:
     return RootSum.root(order, e1) + RootSum.root(order, e2)
 
 
-@dataclass
+@dataclass(eq=False)
 class CharacterTable:
     """Rows are irreducible characters, columns are conjugacy classes.
 
-    It keeps the group's order and root order, not the group, because the
-    group keeps the table.
+    Entry (r, c) is the sum of coefficients[r, c, t] * z^exponents[r, c, t]
+    over t = 0, 1, with z = exp(2 pi i / root_order): the arrays are
+    (l, l, 2) int64, read-only, exponents reduced mod the root order, and a
+    zero coefficient marks an absent term (its exponent is 0).  It keeps the
+    group's order and root order, not the group, because the group keeps
+    the table.
     """
 
     order: int
     root_order: int
     classes: ClassList
     labels: tuple[CharLabel, ...]
-    rows: tuple[tuple[RootSum, ...], ...]
+    exponents: np.ndarray
+    coefficients: np.ndarray
 
     @property
     def degrees(self) -> list[int]:
         return [label.degree for label in self.labels]
 
     def value(self, row: int, col: int) -> RootSum:
-        return self.rows[row][col]
+        """Entry (row, col) as an exact RootSum."""
+        terms = zip(self.exponents[row, col].tolist(), self.coefficients[row, col].tolist())
+        return RootSum(self.root_order, terms)
 
     @cached_property
     def complex_matrix(self) -> np.ndarray:
-        return read_only(
-            np.array([[v.eval_complex() for v in row] for row in self.rows], dtype=complex)
-        )
+        # 0j + c1 W[e1] + c2 W[e2], the order of RootSum.eval_complex, so the
+        # values match it bit for bit
+        terms = self.coefficients * unit_roots(self.root_order)[self.exponents]
+        return read_only(0j + terms[..., 0] + terms[..., 1])
+
+    def _distinct_values(self) -> tuple[list[RootSum], list[list[int]]]:
+        """The distinct entries as RootSums, and the index of each entry among them."""
+        low = min(int(self.coefficients.min()), 0)
+        span = int(self.coefficients.max()) - low + 1
+        shape = (self.root_order, self.root_order, span, span)
+        e, c = self.exponents, self.coefficients - low
+        keys = np.ravel_multi_index((e[..., 0], e[..., 1], c[..., 0], c[..., 1]), shape)
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        e1, e2, c1, c2 = (x.tolist() for x in np.unravel_index(distinct, shape))
+        values = [
+            RootSum(self.root_order, ((e1[i], c1[i] + low), (e2[i], c2[i] + low)))
+            for i in range(len(distinct))
+        ]
+        return values, inverse.reshape(keys.shape).tolist()
 
     # -- exports -----------------------------------------------------------
 
     def to_text(self) -> str:
         def fmt(v: RootSum) -> str:
-            n = v.is_integer(1e-9)
+            n = v.is_integer()
             if n is not None:
                 return str(n)
             z = v.eval_complex()
             return f"{z.real:.4g}{z.imag:+.4g}i"
 
+        values, inverse = self._distinct_values()
+        cells = [fmt(v) for v in values]
         headers = [""] + [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in self.classes]
         grid = [headers]
-        for label, row in zip(self.labels, self.rows):
-            grid.append([label.describe()] + [fmt(v) for v in row])
+        for label, row in zip(self.labels, inverse):
+            grid.append([label.describe()] + [cells[i] for i in row])
         widths = [max(len(r[i]) for r in grid) for i in range(len(headers))]
         return "\n".join(
             "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in grid
@@ -173,13 +202,15 @@ class CharacterTable:
         def fmt(z: complex) -> str:
             return f"{z.real:.12g}{z.imag:+.12g}i"
 
+        values, inverse = self._distinct_values()
+        cells = [fmt(v.eval_complex()) for v in values]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
             ["character"] + [f"class_{c.index}" for c in self.classes]
         )
-        for label, row in zip(self.labels, self.rows):
-            writer.writerow([label.describe()] + [fmt(v.eval_complex()) for v in row])
+        for label, row in zip(self.labels, inverse):
+            writer.writerow([label.describe()] + [cells[i] for i in row])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -190,6 +221,8 @@ class CharacterTable:
                 "complex": [z.real, z.imag],
             }
 
+        values, inverse = self._distinct_values()
+        encoded = [encode(v) for v in values]  # shared by the entries equal to each
         return {
             "root_order": self.root_order,
             "classes": [
@@ -200,9 +233,9 @@ class CharacterTable:
                 {
                     "label": label.describe(),
                     "degree": label.degree,
-                    "values": [encode(v) for v in row],
+                    "values": [encoded[i] for i in row],
                 }
-                for label, row in zip(self.labels, self.rows)
+                for label, row in zip(self.labels, inverse)
             ],
         }
 
@@ -214,13 +247,52 @@ def elem_json(g) -> list:
 
 @per_group
 def character_table(group: D2Group) -> CharacterTable:
-    """Build the full character table; row count always equals class count."""
+    """Build the full character table; row count always equals class count.
+
+    Every exponent is an integer matrix product mod the root order M over
+    the label vectors and the class representatives' coordinates, the same
+    sums that ``char_value`` forms one entry at a time:
+
+      * linear rows on abelian-part classes: (I * M/d) . t,
+      * linear rows on coset classes z*b: (I * M/(2d)) . (2z + y), with
+        coefficient +1 or -1 from the sign,
+      * two-dimensional rows: (J * M/m) . t and (J * s * M/m) . t, with
+        coefficient 0 on the coset classes.
+    """
     classes = conjugacy_classes(group)
     labels = tuple(character_labels(group))
-    if len(labels) != len(classes):
-        raise CharacterTableFailure(f"{len(labels)} characters but {len(classes)} classes")
-    rows = tuple(tuple(char_value(group, label, cls) for cls in classes) for label in labels)
-    table = CharacterTable(group.order, group.root_order, classes, labels, rows)
+    ell = len(labels)
+    if ell != len(classes):
+        raise CharacterTableFailure(f"{ell} characters but {len(classes)} classes")
+    order = group.root_order
+    d_vec = np.array(group.fixed.d_vec, dtype=np.int64)
+    moduli = np.array(group.abelian.moduli, dtype=np.int64)
+    reps = np.array([cls.rep[0] for cls in classes], dtype=np.int64).reshape(ell, -1)
+    coset = np.array([cls.kind == COSET for cls in classes])
+    linear = [label for label in labels if isinstance(label, LinearLabel)]
+    twodim = [label for label in labels if isinstance(label, TwoDimLabel)]
+    i_mat = np.array([label.i_vec for label in linear], dtype=np.int64).reshape(len(linear), -1)
+    j_mat = np.array([label.j_vec for label in twodim], dtype=np.int64).reshape(len(twodim), -1)
+    signs = np.array([1 if label.sign == 1 else -1 for label in linear], dtype=np.int64)
+
+    exponents = np.zeros((ell, ell, 2), dtype=np.int64)
+    coefficients = np.zeros((ell, ell, 2), dtype=np.int64)
+    lin, two = slice(0, len(linear)), slice(len(linear), ell)
+    exponents[lin, :, 0] = np.where(
+        coset,
+        (i_mat * (order // (2 * d_vec))) @ (2 * reps + np.array(group.square)).T,
+        (i_mat * (order // d_vec)) @ reps.T,
+    )
+    coefficients[lin, :, 0] = np.where(coset, signs[:, None], 1)
+    step = order // moduli
+    s_vec = np.array(group.twist.s, dtype=np.int64)
+    exponents[two, :, 0] = np.where(coset, 0, (j_mat * step) @ reps.T)
+    exponents[two, :, 1] = np.where(coset, 0, (j_mat * s_vec * step) @ reps.T)
+    coefficients[two] = np.where(coset, 0, 1)[:, None]
+    exponents %= order
+    table = CharacterTable(
+        group.order, order, classes, labels, read_only(exponents), read_only(coefficients)
+    )
     sum_sq = sum(deg * deg for deg in table.degrees)
     if sum_sq != group.order:
         raise CharacterTableFailure(f"sum of squared degrees {sum_sq} != |G| = {group.order}")

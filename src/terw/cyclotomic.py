@@ -3,18 +3,27 @@
 A RootSum over root order M is an integer combination of the M-th roots of
 unity, stored as a sparse exponent -> coefficient table with exponents
 reduced mod M and zero coefficients pruned.  Addition, multiplication and
-conjugation are exact term arithmetic; identities that cancel across
-different exponents (vanishing sums) are decided by complex evaluation,
-which for desk-scale sums is accurate to ~1e-14, far inside the tolerances
-used by callers.
+conjugation are exact term arithmetic.  Identities that cancel across
+different exponents (vanishing sums, integrality) are decided exactly by
+reducing mod the cyclotomic polynomial Phi_M: the reduced coordinates in the
+power basis 1, z, ..., z^(phi(M)-1) of Q(z_M) are unique, so a sum is the
+integer n iff they are (n, 0, ..., 0).  ``power_basis_coordinates`` does the
+reduction for whole (..., M) integer coefficient blocks at once, using
+Phi_M(x) = Phi_rad(x^q) with rad the product of the primes dividing M and
+q = M / rad.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from collections.abc import Iterable, Mapping
 
+import numpy as np
+
 from .errors import MixedRootOrdersError
+from .groups import factorize, read_only
 
 
 class RootSum:
@@ -114,17 +123,13 @@ class RootSum:
         step = 2j * cmath.pi / self.order
         return sum((c * cmath.exp(step * e) for e, c in self.terms.items()), 0j)
 
-    def is_integer(self, tolerance: float = 1e-6) -> int | None:
-        """The nearest integer if the value is within tolerance of one, else None."""
-        val = self.eval_complex()
-        nearest = round(val.real)
-        if abs(val.imag) < tolerance and abs(val.real - nearest) < tolerance:
-            return nearest
-        return None
-
-    def is_zero_exact(self) -> bool:
-        """True when the term table is empty (sufficient, not necessary)."""
-        return not self.terms
+    def is_integer(self) -> int | None:
+        """The value if it is a rational integer, else None; exact."""
+        dense = np.zeros(self.order, dtype=object)  # Python ints cannot overflow
+        for exp, coeff in self.terms.items():
+            dense[exp] = coeff
+        value, exact = integer_values(dense, self.order)
+        return int(value) if exact else None
 
     # -- housekeeping ---------------------------------------------------------
 
@@ -147,3 +152,82 @@ class RootSum:
             for e, c in self.sorted_terms()
         )
         return f"RootSum({self.order}, {body})"
+
+
+# -- exact reduction mod Phi_M ---------------------------------------------------
+
+
+def cyclotomic_poly(n: int) -> np.ndarray:
+    """Integer coefficients of Phi_n, lowest degree first.
+
+    Phi_n(x) = Phi_rad(x^q) with rad the product of the primes dividing n and
+    q = n / rad, and Phi_rad(x) = prod over d | rad of (x^d - 1)^mu(rad/d):
+    the factors with mu = 1 are multiplied out, then each factor with
+    mu = -1 is divided out exactly.
+    """
+    primes = [p for p, _ in factorize(n)]
+    rad = math.prod(primes)
+    mu = {1: 1}  # mu(d) for the divisors d of rad
+    for p in primes:
+        mu.update({d * p: -m for d, m in list(mu.items())})
+    poly = np.ones(1, dtype=np.int64)
+    for d in mu:
+        if mu[rad // d] == 1:
+            out = np.zeros(len(poly) + d, dtype=np.int64)
+            out[d:] += poly
+            out[:len(poly)] -= poly
+            poly = out
+    for d in mu:
+        if mu[rad // d] == -1:
+            # poly = Q * (x^d - 1) gives Q[i] = Q[i - d] - poly[i]
+            size = len(poly) - d
+            head = np.zeros(-(-size // d) * d, dtype=np.int64)
+            head[:size] = poly[:size]
+            poly = -np.cumsum(head.reshape(-1, d), axis=0).ravel()[:size]
+    q = n // rad
+    spread = np.zeros((len(poly) - 1) * q + 1, dtype=np.int64)
+    spread[::q] = poly
+    return spread
+
+
+@functools.cache
+def _power_reduction(rad: int) -> np.ndarray:
+    """R[j] = coefficients of y^j mod Phi_rad(y) for 0 <= j < rad (read-only)."""
+    phi = cyclotomic_poly(rad)
+    deg = len(phi) - 1
+    red = np.zeros((rad, deg), dtype=np.int64)
+    red[:deg] = np.eye(deg, dtype=np.int64)
+    for j in range(deg, rad):
+        # y * y^(j-1), with y^deg = -(phi[0] + ... + phi[deg-1] y^(deg-1))
+        red[j, 1:] = red[j - 1, :-1]
+        red[j] -= red[j - 1, -1] * phi[:-1]
+    return read_only(red)
+
+
+def power_basis_coordinates(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Coordinates of sum_e coeffs[..., e] z^e, z = exp(2 pi i / order), in
+    the power basis 1, z, ..., z^(phi(order)-1) of Q(z); exact.
+
+    With e = j*q + r (0 <= r < q), z^e = (z^q)^j z^r and z^q is a primitive
+    rad-th root, so the (rad, q) block of coefficients is multiplied along
+    the rad axis by the reduction matrix of y^j mod Phi_rad(y).  Coordinate
+    k*q + r belongs to z^(k*q + r).
+    """
+    rad = math.prod(p for p, _ in factorize(order))
+    blocks = coeffs.reshape(*coeffs.shape[:-1], rad, order // rad)
+    return (_power_reduction(rad).T @ blocks).reshape(*coeffs.shape[:-1], -1)
+
+
+def integer_values(coeffs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each sum sum_e coeffs[..., e] z^e: its value if that is a rational
+    integer, and whether it is one; exact."""
+    coords = power_basis_coordinates(coeffs, order)
+    return coords[..., 0], ~(coords[..., 1:] != 0).any(axis=-1)
+
+
+@functools.cache
+def unit_roots(order: int) -> np.ndarray:
+    """W[e] = exp(2 pi i e / order), computed exactly as ``RootSum.eval_complex``
+    computes each term, so gathers from W reproduce its values bit for bit."""
+    step = 2j * cmath.pi / order
+    return read_only(np.array([cmath.exp(step * e) for e in range(order)], dtype=complex))

@@ -9,6 +9,12 @@ Terwilliger algebra here).  The three routes to the d_j:
   * the plain character sum d_j = sum_k conj(chi_j(g_k)) over class reps,
   * the inner product <psi, chi_j>.
 
+Both sums are exact: the character table's integer arrays are accumulated
+into one (l, M) coefficient block over the M-th roots of unity, which is
+reduced mod the cyclotomic polynomial (``cyclotomic.integer_values``); a
+sum is an integer only when every reduced coordinate but the constant one
+is zero, and no tolerance enters the verdict.
+
 The primitive central idempotents e_j built from the characters provide a
 further oracle: e_j^2 = e_j, mutually annihilating, summing to the
 identity, and the two-sided block T~ e_j has dimension d_j^2.  Each e_j is
@@ -17,6 +23,7 @@ of the group algebra, so the relations are checked on the class
 coefficients of the eps_j with exact class structure constants, and the
 block dimensions come from exact integer counts over the orbit
 representatives; ``central_idempotent`` builds e_j as a dense matrix.
+Those relations are still compared in floating point, with a tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .characters import (
 )
 from .closure import conjugation_orbitals
 from .conjugacy import class_structure_constants, conjugacy_classes
+from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
 from .groups import D2Group, centralizer_sizes, conjugation_table, index_tables
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
@@ -73,39 +81,49 @@ def permutation_character(group: D2Group) -> list[int]:
     return values
 
 
+def _conjugate_sums(table: CharacterTable, weights: np.ndarray) -> np.ndarray:
+    """S[j, e]: the coefficient of z^e in sum over classes k and terms t of
+    weights[j, k, t] * conj(z^exponents[j, k, t]), an (l, M) int64 block."""
+    ell, order = len(table.labels), table.root_order
+    sums = np.zeros((ell, order), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(ell)[:, None, None], table.exponents.shape)
+    np.add.at(sums, (rows, -table.exponents % order), weights)
+    return sums
+
+
+def _exact_integers(table: CharacterTable, sums: np.ndarray, what: str) -> np.ndarray:
+    """The rational-integer values of the rows of ``sums``; raises
+    NonIntegralMultiplicity, with the complex value, on the first row that
+    is not one."""
+    values, exact = integer_values(sums, table.root_order)
+    if not exact.all():
+        j = int(np.argmin(exact))
+        z = complex(sums[j] @ unit_roots(table.root_order))
+        raise NonIntegralMultiplicity(f"{what} {z} of {table.labels[j].describe()} is not an integer")
+    return values
+
+
 def multiplicities_char_sum(group: D2Group, table: CharacterTable) -> MultiplicityVector:
     """d_j = sum over class representatives of conj(chi_j), exactly."""
-    values = []
-    for row in table.rows:
-        total = row[0].conjugate()
-        for v in row[1:]:
-            total = total + v.conjugate()
-        d = total.is_integer(1e-6)
-        if d is None or d < 0:
-            raise NonIntegralMultiplicity(
-                f"character sum {total.eval_complex()} is not a non-negative integer"
-            )
-        values.append(d)
-    return MultiplicityVector(labels=tuple(table.labels), values=tuple(values))
+    values = _exact_integers(table, _conjugate_sums(table, table.coefficients), "character sum")
+    if (values < 0).any():
+        raise NonIntegralMultiplicity(f"character sums {values.tolist()} include a negative one")
+    return MultiplicityVector(labels=tuple(table.labels), values=tuple(values.tolist()))
 
 
 def multiplicities_inner_product(group: D2Group, table: CharacterTable) -> MultiplicityVector:
-    """d_j = <psi, chi_j> with psi the conjugation permutation character."""
-    psi = permutation_character(group)
-    order = group.order
-    values = []
-    for row in table.rows:
-        total = row[0].conjugate() * (psi[0] * table.classes[0].size)
-        for cls, v in zip(table.classes[1:], row[1:]):
-            total = total + v.conjugate() * (psi[cls.index] * cls.size)
-        val = total.eval_complex() / order
-        nearest = round(val.real)
-        if abs(val.imag) > 1e-6 or abs(val.real - nearest) > 1e-6 or nearest < 0:
-            raise NonIntegralMultiplicity(
-                f"<psi, chi> = {val} is not a non-negative integer"
-            )
-        values.append(nearest)
-    return MultiplicityVector(labels=tuple(table.labels), values=tuple(values))
+    """d_j = <psi, chi_j> with psi the conjugation permutation character:
+    (1/|G|) sum_k |Cl_k| psi_k conj(chi_j(g_k)), exactly."""
+    class_weights = np.array(permutation_character(group), dtype=np.int64)
+    class_weights *= table.classes.sizes
+    weights = table.coefficients * class_weights[:, None]
+    totals = _exact_integers(table, _conjugate_sums(table, weights), "|G| <psi, chi>")
+    values, rest = np.divmod(totals, group.order)
+    if rest.any() or (values < 0).any():
+        raise NonIntegralMultiplicity(
+            f"<psi, chi> = {(totals / group.order).tolist()} are not all non-negative integers"
+        )
+    return MultiplicityVector(labels=tuple(table.labels), values=tuple(values.tolist()))
 
 
 def multiplicities_closed_form(group: D2Group) -> MultiplicityVector:

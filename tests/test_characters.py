@@ -3,10 +3,15 @@ properties, orthogonality, and the fault-injection path."""
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terw import (
+    D2Group,
     LinearLabel,
     OrthogonalityFailure,
     RootSum,
@@ -20,13 +25,29 @@ from terw import (
     make_abelian,
     make_d2,
     make_involution,
+    multiplicities_char_sum,
+    multiplicities_closed_form,
+    multiplicities_inner_product,
     verify_orthogonality,
 )
+from terw.abelian import square_roots_of_unity
+from terw.cli import main
 from terw.conjugacy import COSET
+from terw.instances import abelian_factorizations
+
+
+# C4 x C9 with the twist fixing the C9 coordinate and y = (0, 1): the coset
+# values are 18th roots of unity, not 9th, and the root order is 72
+_C4_X_C9 = make_abelian([(2, 2), (3, 2)])
+C4_C9 = make_d2(_C4_X_C9, make_involution(_C4_X_C9, [3, 1]), [0, 1])
+
+
+def row_values(table, r):
+    return [table.value(r, c) for c in range(len(table.classes))]
 
 
 def complex_row(table, r):
-    return [v.eval_complex() for v in table.rows[r]]
+    return [v.eval_complex() for v in row_values(table, r)]
 
 
 def test_label_counts(s3, d4, sd16):
@@ -46,7 +67,7 @@ def test_degree_identity():
 def test_s3_table_is_standard(s3):
     table = character_table(s3)
     # classes: {e}, {a, a^2}, reflections
-    rows = {tuple(round(v.eval_complex().real, 9) for v in row) for row in table.rows}
+    rows = {tuple(round(z.real, 9) for z in row) for row in table.complex_matrix.tolist()}
     assert rows == {(1, 1, 1), (1, 1, -1), (2, -1, 0)}
 
 
@@ -74,7 +95,7 @@ def test_d4_coset_value_example(d4):
 def test_trivial_character_is_all_ones(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
         table = character_table(group)
-        assert all(v.is_integer() == 1 for v in table.rows[0])
+        assert all(v.is_integer() == 1 for v in row_values(table, 0))
         assert table.labels[0] == LinearLabel(i_vec=(0,) * group.abelian.rank, sign=1)
 
 
@@ -89,8 +110,8 @@ def test_linear_rows_are_homomorphisms(q8, sd16):
                 continue
             for g in elems:
                 for h in elems:
-                    lhs = table.rows[r][classes.index_of(group.mul(g, h))]
-                    rhs = table.rows[r][classes.index_of(g)] * table.rows[r][classes.index_of(h)]
+                    lhs = table.value(r, classes.index_of(group.mul(g, h)))
+                    rhs = table.value(r, classes.index_of(g)) * table.value(r, classes.index_of(h))
                     assert lhs == rhs
 
 
@@ -103,8 +124,8 @@ def test_chi_b_squared_equals_chi_y(q8, sd16):
         for r, label in enumerate(table.labels):
             if not isinstance(label, LinearLabel):
                 continue
-            chib = table.rows[r][classes.index_of(b)].eval_complex()
-            chiy = table.rows[r][classes.index_of(y)].eval_complex()
+            chib = table.value(r, classes.index_of(b)).eval_complex()
+            chiy = table.value(r, classes.index_of(y)).eval_complex()
             assert abs(chib * chib - chiy) < 1e-9
 
 
@@ -114,7 +135,7 @@ def test_twodim_vanishes_on_cosets_exactly(sd16):
         if isinstance(label, TwoDimLabel):
             for cls in table.classes:
                 if cls.kind == COSET:
-                    assert table.rows[r][cls.index].is_zero_exact()
+                    assert not table.value(r, cls.index)
 
 
 def test_values_constant_on_classes():
@@ -128,7 +149,7 @@ def test_values_constant_on_classes():
     # recompute each value from every member of the class, not just the rep
     for r, label in enumerate(table.labels):
         for cls in classes:
-            want = table.rows[r][cls.index].eval_complex()
+            want = table.value(r, cls.index).eval_complex()
             for g in cls.elements:
                 single = type(cls)(
                     kind=cls.kind, rep=g, elements=(g,), index=cls.index
@@ -151,34 +172,38 @@ def test_twodim_values_independent_of_orbit_representative(sd16):
         )
         assert partner.j_vec != label.j_vec
         for cls in classes:
-            assert char_value(group, partner, cls) == table.rows[r][cls.index]
+            assert char_value(group, partner, cls) == table.value(r, cls.index)
+
+
+def sign_swapped(table):
+    """The table under the other square-root convention: every linear
+    character negated on the coset."""
+    coset = np.array([c.kind == COSET for c in table.classes])
+    linear = np.array([isinstance(label, LinearLabel) for label in table.labels])
+    coefficients = table.coefficients.copy()
+    coefficients[np.ix_(linear, coset)] *= -1
+    return dataclasses.replace(table, coefficients=coefficients)
+
+
+def exact_rows(table):
+    return sorted(tuple(tuple(v.sorted_terms()) for v in row_values(table, r))
+                  for r in range(len(table.labels)))
 
 
 def test_table_multiset_invariant_under_sign_swap(sd16):
-    # swapping the two square-root signs permutes rows only
+    # swapping the two square-root signs permutes rows only, exactly
     table = character_table(sd16)
-    swapped = {}
+    swapped = sign_swapped(table)
+    assert not np.array_equal(swapped.coefficients, table.coefficients)
+    assert exact_rows(swapped) == exact_rows(table)
     for r, label in enumerate(table.labels):
         if isinstance(label, LinearLabel):
-            partner = LinearLabel(i_vec=label.i_vec, sign=3 - label.sign)
-            swapped[r] = table.labels.index(partner)
-        else:
-            swapped[r] = r
-    original = sorted(
-        tuple(round(v.eval_complex().real, 9) for v in row) for row in table.rows
-    )
-    permuted = sorted(
-        tuple(round(v.eval_complex().real, 9) for v in table.rows[swapped[r]])
-        for r in range(len(table.rows))
-    )
-    assert original == permuted
+            partner = table.labels.index(LinearLabel(i_vec=label.i_vec, sign=3 - label.sign))
+            assert row_values(swapped, r) == row_values(table, partner)
 
 
 def test_odd_coordinate_square_needs_doubled_root_order():
-    # C4 x C9 with the twist fixing the C9 coordinate and y = (0, 1): the
-    # coset values are 18th roots of unity, not 9th
-    abelian = make_abelian([(2, 2), (3, 2)])
-    group = make_d2(abelian, make_involution(abelian, [3, 1]), [0, 1])
+    group = C4_C9
     table = character_table(group)
     verify_orthogonality(table)
     classes = table.classes
@@ -186,8 +211,8 @@ def test_odd_coordinate_square_needs_doubled_root_order():
     y = (group.square, 0)
     for r, label in enumerate(table.labels):
         if isinstance(label, LinearLabel):
-            chib = table.rows[r][classes.index_of(b)].eval_complex()
-            chiy = table.rows[r][classes.index_of(y)].eval_complex()
+            chib = table.value(r, classes.index_of(b)).eval_complex()
+            chiy = table.value(r, classes.index_of(y)).eval_complex()
             assert abs(chib * chib - chiy) < 1e-9
 
 
@@ -200,9 +225,9 @@ def test_orthogonality_passes(s3, d4, q8, sd16):
 
 def test_orthogonality_detects_corruption(d4):
     table = character_table(d4)
-    rows = [list(row) for row in table.rows]
-    rows[1][2] = -rows[1][2]  # flip one sign
-    corrupted = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    coefficients = table.coefficients.copy()
+    coefficients[1, 2] *= -1  # flip one sign
+    corrupted = dataclasses.replace(table, coefficients=coefficients)
     with pytest.raises(OrthogonalityFailure):
         verify_orthogonality(corrupted)
     verify_orthogonality(table)  # the cached table is untouched
@@ -211,11 +236,11 @@ def test_orthogonality_detects_corruption(d4):
 def test_exports(d4):
     table = character_table(d4)
     text = table.to_text()
-    assert text.count("\n") == len(table.rows)
+    assert text.count("\n") == len(table.labels)
     csv_body = table.to_csv()
     assert csv_body.splitlines()[0].startswith("character,")
     data = json.loads(json.dumps(table.to_json_dict()))
-    assert len(data["characters"]) == len(table.rows)
+    assert len(data["characters"]) == len(table.labels)
     assert data["characters"][0]["degree"] == 1
     # terms round-trip to the evaluated complex value
     entry = data["characters"][-1]["values"][0]
@@ -223,3 +248,49 @@ def test_exports(d4):
     z = v.eval_complex()
     assert abs(z.real - entry["complex"][0]) < 1e-12
     assert abs(z.imag - entry["complex"][1]) < 1e-12
+
+
+@st.composite
+def groups_up_to_96(draw):
+    """A valid (A, s, y) with |G| <= 96: a nontrivial diagonal twist s and a
+    square y fixed by it."""
+    factors = draw(st.sampled_from(abelian_factorizations(draw(st.integers(3, 48)))))
+    abelian = make_abelian(factors)
+    roots = [square_roots_of_unity(m) for m in abelian.moduli]
+    s = draw(st.tuples(*(st.sampled_from(r) for r in roots)).filter(lambda s: any(v != 1 for v in s)))
+    # s_i y_i = y_i (mod m_i) iff y_i is a multiple of m_i / gcd(s_i - 1, m_i)
+    steps = [m // math.gcd(v - 1, m) for v, m in zip(s, abelian.moduli)]
+    y = draw(st.tuples(*(st.integers(0, m // k - 1) for k, m in zip(steps, abelian.moduli))))
+    return D2Group(abelian, make_involution(abelian, s), [k * t for k, t in zip(steps, y)])
+
+
+@settings(max_examples=40, deadline=None)
+@example(group=C4_C9)
+@given(group=groups_up_to_96())
+def test_table_arrays_match_the_oracle(group):
+    # every entry of the integer arrays is the value char_value computes on
+    # its own, the sign swap permutes rows, and both exact multiplicity
+    # routes give the closed form
+    table = character_table(group)
+    for r, label in enumerate(table.labels):
+        for cls in table.classes:
+            assert table.value(r, cls.index) == char_value(group, label, cls)
+    assert exact_rows(sign_swapped(table)) == exact_rows(table)
+    closed = multiplicities_closed_form(group).values
+    assert multiplicities_char_sum(group, table).values == closed
+    assert multiplicities_inner_product(group, table).values == closed
+
+
+def test_chartable_json_matches_the_oracle_beyond_s3(capsys):
+    argv = ["--kind", "general", "--factors", "2^2,3^2", "--s", "3,1", "--y", "0,1"]
+    assert main(["chartable", *argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    group, table = C4_C9, character_table(C4_C9)
+    assert data["root_order"] == group.root_order == 72
+    assert [c["label"] for c in data["characters"]] == [l.describe() for l in table.labels]
+    for label, row in zip(table.labels, data["characters"]):
+        for cls, entry in zip(table.classes, row["values"]):
+            want = char_value(group, label, cls)
+            assert [tuple(t) for t in entry["terms"]] == want.sorted_terms()
+            z = want.eval_complex()
+            assert entry["complex"] == [z.real, z.imag]

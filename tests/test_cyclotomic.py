@@ -2,9 +2,18 @@
 
 import cmath
 
+import numpy as np
 import pytest
 
 from terw import MixedRootOrdersError, RootSum
+from terw.cyclotomic import (
+    cyclotomic_poly,
+    integer_values,
+    power_basis_coordinates,
+    unit_roots,
+)
+
+ORDERS = [6, 12, 30, 60, 72, 384, 840]
 
 
 def test_exponent_addition():
@@ -26,7 +35,7 @@ def test_conjugate_negates_exponent():
 
 def test_fold_and_prune():
     v = RootSum(6, {1: 2, 7: -2})  # 7 = 1 mod 6, cancels
-    assert v.is_zero_exact()
+    assert not v.terms
     assert not v
 
 
@@ -34,7 +43,7 @@ def test_add_sub_scale():
     a = RootSum(12, {0: 1, 3: 2})
     b = RootSum(12, {3: -2, 5: 1})
     assert (a + b).sorted_terms() == [(0, 1), (5, 1)]
-    assert (a - a).is_zero_exact()
+    assert not (a - a)
     assert (3 * a).sorted_terms() == [(0, 3), (3, 6)]
     assert (-a).sorted_terms() == [(0, -1), (3, -2)]
 
@@ -54,11 +63,14 @@ def test_mixed_orders_rejected():
         RootSum.root(4, 1) * RootSum.root(8, 1)
 
 
-def test_is_integer_tolerance():
-    nearly_two = RootSum(5, {0: 2})
-    assert nearly_two.is_integer() == 2
-    golden = RootSum(5, {1: 1, 4: 1})  # 2 cos(72 deg), irrational
-    assert golden.is_integer() is None
+def test_is_integer_is_exact():
+    assert RootSum(5, {0: 2}).is_integer() == 2
+    assert RootSum(6, {0: 1, 2: 1, 4: 1}).is_integer() == 0  # 1 + z3 + z3^2
+    assert RootSum(6, {1: 1, 5: 1}).is_integer() == 1  # 2 cos(60 deg)
+    assert RootSum(8, {1: 1, 7: 1}).is_integer() is None  # z8 + z8^-1 = sqrt 2
+    assert RootSum(5, {1: 1, 4: 1}).is_integer() is None  # 2 cos(72 deg), irrational
+    assert RootSum(4, {0: 10**30, 2: 1}).is_integer() == 10**30 - 1  # no int64 overflow
+    assert RootSum(9).is_integer() == 0
 
 
 def test_conjugate_matches_complex_conjugate():
@@ -69,3 +81,37 @@ def test_conjugate_matches_complex_conjugate():
 def test_eval_matches_direct_formula():
     v = RootSum(12, {5: 3})
     assert abs(v.eval_complex() - 3 * cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_power_basis_coordinates_evaluate_to_the_root(order):
+    # the canonical form of z^e, evaluated at z, is z^e again
+    coords = power_basis_coordinates(np.eye(order, dtype=np.int64), order)
+    assert coords.shape == (order, len(cyclotomic_poly(order)) - 1)
+    assert np.abs(coords @ unit_roots(order)[:coords.shape[1]] - unit_roots(order)).max() < 1e-9
+    assert not power_basis_coordinates(np.ones(order, dtype=np.int64), order).any()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_cyclotomic_poly_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs())]
+    assert cyclotomic_poly(order).tolist() == want
+
+
+def test_integer_values_on_a_block():
+    order = 12
+    sums = np.zeros((4, order), dtype=np.int64)
+    sums[0, [0, 4, 8]] = 1  # 1 + z3 + z3^2 = 0
+    sums[1, 6] = -3  # -3 * (-1) = 3
+    sums[2, [1, 11]] = 1  # 2 cos(30 deg) = sqrt 3
+    sums[3, [2, 10]] = 1  # 2 cos(60 deg) = 1
+    values, exact = integer_values(sums, order)
+    assert exact.tolist() == [True, True, False, True]
+    assert values[exact].tolist() == [0, 3, 1]
+
+
+def test_unit_roots_match_eval_complex():
+    for order in (5, 72, 384):
+        assert unit_roots(order).tolist() == [RootSum.root(order, e).eval_complex() for e in range(order)]

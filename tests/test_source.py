@@ -30,3 +30,22 @@ def test_no_fractions_import():
         or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
     ]
     assert not found, f"fractions imported in the library: {found}"
+
+
+def test_integrality_is_decided_without_a_tolerance():
+    # RootSum.is_integer is exact and takes no tolerance, and the old
+    # "empty term table" test is spelled ``not v``
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "is_integer"
+            and (node.args or node.keywords)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "is_zero_exact")
+        or (isinstance(node, ast.FunctionDef) and node.name == "is_zero_exact")
+    ]
+    assert not found, f"tolerant integrality or is_zero_exact in the library: {found}"

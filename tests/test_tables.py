@@ -121,12 +121,13 @@ def test_tables_are_built_once_and_read_only():
     orb = conjugation_orbitals(group)
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
-        table.complex_matrix, orb.labels, conjugation_perms(group),
+        table.exponents, table.coefficients, table.complex_matrix, orb.labels,
+        conjugation_perms(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1
-    for seq in (table.rows, table.rows[0], table.labels, orb.reps):
+    for seq in (table.labels, orb.reps):
         with pytest.raises(TypeError):
             seq[0] = None
     # a fresh group of the same shape builds its own tables

@@ -133,16 +133,16 @@ def test_multiset_invariant_under_sign_swap(sd16):
 
 
 def test_nonintegral_multiplicity_detected(d4):
-    from terw import RootSum
-
     table = character_table(d4)
-    rows = [list(row) for row in table.rows]
-    rows[2][1] = RootSum.root(d4.root_order, 1)  # irrational corruption
-    corrupted = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    exponents = table.exponents.copy()
+    exponents[2, 1, 0] = 1  # one term moved to z_8, which is not rational
+    corrupted = dataclasses.replace(table, exponents=exponents)
     with pytest.raises(NonIntegralMultiplicity):
         multiplicities_char_sum(d4, corrupted)
     with pytest.raises(NonIntegralMultiplicity):
         multiplicities_inner_product(d4, corrupted)
+    # the cached table is untouched
+    assert multiplicities_char_sum(d4, table).values == multiplicities_closed_form(d4).values
 
 
 def test_mismatch_detected_on_corrupted_table(d4, monkeypatch):
@@ -151,9 +151,10 @@ def test_mismatch_detected_on_corrupted_table(d4, monkeypatch):
     table = character_table(d4)
     # swap two full linear rows: sums survive but both oracles move away
     # from the closed form's per-label assignment
-    rows = list(table.rows)
-    rows[0], rows[3] = rows[3], rows[0]
-    corrupted = dataclasses.replace(table, rows=tuple(rows))
+    swap = [3, 1, 2, 0, *range(4, len(table.labels))]
+    corrupted = dataclasses.replace(
+        table, exponents=table.exponents[swap], coefficients=table.coefficients[swap]
+    )
     monkeypatch.setattr(terw.wedderburn, "character_table", lambda group: corrupted)
     with pytest.raises(MultiplicityMismatch):
         wedderburn_report(d4)
@@ -199,14 +200,16 @@ def test_idempotents_agree_with_dense_reference(s3, d4, q8, sd16):
 def test_idempotent_check_rejects_corrupted_table(sd16):
     table = character_table(sd16)
     vec = multiplicities_inner_product(sd16, table)
-    rows = [list(row) for row in table.rows]
-    rows[1][1] = -rows[1][1]  # one value of a linear character
-    perturbed = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    coefficients = table.coefficients.copy()
+    coefficients[1, 1] *= -1  # one value of a linear character
+    perturbed = dataclasses.replace(table, coefficients=coefficients)
     linear = next(r for r, label in enumerate(table.labels) if label.degree == 1)
     twodim = next(r for r, label in enumerate(table.labels) if label.degree == 2)
-    rows = list(table.rows)
-    rows[linear], rows[twodim] = rows[twodim], rows[linear]
-    swapped = dataclasses.replace(table, rows=tuple(rows))
+    swap = list(range(len(table.labels)))
+    swap[linear], swap[twodim] = twodim, linear
+    swapped = dataclasses.replace(
+        table, exponents=table.exponents[swap], coefficients=table.coefficients[swap]
+    )
     for corrupted in (perturbed, swapped):
         with pytest.raises(IdempotencyFailure):
             verify_central_idempotents(sd16, corrupted, vec)
