@@ -67,6 +67,7 @@ from .groups import (
     dicyclic,
     dihedral,
     g2_group,
+    general,
     make_d2,
 )
 from .scheme import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iterproduct
 from typing import Iterator, Sequence
 
@@ -54,8 +55,9 @@ class AbelianGroup:
 
     factors: tuple[CyclicFactor, ...]
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
+        # kept in the instance dict, which equality and hashing never read
         return tuple(f.m for f in self.factors)
 
     @property

@@ -64,7 +64,8 @@ class TwoDimLabel:
 CharLabel = LinearLabel | TwoDimLabel
 
 
-def character_labels(group: D2Group) -> list[CharLabel]:
+@per_group
+def character_labels(group: D2Group) -> tuple[CharLabel, ...]:
     """All irreducible characters in canonical order: linear labels by
     mixed-radix I then sign, then two-dimensional labels by orbit minimum."""
     fx = group.fixed
@@ -93,7 +94,7 @@ def character_labels(group: D2Group) -> list[CharLabel]:
             f"{len(twodim)} two-dimensional and {len(labels)} labels in all, "
             f"expected {(n - d) // 2} and {2 * d + (n - d) // 2} for n = {n}, d = {d}"
         )
-    return labels
+    return tuple(labels)
 
 
 def char_value(group: D2Group, label: CharLabel, cls: ConjClass) -> RootSum:
@@ -260,7 +261,7 @@ def character_table(group: D2Group) -> CharacterTable:
         coefficient 0 on the coset classes.
     """
     classes = conjugacy_classes(group)
-    labels = tuple(character_labels(group))
+    labels = character_labels(group)
     ell = len(labels)
     if ell != len(classes):
         raise CharacterTableFailure(f"{ell} characters but {len(classes)} classes")

@@ -1,29 +1,34 @@
-"""Command-line front end.
+"""Command-line front end, a thin layer over the library.
 
 Subcommands: ``info``, ``classes``, ``chartable``, ``dims``, ``wedderburn``,
 ``verify`` (everything, oracles forced on), and ``sweep`` (iterate a family
 over a parameter range, one CSV row per instance).  A group is described by
 flags or a JSON spec file with fields ``kind`` (general | dihedral |
-dicyclic | g2), ``factors`` (list of [p, e]), ``s``/``y`` (vectors for the
-general and dicyclic kinds), and ``n``/``s``/``t`` integers for the g2 kind;
-flags override file values.  Exit codes: 0 success, 1 invalid spec, 2
-verification mismatch, 3 resource guard exceeded.  ``sweep`` reports every
-row, with the message of a failed check or of a guard in its ``detail``
-column, and exits 2 if any row mismatched, else 3 if any row hit a guard.
+dicyclic | g2), ``factors`` (list of [p, e]), ``s``/``y`` (integer vectors
+for the general and dicyclic kinds), and ``n``/``s``/``t`` integers for the
+g2 kind; flags override file values, and each kind is built by its one
+constructor in ``terw.groups``.  The parser is built once per process, and
+the parsed arguments are the whole run configuration: the commands read
+``--format``, ``--oracle``, ``--guard`` and ``--out`` from them, and
+``TERW_GUARD`` is read once per call, when ``--guard`` is absent.  Exit
+codes: 0 success, 1 invalid spec, 2 verification mismatch, 3 resource guard
+exceeded.  ``sweep`` reports every row, with the message of a failed check
+or of a guard in its ``detail`` column, and exits 2 if any row mismatched,
+else 3 if any row hit a guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .abelian import canonical_factor_order, make_abelian, make_involution
 from .characters import character_table, elem_json, verify_orthogonality
 from .conjugacy import conjugacy_classes, conjugacy_classes_bruteforce
 from .errors import (
@@ -33,24 +38,35 @@ from .errors import (
     TerwError,
     VerificationFailure,
 )
-from .groups import D2Group, dicyclic, dihedral, g2_group, make_d2
+from .groups import D2Group, dicyclic, dihedral, g2_group, general
 from .limits import DEFAULT_MATRIX_GUARD, MIN_GUARD
-from .scheme import (
-    dim_closed_form,
-    dump_matrices,
-    is_triply_transitive,
-    verify_scheme_axioms,
-)
-from .wedderburn import (
-    MultiplicityVector,
-    verify_central_idempotents,
-    wedderburn_report,
-)
+from .scheme import dump_matrices, is_triply_transitive, verify_scheme_axioms
+from .wedderburn import MultiplicityVector, verify_central_idempotents, wedderburn_report
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
 EXIT_MISMATCH = 2
 EXIT_GUARD = 3
+
+KINDS = ("general", "dihedral", "dicyclic", "g2")
+
+
+def _integer(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidGroupError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value: Any, name: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InvalidGroupError(f"{name} must be a list of integers, got {value!r}")
+    return [_integer(v, name) for v in value]
+
+
+def _factor_pairs(value: Any, name: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(isinstance(f, list) and len(f) == 2 for f in value):
+        raise InvalidGroupError(f"{name} must be a list of [p, e] pairs, got {value!r}")
+    return [_integers(f, name) for f in value]
 
 
 @dataclass
@@ -65,107 +81,59 @@ class GroupSpec:
     t: int | None = None
 
     def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.factors is not None:
-            out["factors"] = self.factors
-        if self.s is not None:
-            out["s"] = self.s
-        if self.y is not None:
-            out["y"] = self.y
-        if self.n is not None:
-            out["n"] = self.n
-        if self.t is not None:
-            out["t"] = self.t
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     @staticmethod
     def from_dict(data: dict) -> "GroupSpec":
         kind = data.get("kind")
-        if kind not in ("general", "dihedral", "dicyclic", "g2"):
+        if kind not in KINDS:
             raise InvalidGroupError(f"unknown kind {kind!r}")
-        spec = GroupSpec(kind=kind)
-        if "factors" in data:
-            spec.factors = [[int(p), int(e)] for p, e in data["factors"]]
-        if "s" in data:
-            spec.s = data["s"]
-        if "y" in data:
-            spec.y = [int(v) for v in data["y"]]
-        if "n" in data:
-            spec.n = int(data["n"])
-        if "t" in data:
-            spec.t = int(data["t"])
-        return spec
+        shapes = {
+            "factors": _factor_pairs,
+            "s": _integer if kind == "g2" else _integers,
+            "y": _integers,
+            "n": _integer,
+            "t": _integer,
+        }
+        return GroupSpec(kind, **{k: shape(data[k], k) for k, shape in shapes.items() if k in data})
 
     def build(self) -> D2Group:
+        factors = [tuple(f) for f in self.factors or ()]
         if self.kind == "dihedral":
-            if not self.factors:
+            if not factors:
                 raise InvalidGroupError("dihedral needs --factors")
-            return dihedral([tuple(f) for f in self.factors])
+            return dihedral(factors)
         if self.kind == "dicyclic":
-            if not self.factors or self.y is None:
+            if not factors or self.y is None:
                 raise InvalidGroupError("dicyclic needs --factors and --y")
-            return dicyclic([tuple(f) for f in self.factors], self.y)
+            return dicyclic(factors, self.y)
         if self.kind == "g2":
             if self.n is None or self.s is None or self.t is None:
                 raise InvalidGroupError("g2 needs --n, --s and --t")
-            return g2_group(self.n, int(self.s), self.t)
-        if not self.factors or self.s is None:
+            return g2_group(self.n, self.s, self.t)
+        if not factors or self.s is None:
             raise InvalidGroupError("general needs --factors and --s")
-        factors = [tuple(f) for f in self.factors]
-        group = make_abelian(factors)
-        # user vectors follow the given factor order; permute along with it
-        perm = canonical_factor_order(factors)
-        if len(self.s) != group.rank:
-            raise InvalidGroupError(f"--s needs {group.rank} coordinates")
-        s = [int(self.s[i]) for i in perm]
-        twist = make_involution(group, s)
-        y = [0] * group.rank
-        if self.y is not None:
-            if len(self.y) != group.rank:
-                raise InvalidGroupError(f"--y needs {group.rank} coordinates")
-            y = [self.y[i] for i in perm]
-        return make_d2(group, twist, y)
-
-
-@dataclass
-class RunConfig:
-    fmt: str = "text"
-    oracle: bool = False
-    guard: int = DEFAULT_MATRIX_GUARD
-    out: str | None = None
-    dump_matrices: str | None = None
-
-    def __post_init__(self):
-        if self.guard < MIN_GUARD:
-            raise InvalidGroupError(f"guard must be >= {MIN_GUARD}")
+        return general(factors, self.s, self.y)
 
 
 # -- parsing -------------------------------------------------------------------
 
 
-def _parse_factors(text: str) -> list[list[int]]:
-    text = text.strip()
-    if text.startswith("["):
-        return [[int(p), int(e)] for p, e in json.loads(text)]
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if "^" in token:
-            p, e = token.split("^")
-            out.append([int(p), int(e)])
-        else:
-            out.append([int(token), 1])
-    return out
+def _parse_factors(text: str) -> list:
+    """[p, e] pairs from "2^2,3"; a JSON list is left for ``from_dict`` to check."""
+    if text.strip().startswith("["):
+        return json.loads(text)
+    pairs = [token.partition("^") for token in text.split(",")]
+    return [[int(p), int(e) if sep else 1] for p, sep, e in pairs]
 
 
-def _parse_int_vector(text: str) -> list[int]:
-    text = text.strip()
-    if text.startswith("["):
-        return [int(v) for v in json.loads(text)]
-    return [int(v) for v in text.split(",")]
+def _parse_int_vector(text: str) -> list:
+    return json.loads(text) if text.strip().startswith("[") else [int(v) for v in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="terw",
         description="Association scheme and Terwilliger-algebra computations "
@@ -176,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, spec_flags: bool = True):
         if spec_flags:
             p.add_argument("--spec", help="JSON file with the group description")
-            p.add_argument("--kind", choices=["general", "dihedral", "dicyclic", "g2"])
+            p.add_argument("--kind", choices=KINDS)
             p.add_argument("--factors", help='factor list, e.g. "2^2,3" or "[[2,2],[3,1]]"')
             p.add_argument("--s", help="twist vector (general) or integer (g2)")
             p.add_argument("--y", help="square of b as an exponent vector")
@@ -217,38 +185,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_spec(args: argparse.Namespace) -> GroupSpec:
     data: dict = {}
-    if getattr(args, "spec", None):
+    if args.spec:
         with open(args.spec) as fh:
             data = json.load(fh)
-    if getattr(args, "kind", None):
+        if not isinstance(data, dict):
+            raise InvalidGroupError("a spec file holds one JSON object")
+    if args.kind:
         data["kind"] = args.kind
-    if getattr(args, "factors", None):
+    if args.factors:
         data["factors"] = _parse_factors(args.factors)
-    if getattr(args, "s", None) is not None:
-        raw = args.s
-        data["s"] = int(raw) if data.get("kind") == "g2" else _parse_int_vector(raw)
-    if getattr(args, "y", None) is not None:
+    if args.s is not None:
+        data["s"] = int(args.s) if data.get("kind") == "g2" else _parse_int_vector(args.s)
+    if args.y is not None:
         data["y"] = _parse_int_vector(args.y)
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         data["n"] = args.n
-    if getattr(args, "t", None) is not None:
+    if args.t is not None:
         data["t"] = args.t
     if "kind" not in data:
         raise InvalidGroupError("no group kind given (flag --kind or spec file)")
     return GroupSpec.from_dict(data)
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    guard = args.guard
-    if guard is None:
-        guard = int(os.environ.get("TERW_GUARD", DEFAULT_MATRIX_GUARD))
-    return RunConfig(
-        fmt=args.fmt,
-        oracle=args.oracle,
-        guard=guard,
-        out=args.out,
-        dump_matrices=getattr(args, "dump_matrices", None),
-    )
 
 
 # -- reports and checks ------------------------------------------------------------
@@ -257,10 +213,10 @@ DIM_KEYS = ("dim_t0", "dim_closed_form", "dim_centralizer", "dim_closure")
 SWEEP_CHECK_FIELDS = (*DIM_KEYS, "triply_transitive", "wedderburn_ok")
 
 
-def _write(body: str, config: RunConfig) -> None:
+def _write(body: str, args: argparse.Namespace) -> None:
     """The one place a report leaves the program: the ``--out`` file or stdout."""
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -278,18 +234,18 @@ def _csv(keys: Sequence[str], rows: Sequence[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: Any, config: RunConfig, text=None, table=None) -> int:
+def _emit(payload: Any, args: argparse.Namespace, text=None, table=None) -> int:
     """Write the payload as ``--format`` asks: compact JSON, ``text(payload)``,
     or the CSV of ``table(payload)``, a (keys, rows) pair."""
-    if config.fmt == "json":
+    if args.fmt == "json":
         body = _json(payload)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         if table is None:
             raise InvalidGroupError("this command has no CSV form")
         body = _csv(*table(payload))
     else:
         body = text(payload)
-    _write(body, config)
+    _write(body, args)
     return EXIT_OK
 
 
@@ -319,9 +275,9 @@ class Checks:
         return [r for r in self.results if not r["ok"]]
 
 
-def _mismatch(head: dict, checks: Checks, config: RunConfig) -> int:
+def _mismatch(head: dict, checks: Checks, args: argparse.Namespace) -> int:
     """Report failed checks, always as JSON."""
-    _write(_json({"mismatch": True, **head, "checks": checks.results, "ok": False}), config)
+    _write(_json({"mismatch": True, **head, "checks": checks.results, "ok": False}), args)
     return EXIT_MISMATCH
 
 
@@ -331,10 +287,10 @@ def _classes_agree(group: D2Group, guard: int) -> None:
         raise OracleMismatch("closed-form and brute-force partitions differ")
 
 
-def _dimensions_agree(group: D2Group, config: RunConfig, into: dict) -> None:
+def _dimensions_agree(group: D2Group, args: argparse.Namespace, into: dict) -> None:
     """Every computed dimension path gives the same value and the
     triple-transitivity verdict holds; the values are stored in ``into``."""
-    report = is_triply_transitive(group, guard=config.guard, need_closure=config.oracle)
+    report = is_triply_transitive(group, guard=args.guard, need_closure=args.oracle)
     into.update(zip(DIM_KEYS, report.as_tuple()), triply_transitive=report.triply_transitive)
     if len({v for v in report.as_tuple() if v is not None}) != 1 or not report.triply_transitive:
         raise OracleMismatch(f"dimension paths disagree: {report.as_tuple()}")
@@ -343,7 +299,7 @@ def _dimensions_agree(group: D2Group, config: RunConfig, into: dict) -> None:
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_info(spec: GroupSpec, config: RunConfig) -> int:
+def cmd_info(spec: GroupSpec, args: argparse.Namespace) -> int:
     group = spec.build()
     fx = group.fixed
     payload = {
@@ -359,21 +315,21 @@ def cmd_info(spec: GroupSpec, config: RunConfig) -> int:
     }
     return _emit(
         payload,
-        config,
+        args,
         lambda p: "".join(f"{k}: {v}\n" for k, v in p.items() if k != "spec"),
         lambda p: ([k for k in p if k != "spec"], [p]),
     )
 
 
-def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
+def cmd_classes(spec: GroupSpec, args: argparse.Namespace) -> int:
     group = spec.build()
     classes = conjugacy_classes(group)
     head = _head(spec, group)
-    if config.oracle:
+    if args.oracle:
         checks = Checks()
-        checks.run("conjugacy_classes", _classes_agree, group, config.guard)
+        checks.run("conjugacy_classes", _classes_agree, group, args.guard)
         if checks.failed:
-            return _mismatch(head, checks, config)
+            return _mismatch(head, checks, args)
     payload = {
         **head,
         "counts": dict(zip(("fixed", "paired", "coset"), classes.counts)),
@@ -388,9 +344,9 @@ def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
             for c in classes
         ],
     }
-    if config.dump_matrices:
-        with open(config.dump_matrices, "w") as fh:
-            fh.write(dump_matrices(group, guard=config.guard))
+    if args.dump_matrices:
+        with open(args.dump_matrices, "w") as fh:
+            fh.write(dump_matrices(group, guard=args.guard))
 
     def text(p):
         lines = [f"{p['name']}: {len(p['classes'])} classes {p['counts']}"]
@@ -402,45 +358,45 @@ def cmd_classes(spec: GroupSpec, config: RunConfig) -> int:
         rows = [{**c, "rep": json.dumps(c["rep"])} for c in p["classes"]]
         return ["index", "kind", "size", "rep"], rows
 
-    return _emit(payload, config, text, table)
+    return _emit(payload, args, text, table)
 
 
-def cmd_chartable(spec: GroupSpec, config: RunConfig) -> int:
+def cmd_chartable(spec: GroupSpec, args: argparse.Namespace) -> int:
     group = spec.build()
     table = character_table(group)
-    if config.oracle:
+    if args.oracle:
         checks = Checks()
         checks.run("orthogonality", verify_orthogonality, table)
         if checks.failed:
-            return _mismatch(_head(spec, group), checks, config)
-    if config.fmt == "json":
-        return _emit({"spec": spec.to_dict(), "name": group.name, **table.to_json_dict()}, config)
-    _write(table.to_csv() if config.fmt == "csv" else table.to_text() + "\n", config)
+            return _mismatch(_head(spec, group), checks, args)
+    if args.fmt == "json":
+        return _emit({"spec": spec.to_dict(), "name": group.name, **table.to_json_dict()}, args)
+    _write(table.to_csv() if args.fmt == "csv" else table.to_text() + "\n", args)
     return EXIT_OK
 
 
-def cmd_dims(spec: GroupSpec, config: RunConfig) -> int:
+def cmd_dims(spec: GroupSpec, args: argparse.Namespace) -> int:
     group = spec.build()
     payload = _head(spec, group)
     checks = Checks()
-    checks.run("dimensions", _dimensions_agree, group, config, payload)
+    checks.run("dimensions", _dimensions_agree, group, args, payload)
     if checks.failed:
-        return _mismatch(payload, checks, config)
+        return _mismatch(payload, checks, args)
     keys = (*DIM_KEYS, "triply_transitive")
     return _emit(
         payload,
-        config,
+        args,
         lambda p: f"{p['name']}: " + ", ".join(f"{k}={p[k]}" for k in keys) + "\n",
         lambda p: (["name", "order", *keys], [p]),
     )
 
 
-def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
+def cmd_wedderburn(spec: GroupSpec, args: argparse.Namespace) -> int:
     group = spec.build()
     checks = Checks()
     report = checks.run("wedderburn", wedderburn_report, group)
     if checks.failed:
-        return _mismatch(_head(spec, group), checks, config)
+        return _mismatch(_head(spec, group), checks, args)
     payload = {"spec": spec.to_dict(), **report.to_json_dict()}
 
     def text(p):
@@ -454,38 +410,38 @@ def cmd_wedderburn(spec: GroupSpec, config: RunConfig) -> int:
         return "\n".join(lines) + "\n"
 
     return _emit(
-        payload, config, text, lambda p: (["label", "degree", "multiplicity"], p["characters"])
+        payload, args, text, lambda p: (["label", "degree", "multiplicity"], p["characters"])
     )
 
 
-def cmd_verify(spec: GroupSpec, config: RunConfig) -> int:
-    config = replace(config, oracle=True)
+def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
+    args.oracle = True
     group = spec.build()
     checks = Checks()
-    checks.run("conjugacy_classes", _classes_agree, group, config.guard)
-    checks.run("scheme_axioms", verify_scheme_axioms, group, guard=config.guard)
+    checks.run("conjugacy_classes", _classes_agree, group, args.guard)
+    checks.run("scheme_axioms", verify_scheme_axioms, group, guard=args.guard)
     table = character_table(group)
     checks.run("orthogonality", verify_orthogonality, table)
-    checks.run("dimensions", _dimensions_agree, group, config, {})
+    checks.run("dimensions", _dimensions_agree, group, args, {})
     report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:
         inner = MultiplicityVector(report.labels, report.inner_product)
         checks.run(
-            "central_idempotents", verify_central_idempotents, group, table, inner, config.guard
+            "central_idempotents", verify_central_idempotents, group, table, inner, args.guard
         )
     head = _head(spec, group)
     if checks.failed:
-        return _mismatch(head, checks, config)
+        return _mismatch(head, checks, args)
 
     def text(p):
         lines = [f"{p['name']}: all {len(p['checks'])} checks passed"]
         lines.extend(f"  ok {c['check']}" for c in p["checks"])
         return "\n".join(lines) + "\n"
 
-    return _emit({**head, "checks": checks.results, "ok": True}, config, text)
+    return _emit({**head, "checks": checks.results, "ok": True}, args, text)
 
 
-def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = (int(v) for v in args.range.split(":"))
     rows = []
     mismatched = guarded = False
@@ -501,7 +457,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
         }
         checks, guard_hit = Checks(), []
         try:
-            checks.run("dimensions", _dimensions_agree, group, config, row)
+            checks.run("dimensions", _dimensions_agree, group, args, row)
             row["wedderburn_ok"] = checks.run("wedderburn", wedderburn_report, group) is not None
         except GuardExceededError as exc:
             row.update(dict.fromkeys(SWEEP_CHECK_FIELDS))
@@ -515,7 +471,7 @@ def cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     def table(payload):
         return (list(payload[0]) if payload else []), payload
 
-    _emit(rows, config, lambda payload: _csv(*table(payload)), table)
+    _emit(rows, args, lambda payload: _csv(*table(payload)), table)
     return EXIT_MISMATCH if mismatched else EXIT_GUARD if guarded else EXIT_OK
 
 
@@ -532,8 +488,7 @@ def _sweep_specs(kind: str, lo: int, hi: int) -> list[GroupSpec]:
             if n % 2:
                 continue
             factors = [[p, e] for p, e in factorize(n)]
-            group = make_abelian([tuple(f) for f in factors])
-            y = [(m // 2 if m % 2 == 0 else 0) for m in group.moduli]
+            y = [p**e // 2 if p == 2 else 0 for p, e in factors]
             specs.append(GroupSpec(kind="dicyclic", factors=factors, y=y))
     else:
         for n, s, t in g2_parameter_triples(hi):
@@ -543,12 +498,14 @@ def _sweep_specs(kind: str, lo: int, hi: int) -> list[GroupSpec]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config(args)
+        if args.guard is None:
+            args.guard = int(os.environ.get("TERW_GUARD", DEFAULT_MATRIX_GUARD))
+        if args.guard < MIN_GUARD:
+            raise InvalidGroupError(f"guard must be >= {MIN_GUARD}")
         if args.command == "sweep":
-            return cmd_sweep(args, config)
+            return cmd_sweep(args)
         spec = _load_spec(args)
         handler = {
             "info": cmd_info,
@@ -558,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "wedderburn": cmd_wedderburn,
             "verify": cmd_verify,
         }[args.command]
-        return handler(spec, config)
+        return handler(spec, args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

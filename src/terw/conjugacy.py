@@ -205,23 +205,21 @@ def class_products(group: D2Group, i: int, j: int) -> set[int]:
 
 
 def structure_tensor(group: D2Group) -> np.ndarray:
-    """Full tensor p[i, j, k], computed from product distributions.
+    """Full tensor p[i, j, k]: the number of pairs (u, v) in class i x
+    class j with v*u = y_k, for the representative y_k of class k.
 
-    (N_i N_j)(x, y) counts factorizations y*x^-1 = v*u with u in class i and
-    v in class j, so p[i, j, k] is that count at any representative of class k.
+    Each u gives exactly one v = y_k * u^-1, so one pass over G per class
+    counts p[:, :, k], by the rule ``structure_constant`` uses and with
+    ``group.mul`` and ``group.inv`` only, not the tables.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
-    p = np.zeros((ell, ell, ell), dtype=np.int64)
-    for i in range(ell):
-        for j in range(ell):
-            dist: dict[D2Elem, int] = {}
-            for v in classes[j].elements:
-                for u in classes[i].elements:
-                    w = group.mul(v, u)
-                    dist[w] = dist.get(w, 0) + 1
-            for k in range(ell):
-                p[i, j, k] = dist.get(classes[k].rep, 0)
+    inverses = [group.inv(u) for u in group.elements()]
+    first = classes.labels.astype(np.int64) * ell  # class of u, by element index
+    p = np.empty((ell, ell, ell), dtype=np.int64)
+    for k, cls in enumerate(classes):
+        second = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
+        p[:, :, k] = np.bincount(first + second, minlength=ell * ell).reshape(ell, ell)
     return p
 
 

@@ -9,10 +9,11 @@ multiplication is
                                (beta + beta') mod 2),
 
 the [..] term injecting b^2 = y exactly when two b's meet.  The named
-constructors cover the three classical families: generalized dihedral
-(f = inversion, y = 0), generalized dicyclic (f = inversion, y of order 2),
-and the order-2n extensions of a cyclic group, which are stored internally
-in prime-power coordinates via the Chinese remainder theorem.
+constructors are one per group kind: ``general`` (any diagonal twist f and
+fixed point y), generalized dihedral (f = inversion, y = 0), generalized
+dicyclic (f = inversion, y of order 2), and the order-2n extensions of a
+cyclic group, which are stored internally in prime-power coordinates via
+the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .abelian import (
     make_abelian,
     make_involution,
 )
-from .errors import BadDicyclicYError, BadG2ParamsError, YNotFixedError
+from .errors import BadDicyclicYError, BadG2ParamsError, DimensionMismatchError, YNotFixedError
 
 D2Elem = tuple[AbElem, int]
 
@@ -154,12 +155,32 @@ def make_d2(abelian: AbelianGroup, twist: Involution, square: Sequence[int]) -> 
     return D2Group(abelian, twist, square)
 
 
+def _in_canonical_order(
+    factor_list: Sequence[tuple[int, int]], vec: Sequence[int], name: str
+) -> list[int]:
+    """``vec``, whose coordinates follow the given factor order, permuted
+    along with the factors into the order ``make_abelian`` puts them in."""
+    if len(vec) != len(factor_list):
+        raise DimensionMismatchError(f"--{name} needs {len(factor_list)} coordinates")
+    return [vec[i] for i in canonical_factor_order(factor_list)]
+
+
+def general(
+    factor_list: Sequence[tuple[int, int]], s: Sequence[int], y: Sequence[int] | None = None
+) -> D2Group:
+    """Extension by the diagonal twist t_i -> s_i * t_i with b^2 = y (default
+    the identity).  The coordinates of s and y follow the given factor order."""
+    group = make_abelian(factor_list)
+    twist = make_involution(group, _in_canonical_order(factor_list, s, "s"))
+    square = group.identity if y is None else _in_canonical_order(factor_list, y, "y")
+    return D2Group(group, twist, square)
+
+
 def dihedral(factor_list: Sequence[tuple[int, int]]) -> D2Group:
     """Generalized dihedral group: f = inversion, b^2 = identity."""
     group = make_abelian(factor_list)
     twist = make_involution(group, [m - 1 for m in group.moduli])
-    d2 = D2Group(group, twist, group.identity, name=f"Dih({group.describe()})")
-    return d2
+    return D2Group(group, twist, group.identity, name=f"Dih({group.describe()})")
 
 
 def dicyclic(factor_list: Sequence[tuple[int, int]], y: Sequence[int]) -> D2Group:
@@ -169,10 +190,7 @@ def dicyclic(factor_list: Sequence[tuple[int, int]], y: Sequence[int]) -> D2Grou
     along with the factors during canonicalization.
     """
     group = make_abelian(factor_list)
-    if len(y) != len(factor_list):
-        y_red = group.reduce(y)  # let reduce raise the dimension error
-    perm = canonical_factor_order(factor_list)
-    y_red = group.reduce([y[i] for i in perm])
+    y_red = group.reduce(_in_canonical_order(factor_list, y, "y"))
     if y_red == group.identity or any((2 * t) % m != 0 for t, m in zip(y_red, group.moduli)):
         raise BadDicyclicYError(f"{list(y_red)} does not have order exactly 2")
     if group.lam != 1:
@@ -226,9 +244,7 @@ def g2_group(n: int, s: int, t: int) -> D2Group:
     group = make_abelian(factorize(n))
     twist = make_involution(group, [s % m for m in group.moduli])
     y = tuple(t % m for m in group.moduli)
-    d2 = D2Group(group, twist, y, name=f"G2(n={n}, s={s}, t={t})")
-    d2.g2_params = (n, s, t)
-    return d2
+    return D2Group(group, twist, y, name=f"G2(n={n}, s={s}, t={t})")
 
 
 T = TypeVar("T")

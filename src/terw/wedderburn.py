@@ -150,7 +150,7 @@ def multiplicities_closed_form(group: D2Group) -> MultiplicityVector:
         else:
             val = d if all(k % di == 0 for k, di in zip(label.j_vec, d_vec)) else 0
         values.append(val)
-    return MultiplicityVector(labels=tuple(labels), values=tuple(values))
+    return MultiplicityVector(labels=labels, values=tuple(values))
 
 
 # -- central idempotents ------------------------------------------------------

@@ -19,7 +19,7 @@ from terw import (
     make_abelian,
     make_involution,
 )
-from terw.abelian import square_roots_of_unity
+from terw.abelian import AbelianGroup, square_roots_of_unity
 
 
 def brute_fixed_set(group, twist):
@@ -68,6 +68,14 @@ def test_dimension_mismatch():
     g = make_abelian([(2, 2)])
     with pytest.raises(DimensionMismatchError):
         g.mul((1, 0), (1,))
+
+
+def test_moduli_are_built_once_and_kept_out_of_equality():
+    g = make_abelian([(3, 1), (2, 2)])
+    assert g.moduli is g.moduli == (4, 3)
+    h = AbelianGroup(factors=g.factors)
+    assert "moduli" in vars(g) and "moduli" not in vars(h)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
 
 def test_enumeration_roundtrip():

@@ -58,6 +58,12 @@ def test_label_counts(s3, d4, sd16):
         assert len(labels) == len(conjugacy_classes(group))
 
 
+def test_labels_are_built_once_and_shared(sd16):
+    labels = character_labels(sd16)
+    assert isinstance(labels, tuple) and character_labels(sd16) is labels
+    assert character_table(sd16).labels is labels
+
+
 def test_degree_identity():
     for group in [dihedral([(2, 1), (3, 1)]), g2_group(9, 8, 0), dihedral([(2, 2), (2, 1)])]:
         labels = character_labels(group)

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 
+import pytest
+
 from terw import MultiplicityMismatch, OrthogonalityFailure, cli
 from terw.cli import (
     EXIT_GUARD,
@@ -222,6 +224,60 @@ def test_guard_env_var(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert json.loads(out)["dim_closure"] is None
+
+
+def test_guard_env_var_is_read_on_every_call(capsys, monkeypatch):
+    argv = ("dims", "--kind", "dihedral", "--factors", "2^4", "--format", "json")
+    monkeypatch.setenv("TERW_GUARD", "16")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)["dim_closure"] is None
+    monkeypatch.setenv("TERW_GUARD", "32")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)["dim_closure"] == json.loads(out)["dim_t0"]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for command in ("info", "dims", "info"):
+        assert run_cli(capsys, command, "--kind", "dihedral", "--factors", "3")[0] == EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "general", "factors": [[3, 1]], "s": 2},
+        {"kind": "dicyclic", "factors": [[2, 2]], "y": 2},
+        {"kind": "dihedral", "factors": 5},
+        {"kind": "g2", "n": 8, "s": [3], "t": 0},
+        [{"kind": "dihedral", "factors": [[3, 1]]}],
+    ],
+)
+def test_malformed_spec_file_is_one_error_line(tmp_path, capsys, spec):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    kind = spec["kind"] if isinstance(spec, dict) else "dihedral"
+    code, out, err = run_cli(capsys, "info", "--spec", str(spec_file), "--kind", kind)
+    assert code == EXIT_INVALID_SPEC and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_json_flags_are_one_error_line(capsys):
+    for flags in (["--factors", "[5]"], ["--factors", "[[3, 1]]", "--s", "[[2]]"]):
+        code, _, err = run_cli(capsys, "info", "--kind", "general", *flags)
+        assert code == EXIT_INVALID_SPEC
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+
+
+def test_wrong_length_s_exits_1_with_its_message(capsys):
+    code, _, err = run_cli(
+        capsys, "info", "--kind", "general", "--factors", "3,2^2", "--s", "2"
+    )
+    assert code == EXIT_INVALID_SPEC
+    assert err == "error: --s needs 2 coordinates\n"
 
 
 def test_guard_minimum(capsys):

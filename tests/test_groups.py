@@ -5,19 +5,24 @@ from itertools import product
 
 import pytest
 
+import numpy as np
+
 from terw import (
     BadDicyclicYError,
     BadG2ParamsError,
     D2Group,
+    InvalidGroupError,
     NonUniqueInvolutionWarning,
     YNotFixedError,
     dicyclic,
     dihedral,
     g2_group,
+    general,
     make_abelian,
     make_d2,
     make_involution,
 )
+from terw.groups import index_tables
 
 
 def check_group_axioms(group, max_triples=10_000, seed=3):
@@ -116,6 +121,29 @@ def test_dicyclic_rejects_bad_y():
         dicyclic([(2, 2)], [1])
     with pytest.raises(BadDicyclicYError):
         dicyclic([(2, 2)], [0])
+
+
+def test_general_vectors_follow_the_given_factor_order():
+    # s and y list C3 first; the group stores C4 first, and the vectors move with it
+    given = general([(3, 1), (2, 2)], [1, 3], [0, 2])
+    canonical = general([(2, 2), (3, 1)], [3, 1], [2, 0])
+    assert given.name == canonical.name == "D2(C4 x C3; s=[3, 1]; y=[2, 0])"
+    for a, b in zip(index_tables(given), index_tables(canonical)):
+        np.testing.assert_array_equal(a, b)
+    assert general([(3, 1), (2, 2)], [2, 3]).square == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: general([(3, 1), (2, 2)], [2]), "--s needs 2 coordinates"),
+        (lambda: general([(3, 1), (2, 2)], [2, 3], [0]), "--y needs 2 coordinates"),
+        (lambda: dicyclic([(2, 2)], [2, 0]), "--y needs 1 coordinates"),
+    ],
+)
+def test_wrong_length_vector_is_invalid(build, message):
+    with pytest.raises(InvalidGroupError, match=f"^{message}$"):
+        build()
 
 
 def test_dicyclic_warns_on_non_unique_involution():

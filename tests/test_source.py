@@ -49,3 +49,20 @@ def test_integrality_is_decided_without_a_tolerance():
         or (isinstance(node, ast.FunctionDef) and node.name == "is_zero_exact")
     ]
     assert not found, f"tolerant integrality or is_zero_exact in the library: {found}"
+
+
+def test_only_the_command_line_reads_the_environment():
+    # run settings arrive as arguments; the library has no hidden configuration
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names)
+        )
+    ]
+    assert not found, f"environment read outside cli.py: {found}"
