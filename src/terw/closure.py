@@ -19,6 +19,17 @@ sparse operator applications, and the orbit count is a hard ceiling for the
 dimension (reaching it certifies equality with the centralizer algebra and
 closure in one step).
 
+With the dual idempotents among the generators, the algebra T is the direct
+sum of its blocks E*_a T E*_b (Terwilliger, J. Algebraic Combin. 1, 1992),
+and the orbit with representative (u, v) lies in block (class of u, class of
+v).  Every generated vector is then split into its block parts, and each
+part is ranked in its block's own basis, capped at the block's orbit count;
+a part whose block is full is skipped.  Multiplying by an E*_i keeps or drops
+whole parts, so only the scheme matrices act as operators, and these are
+built only when a round leaves a block below its cap: for the groups here
+the sandwiches E*_a N_j E*_b of round 0 already fill every block.  Without
+the dual idempotents the same search runs with all orbits in one block.
+
 Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
 It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
 each row primitive instead of dividing by the previous pivot; no rational
@@ -228,51 +239,66 @@ def _gather_operator(sources: np.ndarray) -> Operator:
     return apply
 
 
-def _mask_operator(keep: np.ndarray) -> Operator:
-    allowed = set(int(i) for i in np.nonzero(keep)[0])
-
-    def apply(vec: SparseVec) -> SparseVec:
-        return {c: v for c, v in vec.items() if c in allowed}
-
-    return apply
+def scheme_operators(group: D2Group) -> list[Operator]:
+    """The operators that multiply by each scheme matrix N_j, on the left and
+    then on the right, in orbit coordinates."""
+    classes = conjugacy_classes(group)
+    orb = conjugation_orbitals(group)
+    rep_u, rep_v = np.array(orb.reps).T
+    mult, inv = index_tables(group)
+    operators: list[Operator] = []
+    for j in range(len(classes)):
+        elems = np.flatnonzero(classes.labels == j)
+        # (N_j X)(u, v) = sum over c in class j of X(c*u, v)
+        operators.append(_gather_operator(orb.labels[mult[np.ix_(elems, rep_u)], rep_v]))
+        # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
+        operators.append(_gather_operator(orb.labels[rep_u, mult[np.ix_(inv[elems], rep_v)]]))
+    return operators
 
 
 def terwilliger_generator_coords(
     group: D2Group, include_scheme: bool = True, include_dual: bool = True
-) -> tuple[list[SparseVec], list[Operator]]:
+) -> tuple[list[SparseVec], np.ndarray | None]:
     """Orbit coordinates of the scheme matrices and of the dual idempotents
-    (either family may be left out), and the operators that multiply by them
-    on the left and on the right."""
+    (either family may be left out), and the block of each orbit.
+
+    The block of the orbit with rep (u, v) is class(u) * l + class(v), the
+    E*_a T E*_b it lies in.  Blocks are returned only with the dual
+    idempotents: without them the algebra need not split.
+    """
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
     rep_u, rep_v = np.array(orb.reps).T
     row_class = classes.labels[rep_u]  # class of u at each orbit rep (u, v)
-    col_class = classes.labels[rep_v]
     vectors: list[SparseVec] = []
-    operators: list[Operator] = []
     if include_scheme:
-        mult, inv = index_tables(group)
         rel = class_index_table(group)[rep_u, rep_v]  # class of v*u^-1
         for j in range(len(classes)):
-            vectors.append({int(c): 1 for c in np.flatnonzero(rel == j)})
-            elems = np.flatnonzero(classes.labels == j)
-            # (N_j X)(u, v) = sum over c in class j of X(c*u, v)
-            operators.append(_gather_operator(orb.labels[mult[np.ix_(elems, rep_u)], rep_v]))
-            # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
-            operators.append(
-                _gather_operator(orb.labels[rep_u, mult[np.ix_(inv[elems], rep_v)]])
-            )
-    if include_dual:
-        diag_class = np.where(rep_u == rep_v, row_class, -1)  # -1 off the diagonal
-        for i in range(len(classes)):
-            vectors.append({int(c): 1 for c in np.flatnonzero(diag_class == i)})
-            operators.append(_mask_operator(row_class == i))
-            operators.append(_mask_operator(col_class == i))
-    return vectors, operators
+            vectors.append(dict.fromkeys(np.flatnonzero(rel == j).tolist(), 1))
+    if not include_dual:
+        return vectors, None
+    diag_class = np.where(rep_u == rep_v, row_class, -1)  # -1 off the diagonal
+    for i in range(len(classes)):
+        vectors.append(dict.fromkeys(np.flatnonzero(diag_class == i).tolist(), 1))
+    return vectors, row_class * len(classes) + classes.labels[rep_v]
+
+
+def _block_parts(vec: SparseVec, block_of: list[int] | None) -> Iterable[tuple[int, SparseVec]]:
+    """The nonzero parts of vec, one per block, with their block ids."""
+    if block_of is None:
+        return [(0, vec)] if vec else []
+    parts: dict[int, SparseVec] = {}
+    for col, val in vec.items():
+        if val:
+            parts.setdefault(block_of[col], {})[col] = val
+    return parts.items()
 
 
 def closure_dim_in_orbit_coords(
-    vectors: list[SparseVec], operators: list[Operator], cap: int
+    vectors: list[SparseVec],
+    operators: Callable[[], Sequence[Operator]],
+    cap: int,
+    blocks: np.ndarray | None = None,
 ) -> int:
     """Exact breadth-first closure dimension in orbit coordinates.
 
@@ -280,19 +306,38 @@ def closure_dim_in_orbit_coords(
     the round before.  ``cap`` is the orbit count: since every product stays
     constant on orbits, a rank that reaches it proves closure without
     generating more products.
+
+    ``blocks`` gives the block of each coordinate, for an algebra that holds
+    the projection onto each block: every vector is then split into its
+    block parts and each part is ranked in its block's own basis, capped at
+    the block's coordinate count, and a part whose block is full is
+    skipped.  Without ``blocks`` all coordinates form one block.
+    ``operators`` is called at most once, when a round ends with a block
+    below its cap.
     """
-    basis = SparseRationalBasis()
+    if blocks is None:
+        block_of, caps = None, [cap]
+    else:
+        block_of, caps = blocks.tolist(), np.bincount(blocks).tolist()
+    bases = [SparseRationalBasis() for _ in caps]
+    rank = 0
+    ops: Sequence[Operator] | None = None
     batch: Iterable[SparseVec] = vectors
     while True:
         frontier = []
         for vec in batch:
-            if vec and basis.insert(vec):
-                if basis.dimension == cap:
-                    return cap
-                frontier.append(vec)
+            for block, part in _block_parts(vec, block_of):
+                basis = bases[block]
+                if basis.dimension < caps[block] and basis.insert(part):
+                    rank += 1
+                    if rank == cap:
+                        return cap
+                    frontier.append(part)
         if not frontier:
-            return basis.dimension
-        batch = (op(vec) for vec in frontier for op in operators)
+            return rank
+        if ops is None:
+            ops = operators()
+        batch = (op(vec) for vec in frontier for op in ops)
 
 
 def terwilliger_closure_dim(
@@ -309,7 +354,15 @@ def terwilliger_closure_dim(
     """
     check_guard(group.order, guard, "the closure path")
     _assert_conjugation_invariant(class_index_table(group), conjugation_perms(group))
-    vectors, operators = terwilliger_generator_coords(group, include_scheme, include_dual)
+    vectors, blocks = terwilliger_generator_coords(group, include_scheme, include_dual)
     if not vectors:
         raise ValueError("need at least one family of generators")
-    return closure_dim_in_orbit_coords(vectors, operators, cap=conjugation_orbitals(group).count)
+
+    def operators() -> list[Operator]:
+        # multiplying by E*_i keeps or drops whole block parts, so only the
+        # scheme matrices need operators
+        return scheme_operators(group) if include_scheme else []
+
+    return closure_dim_in_orbit_coords(
+        vectors, operators, cap=conjugation_orbitals(group).count, blocks=blocks
+    )

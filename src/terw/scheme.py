@@ -169,8 +169,6 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     over Q with the exact basis of the closure module, stopping early if the
     rank reaches the count of nonzero sandwiches.
     """
-    classes = conjugacy_classes(group)
-    ell = len(classes)
     if strategy == "triples":
         # distinct codes counted by sorting: np.unique's hashing is slower
         # here, and a bincount would need l^3 bins
@@ -179,23 +177,25 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")
     check_guard(group.order, guard, "the span path")
-    order = group.order
-    table = class_index_table(group)
-    row_class = classes.labels
-    vectors = []
-    for i in range(ell):
-        rows = np.nonzero(row_class == i)[0]
-        for k in range(ell):
-            cols = np.nonzero(row_class == k)[0]
-            block = table[np.ix_(rows, cols)]
-            for j in range(ell):
-                rr, cc = np.nonzero(block == j)
-                if rr.size:
-                    vectors.append(
-                        {int(rows[a] * order + cols[b]): 1 for a, b in zip(rr, cc)}
-                    )
+    vectors = sandwich_vectors(group)
     # with no operators the closure is the span of the vectors
-    return closure_dim_in_orbit_coords(vectors, [], cap=len(vectors))
+    return closure_dim_in_orbit_coords(vectors, lambda: [], cap=len(vectors))
+
+
+def sandwich_vectors(group: D2Group) -> list[dict[int, int]]:
+    """The nonzero sandwiches E*_i N_j E*_k, flattened over u * |G| + v, in
+    order of (i, k, j).
+
+    One stable sort of the codes (class(u) * l + class(v)) * l + D[u, v]
+    groups the flat indices, each group in increasing order.
+    """
+    classes = conjugacy_classes(group)
+    labels, ell = classes.labels.astype(np.int64), len(classes)
+    table = class_index_table(group)
+    codes = ((labels[:, None] * ell + labels[None, :]) * ell + table).ravel()
+    order = np.argsort(codes, kind="stable")
+    bounds = np.flatnonzero(np.diff(codes[order])) + 1
+    return [dict.fromkeys(chunk.tolist(), 1) for chunk in np.split(order, bounds)]
 
 
 def dim_centralizer(group: D2Group, strategy: str = "formula") -> int:

@@ -4,9 +4,10 @@ The scheme-axiom and central-idempotent references work on explicit
 |G| x |G| matrices: the axioms by one einsum over all pairs of scheme
 matrices (l^2 |G|^3 work), the idempotents by products of the dense e_j and
 a loop over the orbits for each block trace.  The library checks the same
-identities without dense products.  The rank reference eliminates over
-``Fraction``, where the library keeps primitive integer rows.  The tests
-compare each pair on small inputs.
+identities without dense products.  The sandwich reference loops over the
+l^3 class triples, where the library sorts one code array.  The rank
+reference eliminates over ``Fraction``, where the library keeps primitive
+integer rows.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ import numpy as np
 
 from terw import AxiomFailure, IdempotencyFailure, adjacency_matrices, central_idempotent
 from terw.closure import conjugation_orbitals
-from terw.conjugacy import structure_tensor
+from terw.conjugacy import class_index_table, conjugacy_classes, structure_tensor
 
 
 def dense_scheme_axioms(group, matrices=None):
@@ -87,6 +88,25 @@ def dense_block_dims(group, table, multiplicities, tol=1e-9):
             raise IdempotencyFailure(f"block of e_{j} has dimension {dim:.6f}, expected {target}")
         dims.append(target)
     return tuple(dims)
+
+
+def loop_sandwich_vectors(group):
+    """The nonzero sandwiches E*_i N_j E*_k flattened over u * |G| + v, one
+    np.nonzero per class triple, in order of (i, k, j)."""
+    classes = conjugacy_classes(group)
+    ell, order = len(classes), group.order
+    table = class_index_table(group)
+    vectors = []
+    for i in range(ell):
+        rows = np.nonzero(classes.labels == i)[0]
+        for k in range(ell):
+            cols = np.nonzero(classes.labels == k)[0]
+            block = table[np.ix_(rows, cols)]
+            for j in range(ell):
+                rr, cc = np.nonzero(block == j)
+                if rr.size:
+                    vectors.append({int(rows[a] * order + cols[b]): 1 for a, b in zip(rr, cc)})
+    return vectors
 
 
 class FractionBasis:

@@ -176,6 +176,17 @@ def test_verify_command(capsys):
     }
 
 
+def test_verify_dih_c128_within_a_raised_guard(capsys):
+    # |G| = 256: the closure ranks 8584 orbits in blocks
+    code, out, _ = run_cli(
+        capsys, "verify", "--kind", "dihedral", "--factors", "2^7", "--guard", "256",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 6 and all(c["ok"] for c in checks)
+
+
 def test_verify_above_guard_exits_3(capsys):
     code, _, _ = run_cli(
         capsys, "verify", "--kind", "dihedral", "--factors", "2^2,3^2", "--guard", "32"

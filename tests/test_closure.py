@@ -1,12 +1,15 @@
 """Algebra-closure oracles: generic flattened path vs orbit-coordinate path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from dense_reference import FractionBasis, fraction_closure_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import terw.closure
 
 from terw import (
     GuardExceededError,
@@ -27,8 +30,12 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
+    conjugation_perms,
+    scheme_operators,
     terwilliger_generator_coords,
 )
+from terw.conjugacy import class_index_table
+from terw.instances import random_general_instances
 
 
 def test_scalar_algebra():
@@ -118,7 +125,7 @@ def test_orbital_labels_partition(d4):
 
 
 def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
-    # generator vectors and operators in orbit coordinates against the dense
+    # generator vectors, scheme operators and orbit blocks against the dense
     # matrices and their products with an orbit-constant X
     abelian = make_abelian([(2, 1), (3, 1)])
     general = make_d2(abelian, make_involution(abelian, [1, 2]), [0, 0])
@@ -126,15 +133,61 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
         orb = conjugation_orbitals(group)
         u, v = np.array(orb.reps).T
         x = np.random.default_rng(0).integers(-3, 4, orb.count)[orb.labels]
-        products = []
-        for gen in adjacency_matrices(group) + dual_idempotents(group):
-            products += [gen @ x, x @ gen]
-        vectors, operators = terwilliger_generator_coords(group)
-        gens = adjacency_matrices(group) + dual_idempotents(group)
-        assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in gens]
-        for op, prod in zip(operators, products, strict=True):
+        scheme, duals = adjacency_matrices(group), dual_idempotents(group)
+        vectors, blocks = terwilliger_generator_coords(group)
+        assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in scheme + duals]
+        products = [prod for gen in scheme for prod in (gen @ x, x @ gen)]
+        for op, prod in zip(scheme_operators(group), products, strict=True):
             expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
             assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
+        # E*_a X E*_b keeps exactly the orbits of block (a, b)
+        ell = len(duals)
+        for a, b in np.ndindex(ell, ell):
+            kept = np.where(blocks == a * ell + b, x[u, v], 0)
+            assert np.array_equal((duals[a] @ x @ duals[b])[u, v], kept)
+
+
+def test_scheme_closure_has_no_blocks(s3):
+    vectors, blocks = terwilliger_generator_coords(s3, include_dual=False)
+    assert blocks is None
+    assert vectors == terwilliger_generator_coords(s3)[0][: len(vectors)]
+
+
+def test_full_closure_never_builds_the_operators(monkeypatch):
+    # the sandwiches fill every block in round 0, so no product is formed
+    def unused(sources):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(terw.closure, "_gather_operator", unused)
+    for group in (dihedral([(2, 4)]), *random_general_instances(1, 64, seed=1010)):
+        assert terwilliger_closure_dim(group) == centralizer_orbit_count(group)
+
+
+def test_scheme_closure_builds_the_operators_once(s3, sd16, monkeypatch):
+    built = []
+    original = terw.closure.scheme_operators
+
+    def counted(group):
+        built.append(group)
+        return original(group)
+
+    monkeypatch.setattr(terw.closure, "scheme_operators", counted)
+    for group in (s3, sd16):
+        assert terwilliger_closure_dim(group, include_dual=False) == len(conjugacy_classes(group))
+    assert built == [s3, sd16]
+
+
+def test_closure_peak_memory_on_dih_c128():
+    group = dihedral([(2, 7)])  # |G| = 256, 8584 orbits
+    for build in (conjugation_perms, conjugation_orbitals, conjugacy_classes, class_index_table):
+        build(group)
+    tracemalloc.start()
+    try:
+        assert terwilliger_closure_dim(group, guard=256) == 8584
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_closure_guard(sd16):
@@ -159,14 +212,14 @@ def test_conjugation_invariance_failure_is_typed(s3):
 
 
 def test_vector_that_vanishes_mod_a_prime_has_rank_one():
-    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], [], cap=1) == 1
+    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], lambda: [], cap=1) == 1
 
 
 def test_int64_entries_whose_products_overflow_keep_the_exact_rank():
     # reducing the second vector computes 0 - 2^32 * 2^32 = -2^64, which is 0
     # in int64 arithmetic; the vectors are independent over Q
     vectors = [{0: np.int64(1), 1: np.int64(2**32)}, {0: np.int64(2**32)}]
-    assert closure_dim_in_orbit_coords(vectors, [], cap=3) == 2
+    assert closure_dim_in_orbit_coords(vectors, lambda: [], cap=3) == 2
 
 
 def assert_rows_primitive(basis):
@@ -243,9 +296,29 @@ def test_closure_rank_equals_fraction_reference(problem):
     # reference may search to exhaustion
     vectors, matrices, cap = problem
     operators = [sparse_operator(m) for m in matrices]
-    assert closure_dim_in_orbit_coords(vectors, operators, cap) == fraction_closure_rank(
+    assert closure_dim_in_orbit_coords(vectors, lambda: operators, cap) == fraction_closure_rank(
         vectors, operators
     )
+
+
+def projection(blocks, block):
+    def apply(vec):
+        return {col: val for col, val in vec.items() if val and blocks[col] == block}
+
+    return apply
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_problems(), st.data())
+def test_split_closure_equals_fraction_reference_with_projections(problem, data):
+    # ranking block parts separately is the closure of the same vectors under
+    # the operators and the projection onto each block
+    vectors, matrices, cap = problem
+    blocks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=cap, max_size=cap)))
+    operators = [sparse_operator(m) for m in matrices]
+    projections = [projection(blocks, b) for b in np.unique(blocks)]
+    got = closure_dim_in_orbit_coords(vectors, lambda: operators, cap, blocks=blocks)
+    assert got == fraction_closure_rank(vectors, operators + projections)
 
 
 @settings(max_examples=300, deadline=None)

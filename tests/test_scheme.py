@@ -21,10 +21,10 @@ from terw import (
     verify_scheme_axioms,
 )
 from terw.instances import random_general_instances
-from terw.scheme import dump_matrices
+from terw.scheme import dump_matrices, sandwich_vectors
 
 import dense_reference
-from dense_reference import dense_scheme_axioms
+from dense_reference import dense_scheme_axioms, loop_sandwich_vectors
 
 SEEDED = random_general_instances(6, 64, seed=606)
 
@@ -216,6 +216,15 @@ def test_named_dimension_values(s3, d4, q8, sd16):
         assert dim_t0(group) == want
         assert dim_t0(group, strategy="span") == want
         assert dim_closed_form(group) == want
+
+
+def test_sandwich_vectors_equal_the_triple_loop(s3, d4, q8, sd16):
+    # same vectors, same order, and each vector's keys in increasing order
+    for group in (s3, d4, q8, sd16, dihedral([(2, 3), (3, 1)]), *SEEDED):
+        got, want = sandwich_vectors(group), loop_sandwich_vectors(group)
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
+        assert len(got) == dim_t0(group)
 
 
 def test_closed_form_dihedral_special_case():
