@@ -24,7 +24,6 @@ from .characters import (
 )
 from .closure import (
     algebra_dimension,
-    centralizer_orbit_count,
     conjugation_orbitals,
     terwilliger_closure_dim,
 )
@@ -68,7 +67,6 @@ from .groups import (
     dihedral,
     g2_group,
     general,
-    make_d2,
 )
 from .scheme import (
     TransitivityReport,

@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--guard",
             type=int,
             default=None,
-            help="max group order for matrix paths (default 64, env TERW_GUARD)",
+            help=f"max group order for matrix paths (default {DEFAULT_MATRIX_GUARD}, "
+            "env TERW_GUARD)",
         )
         p.add_argument("--out", help="write the report to this file instead of stdout")
 

@@ -17,7 +17,8 @@ orbits of G acting on G x G by simultaneous conjugation.  Each matrix is
 then represented by one integer per orbit, products with generators become
 sparse operator applications, and the orbit count is a hard ceiling for the
 dimension (reaching it certifies equality with the centralizer algebra and
-closure in one step).
+closure in one step).  The orbits are labelled by union-find over the pair
+permutations of the generators (``groups.orbit_minima``), with no inverses.
 
 With the dual idempotents among the generators, the algebra T is the direct
 sum of its blocks E*_a T E*_b (Terwilliger, J. Algebraic Combin. 1, 1992),
@@ -46,7 +47,7 @@ import numpy as np
 
 from .conjugacy import class_index_table, conjugacy_classes
 from .errors import GuardExceededError, OracleMismatch
-from .groups import D2Group, conjugation_table, index_tables, per_group, read_only
+from .groups import D2Group, conjugation_table, index_tables, orbit_minima, per_group, read_only
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
@@ -160,41 +161,19 @@ def conjugation_perms(group: D2Group) -> np.ndarray:
 
 @per_group
 def conjugation_orbitals(group: D2Group) -> Orbitals:
-    """Label the simultaneous-conjugation orbits on G x G by min-propagation."""
+    """Label the simultaneous-conjugation orbits on G x G by union-find
+    (``orbit_minima``) over the pair permutations (u, v) -> (gug^-1, gvg^-1)
+    of the generators g; union-find needs no inverse permutations."""
     order = group.order
-    perms = conjugation_perms(group)
-    # include inverses so the fixpoint is constant on whole orbits
-    all_perms = []
-    for p in perms:
-        all_perms.append(p)
-        q = np.empty_like(p)
-        q[p] = np.arange(order)
-        all_perms.append(q)
-
-    pair_perms = [
-        (p[:, None] * order + p[None, :]).ravel() for p in all_perms
-    ]
-    labels = np.arange(order * order, dtype=np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for pp in pair_perms:
-            moved = labels[pp]
-            if (moved < labels).any():
-                labels = np.minimum(labels, moved)
-                changed = True
-    uniq, first, relabeled = np.unique(labels, return_index=True, return_inverse=True)
-    reps = tuple((int(i // order), int(i % order)) for i in first)
+    pair_perms = [(p[:, None] * order + p[None, :]).ravel() for p in conjugation_perms(group)]
+    root = orbit_minima(pair_perms)
+    first = root == np.arange(order * order)  # each orbit's first pair is its root
+    ids = np.cumsum(first, dtype=np.int32) - 1
     return Orbitals(
-        count=len(uniq),
-        labels=read_only(relabeled.reshape(order, order).astype(np.int32)),
-        reps=reps,
+        count=int(ids[-1]) + 1,
+        labels=read_only(ids[root].reshape(order, order)),
+        reps=tuple((int(i // order), int(i % order)) for i in np.flatnonzero(first)),
     )
-
-
-def centralizer_orbit_count(group: D2Group) -> int:
-    """Number of simultaneous-conjugation orbits on G x G (Burnside count)."""
-    return conjugation_orbitals(group).count
 
 
 # -- Terwilliger closure in orbit coordinates ---------------------------------

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from itertools import product as _iterproduct
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
 from .abelian import AbElem
 from .errors import OracleMismatch
-from .groups import D2Elem, D2Group, index_tables, per_group, read_only
+from .groups import D2Elem, D2Group, index_tables, orbit_minima, per_group, read_only
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 Kind = Literal["fixed", "paired", "coset"]
@@ -135,21 +135,22 @@ def conjugacy_classes(group: D2Group) -> ClassList:
 def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
-    """Conjugacy classes as orbits of g -> hgh^-1, then canonically ordered."""
+    """Conjugacy classes as the orbits (``orbit_minima``) of x -> gxg^-1 for
+    the k generators g, canonically ordered.  The k * |G| conjugations use
+    ``group.conjugate`` and ``group.index``, not the tables."""
     check_guard(group.order, guard, "orbit enumeration")
     elems = list(group.elements())
-    remaining = set(elems)
-    orbits: list[set[D2Elem]] = []
-    for g in elems:
-        if g not in remaining:
-            continue
-        orbit = {group.conjugate(g, h) for h in elems}
-        orbits.append(orbit)
-        remaining -= orbit
-    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
+    perms = [
+        np.array([group.index(group.conjugate(x, g)) for x in elems])
+        for g in group.generators()
+    ]
+    orbits: dict[int, set[D2Elem]] = {}
+    for x, root in zip(elems, orbit_minima(perms).tolist()):
+        orbits.setdefault(root, set()).add(x)
+    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits.values())))
 
 
-def _canonicalize(group: D2Group, orbits: list[set[D2Elem]]) -> list[ConjClass]:
+def _canonicalize(group: D2Group, orbits: Iterable[set[D2Elem]]) -> list[ConjClass]:
     """Order raw orbits exactly as the closed form does."""
     fixed, paired, coset = [], [], []
     d_vec = group.fixed.d_vec

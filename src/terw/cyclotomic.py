@@ -53,10 +53,6 @@ class RootSum:
         return cls(order)
 
     @classmethod
-    def one(cls, order: int) -> RootSum:
-        return cls(order, {0: 1})
-
-    @classmethod
     def root(cls, order: int, exponent: int, coeff: int = 1) -> RootSum:
         return cls(order, {exponent: coeff})
 

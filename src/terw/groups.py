@@ -150,11 +150,6 @@ class D2Group:
         return f"<D2Group {self.name} of order {self.order}>"
 
 
-def make_d2(abelian: AbelianGroup, twist: Involution, square: Sequence[int]) -> D2Group:
-    """Build and validate the index-2 extension of an abelian group."""
-    return D2Group(abelian, twist, square)
-
-
 def _in_canonical_order(
     factor_list: Sequence[tuple[int, int]], vec: Sequence[int], name: str
 ) -> list[int]:
@@ -272,6 +267,31 @@ def per_group(build: Callable[[D2Group], T]) -> Callable[[D2Group], T]:
 def read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
+    """For every point of range(size), the smallest point of its orbit under
+    the group generated by the given permutations of range(size).
+
+    Union-find by hooking and pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 3, 1982): the edges x -> p[x] of one p whose roots differ
+    hook the larger root onto the smaller, then root = root[root] until
+    stable.  A hook only joins points of one orbit, so the result is exact
+    once root[p] == root for every p, which is the only way out of the loop.
+    """
+    root = np.arange(len(perms[0]))
+    while True:
+        for p in perms:
+            other = root[p]
+            moved = other != root
+            if moved.any():
+                break
+        else:
+            return root
+        a, b = root[moved], other[moved]
+        root[np.maximum(a, b)] = np.minimum(a, b)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
 
 @per_group

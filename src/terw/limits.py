@@ -1,9 +1,9 @@
 """Default resource guards.
 
-Explicit-matrix paths (adjacency matrices, algebra closure, idempotents,
-brute-force class enumeration) are quadratic or worse in the group order and
-are gated behind ``DEFAULT_MATRIX_GUARD``.  Formula and counting paths stay
-cheap much longer and are capped only by ``ENUMERATION_LIMIT``.
+Explicit-matrix paths (adjacency matrices, algebra closure, idempotents),
+quadratic or worse in the group order, and the brute-force class oracle they
+run beside (k * |G| conjugations) are gated behind ``DEFAULT_MATRIX_GUARD``.
+Formula and counting paths are capped only by ``ENUMERATION_LIMIT``.
 """
 
 from .errors import GuardExceededError

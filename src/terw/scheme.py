@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import (
-    centralizer_orbit_count,
-    closure_dim_in_orbit_coords,
-    terwilliger_closure_dim,
-)
+from .closure import closure_dim_in_orbit_coords, conjugation_orbitals, terwilliger_closure_dim
 from .conjugacy import (
     class_index_table,
     class_triple_codes,
@@ -215,7 +211,7 @@ def dim_centralizer(group: D2Group, strategy: str = "formula") -> int:
             raise OracleMismatch("sum of squared centralizer orders not divisible by |G|")
         return total // group.order
     if strategy == "orbits":
-        return centralizer_orbit_count(group)
+        return conjugation_orbitals(group).count
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -7,7 +7,11 @@ a loop over the orbits for each block trace.  The library checks the same
 identities without dense products.  The sandwich reference loops over the
 l^3 class triples, where the library sorts one code array.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
-integer rows.  The tests compare each pair on small inputs.
+integer rows.  The orbital reference propagates minimum labels sweep after
+sweep over the pair permutations and their inverses, and the class reference
+conjugates every element by every element, where the library labels both
+orbit sets by union-find over the generators only.  The tests compare each
+pair on small inputs.
 """
 
 from fractions import Fraction
@@ -15,8 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from terw import AxiomFailure, IdempotencyFailure, adjacency_matrices, central_idempotent
-from terw.closure import conjugation_orbitals
-from terw.conjugacy import class_index_table, conjugacy_classes, structure_tensor
+from terw.closure import Orbitals, conjugation_orbitals, conjugation_perms
+from terw.conjugacy import (
+    ClassList,
+    _canonicalize,
+    class_index_table,
+    conjugacy_classes,
+    structure_tensor,
+)
+from terw.groups import read_only
 
 
 def dense_scheme_axioms(group, matrices=None):
@@ -152,3 +163,50 @@ def fraction_closure_rank(vectors, operators):
     while frontier:
         frontier = [prod for vec in frontier for op in operators if basis.insert(prod := op(vec))]
     return basis.dimension
+
+
+def min_propagation_orbitals(group):
+    """The simultaneous-conjugation orbits on G x G, labelled by
+    min-propagation: each pair takes the smallest label among its images under
+    the pair permutations of the generators and of their inverses, until a
+    full sweep moves no label."""
+    order = group.order
+    all_perms = []
+    for p in conjugation_perms(group):
+        all_perms.append(p)
+        q = np.empty_like(p)
+        q[p] = np.arange(order)
+        all_perms.append(q)
+
+    pair_perms = [(p[:, None] * order + p[None, :]).ravel() for p in all_perms]
+    labels = np.arange(order * order, dtype=np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for pp in pair_perms:
+            moved = labels[pp]
+            if (moved < labels).any():
+                labels = np.minimum(labels, moved)
+                changed = True
+    uniq, first, relabeled = np.unique(labels, return_index=True, return_inverse=True)
+    reps = tuple((int(i // order), int(i % order)) for i in first)
+    return Orbitals(
+        count=len(uniq),
+        labels=read_only(relabeled.reshape(order, order).astype(np.int32)),
+        reps=reps,
+    )
+
+
+def enumerated_conjugacy_classes(group):
+    """Conjugacy classes as the orbits {hgh^-1 : h in G}, one for each element
+    g not yet in an orbit, canonically ordered."""
+    elems = list(group.elements())
+    remaining = set(elems)
+    orbits = []
+    for g in elems:
+        if g not in remaining:
+            continue
+        orbit = {group.conjugate(g, h) for h in elems}
+        orbits.append(orbit)
+        remaining -= orbit
+    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))

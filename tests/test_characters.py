@@ -23,7 +23,6 @@ from terw import (
     dihedral,
     g2_group,
     make_abelian,
-    make_d2,
     make_involution,
     multiplicities_char_sum,
     multiplicities_closed_form,
@@ -39,7 +38,7 @@ from terw.instances import abelian_factorizations
 # C4 x C9 with the twist fixing the C9 coordinate and y = (0, 1): the coset
 # values are 18th roots of unity, not 9th, and the root order is 72
 _C4_X_C9 = make_abelian([(2, 2), (3, 2)])
-C4_C9 = make_d2(_C4_X_C9, make_involution(_C4_X_C9, [3, 1]), [0, 1])
+C4_C9 = D2Group(_C4_X_C9, make_involution(_C4_X_C9, [3, 1]), [0, 1])
 
 
 def row_values(table, r):
@@ -145,7 +144,7 @@ def test_twodim_vanishes_on_cosets_exactly(sd16):
 
 
 def test_values_constant_on_classes():
-    group = make_d2(
+    group = D2Group(
         make_abelian([(2, 3), (3, 1)]),
         make_involution(make_abelian([(2, 3), (3, 1)]), [3, 2]),
         [4, 0],

@@ -255,6 +255,25 @@ def test_parser_is_built_once_per_process(capsys):
     assert (info.misses, info.hits) == (1, 2)
 
 
+def test_guard_help_names_the_default_guard(monkeypatch):
+    # the help text is built from the constant, so it cannot drift from it
+    monkeypatch.setattr(cli, "DEFAULT_MATRIX_GUARD", 4321)
+    cli.build_parser.cache_clear()
+    try:
+        parser = cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    helps = [
+        action.help
+        for sub in subparsers.values()
+        for action in sub._actions
+        if "--guard" in action.option_strings
+    ]
+    assert len(helps) == len(subparsers)
+    assert all("(default 4321, env TERW_GUARD)" in h for h in helps)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import terw.closure
 
 from terw import (
+    D2Group,
     GuardExceededError,
     adjacency_matrices,
     algebra_dimension,
-    centralizer_orbit_count,
     conjugacy_classes,
     conjugation_orbitals,
     dihedral,
@@ -23,7 +23,6 @@ from terw import (
     dual_idempotents,
     g2_group,
     make_abelian,
-    make_d2,
     make_involution,
     terwilliger_closure_dim,
 )
@@ -71,7 +70,7 @@ def test_generic_closure_matches_fast_path(s3, d4, q8, sd16):
 
 def test_generic_closure_matches_fast_path_general_instance():
     abelian = make_abelian([(2, 1), (3, 1)])
-    group = make_d2(abelian, make_involution(abelian, [1, 2]), [0, 0])
+    group = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
     classes = conjugacy_classes(group)
     gens = adjacency_matrices(group) + dual_idempotents(group)
     assert algebra_dimension(gens) == terwilliger_closure_dim(group)
@@ -102,7 +101,7 @@ def test_dual_algebra_alone(s3, sd16):
 
 def test_orbit_count_matches_centralizer_formula(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
-        assert centralizer_orbit_count(group) == dim_centralizer(group)
+        assert conjugation_orbitals(group).count == dim_centralizer(group)
 
 
 def test_orbital_labels_partition(d4):
@@ -128,7 +127,7 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
     # generator vectors, scheme operators and orbit blocks against the dense
     # matrices and their products with an orbit-constant X
     abelian = make_abelian([(2, 1), (3, 1)])
-    general = make_d2(abelian, make_involution(abelian, [1, 2]), [0, 0])
+    general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
     for group in (s3, d4, sd16, general):
         orb = conjugation_orbitals(group)
         u, v = np.array(orb.reps).T
@@ -160,7 +159,7 @@ def test_full_closure_never_builds_the_operators(monkeypatch):
 
     monkeypatch.setattr(terw.closure, "_gather_operator", unused)
     for group in (dihedral([(2, 4)]), *random_general_instances(1, 64, seed=1010)):
-        assert terwilliger_closure_dim(group) == centralizer_orbit_count(group)
+        assert terwilliger_closure_dim(group) == conjugation_orbitals(group).count
 
 
 def test_scheme_closure_builds_the_operators_once(s3, sd16, monkeypatch):
@@ -255,7 +254,7 @@ def basis_inserts(monkeypatch):
 
 def test_closure_grows_the_basis_cap_times_then_stops(basis_inserts):
     group = dihedral([(2, 4)])
-    cap = centralizer_orbit_count(group)
+    cap = conjugation_orbitals(group).count
     assert terwilliger_closure_dim(group) == cap
     assert sum(basis_inserts) == cap
     assert basis_inserts[-1]  # no product is generated after the cap

@@ -1,16 +1,20 @@
 """Conjugacy classes: closed form vs orbit enumeration, structure constants."""
 
+import sys
+
 import pytest
 
+import terw.groups
 from terw import (
+    D2Group,
     GuardExceededError,
     class_products,
     conjugacy_classes,
     conjugacy_classes_bruteforce,
+    dicyclic,
     dihedral,
     g2_group,
     make_abelian,
-    make_d2,
     make_involution,
     structure_constant,
 )
@@ -61,7 +65,7 @@ def test_class_equation_shape():
         dihedral([(2, 1), (3, 1)]),
         dihedral([(3, 2)]),
         g2_group(12, 5, 0),
-        make_d2(
+        D2Group(
             make_abelian([(2, 2), (3, 1)]),
             make_involution(make_abelian([(2, 2), (3, 1)]), [3, 1]),
             [0, 0],
@@ -106,6 +110,32 @@ def test_class_of_lookup(s3, d4):
     assert cl3.index_of(((2,), 0)) == 1
     cl4 = conjugacy_classes(d4)
     assert cl4.index_of(((3,), 1)) == 4
+
+
+def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
+    # the oracle stays independent of the tables and makes k * |G| calls of
+    # group.conjugate for k generators, not one per element and class
+    group = dicyclic([(3, 1), (2, 3)], [0, 4])
+    expected = conjugacy_classes(group)
+
+    def no_tables(group):
+        raise RuntimeError("the brute-force oracle read the tables")
+
+    real = terw.groups.index_tables
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terw") and getattr(module, "index_tables", None) is real:
+            monkeypatch.setattr(module, "index_tables", no_tables)
+    calls = 0
+    conjugate = group.conjugate
+
+    def counting(g, by):
+        nonlocal calls
+        calls += 1
+        return conjugate(g, by)
+
+    monkeypatch.setattr(group, "conjugate", counting)
+    assert_same_classes(conjugacy_classes_bruteforce(group), expected)
+    assert 0 < calls <= len(group.generators()) * group.order
 
 
 def test_guard_exceeded():

@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -19,10 +21,9 @@ from terw import (
     g2_group,
     general,
     make_abelian,
-    make_d2,
     make_involution,
 )
-from terw.groups import index_tables
+from terw.groups import index_tables, orbit_minima
 
 
 def check_group_axioms(group, max_triples=10_000, seed=3):
@@ -71,10 +72,10 @@ def test_y_not_fixed_rejected():
     f = make_involution(c4, [3])
     # f(1) = 3 != 1
     with pytest.raises(YNotFixedError):
-        make_d2(c4, f, [1])
+        D2Group(c4, f, [1])
     # but the actual fixed points are fine
-    make_d2(c4, f, [0])
-    make_d2(c4, f, [2])
+    D2Group(c4, f, [0])
+    D2Group(c4, f, [2])
 
 
 def test_b_squared_equals_y():
@@ -226,3 +227,21 @@ def test_group_axioms_across_families():
         for a in g.abelian.elements():
             assert g.conjugate((a, 0), b) == (g.twist.apply(a), 0)
         assert g.mul(b, b) == (g.square, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda size: st.lists(st.permutations(range(size)), min_size=1, max_size=3)
+    )
+)
+def test_orbit_minima_match_a_search(perms):
+    # each point's orbit by breadth-first search along the permutations
+    expected = []
+    for x in range(len(perms[0])):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = {p[y] for y in frontier for p in perms} - orbit
+            orbit.update(frontier)
+        expected.append(min(orbit))
+    assert orbit_minima([np.array(p) for p in perms]).tolist() == expected

@@ -5,6 +5,7 @@ import pytest
 
 from terw import (
     AxiomFailure,
+    D2Group,
     GuardExceededError,
     adjacency_matrices,
     conjugacy_classes,
@@ -16,7 +17,6 @@ from terw import (
     g2_group,
     is_triply_transitive,
     make_abelian,
-    make_d2,
     make_involution,
     verify_scheme_axioms,
 )
@@ -252,7 +252,7 @@ def test_triply_transitive_reports(s3, sd16):
 
 
 def test_sandwich_ordering():
-    group = make_d2(
+    group = D2Group(
         make_abelian([(2, 2), (3, 1)]),
         make_involution(make_abelian([(2, 2), (3, 1)]), [3, 1]),
         [2, 0],

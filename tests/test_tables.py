@@ -10,10 +10,12 @@ import weakref
 
 import numpy as np
 import pytest
+from dense_reference import enumerated_conjugacy_classes, min_propagation_orbitals
 
 from terw import (
     character_table,
     conjugacy_classes,
+    conjugacy_classes_bruteforce,
     conjugation_orbitals,
     dicyclic,
     dihedral,
@@ -105,6 +107,30 @@ def test_gathers_match_loops(group):
     assert np.array_equal(conjugation_table(group, gens), np.array(conj)[gens])
     commuting = [sum(group.mul(g, h) == group.mul(h, g) for h in elems) for g in elems]
     assert np.array_equal(centralizer_sizes(group), commuting)
+
+
+REFERENCE_GROUPS = [
+    dicyclic([(3, 1), (2, 3)], [0, 4]),
+    g2_group(16, 7, 8),
+    *random_general_instances(12, max_group_order=128, seed=1111),
+]
+
+
+def test_orbit_labelling_matches_the_references(s3, d4, q8, sd16):
+    # union-find over the generators against min-propagation and against
+    # conjugation by every element
+    groups = [s3, d4, q8, sd16, *REFERENCE_GROUPS]
+    assert any(g.abelian.rank >= 2 for g in groups)
+    assert max(g.order for g in groups) > 96
+    for group in groups:
+        orb, ref = conjugation_orbitals(group), min_propagation_orbitals(group)
+        assert (orb.count, orb.reps) == (ref.count, ref.reps), group.name
+        assert orb.labels.dtype == np.int32 and not orb.labels.flags.writeable
+        assert np.array_equal(orb.labels, ref.labels), group.name
+        classes = conjugacy_classes_bruteforce(group, guard=128)
+        ref_classes = enumerated_conjugacy_classes(group)
+        assert classes.classes == ref_classes.classes, group.name
+        assert np.array_equal(classes.labels, ref_classes.labels), group.name
 
 
 def test_tables_are_built_once_and_read_only():
