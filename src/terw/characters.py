@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iterproduct
@@ -214,31 +215,32 @@ class CharacterTable:
             writer.writerow([label.describe()] + [cells[i] for i in row])
         return buf.getvalue()
 
-    def to_json_dict(self) -> dict:
-        def encode(v: RootSum) -> dict:
+    def to_json(self, head: dict) -> str:
+        """The report {**head, "root_order", "classes", "characters"} as the
+        text ``json.dumps`` writes for it: the head and the classes go
+        through one ``json.dumps``, each distinct value through one more,
+        and the rows are joined from those cells."""
+
+        def encode(v: RootSum) -> str:
             z = v.eval_complex()
-            return {
-                "terms": v.sorted_terms(),
-                "complex": [z.real, z.imag],
-            }
+            return json.dumps({"terms": v.sorted_terms(), "complex": [z.real, z.imag]})
 
         values, inverse = self._distinct_values()
-        encoded = [encode(v) for v in values]  # shared by the entries equal to each
-        return {
+        cells = [encode(v) for v in values]
+        start = json.dumps({
+            **head,
             "root_order": self.root_order,
             "classes": [
                 {"index": c.index, "kind": c.kind, "size": c.size, "rep": elem_json(c.rep)}
                 for c in self.classes
             ],
-            "characters": [
-                {
-                    "label": label.describe(),
-                    "degree": label.degree,
-                    "values": [encoded[i] for i in row],
-                }
-                for label, row in zip(self.labels, inverse)
-            ],
-        }
+        })
+        rows = [
+            f'{{"label": {json.dumps(label.describe())}, "degree": {label.degree}, '
+            f'"values": [{", ".join([cells[i] for i in row])}]}}'
+            for label, row in zip(self.labels, inverse)
+        ]
+        return f'{start[:-1]}, "characters": [{", ".join(rows)}]}}'
 
 
 def elem_json(g) -> list:

@@ -371,8 +371,10 @@ def cmd_chartable(spec: GroupSpec, args: argparse.Namespace) -> int:
         if checks.failed:
             return _mismatch(_head(spec, group), checks, args)
     if args.fmt == "json":
-        return _emit({"spec": spec.to_dict(), "name": group.name, **table.to_json_dict()}, args)
-    _write(table.to_csv() if args.fmt == "csv" else table.to_text() + "\n", args)
+        body = table.to_json({"spec": spec.to_dict(), "name": group.name}) + "\n"
+    else:
+        body = table.to_csv() if args.fmt == "csv" else table.to_text() + "\n"
+    _write(body, args)
     return EXIT_OK
 
 

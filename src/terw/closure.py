@@ -153,21 +153,25 @@ class Orbitals:
 
 @per_group
 def conjugation_perms(group: D2Group) -> np.ndarray:
-    """Permutations x -> g x g^-1 of element indices, one row per group
-    generator g."""
+    """Permutations x -> g x g^-1 of element indices, one int32 row per
+    group generator g."""
     gens = np.array([group.index(g) for g in group.generators()])
-    return read_only(conjugation_table(group, gens).astype(np.int64))
+    return read_only(conjugation_table(group, gens))
 
 
 @per_group
 def conjugation_orbitals(group: D2Group) -> Orbitals:
     """Label the simultaneous-conjugation orbits on G x G by union-find
     (``orbit_minima``) over the pair permutations (u, v) -> (gug^-1, gvg^-1)
-    of the generators g; union-find needs no inverse permutations."""
+    of the generators g; union-find needs no inverse permutations.  The pair
+    code u * |G| + v is an int32, so |G|^2 must stay below 2^31."""
     order = group.order
+    if order * order >= 2**31:
+        raise GuardExceededError(f"group order {order}: pair codes exceed int32")
     pair_perms = [(p[:, None] * order + p[None, :]).ravel() for p in conjugation_perms(group)]
     root = orbit_minima(pair_perms)
-    first = root == np.arange(order * order)  # each orbit's first pair is its root
+    # each orbit's first pair is its root
+    first = root == np.arange(order * order, dtype=root.dtype)
     ids = np.cumsum(first, dtype=np.int32) - 1
     return Orbitals(
         count=int(ids[-1]) + 1,

@@ -278,8 +278,9 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
     hook the larger root onto the smaller, then root = root[root] until
     stable.  A hook only joins points of one orbit, so the result is exact
     once root[p] == root for every p, which is the only way out of the loop.
+    The result has the dtype of the permutations.
     """
-    root = np.arange(len(perms[0]))
+    root = np.arange(len(perms[0]), dtype=perms[0].dtype)
     while True:
         for p in perms:
             other = root[p]

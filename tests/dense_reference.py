@@ -10,8 +10,10 @@ reference eliminates over ``Fraction``, where the library keeps primitive
 integer rows.  The orbital reference propagates minimum labels sweep after
 sweep over the pair permutations and their inverses, and the class reference
 conjugates every element by every element, where the library labels both
-orbit sets by union-find over the generators only.  The tests compare each
-pair on small inputs.
+orbit sets by union-find over the generators only.  The character-table
+report reference builds the whole dict, one shared dict per distinct value,
+for ``json.dumps``, where the library joins the text from cells encoded once
+per distinct value.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ from terw.conjugacy import (
     conjugacy_classes,
     structure_tensor,
 )
+from terw.characters import elem_json
 from terw.groups import read_only
 
 
@@ -210,3 +213,30 @@ def enumerated_conjugacy_classes(group):
         orbits.append(orbit)
         remaining -= orbit
     return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
+
+
+def chartable_json_dict(table):
+    """The ``chartable --format json`` report of ``table`` without its head,
+    as a dict for ``json.dumps``."""
+
+    def encode(v):
+        z = v.eval_complex()
+        return {"terms": v.sorted_terms(), "complex": [z.real, z.imag]}
+
+    values, inverse = table._distinct_values()
+    encoded = [encode(v) for v in values]  # shared by the entries equal to each
+    return {
+        "root_order": table.root_order,
+        "classes": [
+            {"index": c.index, "kind": c.kind, "size": c.size, "rep": elem_json(c.rep)}
+            for c in table.classes
+        ],
+        "characters": [
+            {
+                "label": label.describe(),
+                "degree": label.degree,
+                "values": [encoded[i] for i in row],
+            }
+            for label, row in zip(table.labels, inverse)
+        ],
+    }

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import chartable_json_dict
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,9 @@ from terw import (
     verify_orthogonality,
 )
 from terw.abelian import square_roots_of_unity
-from terw.cli import main
+from terw.cli import GroupSpec, main
 from terw.conjugacy import COSET
-from terw.instances import abelian_factorizations
+from terw.instances import abelian_factorizations, random_general_instances
 
 
 # C4 x C9 with the twist fixing the C9 coordinate and y = (0, 1): the coset
@@ -244,7 +245,7 @@ def test_exports(d4):
     assert text.count("\n") == len(table.labels)
     csv_body = table.to_csv()
     assert csv_body.splitlines()[0].startswith("character,")
-    data = json.loads(json.dumps(table.to_json_dict()))
+    data = json.loads(table.to_json({}))
     assert len(data["characters"]) == len(table.labels)
     assert data["characters"][0]["degree"] == 1
     # terms round-trip to the evaluated complex value
@@ -299,3 +300,49 @@ def test_chartable_json_matches_the_oracle_beyond_s3(capsys):
             assert [tuple(t) for t in entry["terms"]] == want.sorted_terms()
             z = want.eval_complex()
             assert entry["complex"] == [z.real, z.imag]
+
+
+def _general_spec(group):
+    return {
+        "kind": "general",
+        "factors": [[f.p, f.e] for f in group.abelian.factors],
+        "s": list(group.twist.s),
+        "y": list(group.square),
+    }
+
+
+def first_difference(got, want):
+    """The first index where two sequences differ, or None; pytest's own
+    diff of two reports of about 1 MB would take minutes."""
+    if got == want:
+        return None
+    differ = (i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    return next(differ, min(len(got), len(want)))
+
+
+CHARTABLE_SPECS = [
+    {"kind": "dihedral", "factors": [[3, 1]]},
+    _general_spec(C4_C9),
+    *(_general_spec(g) for g in random_general_instances(4, 384, seed=2)),
+]
+
+
+@pytest.mark.parametrize("data", CHARTABLE_SPECS, ids=lambda d: json.dumps(d).replace(" ", ""))
+def test_chartable_json_is_byte_identical_to_the_dict_reference(data, tmp_path, capsys):
+    # S3, C4 x C9 and seeded groups up to |G| = 376 against json.dumps of the
+    # whole report; the sign-2 linear characters put -1 on the coset classes
+    argv = ["chartable", "--format", "json"]
+    for key, value in data.items():
+        argv += [f"--{key}", json.dumps(value) if isinstance(value, list) else str(value)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    spec = GroupSpec.from_dict(data)
+    group = spec.build()
+    table = character_table(group)
+    assert (table.coefficients == -1).any()
+    want = json.dumps({"spec": spec.to_dict(), "name": group.name, **chartable_json_dict(table)})
+    assert first_difference(out, want + "\n") is None
+    path = tmp_path / "chartable.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert first_difference(path.read_bytes(), out.encode()) is None

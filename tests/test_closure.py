@@ -194,6 +194,15 @@ def test_closure_guard(sd16):
         terwilliger_closure_dim(sd16, guard=8)
 
 
+def test_orbital_pair_codes_stay_int32(s3):
+    # at |G| = 46346 the pair codes u * |G| + v pass 2^31; the check comes
+    # before any table is built
+    assert 46340**2 < 2**31 <= 46346**2
+    with pytest.raises(GuardExceededError):
+        conjugation_orbitals(dihedral([(23173, 1)]))
+    assert conjugation_perms(s3).dtype == np.int32
+
+
 def test_conjugation_invariance_failure_is_typed(s3):
     from terw import OracleMismatch, VerificationFailure
     from terw.closure import _assert_conjugation_invariant, conjugation_perms
