@@ -302,35 +302,32 @@ def character_table(group: D2Group) -> CharacterTable:
     return table
 
 
+FLOAT_TOLERANCE = 1e-9  # bounds the float relations: orthogonality and idempotents
+
+
 @dataclass(frozen=True)
 class OrthogonalityReport:
     first_max_deviation: float
     second_max_deviation: float
 
 
-def verify_orthogonality(table: CharacterTable, tol: float = 1e-9) -> OrthogonalityReport:
-    """Check both orthogonality relations numerically.
+def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
+    """Check both orthogonality relations numerically, to ``FLOAT_TOLERANCE``.
 
     First: (1/|G|) sum_u |Cl_u| chi_r(u) conj(chi_t(u)) = delta_rt.
     Second: sum_r chi_r(u) conj(chi_r(v)) = delta_uv |G| / |Cl_u|.
     """
-    mat = table.complex_matrix
-    sizes = np.array([c.size for c in table.classes], dtype=float)
-    order = table.order
-
-    gram = (mat * sizes) @ mat.conj().T / order
-    dev1 = np.abs(gram - np.eye(len(table.labels)))
-    first = float(dev1.max())
-    if first >= tol:
-        r, t = np.unravel_index(int(dev1.argmax()), dev1.shape)
-        raise OrthogonalityFailure("first", (int(r), int(t)), first)
-
-    col = mat.conj().T @ mat
-    target = np.diag(order / sizes)
-    dev2 = np.abs(col - target)
-    second = float(dev2.max())
-    if second >= tol:
-        u, v = np.unravel_index(int(dev2.argmax()), dev2.shape)
-        raise OrthogonalityFailure("second", (int(u), int(v)), second)
-
-    return OrthogonalityReport(first_max_deviation=first, second_max_deviation=second)
+    mat, order = table.complex_matrix, table.order
+    sizes = np.array(table.classes.sizes)
+    relations = {
+        "first": (mat * sizes) @ mat.conj().T / order - np.eye(len(table.labels)),
+        "second": mat.conj().T @ mat - np.diag(order / sizes),
+    }
+    worst = {}
+    for kind, diff in relations.items():
+        dev = np.abs(diff)
+        worst[kind] = float(dev.max())
+        if worst[kind] >= FLOAT_TOLERANCE:
+            pair = np.unravel_index(int(dev.argmax()), dev.shape)
+            raise OrthogonalityFailure(kind, (int(pair[0]), int(pair[1])), worst[kind])
+    return OrthogonalityReport(worst["first"], worst["second"])

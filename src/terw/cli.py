@@ -6,8 +6,9 @@ over a parameter range, one CSV row per instance).  A group is described by
 flags or a JSON spec file with fields ``kind`` (general | dihedral |
 dicyclic | g2), ``factors`` (list of [p, e]), ``s``/``y`` (integer vectors
 for the general and dicyclic kinds), and ``n``/``s``/``t`` integers for the
-g2 kind; flags override file values, and each kind is built by its one
-constructor in ``terw.groups``.  The parser is built once per process, and
+g2 kind (``KINDS``; any other of these fields is an invalid spec); flags
+override file values, and each kind is built by its one constructor in
+``terw.groups``.  The parser is built once per process, and
 the parsed arguments are the whole run configuration: the commands read
 ``--format``, ``--oracle``, ``--guard`` and ``--out`` from them, and
 ``TERW_GUARD`` is read once per call, when ``--guard`` is absent.  Exit
@@ -25,6 +26,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -48,7 +50,12 @@ EXIT_INVALID_SPEC = 1
 EXIT_MISMATCH = 2
 EXIT_GUARD = 3
 
-KINDS = ("general", "dihedral", "dicyclic", "g2")
+KINDS = {  # the spec fields each kind takes, beside ``kind``, in constructor order
+    "general": ("factors", "s", "y"),
+    "dihedral": ("factors",),
+    "dicyclic": ("factors", "y"),
+    "g2": ("n", "s", "t"),
+}
 
 
 def _integer(value: Any, name: str) -> int:
@@ -95,25 +102,21 @@ class GroupSpec:
             "n": _integer,
             "t": _integer,
         }
+        extra = [k for k in shapes if k in data and k not in KINDS[kind]]
+        if extra:
+            raise InvalidGroupError(f"{kind} takes no {', '.join(extra)}")
         return GroupSpec(kind, **{k: shape(data[k], k) for k, shape in shapes.items() if k in data})
 
     def build(self) -> D2Group:
-        factors = [tuple(f) for f in self.factors or ()]
-        if self.kind == "dihedral":
-            if not factors:
-                raise InvalidGroupError("dihedral needs --factors")
-            return dihedral(factors)
-        if self.kind == "dicyclic":
-            if not factors or self.y is None:
-                raise InvalidGroupError("dicyclic needs --factors and --y")
-            return dicyclic(factors, self.y)
-        if self.kind == "g2":
-            if self.n is None or self.s is None or self.t is None:
-                raise InvalidGroupError("g2 needs --n, --s and --t")
-            return g2_group(self.n, self.s, self.t)
-        if not factors or self.s is None:
-            raise InvalidGroupError("general needs --factors and --s")
-        return general(factors, self.s, self.y)
+        """The group, from the constructor of its kind, which takes the
+        kind's fields in ``KINDS`` order; only the ``y`` of general is optional."""
+        fields = KINDS[self.kind]
+        required = fields[:2] if self.kind == "general" else fields
+        missing = [f"--{k}" for k in required if getattr(self, k) in (None, [])]
+        if missing:
+            raise InvalidGroupError(f"{self.kind} needs {' and '.join(missing)}")
+        make = {"general": general, "dihedral": dihedral, "dicyclic": dicyclic, "g2": g2_group}
+        return make[self.kind](*(getattr(self, k) for k in fields))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -445,7 +448,10 @@ def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lo, hi = (int(v) for v in args.range.split(":"))
+    bounds = re.fullmatch(r"(-?\d+):(-?\d+)", args.range)
+    if not bounds or int(bounds[1]) > int(bounds[2]):
+        raise InvalidGroupError(f"--range must be LO:HI with integers LO <= HI, got {args.range!r}")
+    lo, hi = int(bounds[1]), int(bounds[2])
     rows = []
     mismatched = guarded = False
     for spec in _sweep_specs(args.kind, lo, hi):

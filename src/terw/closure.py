@@ -143,12 +143,12 @@ class Orbitals:
 
     ``labels[u, v]`` is the orbit id of the pair (u, v) over element indices;
     ids are contiguous and assigned in order of each orbit's first pair.
-    ``reps`` holds that first pair per orbit.
+    ``reps`` is the (2, count) int32 array of those first pairs.
     """
 
     count: int
     labels: np.ndarray
-    reps: tuple[tuple[int, int], ...]
+    reps: np.ndarray
 
 
 @per_group
@@ -168,15 +168,16 @@ def conjugation_orbitals(group: D2Group) -> Orbitals:
     order = group.order
     if order * order >= 2**31:
         raise GuardExceededError(f"group order {order}: pair codes exceed int32")
-    pair_perms = [(p[:, None] * order + p[None, :]).ravel() for p in conjugation_perms(group)]
-    root = orbit_minima(pair_perms)
+    # the pair permutations are freed once orbit_minima returns
+    root = orbit_minima([(p[:, None] * order + p).ravel() for p in conjugation_perms(group)])
     # each orbit's first pair is its root
-    first = root == np.arange(order * order, dtype=root.dtype)
-    ids = np.cumsum(first, dtype=np.int32) - 1
+    first = np.flatnonzero(root == np.arange(order * order, dtype=root.dtype)).astype(np.int32)
+    ids = np.empty_like(root)
+    ids[first] = np.arange(len(first), dtype=root.dtype)
     return Orbitals(
-        count=int(ids[-1]) + 1,
+        count=len(first),
         labels=read_only(ids[root].reshape(order, order)),
-        reps=tuple((int(i // order), int(i % order)) for i in np.flatnonzero(first)),
+        reps=read_only(np.stack(np.divmod(first, np.int32(order)))),
     )
 
 
@@ -227,7 +228,7 @@ def scheme_operators(group: D2Group) -> list[Operator]:
     then on the right, in orbit coordinates."""
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
-    rep_u, rep_v = np.array(orb.reps).T
+    rep_u, rep_v = orb.reps
     mult, inv = index_tables(group)
     operators: list[Operator] = []
     for j in range(len(classes)):
@@ -251,7 +252,7 @@ def terwilliger_generator_coords(
     """
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
-    rep_u, rep_v = np.array(orb.reps).T
+    rep_u, rep_v = orb.reps
     row_class = classes.labels[rep_u]  # class of u at each orbit rep (u, v)
     vectors: list[SparseVec] = []
     if include_scheme:

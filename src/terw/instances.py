@@ -15,7 +15,7 @@ import warnings
 from math import gcd
 from typing import Iterator
 
-from .abelian import make_abelian, make_involution, square_roots_of_unity
+from .abelian import fixed_data, make_abelian, make_involution, square_roots_of_unity
 from .errors import IdentityAutomorphismError
 from .groups import D2Group, NonUniqueInvolutionWarning, dicyclic, dihedral, factorize, g2_group
 
@@ -116,7 +116,7 @@ def random_general_instance(rng: random.Random, max_abelian_order: int) -> D2Gro
             idx = rng.choice([i for i, r in enumerate(roots) if len(r) > 1])
             s[idx] = rng.choice([v for v in roots[idx] if v != 1])
         twist = make_involution(group, s)
-        d_vec = [gcd((si - 1) % m, m) for si, m in zip(twist.s, group.moduli)]
+        d_vec = fixed_data(group, twist).d_vec
         y = tuple(
             (m // d) * rng.randrange(d) for m, d in zip(group.moduli, d_vec)
         )  # random fixed point of the twist

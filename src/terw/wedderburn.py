@@ -20,10 +20,10 @@ further oracle: e_j^2 = e_j, mutually annihilating, summing to the
 identity, and the two-sided block T~ e_j has dimension d_j^2.  Each e_j is
 the image under the conjugation representation of a central element eps_j
 of the group algebra, so the relations are checked on the class
-coefficients of the eps_j with exact class structure constants, and the
-block dimensions come from exact integer counts over the orbit
-representatives; ``central_idempotent`` builds e_j as a dense matrix.
-Those relations are still compared in floating point, with a tolerance.
+coefficients of the eps_j with exact class structure constants, but in
+floating point, to ``characters.FLOAT_TOLERANCE``.  The block dimensions
+are exact: integer counts over the orbit representatives, reduced like the
+sums above; ``central_idempotent`` builds e_j as a dense matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import (
+    FLOAT_TOLERANCE,
     CharacterTable,
     CharLabel,
     LinearLabel,
@@ -194,62 +195,52 @@ def verify_central_idempotents(
     table: CharacterTable,
     multiplicities: MultiplicityVector,
     guard: int = DEFAULT_MATRIX_GUARD,
-    tol: float = 1e-9,
 ) -> IdempotentReport:
-    """Check e_j^2 = e_j, e_j e_k = 0, sum e_j = I, and dim(T~ e_j) = d_j^2.
+    """Check e_j e_m = delta_jm e_j, sum e_j = I, and dim(T~ e_j) = d_j^2.
 
     e_j = Phi(eps_j), with Phi the conjugation representation and
     eps_j = (deg_j / |G|) sum_g conj(chi_j(g)) g central in the group algebra.
-    The three relations are checked on the eps_j, which implies them for the
-    e_j: each eps_j is a vector of class-sum coefficients, multiplied with the
-    exact class structure constants.  The block dimensions come from exact
-    integer counts over the orbit representatives (``_block_trace_counts``).
+    The relations are checked, all l^2 at once, on the class coefficients of
+    the eps_j, which implies them for the e_j.  The block dimensions are
+    exact: deg_j * T_j = |G| * d_j^2 with T_j = sum_k conj(chi_j(k)) K[k]
+    in Z[zeta] and K the counts of ``_block_trace_counts``.
     """
     check_guard(group.order, guard, "the central idempotents")
+    ell = len(table.labels)
     degrees = np.array(table.degrees)
     coeffs = table.complex_matrix.conj() * (degrees[:, None] / group.order)
     consts = class_structure_constants(group)
-    # products[j, m, c]: coefficient of class sum c in eps_j eps_m
+    # products[j, m, c]: coefficient of class sum c in eps_j eps_m - delta_jm eps_j
     products = coeffs @ np.tensordot(coeffs, consts, axes=(1, 0))
+    products[np.arange(ell), np.arange(ell)] -= coeffs
+    dev = np.abs(products).max(axis=2)
+    failed = np.argwhere(np.triu(dev > FLOAT_TOLERANCE))
+    if len(failed):
+        j, m = failed[0].tolist()
+        relation = f"eps_{j}^2 != eps_{j}" if j == m else f"eps_{j} eps_{m} != 0"
+        raise IdempotencyFailure(f"{relation} (deviation {dev[j, m]:.3e})")
 
-    max_idem = 0.0
-    for j in range(len(coeffs)):
-        dev = float(np.abs(products[j, j] - coeffs[j]).max())
-        max_idem = max(max_idem, dev)
-        if dev > tol:
-            raise IdempotencyFailure(f"eps_{j}^2 != eps_{j} (deviation {dev:.3e})")
-
-    max_prod = 0.0
-    for j in range(len(coeffs)):
-        for k in range(j + 1, len(coeffs)):
-            dev = float(np.abs(products[j, k]).max())
-            max_prod = max(max_prod, dev)
-            if dev > tol:
-                raise IdempotencyFailure(f"eps_{j} eps_{k} != 0 (deviation {dev:.3e})")
-
-    unit = np.zeros(len(coeffs))
-    unit[0] = 1.0  # class 0 is {e}
-    max_res = float(np.abs(coeffs.sum(axis=0) - unit).max())
-    if max_res > tol:
+    max_res = float(np.abs(coeffs.sum(axis=0) - np.eye(ell)[0]).max())  # class 0 is {e}
+    if max_res > FLOAT_TOLERANCE:
         raise IdempotencyFailure(f"sum of idempotents != identity (deviation {max_res:.3e})")
 
-    traces = coeffs @ _block_trace_counts(group)
-    block_dims = []
-    for j, trace in enumerate(traces):
-        if abs(trace.imag) > tol:
-            raise IdempotencyFailure(f"block trace {trace} is not real")
-        target = multiplicities.values[j] ** 2
-        if abs(trace.real - target) > 1e-6:
-            raise IdempotencyFailure(
-                f"block of e_{j} has dimension {trace.real:.6f}, expected {target}"
-            )
-        block_dims.append(target)
+    weights = table.coefficients * _block_trace_counts(group)[:, None]
+    traces, exact = integer_values(_conjugate_sums(table, weights), table.root_order)
+    scaled = degrees * traces  # |G| * dim(T~ e_j)
+    targets = np.array(multiplicities.values) ** 2
+    wrong = ~exact | (scaled != group.order * targets)
+    if wrong.any():
+        j = int(np.argmax(wrong))
+        if not exact[j]:
+            raise IdempotencyFailure(f"block of e_{j} has a trace that is not an integer")
+        dim = f"{scaled[j]}/{group.order}" if scaled[j] % group.order else scaled[j] // group.order
+        raise IdempotencyFailure(f"block of e_{j} has dimension {dim}, expected {targets[j]}")
 
     return IdempotentReport(
         multiplicities=multiplicities.values,
-        block_dims=tuple(block_dims),
-        max_idempotency_dev=max_idem,
-        max_product_dev=max_prod,
+        block_dims=tuple(targets.tolist()),
+        max_idempotency_dev=float(dev.diagonal().max()),
+        max_product_dev=float(np.triu(dev, 1).max()),
         max_resolution_dev=max_res,
     )
 
@@ -266,7 +257,7 @@ def _block_trace_counts(group: D2Group) -> np.ndarray:
     dim(T~ e_j) = (deg_j / |G|) sum_k conj(chi_j(k)) K[k].
     """
     orb = conjugation_orbitals(group)
-    rep_u, rep_v = np.array(orb.reps).T
+    rep_u, rep_v = orb.reps
     orbit_ids = np.arange(orb.count)
     _, inv = index_tables(group)
     classes = conjugacy_classes(group)

@@ -71,7 +71,7 @@ def dense_block_dimension(e, orb, tol=1e-9):
     the sum over orbits c with rep (u, v) of the sum of e[w, v] over the w
     with (u, w) in c."""
     trace = 0.0 + 0.0j
-    for c, (u, v) in enumerate(orb.reps):
+    for c, (u, v) in enumerate(orb.reps.T.tolist()):
         members = np.nonzero(orb.labels[u] == c)[0]
         trace += e[members, v].sum()
     if abs(trace.imag) > tol:
@@ -192,11 +192,10 @@ def min_propagation_orbitals(group):
                 labels = np.minimum(labels, moved)
                 changed = True
     uniq, first, relabeled = np.unique(labels, return_index=True, return_inverse=True)
-    reps = tuple((int(i // order), int(i % order)) for i in first)
     return Orbitals(
         count=len(uniq),
         labels=read_only(relabeled.reshape(order, order).astype(np.int32)),
-        reps=reps,
+        reps=read_only(np.stack(np.divmod(first, order)).astype(np.int32)),
     )
 
 

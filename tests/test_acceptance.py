@@ -158,7 +158,7 @@ def test_criterion_4_character_tables(corpus):
         table = character_table(bundle.group)
         assert len(table.labels) == len(conjugacy_classes(bundle.group))
         assert sum(deg * deg for deg in table.degrees) == bundle.group.order
-        report = verify_orthogonality(table, tol=1e-9)
+        report = verify_orthogonality(table)
         assert report.first_max_deviation < 1e-9
         assert report.second_max_deviation < 1e-9
         for r, label in enumerate(table.labels):
@@ -196,7 +196,7 @@ def test_criterion_6_idempotent_oracle(corpus):
         if bundle.group.order > 32:
             continue
         report = verify_central_idempotents(
-            bundle.group, character_table(bundle.group), bundle.multiplicities["inner"], tol=1e-9
+            bundle.group, character_table(bundle.group), bundle.multiplicities["inner"]
         )
         assert report.block_dims == tuple(v * v for v in bundle.multiplicities["inner"].values)
         checked += 1

@@ -310,6 +310,50 @@ def test_wrong_length_s_exits_1_with_its_message(capsys):
     assert err == "error: --s needs 2 coordinates\n"
 
 
+@pytest.mark.parametrize("bounds", ["5", "10:3", "3:x", "3:4:5"])
+def test_sweep_range_must_be_lo_hi(capsys, bounds):
+    code, out, err = run_cli(capsys, "sweep", "--kind", "dihedral", "--range", bounds)
+    assert code == EXIT_INVALID_SPEC and out == ""
+    assert err == f"error: --range must be LO:HI with integers LO <= HI, got {bounds!r}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "dihedral", "factors": [[2, 2]], "y": [1]}, "dihedral takes no y"),
+        ({"kind": "g2", "n": 8, "s": 3, "t": 0, "factors": [[2, 3]]}, "g2 takes no factors"),
+        ({"kind": "general", "factors": [[3, 1]], "s": [2], "n": 3}, "general takes no n"),
+        ({"kind": "dicyclic", "factors": [[2, 2]], "y": [2], "t": 0}, "dicyclic takes no t"),
+        ({"kind": "dihedral", "factors": [[3, 1]], "n": 3, "t": 0}, "dihedral takes no n, t"),
+        ({"kind": "dicyclic", "factors": [[2, 2]], "y": [2], "s": [3]}, "dicyclic takes no s"),
+    ],
+)
+def test_fields_the_kind_does_not_take_are_rejected(tmp_path, capsys, spec, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    flags = ["--kind", spec["kind"]]
+    for key, value in spec.items():
+        if key != "kind":
+            text = json.dumps(value) if isinstance(value, list) else str(value)
+            flags += [f"--{key}", text]
+    for argv in (["--spec", str(spec_file)], flags):
+        code, out, err = run_cli(capsys, "info", *argv, "--format", "json")
+        assert (code, out, err) == (EXIT_INVALID_SPEC, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "dicyclic", "--factors", "2^2"], "dicyclic needs --y"),
+        (["--kind", "g2", "--s", "3"], "g2 needs --n and --t"),
+        (["--kind", "general", "--y", "1"], "general needs --factors and --s"),
+        (["--kind", "dihedral", "--factors", "[]"], "dihedral needs --factors"),
+    ],
+)
+def test_missing_fields_are_named(capsys, flags, message):
+    assert run_cli(capsys, "info", *flags) == (EXIT_INVALID_SPEC, "", f"error: {message}\n")
+
+
 def test_guard_minimum(capsys):
     code, _, _ = run_cli(
         capsys, "dims", "--kind", "dihedral", "--factors", "3", "--guard", "2"

@@ -111,7 +111,7 @@ def test_orbital_labels_partition(d4):
     assert labels.min() == 0
     assert labels.max() == orb.count - 1
     # reps really are the first pair of each orbit
-    for c, (u, v) in enumerate(orb.reps):
+    for c, (u, v) in enumerate(orb.reps.T.tolist()):
         assert labels[u, v] == c
     # every orbit is closed under conjugation by every element
     elems = list(d4.elements())
@@ -130,7 +130,7 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
     general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
     for group in (s3, d4, sd16, general):
         orb = conjugation_orbitals(group)
-        u, v = np.array(orb.reps).T
+        u, v = orb.reps
         x = np.random.default_rng(0).integers(-3, 4, orb.count)[orb.labels]
         scheme, duals = adjacency_matrices(group), dual_idempotents(group)
         vectors, blocks = terwilliger_generator_coords(group)

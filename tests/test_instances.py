@@ -1,6 +1,8 @@
 """Family enumeration and reproducible random sampling."""
 
+import json
 from math import prod
+from pathlib import Path
 
 from terw.instances import (
     abelian_factorizations,
@@ -59,3 +61,16 @@ def test_random_instances_reproducible():
     assert all(g.order >= 6 for g in a)
     c = random_general_instances(10, 48, seed=6)
     assert [g.name for g in c] != [g.name for g in a]
+
+
+def test_seeded_instances_keep_their_names():
+    # the names the seeded batches of the tests drew before the twist's d_i
+    # came from abelian.fixed_data; the same draws give the same groups
+    path = Path(__file__).parent / "data" / "seeded_instance_names.json"
+    recorded = json.loads(path.read_text())
+    assert len(recorded) == 10
+    for batch in recorded:
+        groups = random_general_instances(
+            batch["count"], batch["max_group_order"], seed=batch["seed"]
+        )
+        assert [g.name for g in groups] == batch["names"], batch["seed"]

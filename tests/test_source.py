@@ -66,3 +66,18 @@ def test_only_the_command_line_reads_the_environment():
         )
     ]
     assert not found, f"environment read outside cli.py: {found}"
+
+
+def test_no_tolerance_parameters():
+    # float relations compare against the one characters.FLOAT_TOLERANCE
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(
+            arg.arg == "tol"
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+    assert not found, f"functions taking a tol parameter: {found}"

@@ -124,7 +124,8 @@ def test_orbit_labelling_matches_the_references(s3, d4, q8, sd16):
     assert max(g.order for g in groups) > 96
     for group in groups:
         orb, ref = conjugation_orbitals(group), min_propagation_orbitals(group)
-        assert (orb.count, orb.reps) == (ref.count, ref.reps), group.name
+        assert orb.count == ref.count and np.array_equal(orb.reps, ref.reps), group.name
+        assert orb.reps.dtype == np.int32 and orb.reps.shape == (2, orb.count)
         assert orb.labels.dtype == np.int32 and not orb.labels.flags.writeable
         assert np.array_equal(orb.labels, ref.labels), group.name
         classes = conjugacy_classes_bruteforce(group, guard=128)
@@ -147,15 +148,14 @@ def test_tables_are_built_once_and_read_only():
     orb = conjugation_orbitals(group)
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
-        table.exponents, table.coefficients, table.complex_matrix, orb.labels,
+        table.exponents, table.coefficients, table.complex_matrix, orb.labels, orb.reps,
         conjugation_perms(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1
-    for seq in (table.labels, orb.reps):
-        with pytest.raises(TypeError):
-            seq[0] = None
+    with pytest.raises(TypeError):
+        table.labels[0] = None
     # a fresh group of the same shape builds its own tables
     assert index_tables(g2_group(16, 7, 8))[0] is not mult
 

@@ -220,8 +220,44 @@ def test_idempotent_check_rejects_wrong_block_dimension(sd16):
     vec = multiplicities_inner_product(sd16, table)
     values = list(vec.values)
     values[0], values[1] = values[1], values[0]
-    with pytest.raises(IdempotencyFailure, match="block of e_0"):
+    with pytest.raises(IdempotencyFailure, match=r"^block of e_0 has dimension \d+, expected \d+$"):
         verify_central_idempotents(sd16, table, dataclasses.replace(vec, values=tuple(values)))
+
+
+def test_idempotent_check_rejects_a_non_integral_block_trace(monkeypatch):
+    # Dih(C5): classes {e}, {a, a^4}, {a^2, a^3} and the coset; rows e_0, e_1
+    # linear, e_2 and e_3 two-dimensional
+    group = dihedral([(5, 1)])
+    table = character_table(group)
+    vec = multiplicities_inner_product(group, table)
+    exact = _block_trace_counts(group)
+    counts = exact.copy()
+    monkeypatch.setattr("terw.wedderburn._block_trace_counts", lambda group: counts)
+    # one more count on {a, a^4} gives e_0 a fractional dimension
+    counts[1] += 1
+    with pytest.raises(IdempotencyFailure, match="^block of e_0 has dimension 161/10, expected 16"):
+        verify_central_idempotents(group, table, vec)
+    # this shift keeps the linear rows' traces and the constant coordinate of
+    # e_2's, but makes e_2's trace irrational
+    counts[:] = exact + [-1, 3, -2, 0]
+    with pytest.raises(IdempotencyFailure, match="^block of e_2 has a trace that is not an"):
+        verify_central_idempotents(group, table, vec)
+
+
+def test_idempotent_relations_name_the_first_failing_pair(sd16):
+    table = character_table(sd16)
+    vec = multiplicities_inner_product(sd16, table)
+    doubled = table.coefficients.copy()
+    doubled[0] *= 2  # eps_0 becomes 2 eps_0, still orthogonal to the others
+    with pytest.raises(IdempotencyFailure, match=r"^eps_0\^2 != eps_0 \(deviation"):
+        verify_central_idempotents(sd16, dataclasses.replace(table, coefficients=doubled), vec)
+    # row 1 a copy of row 0: eps_0 eps_1 = eps_0 is the first failure
+    rows = [0, 0, *range(2, len(table.labels))]
+    copied = dataclasses.replace(
+        table, exponents=table.exponents[rows], coefficients=table.coefficients[rows]
+    )
+    with pytest.raises(IdempotencyFailure, match=r"^eps_0 eps_1 != 0 \(deviation"):
+        verify_central_idempotents(sd16, copied, vec)
 
 
 @pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
