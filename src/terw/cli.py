@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--factors", help='factor list, e.g. "2^2,3" or "[[2,2],[3,1]]"')
             p.add_argument("--s", help="twist vector (general) or integer (g2)")
             p.add_argument("--y", help="square of b as an exponent vector")
-            p.add_argument("--n", type=int, help="cyclic order (g2)")
-            p.add_argument("--t", type=int, help="exponent of b^2 (g2)")
+            p.add_argument("--n", help="cyclic order (g2)")
+            p.add_argument("--t", help="exponent of b^2 (g2)")
         p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
         p.add_argument("--oracle", action="store_true", help="force brute-force cross-checks")
         p.add_argument(
@@ -196,16 +196,20 @@ def _load_spec(args: argparse.Namespace) -> GroupSpec:
             raise InvalidGroupError("a spec file holds one JSON object")
     if args.kind:
         data["kind"] = args.kind
-    if args.factors:
-        data["factors"] = _parse_factors(args.factors)
-    if args.s is not None:
-        data["s"] = int(args.s) if data.get("kind") == "g2" else _parse_int_vector(args.s)
-    if args.y is not None:
-        data["y"] = _parse_int_vector(args.y)
-    if args.n is not None:
-        data["n"] = args.n
-    if args.t is not None:
-        data["t"] = args.t
+    vector = (_parse_int_vector, "integers joined by commas, e.g. 1,0, or a JSON list")
+    flags = {
+        "factors": (_parse_factors, "P^E terms joined by commas, e.g. 2^2,3, or a JSON list"),
+        "s": (int, "an integer for g2") if data.get("kind") == "g2" else vector,
+        "y": vector,
+        "n": (int, "an integer"),
+        "t": (int, "an integer"),
+    }
+    for name, (parse, form) in flags.items():
+        if (text := getattr(args, name)) is not None:
+            try:
+                data[name] = parse(text)
+            except ValueError:  # int() and json.loads raise it
+                raise InvalidGroupError(f"--{name} must be {form}, got {text!r}") from None
     if "kind" not in data:
         raise InvalidGroupError("no group kind given (flag --kind or spec file)")
     return GroupSpec.from_dict(data)

@@ -184,16 +184,22 @@ def conjugation_orbitals(group: D2Group) -> Orbitals:
 # -- Terwilliger closure in orbit coordinates ---------------------------------
 
 
+def first_not_preserving(table: np.ndarray, perms: Iterable[np.ndarray]) -> int | None:
+    """Position of the first p in perms with table[p][:, p] != table, or
+    None if every p preserves the table."""
+    moved = (k for k, p in enumerate(perms) if not np.array_equal(table[np.ix_(p, p)], table))
+    return next(moved, None)
+
+
 def _assert_conjugation_invariant(table: np.ndarray, perms: Iterable[np.ndarray]) -> None:
     """Exact certificate that every scheme matrix and dual idempotent lies in
     the centralizer algebra: the class-of-quotient table is invariant under
     simultaneous conjugation, and classes are conjugation-stable."""
-    for p in perms:
-        if not np.array_equal(table[np.ix_(p, p)], table):
-            raise OracleMismatch(
-                "conjugation does not preserve the class table; generators "
-                "would not lie in the centralizer algebra"
-            )
+    if first_not_preserving(table, perms) is not None:
+        raise OracleMismatch(
+            "conjugation does not preserve the class table; generators "
+            "would not lie in the centralizer algebra"
+        )
 
 
 Operator = Callable[[SparseVec], SparseVec]

@@ -19,7 +19,9 @@ import numpy as np
 
 from .abelian import AbElem
 from .errors import OracleMismatch
-from .groups import D2Elem, D2Group, index_tables, orbit_minima, per_group, read_only
+from .groups import (
+    D2Elem, D2Group, generator_perms, index_tables, orbit_minima, per_group, read_only
+)
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 Kind = Literal["fixed", "paired", "coset"]
@@ -139,13 +141,9 @@ def conjugacy_classes_bruteforce(
     the k generators g, canonically ordered.  The k * |G| conjugations use
     ``group.conjugate`` and ``group.index``, not the tables."""
     check_guard(group.order, guard, "orbit enumeration")
-    elems = list(group.elements())
-    perms = [
-        np.array([group.index(group.conjugate(x, g)) for x in elems])
-        for g in group.generators()
-    ]
+    roots = orbit_minima(generator_perms(group, group.conjugate))
     orbits: dict[int, set[D2Elem]] = {}
-    for x, root in zip(elems, orbit_minima(perms).tolist()):
+    for x, root in zip(group.elements(), roots.tolist()):
         orbits.setdefault(root, set()).add(x)
     return ClassList(group=group, classes=tuple(_canonicalize(group, orbits.values())))
 

@@ -295,6 +295,14 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
             root = jumped
 
 
+def generator_perms(group: D2Group, action: Callable[[D2Elem, D2Elem], D2Elem]) -> np.ndarray:
+    """The permutations x -> action(x, g) of element indices, one row per
+    generator g, from the element arithmetic and ``group.index`` alone, not
+    the tables."""
+    elems = list(group.elements())
+    return np.array([[group.index(action(x, g)) for x in elems] for g in group.generators()])
+
+
 @per_group
 def index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     """Dense multiplication and inverse tables over element indices.

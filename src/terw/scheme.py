@@ -13,6 +13,8 @@ the dimension of the algebra they generate:
 
 The product closure of the generated algebra (closure module) sits between
 the first two, so the four numbers agree exactly on every valid instance.
+``verify_scheme_axioms`` checks the product axiom on the row of the identity
+only, after checking that right translations preserve the class-index table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closure_dim_in_orbit_coords, conjugation_orbitals, terwilliger_closure_dim
+from .closure import closure_dim_in_orbit_coords, first_not_preserving, terwilliger_closure_dim
 from .conjugacy import (
     class_index_table,
     class_triple_codes,
@@ -29,7 +31,7 @@ from .conjugacy import (
     structure_tensor,
 )
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, centralizer_sizes
+from .groups import D2Group, centralizer_sizes, generator_perms, orbit_minima
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -53,11 +55,7 @@ class SchemeAxiomReport:
     class_count: int
 
 
-def verify_scheme_axioms(
-    group: D2Group,
-    matrices: list[np.ndarray] | None = None,
-    guard: int = DEFAULT_MATRIX_GUARD,
-) -> SchemeAxiomReport:
+def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> SchemeAxiomReport:
     """Check the four defining identities of the scheme matrices.
 
     (i) N_0 = I, (ii) sum N_i = J, (iii) each transpose is again a scheme
@@ -65,20 +63,20 @@ def verify_scheme_axioms(
     counted from the classes by ``structure_tensor``.  Raises AxiomFailure
     naming the first violated clause.
 
-    The matrices are read as the class-index table D, D[u, v] = i iff
-    N_i(u, v) = 1: by default ``class_index_table``, for which (ii) holds by
-    construction.  Matrices passed explicitly (e.g. corrupted, in tests) are
-    checked to be 0/1 and to partition J, which is (ii), and then converted.
+    The matrices are read as the class-index table D = ``class_index_table``,
+    D[u, v] = i iff N_i(u, v) = 1, for which (ii) holds by construction.
+    (iv) is checked on the row of the identity e only: a right translation
+    rho_g: x -> xg keeps D, D[xg, yg] = class(y x^-1) = D[x, y], so it maps
+    each cell (u, w) of N_i N_j to (ug, wg) with the same count, and these
+    reach every row from e (the scheme is homogeneous; Bannai and Ito,
+    Algebraic Combinatorics I, 1984, ch. II).  Both facts are checked for the
+    generators g, with rho_g built by ``group.mul``: a table that fails them
+    disagrees with ``group.mul``.
     """
     order = group.order
     check_guard(order, guard, "the scheme axioms")
     ell = len(conjugacy_classes(group))
-    if matrices is None:
-        table = class_index_table(group)
-    else:
-        table = _class_index_of(matrices, order)
-        if len(matrices) != ell:
-            raise AxiomFailure("(iv)", f"{len(matrices)} matrices for {ell} classes")
+    table = class_index_table(group)
 
     if not ((np.diagonal(table) == 0).all() and np.count_nonzero(table == 0) == order):
         raise AxiomFailure("(i)", "N_0 is not the identity")
@@ -94,27 +92,33 @@ def verify_scheme_axioms(
     if bad.size:
         raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
-    # (N_i N_j)(u, w) = #{v : D[u, v] = i, D[v, w] = j} must be p[i, j, D[u, w]]
-    # for all (u, w).  Equivalently, the codes D[u, v] * l + D[v, w] of all v,
-    # sorted, are expected[D[u, w]]: each code i * l + j repeated p[i, j, k]
-    # times, |G| codes in all iff p[:, :, k] sums to |G|.  A cell (u, w) that
-    # differs is counted in full, to name the first pair (i, j) failing anywhere
     p = structure_tensor(group)
     if not (p.sum(axis=(0, 1)) == order).all():
         raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
+    translations = generator_perms(group, group.mul)
+    moved = first_not_preserving(table, translations)
+    if moved is not None:
+        g = group.generators()[moved]
+        raise AxiomFailure("(iv)", f"right translation by {g} changes the class-index table")
+    if orbit_minima(translations).any():
+        raise AxiomFailure("(iv)", "right translations by the generators miss an element")
+
+    # (N_i N_j)(e, w) = #{v : D[e, v] = i, D[v, w] = j} must be p[i, j, D[e, w]]
+    # for every w.  Equivalently, the codes D[e, v] * l + D[v, w] of all v,
+    # sorted, are expected[D[e, w]]: each code i * l + j repeated p[i, j, k]
+    # times, |G| codes in all iff p[:, :, k] sums to |G|.  A cell w that
+    # differs is counted in full, to name the first pair (i, j) failing; by
+    # homogeneity the pairs failing on row e are those failing on any row
     code = np.min_scalar_type(ell * ell - 1)
     expected = np.repeat(
         np.tile(np.arange(ell * ell, dtype=code), ell), p.transpose(2, 0, 1).ravel()
     ).reshape(ell, order)
-    columns = table.T.astype(code)
+    row = table[0]
+    codes = np.sort(row.astype(code) * ell + table.T.astype(code), axis=1)  # codes[w, v]
     mismatch = np.zeros((ell, ell), dtype=bool)
-    step = max(1, 2**16 // (order * order))  # rows u per block, to bound memory
-    for start in range(0, order, step):
-        rows = table[start:start + step]
-        codes = np.sort(rows.astype(code)[:, None, :] * ell + columns, axis=2)
-        for u, w in np.argwhere((codes != expected[rows]).any(axis=2)) + (start, 0):
-            full = np.bincount(table[u] * ell + table[:, w], minlength=ell * ell)
-            mismatch |= full.reshape(ell, ell) != p[:, :, table[u, w]]
+    for w in np.flatnonzero((codes != expected[row]).any(axis=1)):
+        full = np.bincount(row * ell + table[:, w], minlength=ell * ell)
+        mismatch |= full.reshape(ell, ell) != p[:, :, row[w]]
     if mismatch.any():
         a, b = np.argwhere(mismatch)[0]
         raise AxiomFailure(
@@ -122,21 +126,6 @@ def verify_scheme_axioms(
         )
 
     return SchemeAxiomReport(transpose_pairing=tuple(pairing.tolist()), class_count=ell)
-
-
-def _class_index_of(matrices: list[np.ndarray], order: int) -> np.ndarray:
-    """Clause (ii) on explicit matrices, then their class-index table."""
-    table = np.zeros((order, order), dtype=np.int64)
-    covered = np.zeros((order, order), dtype=np.int64)
-    for i, mat in enumerate(matrices):
-        mat = np.asarray(mat)
-        if mat.shape != (order, order) or not ((mat == 0) | (mat == 1)).all():
-            raise AxiomFailure("(ii)", f"N_{i} is not a 0/1 matrix of side {order}")
-        covered += mat
-        table += i * mat
-    if not (covered == 1).all():
-        raise AxiomFailure("(ii)", "matrices do not sum to the all-ones matrix")
-    return table
 
 
 def dump_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> str:
@@ -194,25 +183,19 @@ def sandwich_vectors(group: D2Group) -> list[dict[int, int]]:
     return [dict.fromkeys(chunk.tolist(), 1) for chunk in np.split(order, bounds)]
 
 
-def dim_centralizer(group: D2Group, strategy: str = "formula") -> int:
-    """Dimension of the centralizer algebra of the conjugation action.
-
-    "formula": (1/|G|) sum over g of |C_G(g)|^2 with centralizer orders found
-    by scanning the multiplication table.  "orbits": count the orbits of G on
-    G x G directly.
-    """
+def dim_centralizer(group: D2Group) -> int:
+    """Dimension of the centralizer algebra of the conjugation action:
+    (1/|G|) sum over g of |C_G(g)|^2, with the centralizer orders found by
+    scanning the multiplication table.  ``conjugation_orbitals(group).count``
+    is the same number, counted as orbits on G x G."""
     if group.order > ENUMERATION_LIMIT:
         raise GuardExceededError(
             f"group order {group.order} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
-    if strategy == "formula":
-        total = int((centralizer_sizes(group).astype(np.int64) ** 2).sum())
-        if total % group.order:
-            raise OracleMismatch("sum of squared centralizer orders not divisible by |G|")
-        return total // group.order
-    if strategy == "orbits":
-        return conjugation_orbitals(group).count
-    raise ValueError(f"unknown strategy {strategy!r}")
+    total = int((centralizer_sizes(group).astype(np.int64) ** 2).sum())
+    if total % group.order:
+        raise OracleMismatch("sum of squared centralizer orders not divisible by |G|")
+    return total // group.order
 
 
 def dim_closed_form(group: D2Group) -> int:

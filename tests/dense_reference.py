@@ -4,7 +4,10 @@ The scheme-axiom and central-idempotent references work on explicit
 |G| x |G| matrices: the axioms by one einsum over all pairs of scheme
 matrices (l^2 |G|^3 work), the idempotents by products of the dense e_j and
 a loop over the orbits for each block trace.  The library checks the same
-identities without dense products.  The sandwich reference loops over the
+identities without dense products.  A second axiom reference checks (iv) on
+the class-index table by sorted cells on every row (|G|^3 codes sorted),
+where the library sorts the row of the identity only, after checking that
+right translations by the generators preserve the table.  The sandwich reference loops over the
 l^3 class triples, where the library sorts one code array.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
 integer rows.  The orbital reference propagates minimum labels sweep after
@@ -64,6 +67,50 @@ def dense_scheme_axioms(group, matrices=None):
             "(iv)", f"N_{bad[0]} N_{bad[1]} differs from its structure-constant expansion"
         )
     return tuple(pairing), len(p)
+
+
+def all_rows_scheme_axioms(group, table):
+    """(transpose pairing, class count) of the class-index table ``table``,
+    or AxiomFailure naming the first violated clause among (i), (iii) and
+    (iv).  Axiom (iv) on every row u: the codes D[u, v] * l + D[v, w] of all
+    v, sorted, must be the sequence ``structure_tensor`` predicts for class
+    D[u, w], and each cell (u, w) that differs is counted in full, to name
+    the first pair (i, j) failing anywhere."""
+    order = group.order
+    ell = len(conjugacy_classes(group))
+    if not ((np.diagonal(table) == 0).all() and np.count_nonzero(table == 0) == order):
+        raise AxiomFailure("(i)", "N_0 is not the identity")
+
+    sizes = np.bincount(table.ravel(), minlength=ell)
+    pairing = np.arange(ell)
+    pairing[table] = table.T
+    split = np.bincount(table[pairing[table] != table.T], minlength=ell) > 0
+    bad = np.flatnonzero(split | (sizes != sizes[pairing]))
+    if bad.size:
+        raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
+
+    p = structure_tensor(group)
+    if not (p.sum(axis=(0, 1)) == order).all():
+        raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
+    code = np.min_scalar_type(ell * ell - 1)
+    expected = np.repeat(
+        np.tile(np.arange(ell * ell, dtype=code), ell), p.transpose(2, 0, 1).ravel()
+    ).reshape(ell, order)
+    columns = table.T.astype(code)
+    mismatch = np.zeros((ell, ell), dtype=bool)
+    step = max(1, 2**16 // (order * order))  # rows u per block, to bound memory
+    for start in range(0, order, step):
+        rows = table[start:start + step]
+        codes = np.sort(rows.astype(code)[:, None, :] * ell + columns, axis=2)
+        for u, w in np.argwhere((codes != expected[rows]).any(axis=2)) + (start, 0):
+            full = np.bincount(table[u] * ell + table[:, w], minlength=ell * ell)
+            mismatch |= full.reshape(ell, ell) != p[:, :, table[u, w]]
+    if mismatch.any():
+        a, b = np.argwhere(mismatch)[0]
+        raise AxiomFailure(
+            "(iv)", f"N_{a} N_{b} differs from its structure-constant expansion"
+        )
+    return tuple(pairing.tolist()), ell
 
 
 def dense_block_dimension(e, orb, tol=1e-9):

@@ -302,6 +302,26 @@ def test_malformed_json_flags_are_one_error_line(capsys):
         assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--kind", "dihedral", "--factors", "2^x"],
+            "--factors must be P^E terms joined by commas, e.g. 2^2,3, or a JSON list, got '2^x'",
+        ),
+        (
+            ["--kind", "dicyclic", "--factors", "2^2", "--y", "1,z"],
+            "--y must be integers joined by commas, e.g. 1,0, or a JSON list, got '1,z'",
+        ),
+        (["--kind", "g2", "--n", "8", "--s", "x", "--t", "0"], "--s must be an integer for g2, got 'x'"),
+        (["--kind", "g2", "--n", "8", "--s", "3,", "--t", "0"], "--s must be an integer for g2, got '3,'"),
+        (["--kind", "g2", "--n", "8x", "--s", "3", "--t", "0"], "--n must be an integer, got '8x'"),
+    ],
+)
+def test_flag_values_that_are_not_integers_name_their_flag(capsys, flags, message):
+    assert run_cli(capsys, "info", *flags) == (EXIT_INVALID_SPEC, "", f"error: {message}\n")
+
+
 def test_wrong_length_s_exits_1_with_its_message(capsys):
     code, _, err = run_cli(
         capsys, "info", "--kind", "general", "--factors", "3,2^2", "--s", "2"

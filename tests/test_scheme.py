@@ -20,11 +20,18 @@ from terw import (
     make_involution,
     verify_scheme_axioms,
 )
+import terw.closure
+import terw.conjugacy
+import terw.groups
+import terw.scheme
+from terw.closure import conjugation_orbitals
+from terw.conjugacy import class_index_table
+from terw.groups import generator_perms, index_tables
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices, sandwich_vectors
 
 import dense_reference
-from dense_reference import dense_scheme_axioms, loop_sandwich_vectors
+from dense_reference import all_rows_scheme_axioms, dense_scheme_axioms, loop_sandwich_vectors
 
 SEEDED = random_general_instances(6, 64, seed=606)
 
@@ -79,23 +86,31 @@ def test_sd16_has_asymmetric_matrix(sd16):
     assert any(not np.array_equal(m, m.T) for m in mats)
 
 
-def test_axiom_failure_on_corruption(d4):
-    classes = conjugacy_classes(d4)
-    mats = adjacency_matrices(d4)
-    mats[2][0, 1] ^= 1
-    with pytest.raises(AxiomFailure):
-        verify_scheme_axioms(d4, matrices=mats)
+def _patch_table(monkeypatch, group, corrupt):
+    """A corrupted copy of the class-index table of group, which
+    verify_scheme_axioms then reads in place of the real one."""
+    table = class_index_table(group).copy()
+    corrupt(table)
+    monkeypatch.setattr("terw.scheme.class_index_table", lambda _: table)
+    return table
 
 
-def test_axiom_iv_detects_swapped_rows(q8):
+def _matrices(table):
+    return [(table == i).astype(np.int64) for i in range(int(table.max()) + 1)]
+
+
+def _swap(table, i, j):
+    cell_i, cell_j = table == i, table == j
+    table[cell_i], table[cell_j] = j, i
+
+
+def test_axiom_iv_detects_swapped_rows(q8, monkeypatch):
     # swapping classes of different sizes breaks the product expansion
     # (swapping the two size-2 coset classes would not: that relabeling is a
     # genuine automorphism of the scheme)
-    classes = conjugacy_classes(q8)
-    mats = adjacency_matrices(q8)
-    mats[1], mats[2] = mats[2], mats[1]
+    _patch_table(monkeypatch, q8, lambda table: _swap(table, 1, 2))
     with pytest.raises(AxiomFailure):
-        verify_scheme_axioms(q8, matrices=mats)
+        verify_scheme_axioms(q8)
 
 
 def test_axioms_agree_with_dense_reference(s3, d4, q8, sd16):
@@ -104,45 +119,80 @@ def test_axioms_agree_with_dense_reference(s3, d4, q8, sd16):
         assert (report.transpose_pairing, report.class_count) == dense_scheme_axioms(group)
 
 
-def _flip_entry(mats):
-    mats[2][0, 1] ^= 1
+def test_axioms_agree_with_the_all_rows_reference(s3, d4, q8, sd16):
+    for group in [s3, d4, q8, sd16, *SEEDED, dihedral([(2, 7)])]:
+        report = verify_scheme_axioms(group, guard=256)
+        want = all_rows_scheme_axioms(group, class_index_table(group))
+        assert (report.transpose_pairing, report.class_count) == want
 
 
-def _swap_identity(mats):
+def _swap_identity(table):
     # N_1 is the other central singleton, so the set still partitions J
-    mats[0], mats[1] = mats[1], mats[0]
+    _swap(table, 0, 1)
 
 
-def _swap_sizes(mats):
+def _swap_sizes(table):
     # a central singleton against a paired class of size 2
-    mats[1], mats[2] = mats[2], mats[1]
+    _swap(table, 1, 2)
 
 
-def _split_transpose(mats):
+def _split_transpose(table):
     # move one entry of the symmetric N_2 into N_3: J stays partitioned
-    col = int(np.flatnonzero(mats[2][0])[0])
-    mats[2][0, col], mats[3][0, col] = 0, 1
+    col = int(np.flatnonzero(table[0] == 2)[0])
+    table[0, col] = 3
 
 
 @pytest.mark.parametrize(
     "corrupt, clause",
     [
-        (_flip_entry, "(ii)"),
         (_swap_identity, "(i)"),
         (_swap_sizes, "(iv)"),
         (_split_transpose, "(iii)"),
     ],
 )
-def test_axiom_clauses_agree_with_dense_reference(d4, q8, corrupt, clause):
+def test_axiom_clauses_agree_with_dense_reference(d4, q8, monkeypatch, corrupt, clause):
     for group in (d4, q8):
-        mats = adjacency_matrices(group)
-        corrupt(mats)
+        table = _patch_table(monkeypatch, group, corrupt)
         with pytest.raises(AxiomFailure) as dense:
-            dense_scheme_axioms(group, mats)
+            dense_scheme_axioms(group, _matrices(table))
+        with pytest.raises(AxiomFailure) as all_rows:
+            all_rows_scheme_axioms(group, table)
         with pytest.raises(AxiomFailure) as gathered:
-            verify_scheme_axioms(group, matrices=mats)
-        assert dense.value.clause == gathered.value.clause == clause
-        assert str(dense.value) == str(gathered.value)
+            verify_scheme_axioms(group)
+        assert dense.value.clause == all_rows.value.clause == gathered.value.clause == clause
+        assert str(dense.value) == str(all_rows.value) == str(gathered.value)
+
+
+def test_a_relabelled_table_is_a_scheme_but_the_wrong_one(d4, q8, sd16, monkeypatch):
+    # D[s][:, s] for a permutation s of the elements is the table of an
+    # isomorphic scheme, so both references accept it, but it is not the
+    # table of group.mul: right translation moves it
+    rng = np.random.default_rng(14)
+    for group in (d4, q8, sd16):
+        perm = rng.permutation(group.order)
+
+        def relabel(table):
+            table[...] = table[np.ix_(perm, perm)]
+
+        table = _patch_table(monkeypatch, group, relabel)
+        assert dense_scheme_axioms(group, _matrices(table)) == all_rows_scheme_axioms(group, table)
+        with pytest.raises(AxiomFailure, match=r"\(iv\) failed: right translation by \("):
+            verify_scheme_axioms(group)
+
+
+def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
+    mult, _ = index_tables(sd16)
+    gens = [sd16.index(g) for g in sd16.generators()]
+    class_index_table(sd16)  # the table under test, built before the patch
+
+    def unavailable(_):
+        raise RuntimeError("index_tables called")
+
+    for module in (terw.groups, terw.conjugacy, terw.closure, terw.scheme):
+        if hasattr(module, "index_tables"):
+            monkeypatch.setattr(module, "index_tables", unavailable)
+    assert np.array_equal(generator_perms(sd16, sd16.mul), mult[:, gens].T)
+    assert verify_scheme_axioms(sd16).class_count == len(conjugacy_classes(sd16))
 
 
 def _added_mass(p):
@@ -172,9 +222,12 @@ def test_axiom_iv_checks_the_constants_at_codes_that_never_occur(
         monkeypatch.setattr("terw.scheme.structure_tensor", lambda _: p)
         with pytest.raises(AxiomFailure) as dense:
             dense_scheme_axioms(group)
+        with pytest.raises(AxiomFailure) as all_rows:
+            all_rows_scheme_axioms(group, class_index_table(group))
         with pytest.raises(AxiomFailure) as gathered:
             verify_scheme_axioms(group)
         assert dense.value.clause == gathered.value.clause == "(iv)"
+        assert str(all_rows.value) == str(gathered.value)
         if corrupt is _moved_mass:
             assert str(dense.value) == str(gathered.value)
 
@@ -212,7 +265,7 @@ def test_named_dimension_values(s3, d4, q8, sd16):
     for group, want in [(s3, 11), (d4, 28), (q8, 28), (sd16, 64)]:
         assert brute_centralizer_dim(group) == want
         assert dim_centralizer(group) == want
-        assert dim_centralizer(group, strategy="orbits") == want
+        assert conjugation_orbitals(group).count == want
         assert dim_t0(group) == want
         assert dim_t0(group, strategy="span") == want
         assert dim_closed_form(group) == want

@@ -10,6 +10,7 @@ from terw import (
     IdempotencyFailure,
     MultiplicityMismatch,
     NonIntegralMultiplicity,
+    OrthogonalityFailure,
     central_idempotent,
     character_table,
     conjugacy_classes,
@@ -21,6 +22,7 @@ from terw import (
     multiplicities_closed_form,
     multiplicities_inner_product,
     verify_central_idempotents,
+    verify_orthogonality,
     wedderburn_report,
 )
 from terw.closure import conjugation_orbitals
@@ -258,6 +260,23 @@ def test_idempotent_relations_name_the_first_failing_pair(sd16):
     )
     with pytest.raises(IdempotencyFailure, match=r"^eps_0 eps_1 != 0 \(deviation"):
         verify_central_idempotents(sd16, copied, vec)
+
+
+def test_float_relations_catch_one_step_on_a_two_dimensional_row():
+    # one exponent of the last 2-dimensional row of Dih(C64) moved by one
+    # 128th root: the relations deviate by about 7.7e-4 (orthogonality) and
+    # 6.0e-6 (eps_0 eps_34), so a tolerance of 1e-5 or more would miss one
+    group = dihedral([(2, 6)])
+    table = character_table(group)
+    vec = multiplicities_inner_product(group, table)
+    exponents = table.exponents.copy()
+    exponents[34, 0, 0] += 1
+    assert table.degrees[34] == 2
+    shifted = dataclasses.replace(table, exponents=exponents)
+    with pytest.raises(OrthogonalityFailure, match=r"deviation 7\.669e-04"):
+        verify_orthogonality(shifted)
+    with pytest.raises(IdempotencyFailure, match=r"^eps_0 eps_34 != 0 \(deviation 5\.992e-06\)"):
+        verify_central_idempotents(group, shifted, vec, guard=128)
 
 
 @pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
