@@ -33,7 +33,6 @@ from .conjugacy import (
     class_products,
     conjugacy_classes,
     conjugacy_classes_bruteforce,
-    structure_constant,
 )
 from .cyclotomic import RootSum
 from .errors import (

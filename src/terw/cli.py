@@ -12,10 +12,10 @@ override file values, and each kind is built by its one constructor in
 the parsed arguments are the whole run configuration: the commands read
 ``--format``, ``--oracle``, ``--guard`` and ``--out`` from them, and
 ``TERW_GUARD`` is read once per call, when ``--guard`` is absent.  Exit
-codes: 0 success, 1 invalid spec, 2 verification mismatch, 3 resource guard
-exceeded.  ``sweep`` reports every row, with the message of a failed check
-or of a guard in its ``detail`` column, and exits 2 if any row mismatched,
-else 3 if any row hit a guard.
+codes: 0 success, 1 invalid spec or command line, 2 verification mismatch,
+3 resource guard exceeded.  ``sweep`` reports every row, with the message
+of a failed check or of a guard in its ``detail`` column, and exits 2 if
+any row mismatched, else 3 if any row hit a guard.
 """
 
 from __future__ import annotations
@@ -134,10 +134,20 @@ def _parse_int_vector(text: str) -> list:
     return json.loads(text) if text.strip().startswith("[") else [int(v) for v in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (unknown flag, missing or malformed value) exits 1, the
+    invalid-spec code, not argparse's 2, which here means a mismatch.  The
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_SPEC, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="terw",
         description="Association scheme and Terwilliger-algebra computations "
         "for groups with an abelian subgroup of index 2.",
@@ -514,7 +524,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.guard is None:
-            args.guard = int(os.environ.get("TERW_GUARD", DEFAULT_MATRIX_GUARD))
+            text = os.environ.get("TERW_GUARD", str(DEFAULT_MATRIX_GUARD))
+            try:
+                args.guard = int(text)
+            except ValueError:
+                raise InvalidGroupError(f"TERW_GUARD must be an integer, got {text!r}") from None
         if args.guard < MIN_GUARD:
             raise InvalidGroupError(f"guard must be >= {MIN_GUARD}")
         if args.command == "sweep":

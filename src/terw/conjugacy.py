@@ -7,6 +7,11 @@ commutator subgroup B, one for each residue box representative z with
 0 <= z_i < d_i.  The canonical class order is fixed singletons first (in
 enumeration order), then pairs (by smaller representative), then coset
 classes (by mixed-radix z); class 0 is always {e}.
+
+``structure_tensor`` holds the structure constants p_ij^k of the scheme as
+sparse (code, count) pairs, one per nonzero constant; it is the one source
+of them, for the product axiom and for the class-sum products of the
+central idempotents.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Iterable, Iterator, Literal
 import numpy as np
 
 from .abelian import AbElem
-from .errors import OracleMismatch
 from .groups import (
     D2Elem, D2Group, generator_perms, index_tables, orbit_minima, per_group, read_only
 )
@@ -181,18 +185,6 @@ def _canonicalize(group: D2Group, orbits: Iterable[set[D2Elem]]) -> list[ConjCla
     return classes
 
 
-def structure_constant(group: D2Group, i: int, j: int, k: int) -> int:
-    """p_ij^k: with x = e and y any element of class k, the number of z in
-    class i such that y*z^-1 lies in class j.  Independent of the chosen y."""
-    classes = conjugacy_classes(group)
-    y = classes[k].rep
-    count = 0
-    for z in classes[i].elements:
-        if classes.index_of(group.mul(y, group.inv(z))) == j:
-            count += 1
-    return count
-
-
 def class_products(group: D2Group, i: int, j: int) -> set[int]:
     """Indices of the classes contained in the elementwise product Cl_i * Cl_j."""
     mult, _ = index_tables(group)
@@ -203,23 +195,27 @@ def class_products(group: D2Group, i: int, j: int) -> set[int]:
     return set(np.flatnonzero(counts).tolist())
 
 
-def structure_tensor(group: D2Group) -> np.ndarray:
-    """Full tensor p[i, j, k]: the number of pairs (u, v) in class i x
-    class j with v*u = y_k, for the representative y_k of class k.
+@per_group
+def structure_tensor(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero structure constants as read-only (codes, counts): each
+    code (k * l + i) * l + j, increasing, with count p_ij^k > 0, the number
+    of pairs (u, v) in class i x class j with v*u = y_k, for the
+    representative y_k of class k.  Their number is the sandwich dimension.
 
     Each u gives exactly one v = y_k * u^-1, so one pass over G per class
-    counts p[:, :, k], by the rule ``structure_constant`` uses and with
-    ``group.mul`` and ``group.inv`` only, not the tables.
+    gives the codes of class k, with ``group.mul`` and ``group.inv`` only,
+    not the tables; the constants are the run lengths of the sorted codes.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
     inverses = [group.inv(u) for u in group.elements()]
-    first = classes.labels.astype(np.int64) * ell  # class of u, by element index
-    p = np.empty((ell, ell, ell), dtype=np.int64)
+    codes = np.empty((ell, group.order), dtype=np.int64)
     for k, cls in enumerate(classes):
-        second = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
-        p[:, :, k] = np.bincount(first + second, minlength=ell * ell).reshape(ell, ell)
-    return p
+        codes[k] = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
+    codes += (np.arange(ell)[:, None] * ell + classes.labels) * ell  # k and the class of u
+    codes = np.sort(codes, axis=1).ravel()
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return read_only(codes[starts]), read_only(np.diff(starts, append=codes.size))
 
 
 def class_triple_codes(group: D2Group) -> np.ndarray:
@@ -230,23 +226,6 @@ def class_triple_codes(group: D2Group) -> np.ndarray:
     ell = len(classes)
     labels = classes.labels.astype(np.int64)
     return (labels[:, None] * ell + labels[None, :]) * ell + labels[mult]
-
-
-def class_structure_constants(group: D2Group) -> np.ndarray:
-    """a[i, j, k] = #{(x, y) in Cl_i x Cl_j : x*y = z} for any z in Cl_k.
-
-    These multiply the class sums of the group algebra,
-    K_i K_j = sum_k a[i, j, k] K_k, and a[i, j, k] = p[j, i, k] of
-    ``structure_tensor``.  One count over the multiplication table gives
-    |Cl_k| * a[i, j, k], divided exactly by the class size.
-    """
-    classes = conjugacy_classes(group)
-    ell = len(classes)
-    counts = np.bincount(class_triple_codes(group).ravel(), minlength=ell**3)
-    consts, rest = np.divmod(counts.reshape(ell, ell, ell), np.array(classes.sizes))
-    if rest.any():
-        raise OracleMismatch("a class product is not constant on a class")
-    return consts
 
 
 @per_group

@@ -92,8 +92,8 @@ def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> S
     if bad.size:
         raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
-    p = structure_tensor(group)
-    if not (p.sum(axis=(0, 1)) == order).all():
+    codes, counts = structure_tensor(group)
+    if not (np.bincount(codes // (ell * ell), counts, minlength=ell) == order).all():
         raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
     translations = generator_perms(group, group.mul)
     moved = first_not_preserving(table, translations)
@@ -103,24 +103,23 @@ def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> S
     if orbit_minima(translations).any():
         raise AxiomFailure("(iv)", "right translations by the generators miss an element")
 
-    # (N_i N_j)(e, w) = #{v : D[e, v] = i, D[v, w] = j} must be p[i, j, D[e, w]]
-    # for every w.  Equivalently, the codes D[e, v] * l + D[v, w] of all v,
-    # sorted, are expected[D[e, w]]: each code i * l + j repeated p[i, j, k]
-    # times, |G| codes in all iff p[:, :, k] sums to |G|.  A cell w that
-    # differs is counted in full, to name the first pair (i, j) failing; by
-    # homogeneity the pairs failing on row e are those failing on any row
+    # (N_i N_j)(e, w) = #{v : D[e, v] = i, D[v, w] = j} must be p_ij^k, with
+    # k = D[e, w], for every w.  Equivalently, the codes D[e, v] * l + D[v, w]
+    # of all v, sorted, are expected[k]: each code i * l + j repeated p_ij^k
+    # times, |G| codes in all iff the constants of class k sum to |G|.  A cell
+    # w that differs is counted in full, to name the first pair (i, j)
+    # failing; by homogeneity the pairs failing on row e are those failing on
+    # any row
     code = np.min_scalar_type(ell * ell - 1)
-    expected = np.repeat(
-        np.tile(np.arange(ell * ell, dtype=code), ell), p.transpose(2, 0, 1).ravel()
-    ).reshape(ell, order)
+    expected = np.repeat((codes % (ell * ell)).astype(code), counts).reshape(ell, order)
     row = table[0]
-    codes = np.sort(row.astype(code) * ell + table.T.astype(code), axis=1)  # codes[w, v]
-    mismatch = np.zeros((ell, ell), dtype=bool)
-    for w in np.flatnonzero((codes != expected[row]).any(axis=1)):
+    sorted_codes = np.sort(row.astype(code) * ell + table.T.astype(code), axis=1)  # [w, v]
+    mismatch = np.zeros(ell * ell, dtype=bool)
+    for w in np.flatnonzero((sorted_codes != expected[row]).any(axis=1)):
         full = np.bincount(row * ell + table[:, w], minlength=ell * ell)
-        mismatch |= full.reshape(ell, ell) != p[:, :, row[w]]
+        mismatch |= full != np.bincount(expected[row[w]], minlength=ell * ell)
     if mismatch.any():
-        a, b = np.argwhere(mismatch)[0]
+        a, b = divmod(int(np.argmax(mismatch)), ell)
         raise AxiomFailure(
             "(iv)", f"N_{a} N_{b} differs from its structure-constant expansion"
         )

@@ -20,7 +20,8 @@ further oracle: e_j^2 = e_j, mutually annihilating, summing to the
 identity, and the two-sided block T~ e_j has dimension d_j^2.  Each e_j is
 the image under the conjugation representation of a central element eps_j
 of the group algebra, so the relations are checked on the class
-coefficients of the eps_j with exact class structure constants, but in
+coefficients of the eps_j, multiplied with the exact structure constants of
+``conjugacy.structure_tensor`` (the ones the scheme axioms read), but in
 floating point, to ``characters.FLOAT_TOLERANCE``.  The block dimensions
 are exact: integer counts over the orbit representatives, reduced like the
 sums above; ``central_idempotent`` builds e_j as a dense matrix.
@@ -41,7 +42,7 @@ from .characters import (
     character_table,
 )
 from .closure import conjugation_orbitals
-from .conjugacy import class_structure_constants, conjugacy_classes
+from .conjugacy import conjugacy_classes, structure_tensor
 from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
 from .groups import D2Group, centralizer_sizes, conjugation_table, index_tables
@@ -209,7 +210,11 @@ def verify_central_idempotents(
     ell = len(table.labels)
     degrees = np.array(table.degrees)
     coeffs = table.complex_matrix.conj() * (degrees[:, None] / group.order)
-    consts = class_structure_constants(group)
+    # the class constants a[j, i, k] = p_ij^k, K_j K_i = sum_k a[j, i, k] K_k,
+    # scattered from the codes (k * l + i) * l + j
+    codes, counts = structure_tensor(group)
+    consts = np.zeros((ell, ell, ell), dtype=np.int64)
+    consts[np.unravel_index(codes, consts.shape)[::-1]] = counts
     # products[j, m, c]: coefficient of class sum c in eps_j eps_m - delta_jm eps_j
     products = coeffs @ np.tensordot(coeffs, consts, axes=(1, 0))
     products[np.arange(ell), np.arange(ell)] -= coeffs

@@ -16,24 +16,90 @@ conjugates every element by every element, where the library labels both
 orbit sets by union-find over the generators only.  The character-table
 report reference builds the whole dict, one shared dict per distinct value,
 for ``json.dumps``, where the library joins the text from cells encoded once
-per distinct value.  The tests compare each pair on small inputs.
+per distinct value.  The structure-constant references are dense (l, l, l)
+tensors: p by one l^2-bin count per class with ``group.mul``, and the class
+constants a[i, j, k] = p[j, i, k] by one count over the multiplication
+table, where the library keeps the nonzero p_ij^k as sparse (code, count)
+pairs, sorted per class; ``dense_view`` and ``sparse_pairs`` convert between
+the two forms.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from terw import AxiomFailure, IdempotencyFailure, adjacency_matrices, central_idempotent
+from terw import (
+    AxiomFailure,
+    IdempotencyFailure,
+    OracleMismatch,
+    adjacency_matrices,
+    central_idempotent,
+)
 from terw.closure import Orbitals, conjugation_orbitals, conjugation_perms
 from terw.conjugacy import (
     ClassList,
     _canonicalize,
     class_index_table,
+    class_triple_codes,
     conjugacy_classes,
-    structure_tensor,
 )
 from terw.characters import elem_json
 from terw.groups import read_only
+
+
+def structure_constant(group, i, j, k):
+    """p_ij^k: with x = e and y any element of class k, the number of z in
+    class i such that y*z^-1 lies in class j.  Independent of the chosen y."""
+    classes = conjugacy_classes(group)
+    y = classes[k].rep
+    count = 0
+    for z in classes[i].elements:
+        if classes.index_of(group.mul(y, group.inv(z))) == j:
+            count += 1
+    return count
+
+
+def dense_structure_tensor(group):
+    """Full tensor p[i, j, k]: the number of pairs (u, v) in class i x
+    class j with v*u = y_k, for the representative y_k of class k; one
+    l^2-bin count per class, with ``group.mul`` and ``group.inv``."""
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    inverses = [group.inv(u) for u in group.elements()]
+    first = classes.labels.astype(np.int64) * ell  # class of u, by element index
+    p = np.empty((ell, ell, ell), dtype=np.int64)
+    for k, cls in enumerate(classes):
+        second = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
+        p[:, :, k] = np.bincount(first + second, minlength=ell * ell).reshape(ell, ell)
+    return p
+
+
+def dense_view(pairs, ell):
+    """p[i, j, k] of the (codes, counts) pairs of ``structure_tensor``."""
+    codes, counts = pairs
+    p = np.zeros(ell**3, dtype=np.int64)
+    p[codes] = counts
+    return p.reshape(ell, ell, ell).transpose(1, 2, 0)  # the codes run over (k, i, j)
+
+
+def sparse_pairs(p):
+    """The (codes, counts) pairs of p[i, j, k], as ``structure_tensor`` has them."""
+    flat = p.transpose(2, 0, 1).ravel()
+    codes = np.flatnonzero(flat)
+    return read_only(codes), read_only(flat[codes])
+
+
+def class_structure_constants(group):
+    """a[i, j, k] = #{(x, y) in Cl_i x Cl_j : x*y = z} for any z in Cl_k,
+    from one count over the multiplication table, which gives
+    |Cl_k| * a[i, j, k], divided exactly by the class size."""
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    counts = np.bincount(class_triple_codes(group).ravel(), minlength=ell**3)
+    consts, rest = np.divmod(counts.reshape(ell, ell, ell), np.array(classes.sizes))
+    if rest.any():
+        raise OracleMismatch("a class product is not constant on a class")
+    return consts
 
 
 def dense_scheme_axioms(group, matrices=None):
@@ -58,7 +124,7 @@ def dense_scheme_axioms(group, matrices=None):
             raise AxiomFailure("(iii)", f"transpose of N_{i} is not a scheme matrix")
         pairing.append(partner)
 
-    p = structure_tensor(group)
+    p = dense_structure_tensor(group)
     products = np.einsum("aij,bjk->abik", stack, stack)
     recon = np.tensordot(p, stack, axes=([2], [0]))
     if not np.array_equal(products, recon):
@@ -73,9 +139,9 @@ def all_rows_scheme_axioms(group, table):
     """(transpose pairing, class count) of the class-index table ``table``,
     or AxiomFailure naming the first violated clause among (i), (iii) and
     (iv).  Axiom (iv) on every row u: the codes D[u, v] * l + D[v, w] of all
-    v, sorted, must be the sequence ``structure_tensor`` predicts for class
-    D[u, w], and each cell (u, w) that differs is counted in full, to name
-    the first pair (i, j) failing anywhere."""
+    v, sorted, must be the sequence ``dense_structure_tensor`` predicts for
+    class D[u, w], and each cell (u, w) that differs is counted in full, to
+    name the first pair (i, j) failing anywhere."""
     order = group.order
     ell = len(conjugacy_classes(group))
     if not ((np.diagonal(table) == 0).all() and np.count_nonzero(table == 0) == order):
@@ -89,7 +155,7 @@ def all_rows_scheme_axioms(group, table):
     if bad.size:
         raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
-    p = structure_tensor(group)
+    p = dense_structure_tensor(group)
     if not (p.sum(axis=(0, 1)) == order).all():
         raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
     code = np.min_scalar_type(ell * ell - 1)

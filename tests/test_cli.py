@@ -247,6 +247,41 @@ def test_guard_env_var_is_read_on_every_call(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["dim_closure"] == json.loads(out)["dim_t0"]
 
 
+def test_guard_env_var_that_is_not_an_integer_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("TERW_GUARD", "x")
+    code, out, err = run_cli(capsys, "info", "--kind", "dihedral", "--factors", "3")
+    assert code == EXIT_INVALID_SPEC and out == ""
+    assert err == "error: TERW_GUARD must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dims", "--kind", "dihedral", "--factors", "3", "--guard", "x"),
+         "argument --guard: invalid int value: 'x'"),
+        (("info", "--kind", "bogus"), "argument --kind: invalid choice: 'bogus'"),
+        (("info", "--kind", "dihedral", "--factors", "3", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("sweep", "--kind", "dihedral"), "the following arguments are required: --range"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1_not_the_mismatch_code(capsys, argv, message):
+    # argparse's own exit code, 2, is the code of a verification mismatch
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_INVALID_SPEC
+    assert err.startswith("usage: terw") and message in err.splitlines()[-1]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: terw verify")
+
+
 def test_parser_is_built_once_per_process(capsys):
     cli.build_parser.cache_clear()
     for command in ("info", "dims", "info"):

@@ -16,9 +16,10 @@ from terw import (
     g2_group,
     make_abelian,
     make_involution,
-    structure_constant,
 )
 from terw.conjugacy import COSET, FIXED, PAIRED
+
+from dense_reference import structure_constant
 
 
 def assert_same_classes(a, b):

@@ -1,5 +1,7 @@
 """Scheme matrices, axioms, dual idempotents, and the dimension paths."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from terw import (
     GuardExceededError,
     adjacency_matrices,
     conjugacy_classes,
+    dicyclic,
     dihedral,
     dim_centralizer,
     dim_closed_form,
@@ -25,13 +28,20 @@ import terw.conjugacy
 import terw.groups
 import terw.scheme
 from terw.closure import conjugation_orbitals
-from terw.conjugacy import class_index_table
+from terw.conjugacy import class_index_table, structure_tensor
 from terw.groups import generator_perms, index_tables
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices, sandwich_vectors
 
 import dense_reference
-from dense_reference import all_rows_scheme_axioms, dense_scheme_axioms, loop_sandwich_vectors
+from dense_reference import (
+    all_rows_scheme_axioms,
+    dense_scheme_axioms,
+    dense_structure_tensor,
+    dense_view,
+    loop_sandwich_vectors,
+    sparse_pairs,
+)
 
 SEEDED = random_general_instances(6, 64, seed=606)
 
@@ -195,6 +205,36 @@ def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
     assert verify_scheme_axioms(sd16).class_count == len(conjugacy_classes(sd16))
 
 
+def test_structure_tensor_is_the_dense_reference_as_sparse_pairs(s3, d4, q8, sd16):
+    # increasing codes (k * l + i) * l + j, each with a positive count, and
+    # no other constant
+    assert any(any(g.square) for g in SEEDED)
+    groups = (s3, d4, q8, sd16, dicyclic([(3, 1), (2, 2)], [0, 2]), g2_group(16, 7, 8), *SEEDED)
+    for group in groups:
+        codes, counts = structure_tensor(group)
+        assert codes.dtype.kind == counts.dtype.kind == "i"
+        assert (np.diff(codes) > 0).all() and (counts > 0).all(), group.name
+        p = dense_structure_tensor(group)
+        assert np.array_equal(dense_view((codes, counts), len(p)), p), group.name
+        assert len(codes) == dim_t0(group)
+
+
+def test_structure_tensor_is_built_without_the_tables(monkeypatch):
+    group = g2_group(16, 7, 8)  # fresh, so that nothing is built yet
+
+    def unavailable(_):
+        raise RuntimeError("index_tables called")
+
+    real = terw.groups.index_tables
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terw") and getattr(module, "index_tables", None) is real:
+            monkeypatch.setattr(module, "index_tables", unavailable)
+    pairs = structure_tensor(group)
+    monkeypatch.undo()
+    assert np.array_equal(dense_view(pairs, len(conjugacy_classes(group))),
+                          dense_structure_tensor(group))
+
+
 def _added_mass(p):
     # one more at a zero constant: no code counted there ever occurs
     p[tuple(np.argwhere(p == 0)[-1])] += 1
@@ -213,13 +253,12 @@ def _moved_mass(p):
 def test_axiom_iv_checks_the_constants_at_codes_that_never_occur(
     d4, q8, sd16, monkeypatch, corrupt
 ):
-    from terw.conjugacy import structure_tensor
-
+    # the references read the dense p, the library its sparse pairs
     for group in (d4, q8, sd16):
-        p = structure_tensor(group).copy()
+        p = dense_view(structure_tensor(group), len(conjugacy_classes(group))).copy()
         corrupt(p)
-        monkeypatch.setattr(dense_reference, "structure_tensor", lambda _: p)
-        monkeypatch.setattr("terw.scheme.structure_tensor", lambda _: p)
+        monkeypatch.setattr(dense_reference, "dense_structure_tensor", lambda _: p)
+        monkeypatch.setattr("terw.scheme.structure_tensor", lambda _: sparse_pairs(p))
         with pytest.raises(AxiomFailure) as dense:
             dense_scheme_axioms(group)
         with pytest.raises(AxiomFailure) as all_rows:

@@ -81,3 +81,18 @@ def test_no_tolerance_parameters():
         )
     ]
     assert not found, f"functions taking a tol parameter: {found}"
+
+
+def test_every_per_group_artefact_is_in_the_cached_list():
+    # the build-count, read-only and freeing tests in test_tables walk CACHED,
+    # so a new @per_group builder must join it
+    from test_tables import CACHED
+
+    found = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "per_group" for d in node.decorator_list)
+    }
+    assert found == {build.__name__ for build in CACHED}

@@ -13,6 +13,7 @@ import pytest
 from dense_reference import enumerated_conjugacy_classes, min_propagation_orbitals
 
 from terw import (
+    character_labels,
     character_table,
     conjugacy_classes,
     conjugacy_classes_bruteforce,
@@ -27,7 +28,7 @@ from terw import (
 )
 from terw.cli import main
 from terw.closure import conjugation_perms
-from terw.conjugacy import class_index_table, class_products
+from terw.conjugacy import class_index_table, class_products, structure_tensor
 from terw.groups import centralizer_sizes, conjugation_table, index_tables
 from terw.instances import random_general_instances
 
@@ -149,7 +150,7 @@ def test_tables_are_built_once_and_read_only():
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
         table.exponents, table.coefficients, table.complex_matrix, orb.labels, orb.reps,
-        conjugation_perms(group),
+        conjugation_perms(group), *structure_tensor(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -161,8 +162,8 @@ def test_tables_are_built_once_and_read_only():
 
 
 CACHED = [
-    index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_table,
-    conjugation_perms, conjugation_orbitals,
+    index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_labels,
+    character_table, conjugation_perms, conjugation_orbitals, structure_tensor,
 ]
 
 
@@ -249,3 +250,18 @@ def test_oracle_checks_stay_below_a_dense_stack():
         tracemalloc.stop()
     assert axioms_peak < stack * 8
     assert idempotents_peak < stack * 16
+
+
+def test_axioms_stay_below_a_dense_structure_tensor():
+    # the (l, l, l) int64 tensor of structure constants alone would exceed
+    # this peak; the sparse pairs are built inside the traced call
+    group = dihedral([(2, 7)])  # Dih(C128), |G| = 256, l = 67
+    class_index_table(group)  # per-group artefact the check reads, built before tracing
+    ell = len(conjugacy_classes(group))
+    tracemalloc.start()
+    try:
+        verify_scheme_axioms(group, guard=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ell**3 * 8
