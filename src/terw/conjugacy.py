@@ -10,8 +10,14 @@ classes (by mixed-radix z); class 0 is always {e}.
 
 ``structure_tensor`` holds the structure constants p_ij^k of the scheme as
 sparse (code, count) pairs, one per nonzero constant; it is the one source
-of them, for the product axiom and for the class-sum products of the
-central idempotents.
+of them, for the product axiom, the class-sum products of the central
+idempotents and the block traces.
+
+The two oracles here, ``conjugacy_classes_bruteforce`` and
+``structure_tensor``, never read the tables: they compose the right
+translations by the generators and the inversion of
+``groups.translations``, which are counted with ``group.mul`` and
+``group.inv``, so a wrong table still disagrees with them.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from typing import Iterable, Iterator, Literal
 import numpy as np
 
 from .abelian import AbElem
+from .errors import OracleMismatch
 from .groups import (
-    D2Elem, D2Group, generator_perms, index_tables, orbit_minima, per_group, read_only
+    D2Elem, D2Group, index_tables, orbit_minima, per_group, read_only, translations
 )
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
@@ -141,11 +148,13 @@ def conjugacy_classes(group: D2Group) -> ClassList:
 def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
-    """Conjugacy classes as the orbits (``orbit_minima``) of x -> gxg^-1 for
-    the k generators g, canonically ordered.  The k * |G| conjugations use
-    ``group.conjugate`` and ``group.index``, not the tables."""
+    """Conjugacy classes as the orbits (``orbit_minima``) of x -> s^-1 x s for
+    the k generators s, canonically ordered.  Each conjugation is composed
+    from ``translations``, rho_s[iota[rho_s[iota]]], not read from the
+    tables."""
     check_guard(group.order, guard, "orbit enumeration")
-    roots = orbit_minima(generator_perms(group, group.conjugate))
+    rho, iota = translations(group)
+    roots = orbit_minima(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
     orbits: dict[int, set[D2Elem]] = {}
     for x, root in zip(group.elements(), roots.tolist()):
         orbits.setdefault(root, set()).add(x)
@@ -202,20 +211,66 @@ def structure_tensor(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     of pairs (u, v) in class i x class j with v*u = y_k, for the
     representative y_k of class k.  Their number is the sandwich dimension.
 
-    Each u gives exactly one v = y_k * u^-1, so one pass over G per class
-    gives the codes of class k, with ``group.mul`` and ``group.inv`` only,
-    not the tables; the constants are the run lengths of the sorted codes.
+    Each v gives exactly one u = v^-1 * y_k, which is rho_{y_k}[iota[v]]
+    for the right translation rho_{y_k} by y_k, composed from
+    ``translations`` and not read from the tables; the constants are the
+    run lengths of the sorted codes.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
-    inverses = [group.inv(u) for u in group.elements()]
+    rho, iota = translations(group)
+    reps = [group.index(cls.rep) for cls in classes]
     codes = np.empty((ell, group.order), dtype=np.int64)
-    for k, cls in enumerate(classes):
-        codes[k] = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
-    codes += (np.arange(ell)[:, None] * ell + classes.labels) * ell  # k and the class of u
+    for k, rho_y in _translations_to(rho, reps, group.index(group.identity)):
+        codes[k] = classes.labels[rho_y[iota]]  # the class of u, by v
+    # (k * l + class of u) * l + class of v, in place
+    codes += np.arange(ell)[:, None] * ell
+    codes *= ell
+    codes += classes.labels
     codes = np.sort(codes, axis=1).ravel()
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     return read_only(codes[starts]), read_only(np.diff(starts, append=codes.size))
+
+
+def _translations_to(
+    rho: np.ndarray, targets: list[int], root: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, rho_x) for every position t of ``targets``, with rho_x: v -> v*x
+    the right translation by the element x = targets[t].
+
+    The rho_x are composed along a breadth-first tree from the root (the
+    identity) over the generator translations rho, with
+    rho_{x*s} = rho_s[rho_x]; only tree nodes on a path to a target are
+    composed, each once, and only one level of them is kept at a time.  The
+    tree itself is k * |G| list lookups.
+    """
+    rows = rho.tolist()
+    parent = [-1] * rho.shape[1]
+    step = [0] * rho.shape[1]  # the generator s of the tree edge into x*s
+    parent[root] = root
+    levels = [[root]]
+    while levels[-1]:
+        level = []
+        for x in levels[-1]:
+            for s, row in enumerate(rows):
+                y = row[x]
+                if parent[y] < 0:
+                    parent[y], step[y] = x, s
+                    level.append(y)
+        levels.append(level)
+
+    needed = set()
+    for x in targets:
+        while x not in needed:
+            if parent[x] < 0:
+                raise OracleMismatch("the generators do not reach every class representative")
+            needed.add(x)
+            x = parent[x]
+    position = {x: t for t, x in enumerate(targets)}
+    current = {root: np.arange(rho.shape[1])}
+    for level in levels[1:]:  # the last level is empty
+        yield from ((position[x], rho_x) for x, rho_x in current.items() if x in position)
+        current = {x: rho[step[x]][current[parent[x]]] for x in level if x in needed}
 
 
 def class_triple_codes(group: D2Group) -> np.ndarray:

@@ -14,6 +14,14 @@ fixed point y), generalized dihedral (f = inversion, y = 0), generalized
 dicyclic (f = inversion, y of order 2), and the order-2n extensions of a
 cyclic group, which are stored internally in prime-power coordinates via
 the Chinese remainder theorem.
+
+Per-group artefacts (``per_group``) are built once and kept on the group.
+The element indices come here from two sides: ``index_tables``, the dense
+multiplication and inverse tables that the fast paths gather on, and
+``translations``, the right translations by the generators and the
+inversion, counted with ``group.mul`` and ``group.inv`` alone.  The oracles
+that must not read the tables (the brute-force classes, the structure
+constants, scheme axiom (iv)) compose ``translations`` instead.
 """
 
 from __future__ import annotations
@@ -295,12 +303,17 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
             root = jumped
 
 
-def generator_perms(group: D2Group, action: Callable[[D2Elem, D2Elem], D2Elem]) -> np.ndarray:
-    """The permutations x -> action(x, g) of element indices, one row per
-    generator g, from the element arithmetic and ``group.index`` alone, not
-    the tables."""
+@per_group
+def translations(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """The right translations rho_s: x -> x*s of element indices, one row per
+    generator s, and the inversion iota: x -> x^-1, from ``group.mul``,
+    ``group.inv`` and ``group.index`` alone, not the tables: k * |G|
+    products and |G| inverses.  The table-free oracles compose these."""
     elems = list(group.elements())
-    return np.array([[group.index(action(x, g)) for x in elems] for g in group.generators()])
+    index = group.index
+    rho = np.array([[index(group.mul(x, s)) for x in elems] for s in group.generators()])
+    iota = np.array([index(group.inv(x)) for x in elems])
+    return read_only(rho), read_only(iota)
 
 
 @per_group

@@ -31,7 +31,7 @@ from .conjugacy import (
     structure_tensor,
 )
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, centralizer_sizes, generator_perms, orbit_minima
+from .groups import D2Group, centralizer_sizes, orbit_minima, translations
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -70,8 +70,8 @@ def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> S
     each cell (u, w) of N_i N_j to (ug, wg) with the same count, and these
     reach every row from e (the scheme is homogeneous; Bannai and Ito,
     Algebraic Combinatorics I, 1984, ch. II).  Both facts are checked for the
-    generators g, with rho_g built by ``group.mul``: a table that fails them
-    disagrees with ``group.mul``.
+    generators g, with rho_g read from ``translations``, which are built by
+    ``group.mul``: a table that fails them disagrees with ``group.mul``.
     """
     order = group.order
     check_guard(order, guard, "the scheme axioms")
@@ -95,12 +95,12 @@ def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> S
     codes, counts = structure_tensor(group)
     if not (np.bincount(codes // (ell * ell), counts, minlength=ell) == order).all():
         raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
-    translations = generator_perms(group, group.mul)
-    moved = first_not_preserving(table, translations)
+    rho, _ = translations(group)
+    moved = first_not_preserving(table, rho)
     if moved is not None:
         g = group.generators()[moved]
         raise AxiomFailure("(iv)", f"right translation by {g} changes the class-index table")
-    if orbit_minima(translations).any():
+    if orbit_minima(rho).any():
         raise AxiomFailure("(iv)", "right translations by the generators miss an element")
 
     # (N_i N_j)(e, w) = #{v : D[e, v] = i, D[v, w] = j} must be p_ij^k, with

@@ -23,8 +23,11 @@ of the group algebra, so the relations are checked on the class
 coefficients of the eps_j, multiplied with the exact structure constants of
 ``conjugacy.structure_tensor`` (the ones the scheme axioms read), but in
 floating point, to ``characters.FLOAT_TOLERANCE``.  The block dimensions
-are exact: integer counts over the orbit representatives, reduced like the
-sums above; ``central_idempotent`` builds e_j as a dense matrix.
+are exact: the trace of right multiplication by e_j on T~ is a character
+sum over integer counts K[k], reduced like the sums above, and K comes in
+O(dim T) from the same structure constants and the permutation character
+(``_block_trace_counts``); ``central_idempotent`` builds e_j as a dense
+matrix.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ from .characters import (
     character_labels,
     character_table,
 )
-from .closure import conjugation_orbitals
 from .conjugacy import conjugacy_classes, structure_tensor
 from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
-from .groups import D2Group, centralizer_sizes, conjugation_table, index_tables
+from .groups import D2Group, centralizer_sizes, conjugation_table
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 from .scheme import dim_centralizer
 
@@ -251,27 +253,40 @@ def verify_central_idempotents(
 
 
 def _block_trace_counts(group: D2Group) -> np.ndarray:
-    """K[k] = sum over g in class k of the number of orbits c, with
-    representative (u, v), such that (u, g^-1 v g) lies in c again; exact.
+    """K[k] = (|Cl_k| / |G|) sum_{i, j} p_ij^k psi_i psi_j, exactly, with p
+    the structure constants of ``structure_tensor`` and psi the
+    ``permutation_character``.
 
     Right multiplication by an idempotent e_j of T~ is an idempotent map on
-    T~, so dim(T~ e_j) is its trace: in orbit coordinates, the sum over
-    orbits c of (B_c e_j)(u, v), with B_c the orbit's 0/1 matrix.  That is
-    linear in e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), and
-    (B_c Phi(g))(u, v) = 1 iff (u, g^-1 v g) lies in c, so
-    dim(T~ e_j) = (deg_j / |G|) sum_k conj(chi_j(k)) K[k].
+    T~, so dim(T~ e_j) is its trace.  That is linear in
+    e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), so
+    dim(T~ e_j) = (deg_j / |G|) sum_k conj(chi_j(k)) K[k], with K[k] the
+    trace of X -> X Z_k on T~ for Z_k the image Phi(K_k) of the class sum.
+    With P(X) = (1/|G|) sum_h Phi(h) X Phi(h)^-1 the projection of End(CG)
+    onto T~, that is the trace of X -> P(X) Z_k on End(CG), and
+    tr(X -> A X B) = tr A tr B makes it
+    (1/|G|) sum_h psi(h) sum_{g in Cl_k} psi(h^-1 g); grouping the pairs
+    (h, h^-1 g) by class gives the sum over p.  Each sum is at most |G|^3,
+    so int64 holds it.  Raises IdempotencyFailure when |G| does not divide
+    |Cl_k| times the sum, which constants that are not those of a group can
+    do.
     """
-    orb = conjugation_orbitals(group)
-    rep_u, rep_v = orb.reps
-    orbit_ids = np.arange(orb.count)
-    _, inv = index_tables(group)
     classes = conjugacy_classes(group)
-    counts = []
-    for k in range(len(classes)):
-        inverses = inv[classes.labels == k]
-        moved = conjugation_table(group, inverses)[:, rep_v]  # g^-1 v g
-        counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
-    return np.array(counts)
+    ell = len(classes)
+    psi = np.array(permutation_character(group), dtype=np.int64)
+    codes, counts = structure_tensor(group)
+    k, ij = np.divmod(codes, ell * ell)
+    i, j = np.divmod(ij, ell)
+    sums = np.zeros(ell, dtype=np.int64)
+    np.add.at(sums, k, counts * psi[i] * psi[j])
+    sums *= classes.sizes
+    traces, rest = np.divmod(sums, group.order)
+    if rest.any():
+        bad = int(np.argmax(rest != 0))
+        raise IdempotencyFailure(
+            f"block trace count of class {bad} is {sums[bad]}/{group.order}, not an integer"
+        )
+    return traces
 
 
 # -- combined report -----------------------------------------------------------

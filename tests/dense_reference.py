@@ -21,7 +21,10 @@ tensors: p by one l^2-bin count per class with ``group.mul``, and the class
 constants a[i, j, k] = p[j, i, k] by one count over the multiplication
 table, where the library keeps the nonzero p_ij^k as sparse (code, count)
 pairs, sorted per class; ``dense_view`` and ``sparse_pairs`` convert between
-the two forms.  The tests compare each pair on small inputs.
+the two forms.  The block-trace reference gathers the orbit label of
+(u, g^-1 v g) for every orbit representative (u, v) and every g, where
+the library sums the structure constants against the permutation
+character.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
@@ -44,7 +47,7 @@ from terw.conjugacy import (
     conjugacy_classes,
 )
 from terw.characters import elem_json
-from terw.groups import read_only
+from terw.groups import conjugation_table, index_tables, read_only
 
 
 def structure_constant(group, i, j, k):
@@ -190,6 +193,27 @@ def dense_block_dimension(e, orb, tol=1e-9):
     if abs(trace.imag) > tol:
         raise IdempotencyFailure(f"block trace {trace} is not real")
     return trace.real
+
+
+def orbit_block_trace_counts(group):
+    """K[k] = sum over g in class k of the number of orbits c, with
+    representative (u, v), such that (u, g^-1 v g) lies in c again; exact.
+
+    (B_c Phi(g))(u, v) = 1 iff (u, g^-1 v g) lies in c, for B_c the orbit's
+    0/1 matrix, so K[k] is the trace of X -> X Phi(K_k) on the centralizer
+    algebra in orbit coordinates: |Cl_k| x dim T labels gathered per class.
+    """
+    orb = conjugation_orbitals(group)
+    rep_u, rep_v = orb.reps
+    orbit_ids = np.arange(orb.count)
+    _, inv = index_tables(group)
+    classes = conjugacy_classes(group)
+    counts = []
+    for k in range(len(classes)):
+        inverses = inv[classes.labels == k]
+        moved = conjugation_table(group, inverses)[:, rep_v]  # g^-1 v g
+        counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
+    return np.array(counts)
 
 
 def dense_block_dims(group, table, multiplicities, tol=1e-9):

@@ -8,6 +8,7 @@ import terw.groups
 from terw import (
     D2Group,
     GuardExceededError,
+    OracleMismatch,
     class_products,
     conjugacy_classes,
     conjugacy_classes_bruteforce,
@@ -17,7 +18,7 @@ from terw import (
     make_abelian,
     make_involution,
 )
-from terw.conjugacy import COSET, FIXED, PAIRED
+from terw.conjugacy import COSET, FIXED, PAIRED, structure_tensor
 
 from dense_reference import structure_constant
 
@@ -114,8 +115,9 @@ def test_class_of_lookup(s3, d4):
 
 
 def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
-    # the oracle stays independent of the tables and makes k * |G| calls of
-    # group.conjugate for k generators, not one per element and class
+    # the oracle stays independent of the tables: it composes the right
+    # translations by the k generators, k * |G| calls of group.mul and |G|
+    # of group.inv, and calls group.conjugate not once
     group = dicyclic([(3, 1), (2, 3)], [0, 4])
     expected = conjugacy_classes(group)
 
@@ -126,16 +128,39 @@ def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("terw") and getattr(module, "index_tables", None) is real:
             monkeypatch.setattr(module, "index_tables", no_tables)
-    calls = 0
-    conjugate = group.conjugate
+    calls = dict.fromkeys(("mul", "inv", "conjugate"), 0)
 
-    def counting(g, by):
+    def counted(name):
+        method = getattr(group, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(group, name, counted(name))
+    assert_same_classes(conjugacy_classes_bruteforce(group), expected)
+    assert 0 < calls["mul"] <= len(group.generators()) * group.order
+    assert 0 < calls["inv"] <= group.order
+    assert calls["conjugate"] == 0
+
+
+def test_structure_tensor_makes_one_product_per_generator_and_element(monkeypatch):
+    # the structure constants compose the generator translations: k * |G|
+    # calls of group.mul, not one per class and element
+    group = dihedral([(2, 5)])  # Dih(C32), fresh, so that nothing is built yet
+    calls = 0
+    mul = group.mul
+
+    def counting(g, h):
         nonlocal calls
         calls += 1
-        return conjugate(g, by)
+        return mul(g, h)
 
-    monkeypatch.setattr(group, "conjugate", counting)
-    assert_same_classes(conjugacy_classes_bruteforce(group), expected)
+    monkeypatch.setattr(group, "mul", counting)
+    structure_tensor(group)
     assert 0 < calls <= len(group.generators()) * group.order
 
 
@@ -232,3 +257,11 @@ def test_coset_products_partition_abelian_part(sd16, d4):
                 covered |= class_products(group, r.index, j.index)
             assert len(seen) == group.n
             assert covered == abelian_classes
+
+
+def test_structure_tensor_needs_generators_that_reach_every_class():
+    group = dihedral([(2, 3)])  # fresh, so that nothing is built yet
+    without_b = group.generators()[:-1]
+    group.generators = lambda: without_b
+    with pytest.raises(OracleMismatch, match="do not reach every class representative"):
+        structure_tensor(group)

@@ -29,7 +29,7 @@ import terw.groups
 import terw.scheme
 from terw.closure import conjugation_orbitals
 from terw.conjugacy import class_index_table, structure_tensor
-from terw.groups import generator_perms, index_tables
+from terw.groups import index_tables, translations
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices, sandwich_vectors
 
@@ -191,7 +191,7 @@ def test_a_relabelled_table_is_a_scheme_but_the_wrong_one(d4, q8, sd16, monkeypa
 
 
 def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
-    mult, _ = index_tables(sd16)
+    mult, inv = index_tables(sd16)
     gens = [sd16.index(g) for g in sd16.generators()]
     class_index_table(sd16)  # the table under test, built before the patch
 
@@ -201,7 +201,9 @@ def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
     for module in (terw.groups, terw.conjugacy, terw.closure, terw.scheme):
         if hasattr(module, "index_tables"):
             monkeypatch.setattr(module, "index_tables", unavailable)
-    assert np.array_equal(generator_perms(sd16, sd16.mul), mult[:, gens].T)
+    rho, iota = translations.__wrapped__(sd16)  # built afresh, under the patch
+    assert np.array_equal(rho, mult[:, gens].T) and np.array_equal(iota, inv)
+    assert np.array_equal(translations(sd16)[0], rho)
     assert verify_scheme_axioms(sd16).class_count == len(conjugacy_classes(sd16))
 
 
@@ -241,11 +243,12 @@ def _added_mass(p):
 
 
 def _moved_mass(p):
-    # one unit from the last positive constant to a zero one of the same k,
-    # so every p[:, :, k] still sums to |G|
+    # one unit from the last positive constant to a zero one of the same k
+    # at i != j, so every p[:, :, k] still sums to |G| and the failing pair
+    # named first is not symmetric: N_a N_b and N_b N_a differ in the message
     i, j, k = np.argwhere(p > 0)[-1]
     p[i, j, k] -= 1
-    zi, zj = np.argwhere(p[:, :, k] == 0)[0]
+    zi, zj = next((a, b) for a, b in np.argwhere(p[:, :, k] == 0) if a != b)
     p[zi, zj, k] += 1
 
 

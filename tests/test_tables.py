@@ -29,7 +29,7 @@ from terw import (
 from terw.cli import main
 from terw.closure import conjugation_perms
 from terw.conjugacy import class_index_table, class_products, structure_tensor
-from terw.groups import centralizer_sizes, conjugation_table, index_tables
+from terw.groups import centralizer_sizes, conjugation_table, index_tables, translations
 from terw.instances import random_general_instances
 
 
@@ -150,7 +150,7 @@ def test_tables_are_built_once_and_read_only():
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
         table.exponents, table.coefficients, table.complex_matrix, orb.labels, orb.reps,
-        conjugation_perms(group), *structure_tensor(group),
+        conjugation_perms(group), *structure_tensor(group), *translations(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_tables_are_built_once_and_read_only():
 
 CACHED = [
     index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_labels,
-    character_table, conjugation_perms, conjugation_orbitals, structure_tensor,
+    character_table, conjugation_perms, conjugation_orbitals, structure_tensor, translations,
 ]
 
 

@@ -36,6 +36,8 @@ from dense_reference import (
     dense_block_dimension,
     dense_block_dims,
     dense_view,
+    orbit_block_trace_counts,
+    sparse_pairs,
 )
 
 SMALL = [
@@ -302,3 +304,26 @@ def test_block_trace_counts_match_dense_trace(group):
         trace = label.degree / group.order * (row.conj() @ counts)
         dense = dense_block_dimension(central_idempotent(group, table, j), orb)
         assert abs(trace - dense) < 1e-9
+
+
+def test_block_trace_counts_equal_the_orbit_gather(s3, d4, q8, sd16):
+    seeded = random_general_instances(6, 256, seed=1601)
+    assert any(any(g.square) for g in seeded) and max(g.order for g in seeded) > 128
+    groups = (s3, d4, q8, sd16, dicyclic([(3, 1), (2, 2)], [0, 2]), g2_group(16, 7, 8), *seeded)
+    for group in groups:
+        assert np.array_equal(_block_trace_counts(group), orbit_block_trace_counts(group)), group.name
+
+
+def test_block_traces_reject_constants_that_are_not_a_group(monkeypatch):
+    # Dih(C5), psi = (10, 5, 5, 2): one unit of p_03^3 (u = e, v = y_3) moved
+    # to the zero p_11^3 keeps sum_ij p_ij^3 = |G| but makes
+    # |Cl_3| sum_ij p_ij^3 psi_i psi_j = 5 * 125 not a multiple of |G| = 10
+    group = dihedral([(5, 1)])
+    p = dense_view(structure_tensor(group), len(conjugacy_classes(group))).copy()
+    assert permutation_character(group) == [10, 5, 5, 2]
+    assert p[0, 3, 3] == 1 and p[1, 1, 3] == 0
+    p[0, 3, 3] -= 1
+    p[1, 1, 3] += 1
+    monkeypatch.setattr("terw.wedderburn.structure_tensor", lambda _: sparse_pairs(p))
+    with pytest.raises(IdempotencyFailure, match=r"^block trace count of class 3 is 625/10, not"):
+        _block_trace_counts(group)
