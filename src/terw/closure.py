@@ -3,10 +3,17 @@
 Two closure paths are provided.
 
 ``algebra_dimension`` is the plain oracle: seed a basis with the generator
-matrices, repeatedly append products of basis elements with generators
-(both sides), and row-reduce the flattened matrices exactly until the
-dimension stabilizes.  Integer matrices are multiplied with
-arbitrary-precision entries, so there is no tolerance anywhere.
+matrices, repeatedly append the products of basis elements with generators
+on the right, and row-reduce the flattened matrices exactly until the
+dimension stabilizes.  A product is formed in int64 only when a bound on
+its entries proves that it fits, and with Python ints otherwise, so there is
+no tolerance and no overflow anywhere.
+
+Right products suffice.  Let W be the span the search builds: it contains
+the generators S, and when the search stops every element that grew the
+basis has been multiplied on the right by every s in S, so W s lies in W.
+By induction W holds every word in S, so W is the algebra S generates and
+products on the left add nothing.
 
 ``terwilliger_closure_dim`` specializes the same idea to the generators of
 the Terwilliger algebra (scheme matrices plus dual idempotents) and makes it
@@ -25,9 +32,11 @@ sum of its blocks E*_a T E*_b (Terwilliger, J. Algebraic Combin. 1, 1992),
 and the orbit with representative (u, v) lies in block (class of u, class of
 v).  Every generated vector is then split into its block parts, and each
 part is ranked in its block's own basis, capped at the block's orbit count;
-a part whose block is full is skipped.  Multiplying by an E*_i keeps or drops
-whole parts, so only the scheme matrices act as operators, and these are
-built only when a round leaves a block below its cap: for the groups here
+a part whose block is full is skipped.  As for ``algebra_dimension``, only
+products on the right are formed.  Multiplying a part of block (a, b) on the
+right by E*_i keeps it (i = b) or drops it, so the span stays closed under
+the E*_i and only the scheme matrices act as operators, one per N_j.  These
+are built only when a round leaves a block below its cap: for the groups here
 the sandwiches E*_a N_j E*_b of round 0 already fill every block.  Without
 the dual idempotents the same search runs with all orbits in one block.
 
@@ -41,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +60,8 @@ from .groups import D2Group, conjugation_table, index_tables, orbit_minima, per_
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
+
+INT64_LIMIT = 2**63
 
 
 class SparseRationalBasis:
@@ -105,9 +116,13 @@ def algebra_dimension(
 ) -> int:
     """Dimension of the matrix algebra generated by the given integer matrices.
 
-    Breadth-first closure: new candidates are products of matrices that grew
-    the basis with the original generators, on both sides; stops when a full
-    round adds nothing.
+    Breadth-first closure: new candidates are the products X s of each
+    matrix X that grew the basis with each generator s, on the right (see
+    the module docstring); stops when a full round adds nothing.
+
+    Every entry of X s, and every partial sum of it, is at most max|X| times
+    the largest absolute column sum of s; the product is formed in int64
+    when that bound is below 2^63, and with Python ints otherwise.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -115,6 +130,19 @@ def algebra_dimension(
     if side > guard:
         raise GuardExceededError(f"matrix side {side} exceeds guard {guard}")
     gens = [np.asarray(g, dtype=object) for g in generators]
+    # the largest absolute column sum of each generator, at least 1, exact
+    col_sums = [max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens]
+    gens64 = [g.astype(np.int64) if c < INT64_LIMIT else None for g, c in zip(gens, col_sums)]
+
+    def products(mat: np.ndarray) -> Iterator[np.ndarray]:
+        """mat s for each generator s, in generator order."""
+        top = max(int(mat.max()), -int(mat.min()), 1)
+        mat64 = mat.astype(np.int64, copy=False) if top < INT64_LIMIT else None
+        for gen, gen64, col_sum in zip(gens, gens64, col_sums):
+            if top * col_sum < INT64_LIMIT:
+                yield mat64 @ gen64
+            else:
+                yield mat.astype(object) @ gen
 
     def flat(mat: np.ndarray) -> SparseVec:
         entries = mat.ravel()
@@ -124,13 +152,7 @@ def algebra_dimension(
     basis = SparseRationalBasis()
     frontier = [g for g in gens if basis.insert(flat(g))]
     while frontier:
-        new: list[np.ndarray] = []
-        for mat in frontier:
-            for gen in gens:
-                for prod in (mat @ gen, gen @ mat):
-                    if basis.insert(flat(prod)):
-                        new.append(prod)
-        frontier = new
+        frontier = [prod for mat in frontier for prod in products(mat) if basis.insert(flat(prod))]
     return basis.dimension
 
 
@@ -230,20 +252,18 @@ def _gather_operator(sources: np.ndarray) -> Operator:
 
 
 def scheme_operators(group: D2Group) -> list[Operator]:
-    """The operators that multiply by each scheme matrix N_j, on the left and
-    then on the right, in orbit coordinates."""
+    """The operators that multiply by each scheme matrix N_j on the right,
+    in orbit coordinates; the search needs no left products (see the module
+    docstring)."""
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
     rep_u, rep_v = orb.reps
     mult, inv = index_tables(group)
-    operators: list[Operator] = []
-    for j in range(len(classes)):
-        elems = np.flatnonzero(classes.labels == j)
-        # (N_j X)(u, v) = sum over c in class j of X(c*u, v)
-        operators.append(_gather_operator(orb.labels[mult[np.ix_(elems, rep_u)], rep_v]))
-        # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
-        operators.append(_gather_operator(orb.labels[rep_u, mult[np.ix_(inv[elems], rep_v)]]))
-    return operators
+    # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
+    return [
+        _gather_operator(orb.labels[rep_u, mult[np.ix_(inv[classes.labels == j], rep_v)]])
+        for j in range(len(classes))
+    ]
 
 
 def terwilliger_generator_coords(

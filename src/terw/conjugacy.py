@@ -155,18 +155,25 @@ def conjugacy_classes_bruteforce(
     check_guard(group.order, guard, "orbit enumeration")
     rho, iota = translations(group)
     roots = orbit_minima(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
-    orbits: dict[int, set[D2Elem]] = {}
-    for x, root in zip(group.elements(), roots.tolist()):
-        orbits.setdefault(root, set()).add(x)
-    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits.values())))
+    # a stable sort keeps each orbit's members in index order, and puts the
+    # orbits in order of their smallest members, the roots
+    order = np.argsort(roots, kind="stable")
+    bounds = (np.flatnonzero(np.diff(roots[order])) + 1).tolist()
+    elems, members = list(group.elements()), order.tolist()
+    orbits = [
+        tuple(elems[i] for i in members[a:b])
+        for a, b in zip([0, *bounds], [*bounds, len(members)])
+    ]
+    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
 
 
-def _canonicalize(group: D2Group, orbits: Iterable[set[D2Elem]]) -> list[ConjClass]:
-    """Order raw orbits exactly as the closed form does."""
+def _canonicalize(group: D2Group, orbits: Iterable[tuple[D2Elem, ...]]) -> list[ConjClass]:
+    """Order raw orbits exactly as the closed form does.  Each orbit lists its
+    members in index order, and the orbits come in order of their first
+    members."""
     fixed, paired, coset = [], [], []
     d_vec = group.fixed.d_vec
-    for orbit in orbits:
-        members = tuple(sorted(orbit, key=group.index))
+    for members in orbits:
         if all(beta == 0 for _, beta in members):
             if len(members) == 1:
                 fixed.append(members)
@@ -174,8 +181,6 @@ def _canonicalize(group: D2Group, orbits: Iterable[set[D2Elem]]) -> list[ConjCla
                 paired.append(members)
         else:
             coset.append(members)
-    fixed.sort(key=lambda ms: group.index(ms[0]))
-    paired.sort(key=lambda ms: group.index(ms[0]))
 
     def coset_key(members: tuple[D2Elem, ...]) -> AbElem:
         a, _ = members[0]

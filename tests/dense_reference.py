@@ -10,8 +10,11 @@ where the library sorts the row of the identity only, after checking that
 right translations by the generators preserve the table.  The sandwich reference loops over the
 l^3 class triples, where the library sorts one code array.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
-integer rows.  The orbital reference propagates minimum labels sweep after
-sweep over the pair permutations and their inverses, and the class reference
+integer rows.  The explicit-matrix closure reference multiplies on both
+sides with Python ints only, where the library multiplies on the right, in
+int64 when a bound proves the product fits.  The orbital reference
+propagates minimum labels sweep after sweep over the pair permutations and
+their inverses, and the class reference
 conjugates every element by every element, where the library labels both
 orbit sets by union-find over the generators only.  The character-table
 report reference builds the whole dict, one shared dict per distinct value,
@@ -38,7 +41,7 @@ from terw import (
     adjacency_matrices,
     central_idempotent,
 )
-from terw.closure import Orbitals, conjugation_orbitals, conjugation_perms
+from terw.closure import Orbitals, SparseRationalBasis, conjugation_orbitals, conjugation_perms
 from terw.conjugacy import (
     ClassList,
     _canonicalize,
@@ -305,6 +308,27 @@ def fraction_closure_rank(vectors, operators):
     return basis.dimension
 
 
+def two_sided_algebra_dimension(generators):
+    """Dimension of the algebra generated by the integer matrices: products
+    of each matrix that grew the basis with each generator on both sides,
+    all on ``object`` arrays, until a round adds nothing."""
+    gens = [np.asarray(g, dtype=object) for g in generators]
+
+    def flat(mat):
+        entries = mat.ravel()
+        cols = np.flatnonzero(entries)
+        return dict(zip(cols.tolist(), entries[cols].tolist()))
+
+    basis = SparseRationalBasis()
+    frontier = [g for g in gens if basis.insert(flat(g))]
+    while frontier:
+        frontier = [
+            prod for mat in frontier for gen in gens for prod in (mat @ gen, gen @ mat)
+            if basis.insert(flat(prod))
+        ]
+    return basis.dimension
+
+
 def min_propagation_orbitals(group):
     """The simultaneous-conjugation orbits on G x G, labelled by
     min-propagation: each pair takes the smallest label among its images under
@@ -346,7 +370,7 @@ def enumerated_conjugacy_classes(group):
         if g not in remaining:
             continue
         orbit = {group.conjugate(g, h) for h in elems}
-        orbits.append(orbit)
+        orbits.append(tuple(sorted(orbit, key=group.index)))  # g comes first
         remaining -= orbit
     return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
 

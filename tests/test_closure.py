@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import FractionBasis, fraction_closure_rank
+from dense_reference import FractionBasis, fraction_closure_rank, two_sided_algebra_dimension
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +76,50 @@ def test_generic_closure_matches_fast_path_general_instance():
     assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
 
+@pytest.mark.parametrize("generators, dim", [
+    pytest.param([np.array([[2**40, 1], [0, 2**40]])], 2, id="square-2^80"),
+    pytest.param([np.array([[3**40]], dtype=object)], 1, id="1x1-3^40"),
+    # the squares 2^64 and 2^66 wrap to 0 in int64, which would drop D^2
+    pytest.param([np.diag([2**32, 2**33])], 2, id="squares-wrap-to-0"),
+    # the square of the large generator, entries 2^80, times the zero one
+    pytest.param(
+        [np.zeros((2, 2), dtype=np.int64), np.array([[2**40, 1], [0, 2**40]])], 2,
+        id="zero-beside-large",
+    ),
+    pytest.param([np.array([[2**64, 0], [0, 1]], dtype=object)], 2, id="object-2^64"),
+])
+def test_products_that_overflow_int64_stay_exact(generators, dim):
+    assert algebra_dimension(generators) == two_sided_algebra_dimension(generators) == dim
+
+
+def test_fixed_inputs_equal_the_two_sided_reference(s3):
+    abelian = make_abelian([(2, 1), (3, 1)])
+    general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
+    cases = [
+        [np.eye(5, dtype=np.int64)],
+        [np.diag([1, 0, 0, 0]), np.diag([0, 1, 1, 0]), np.diag([0, 0, 0, 1])],
+        [np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])],
+        *(adjacency_matrices(g) + dual_idempotents(g) for g in (s3, general)),
+        *(adjacency_matrices(g) for g in (s3, general)),
+    ]
+    for gens in cases:
+        assert algebra_dimension(gens) == two_sided_algebra_dimension(gens)
+
+
+@st.composite
+def small_matrices(draw):
+    side = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-2, 2), min_size=side * side, max_size=side * side)
+    count = draw(st.integers(1, 3))
+    return [np.array(draw(entries), dtype=np.int64).reshape(side, side) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_right_closure_equals_two_sided_reference(generators):
+    assert algebra_dimension(generators) == two_sided_algebra_dimension(generators)
+
+
 def test_guard_on_generic_closure():
     with pytest.raises(GuardExceededError):
         algebra_dimension([np.eye(100, dtype=np.int64)])
@@ -135,8 +179,10 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
         scheme, duals = adjacency_matrices(group), dual_idempotents(group)
         vectors, blocks = terwilliger_generator_coords(group)
         assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in scheme + duals]
-        products = [prod for gen in scheme for prod in (gen @ x, x @ gen)]
-        for op, prod in zip(scheme_operators(group), products, strict=True):
+        products = [x @ gen for gen in scheme]
+        operators = scheme_operators(group)
+        assert len(operators) == len(conjugacy_classes(group))
+        for op, prod in zip(operators, products, strict=True):
             expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
             assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
         # E*_a X E*_b keeps exactly the orbits of block (a, b)
