@@ -1,12 +1,19 @@
 """Conjugacy classes of an index-2-abelian extension, by closed form and by orbit.
 
-The closed form: elements of the abelian part fixed by the twist are central
-(singleton classes); the remaining abelian elements pair up as {x, f(x)};
-and the classes in the coset are the translates B*z*b of the twisted
-commutator subgroup B, one for each residue box representative z with
-0 <= z_i < d_i.  The canonical class order is fixed singletons first (in
-enumeration order), then pairs (by smaller representative), then coset
-classes (by mixed-radix z); class 0 is always {e}.
+The closed form: elements of the abelian part A fixed by the twist are
+central (singleton classes); the remaining elements of A pair up as
+{x, f(x)}; and the classes in the coset are the translates (t + B, 1) of the
+twisted commutator subgroup B = {x - f(x)}, which holds the multiples of
+d_i in each coordinate.  Both routes give each element's class as its
+minimum, the smallest element index in the class, and ``class_list``
+orders and wraps the classes of those minima.  The closed form of the
+minimum of each class Cl, with idx the mixed-radix index in A:
+
+    min Cl(x, 0) = min(idx(x), idx(f(x))),
+    min Cl(t, 1) = n + idx(t mod d),
+
+with t mod d taken per coordinate, t_i mod d_i, the smallest member of t + B.
+The orbit oracle takes the minima of the generators' conjugation orbits.
 
 ``structure_tensor`` holds the structure constants p_ij^k of the scheme as
 sparse (code, count) pairs, one per nonzero constant; it is the one source
@@ -22,13 +29,11 @@ translations by the generators and the inversion of
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from itertools import product as _iterproduct
-from typing import Iterable, Iterator, Literal
+from dataclasses import dataclass, field
+from typing import Iterator, Literal
 
 import numpy as np
 
-from .abelian import AbElem
 from .errors import OracleMismatch
 from .groups import (
     D2Elem, D2Group, index_tables, orbit_minima, per_group, read_only, translations
@@ -54,26 +59,16 @@ class ConjClass:
         return len(self.elements)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassList:
-    """All conjugacy classes of a group, canonically ordered.
+    """All conjugacy classes of a group, in the order of ``class_list``.
 
     ``labels`` is the class index of every element, by element index, and is
     read-only.  The group is not kept, because the group keeps the list.
     """
 
-    group: InitVar[D2Group]
     classes: tuple[ConjClass, ...]
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    _lookup: dict[D2Elem, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self, group: D2Group):
-        labels = np.empty(group.order, dtype=np.int32)
-        for cls in self.classes:
-            labels[[group.index(g) for g in cls.elements]] = cls.index
-            for g in cls.elements:
-                self._lookup[g] = cls.index
-        self.labels = read_only(labels)
+    labels: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -83,9 +78,6 @@ class ClassList:
 
     def __getitem__(self, i: int) -> ConjClass:
         return self.classes[i]
-
-    def index_of(self, g: D2Elem) -> int:
-        return self._lookup[g]
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -98,105 +90,66 @@ class ClassList:
         return tuple(c.size for c in self.classes)
 
 
-def _twisted_subgroup(group: D2Group) -> list[AbElem]:
-    """Elements of B = {f(x) - x}: per-coordinate multiples of d_i."""
-    d_vec = group.fixed.d_vec
-    return [
-        tuple(d * j for d, j in zip(d_vec, js))
-        for js in _iterproduct(*(range(n) for n in group.fixed.n_vec))
-    ]
+def class_list(group: D2Group, minima: np.ndarray) -> ClassList:
+    """The classes of the group, given the smallest element index minima[x]
+    in the class of every element index x, in the canonical order.
 
+    The canonical order puts the fixed singletons {x} of A first, then the
+    pairs {x, f(x)} of A, then the coset classes, each kind in order of its
+    smallest member, so class 0 is {e}.  Each class lists its members in
+    index order and is represented by its smallest member.  A class lies in
+    A when its minimum is below n, and is fixed when it also has one member.
+    The smallest member of a coset class (z + B, 1) is (z, 1) with
+    0 <= z_i < d_i, so the coset classes come in mixed-radix order of z.
+    """
+    n = group.n
+    # a stable sort lists each class's members in index order, minimum first
+    members = np.argsort(minima, kind="stable")
+    starts = np.flatnonzero(np.diff(minima[members], prepend=-1))
+    roots = members[starts]
+    sizes = np.diff(starts, append=len(members))
+    fixed = (roots < n) & (sizes == 1)
+    # paired minima lie below n and coset minima at n or above, so shifting
+    # all but the fixed ones by n orders the three kinds
+    ranked = np.argsort(roots + n * ~fixed)
+    index = np.empty(len(roots), dtype=np.int32)
+    index[ranked] = np.arange(len(roots), dtype=np.int32)
+    labels = np.empty(len(members), dtype=np.int32)
+    labels[members] = np.repeat(index, sizes)
 
-def residue_box(group: D2Group) -> list[AbElem]:
-    """Coset representatives of B in mixed-radix order, 0 <= z_i < d_i."""
-    return list(_iterproduct(*(range(d) for d in group.fixed.d_vec)))
+    elems = list(group.elements())
+    members, bounds = members.tolist(), [*starts.tolist(), len(elems)]
+    fixed, roots = fixed.tolist(), roots.tolist()
+    classes = []
+    for k, c in enumerate(ranked.tolist()):
+        elements = tuple(map(elems.__getitem__, members[bounds[c]:bounds[c + 1]]))
+        kind = FIXED if fixed[c] else PAIRED if roots[c] < n else COSET
+        classes.append(ConjClass(kind, elements[0], elements, k))
+    return ClassList(tuple(classes), read_only(labels))
 
 
 @per_group
 def conjugacy_classes(group: D2Group) -> ClassList:
-    """Conjugacy classes by the closed form."""
-    A = group.abelian
-    fx = group.fixed
-    twist = group.twist
-    classes: list[ConjClass] = []
-
-    for a in A.elements():
-        if fx.is_fixed(a):
-            g = (a, 0)
-            classes.append(ConjClass(FIXED, g, (g,), len(classes)))
-
-    seen: set[AbElem] = set()
-    for a in A.elements():
-        if fx.is_fixed(a) or a in seen:
-            continue
-        fa = twist.apply(a)
-        seen.add(a)
-        seen.add(fa)
-        pair = tuple(sorted(((a, 0), (fa, 0)), key=group.index))
-        classes.append(ConjClass(PAIRED, pair[0], pair, len(classes)))
-
-    b_elems = _twisted_subgroup(group)
-    for z in residue_box(group):
-        elems = tuple(
-            sorted(((A.mul(w, z), 1) for w in b_elems), key=group.index)
-        )
-        classes.append(ConjClass(COSET, (z, 1), elems, len(classes)))
-
-    return ClassList(group=group, classes=tuple(classes))
+    """Conjugacy classes by the closed form of their minima."""
+    moduli = group.abelian.moduli
+    idx = np.arange(group.n)
+    coords = np.unravel_index(idx, moduli)
+    twisted = np.ravel_multi_index(
+        [(s * x) % m for s, x, m in zip(group.twist.s, coords, moduli)], moduli
+    )
+    residues = np.ravel_multi_index([x % d for x, d in zip(coords, group.fixed.d_vec)], moduli)
+    return class_list(group, np.concatenate([np.minimum(idx, twisted), residues + group.n]))
 
 
 def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
     """Conjugacy classes as the orbits (``orbit_minima``) of x -> s^-1 x s for
-    the k generators s, canonically ordered.  Each conjugation is composed
-    from ``translations``, rho_s[iota[rho_s[iota]]], not read from the
-    tables."""
+    the k generators s.  Each conjugation is composed from ``translations``,
+    rho_s[iota[rho_s[iota]]], not read from the tables."""
     check_guard(group.order, guard, "orbit enumeration")
     rho, iota = translations(group)
-    roots = orbit_minima(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
-    # a stable sort keeps each orbit's members in index order, and puts the
-    # orbits in order of their smallest members, the roots
-    order = np.argsort(roots, kind="stable")
-    bounds = (np.flatnonzero(np.diff(roots[order])) + 1).tolist()
-    elems, members = list(group.elements()), order.tolist()
-    orbits = [
-        tuple(elems[i] for i in members[a:b])
-        for a, b in zip([0, *bounds], [*bounds, len(members)])
-    ]
-    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
-
-
-def _canonicalize(group: D2Group, orbits: Iterable[tuple[D2Elem, ...]]) -> list[ConjClass]:
-    """Order raw orbits exactly as the closed form does.  Each orbit lists its
-    members in index order, and the orbits come in order of their first
-    members."""
-    fixed, paired, coset = [], [], []
-    d_vec = group.fixed.d_vec
-    for members in orbits:
-        if all(beta == 0 for _, beta in members):
-            if len(members) == 1:
-                fixed.append(members)
-            else:
-                paired.append(members)
-        else:
-            coset.append(members)
-
-    def coset_key(members: tuple[D2Elem, ...]) -> AbElem:
-        a, _ = members[0]
-        return tuple(t % d for t, d in zip(a, d_vec))
-
-    coset.sort(key=lambda ms: group.abelian.index(coset_key(ms)))
-
-    classes: list[ConjClass] = []
-    for members in fixed:
-        classes.append(ConjClass(FIXED, members[0], members, len(classes)))
-    for members in paired:
-        classes.append(ConjClass(PAIRED, members[0], members, len(classes)))
-    for members in coset:
-        rep = (coset_key(members), 1)
-        classes.append(ConjClass(COSET, rep, members, len(classes)))
-    return classes
+    return class_list(group, orbit_minima(np.take_along_axis(rho, iota[rho[:, iota]], axis=1)))
 
 
 def class_products(group: D2Group, i: int, j: int) -> set[int]:

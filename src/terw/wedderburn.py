@@ -26,8 +26,8 @@ floating point, to ``characters.FLOAT_TOLERANCE``.  The block dimensions
 are exact: the trace of right multiplication by e_j on T~ is a character
 sum over integer counts K[k], reduced like the sums above, and K comes in
 O(dim T) from the same structure constants and the permutation character
-(``_block_trace_counts``); ``central_idempotent`` builds e_j as a dense
-matrix.
+|G| / |Cl_k| of the class sizes (``_block_trace_counts``);
+``central_idempotent`` builds e_j as a dense matrix.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ def verify_central_idempotents(
 
 def _block_trace_counts(group: D2Group) -> np.ndarray:
     """K[k] = (|Cl_k| / |G|) sum_{i, j} p_ij^k psi_i psi_j, exactly, with p
-    the structure constants of ``structure_tensor`` and psi the
-    ``permutation_character``.
+    the structure constants of ``structure_tensor`` and psi the permutation
+    character psi_i = |G| / |Cl_i|, from the class sizes and not the tables.
 
     Right multiplication by an idempotent e_j of T~ is an idempotent map on
     T~, so dim(T~ e_j) is its trace.  That is linear in
@@ -273,7 +273,7 @@ def _block_trace_counts(group: D2Group) -> np.ndarray:
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
-    psi = np.array(permutation_character(group), dtype=np.int64)
+    psi = group.order // np.array(classes.sizes, dtype=np.int64)
     codes, counts = structure_tensor(group)
     k, ij = np.divmod(codes, ell * ell)
     i, j = np.divmod(ij, ell)

@@ -15,8 +15,9 @@ sides with Python ints only, where the library multiplies on the right, in
 int64 when a bound proves the product fits.  The orbital reference
 propagates minimum labels sweep after sweep over the pair permutations and
 their inverses, and the class reference
-conjugates every element by every element, where the library labels both
-orbit sets by union-find over the generators only.  The character-table
+conjugates every element by every element and orders the orbits by kind,
+where the library labels both orbit sets by union-find over the generators
+only and orders the classes by their minima.  The character-table
 report reference builds the whole dict, one shared dict per distinct value,
 for ``json.dumps``, where the library joins the text from cells encoded once
 per distinct value.  The structure-constant references are dense (l, l, l)
@@ -43,8 +44,11 @@ from terw import (
 )
 from terw.closure import Orbitals, SparseRationalBasis, conjugation_orbitals, conjugation_perms
 from terw.conjugacy import (
+    COSET,
+    FIXED,
+    PAIRED,
     ClassList,
-    _canonicalize,
+    ConjClass,
     class_index_table,
     class_triple_codes,
     conjugacy_classes,
@@ -60,7 +64,7 @@ def structure_constant(group, i, j, k):
     y = classes[k].rep
     count = 0
     for z in classes[i].elements:
-        if classes.index_of(group.mul(y, group.inv(z))) == j:
+        if classes.labels[group.index(group.mul(y, group.inv(z)))] == j:
             count += 1
     return count
 
@@ -75,7 +79,7 @@ def dense_structure_tensor(group):
     first = classes.labels.astype(np.int64) * ell  # class of u, by element index
     p = np.empty((ell, ell, ell), dtype=np.int64)
     for k, cls in enumerate(classes):
-        second = [classes.index_of(group.mul(cls.rep, u_inv)) for u_inv in inverses]
+        second = [classes.labels[group.index(group.mul(cls.rep, u_inv))] for u_inv in inverses]
         p[:, :, k] = np.bincount(first + second, minlength=ell * ell).reshape(ell, ell)
     return p
 
@@ -360,9 +364,42 @@ def min_propagation_orbitals(group):
     )
 
 
+def canonical_classes(group, orbits):
+    """Order raw orbits fixed, paired, coset, as the closed form does.  Each
+    orbit lists its members in index order, and the orbits come in order of
+    their first members; the coset classes by z = t mod d of their first
+    member (t, 1), which represents them."""
+    fixed, paired, coset = [], [], []
+    d_vec = group.fixed.d_vec
+    for members in orbits:
+        if all(beta == 0 for _, beta in members):
+            if len(members) == 1:
+                fixed.append(members)
+            else:
+                paired.append(members)
+        else:
+            coset.append(members)
+
+    def coset_key(members):
+        a, _ = members[0]
+        return tuple(t % d for t, d in zip(a, d_vec))
+
+    coset.sort(key=lambda ms: group.abelian.index(coset_key(ms)))
+
+    classes = []
+    for members in fixed:
+        classes.append(ConjClass(FIXED, members[0], members, len(classes)))
+    for members in paired:
+        classes.append(ConjClass(PAIRED, members[0], members, len(classes)))
+    for members in coset:
+        classes.append(ConjClass(COSET, (coset_key(members), 1), members, len(classes)))
+    return classes
+
+
 def enumerated_conjugacy_classes(group):
     """Conjugacy classes as the orbits {hgh^-1 : h in G}, one for each element
-    g not yet in an orbit, canonically ordered."""
+    g not yet in an orbit, canonically ordered, with the class index of each
+    element set member by member."""
     elems = list(group.elements())
     remaining = set(elems)
     orbits = []
@@ -372,7 +409,11 @@ def enumerated_conjugacy_classes(group):
         orbit = {group.conjugate(g, h) for h in elems}
         orbits.append(tuple(sorted(orbit, key=group.index)))  # g comes first
         remaining -= orbit
-    return ClassList(group=group, classes=tuple(_canonicalize(group, orbits)))
+    classes = canonical_classes(group, orbits)
+    labels = np.empty(group.order, dtype=np.int32)
+    for cls in classes:
+        labels[[group.index(g) for g in cls.elements]] = cls.index
+    return ClassList(tuple(classes), read_only(labels))
 
 
 def chartable_json_dict(table):

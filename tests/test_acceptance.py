@@ -220,10 +220,10 @@ def test_criterion_7_structural_suite(corpus):
         for u in paired:
             for v in paired:
                 y_r, y_j = u.rep[0], v.rep[0]
-                one = classes.index_of((group.abelian.mul(y_r, y_j), 0))
-                other = classes.index_of(
-                    (group.abelian.mul(y_r, group.twist.apply(y_j)), 0)
-                )
+                one = classes.labels[group.index((group.abelian.mul(y_r, y_j), 0))]
+                other = classes.labels[
+                    group.index((group.abelian.mul(y_r, group.twist.apply(y_j)), 0))
+                ]
                 assert one != other, group.name
                 assert class_products(group, u.index, v.index) == {one, other}
 

@@ -116,8 +116,10 @@ def test_linear_rows_are_homomorphisms(q8, sd16):
                 continue
             for g in elems:
                 for h in elems:
-                    lhs = table.value(r, classes.index_of(group.mul(g, h)))
-                    rhs = table.value(r, classes.index_of(g)) * table.value(r, classes.index_of(h))
+                    lhs = table.value(r, classes.labels[group.index(group.mul(g, h))])
+                    rhs = table.value(r, classes.labels[group.index(g)]) * table.value(
+                        r, classes.labels[group.index(h)]
+                    )
                     assert lhs == rhs
 
 
@@ -130,8 +132,8 @@ def test_chi_b_squared_equals_chi_y(q8, sd16):
         for r, label in enumerate(table.labels):
             if not isinstance(label, LinearLabel):
                 continue
-            chib = table.value(r, classes.index_of(b)).eval_complex()
-            chiy = table.value(r, classes.index_of(y)).eval_complex()
+            chib = table.value(r, classes.labels[group.index(b)]).eval_complex()
+            chiy = table.value(r, classes.labels[group.index(y)]).eval_complex()
             assert abs(chib * chib - chiy) < 1e-9
 
 
@@ -217,8 +219,8 @@ def test_odd_coordinate_square_needs_doubled_root_order():
     y = (group.square, 0)
     for r, label in enumerate(table.labels):
         if isinstance(label, LinearLabel):
-            chib = table.value(r, classes.index_of(b)).eval_complex()
-            chiy = table.value(r, classes.index_of(y)).eval_complex()
+            chib = table.value(r, classes.labels[group.index(b)]).eval_complex()
+            chiy = table.value(r, classes.labels[group.index(y)]).eval_complex()
             assert abs(chib * chib - chiy) < 1e-9
 
 

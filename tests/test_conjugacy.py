@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import terw.groups
@@ -27,6 +28,7 @@ def assert_same_classes(a, b):
     assert [c.elements for c in a] == [c.elements for c in b]
     assert [c.kind for c in a] == [c.kind for c in b]
     assert [c.rep for c in a] == [c.rep for c in b]
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_s3_classes(s3):
@@ -104,14 +106,14 @@ def test_identity_class_is_first(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
         cl = conjugacy_classes(group)
         assert cl[0].elements == (group.identity,)
-        assert cl.index_of(group.identity) == 0
+        assert cl.labels[group.index(group.identity)] == 0
 
 
 def test_class_of_lookup(s3, d4):
     cl3 = conjugacy_classes(s3)
-    assert cl3.index_of(((2,), 0)) == 1
+    assert cl3.labels[s3.index(((2,), 0))] == 1
     cl4 = conjugacy_classes(d4)
-    assert cl4.index_of(((3,), 1)) == 4
+    assert cl4.labels[d4.index(((3,), 1))] == 4
 
 
 def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
@@ -145,6 +147,23 @@ def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
     assert 0 < calls["mul"] <= len(group.generators()) * group.order
     assert 0 < calls["inv"] <= group.order
     assert calls["conjugate"] == 0
+
+
+def test_closed_form_indexes_no_element(monkeypatch):
+    # the closed form computes the class minima over the coordinates of A,
+    # not element by element
+    group = g2_group(32, 31, 16)  # Dic(C32), |G| = 64, fresh
+    calls = 0
+    index = D2Group.index
+
+    def counting(self, g):
+        nonlocal calls
+        calls += 1
+        return index(self, g)
+
+    monkeypatch.setattr(D2Group, "index", counting)
+    classes = conjugacy_classes(group)
+    assert calls <= len(classes)
 
 
 def test_structure_tensor_makes_one_product_per_generator_and_element(monkeypatch):
@@ -196,7 +215,7 @@ def test_structure_constant_rep_independent(sd16, q8):
                         count = sum(
                             1
                             for z in cl[i].elements
-                            if cl.index_of(group.mul(y, group.inv(z))) == j
+                            if cl.labels[group.index(group.mul(y, group.inv(z)))] == j
                         )
                         vals.add(count)
                     assert len(vals) == 1
@@ -234,8 +253,8 @@ def test_paired_product_distinctness(sd16):
     for u in paired:
         for v in paired:
             y_r, y_j = u.rep[0], v.rep[0]
-            one = cl.index_of((group.abelian.mul(y_r, y_j), 0))
-            other = cl.index_of((group.abelian.mul(y_r, group.twist.apply(y_j)), 0))
+            one = cl.labels[group.index((group.abelian.mul(y_r, y_j), 0))]
+            other = cl.labels[group.index((group.abelian.mul(y_r, group.twist.apply(y_j)), 0))]
             assert one != other
             assert class_products(group, u.index, v.index) == {one, other}
 

@@ -96,3 +96,19 @@ def test_every_per_group_artefact_is_in_the_cached_list():
         and any(isinstance(d, ast.Name) and d.id == "per_group" for d in node.decorator_list)
     }
     assert found == {build.__name__ for build in CACHED}
+
+
+def test_references_import_no_library_internals():
+    # the dense references are written apart from the library; an
+    # underscore-prefixed import would tie them to its implementation
+    path = Path(__file__).with_name("dense_reference.py")
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and node.module.split(".")[0] == "terw"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"library internals imported by the references: {found}"

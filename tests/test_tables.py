@@ -22,6 +22,7 @@ from terw import (
     dihedral,
     dim_t0,
     g2_group,
+    multiplicities_closed_form,
     multiplicities_inner_product,
     verify_central_idempotents,
     verify_scheme_axioms,
@@ -43,13 +44,15 @@ def loop_tables(group):
 def loop_class_index_table(group, classes):
     elems = list(group.elements())
     return np.array(
-        [[classes.index_of(group.mul(y, group.inv(x))) for y in elems] for x in elems]
+        [[classes.labels[group.index(group.mul(y, group.inv(x)))] for y in elems] for x in elems]
     )
 
 
 def loop_triple_count(group, classes):
     return sum(
-        len({classes.index_of(group.mul(u, v)) for u in ci.elements for v in cj.elements})
+        len({
+            classes.labels[group.index(group.mul(u, v))] for u in ci.elements for v in cj.elements
+        })
         for ci in classes
         for cj in classes
     )
@@ -100,7 +103,11 @@ def test_gathers_match_loops(group):
     elems = list(group.elements())
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
-            expected = {classes.index_of(group.mul(u, v)) for u in ci.elements for v in cj.elements}
+            expected = {
+                classes.labels[group.index(group.mul(u, v))]
+                for u in ci.elements
+                for v in cj.elements
+            }
             assert class_products(group, i, j) == expected
     conj = [[group.index(group.conjugate(x, g)) for x in elems] for g in elems]
     assert np.array_equal(conjugation_table(group), conj)
@@ -208,6 +215,15 @@ def test_verify_builds_each_artefact_once(builds, capsys):
     assert main(["verify", "--kind", "dihedral", "--factors", "2^5"]) == 0
     capsys.readouterr()
     assert builds == dict.fromkeys(builds, 1)
+
+
+def test_central_idempotents_build_no_tables(builds):
+    # the block traces take the permutation character from the class sizes,
+    # so neither the multiplication table nor the centralizer orders are built
+    group = dicyclic([(3, 1), (2, 3)], [0, 4])  # fresh, so that nothing is built yet
+    table = character_table(group)
+    verify_central_idempotents(group, table, multiplicities_closed_form(group))
+    assert builds["index_tables"] == builds["centralizer_sizes"] == 0
 
 
 def test_invariant_fires_under_optimize():

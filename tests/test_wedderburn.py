@@ -84,7 +84,7 @@ def test_permutation_character_is_trace(d4):
     for g in d4.elements():
         perm = conj[d4.index(g)]
         assert sorted(perm.tolist()) == list(range(d4.order))
-        assert int((perm == np.arange(d4.order)).sum()) == psi[classes.index_of(g)]
+        assert int((perm == np.arange(d4.order)).sum()) == psi[classes.labels[d4.index(g)]]
 
 
 def test_conjugation_permutation_is_homomorphism(q8):
