@@ -186,12 +186,6 @@ class FixedData:
     def twisted_size(self) -> int:
         return math.prod(self.n_vec)
 
-    def is_fixed(self, x: AbElem) -> bool:
-        return all(t % n == 0 for t, n in zip(x, self.n_vec))
-
-    def in_b(self, x: AbElem) -> bool:
-        return all(t % d == 0 for t, d in zip(x, self.d_vec))
-
 
 def fixed_data(group: AbelianGroup, twist: Involution) -> FixedData:
     """Compute the gcd invariants of a validated involution."""

@@ -24,8 +24,11 @@ orbits of G acting on G x G by simultaneous conjugation.  Each matrix is
 then represented by one integer per orbit, products with generators become
 sparse operator applications, and the orbit count is a hard ceiling for the
 dimension (reaching it certifies equality with the centralizer algebra and
-closure in one step).  The orbits are labelled by union-find over the pair
-permutations of the generators (``groups.orbit_minima``), with no inverses.
+closure in one step).  The orbits are labelled by union-find
+(``groups.orbit_minima``) over the pair permutations
+(u, v) -> (s^-1 u s, s^-1 v s) of the generator conjugations
+``groups.conjugations``, with no inverses; the invariance certificate reads
+the same conjugations.
 
 With the dual idempotents among the generators, the algebra T is the direct
 sum of its blocks E*_a T E*_b (Terwilliger, J. Algebraic Combin. 1, 1992),
@@ -56,7 +59,7 @@ import numpy as np
 
 from .conjugacy import class_index_table, conjugacy_classes
 from .errors import GuardExceededError, OracleMismatch
-from .groups import D2Group, conjugation_table, index_tables, orbit_minima, per_group, read_only
+from .groups import D2Group, conjugations, index_tables, orbit_minima, per_group, read_only
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
@@ -174,24 +177,17 @@ class Orbitals:
 
 
 @per_group
-def conjugation_perms(group: D2Group) -> np.ndarray:
-    """Permutations x -> g x g^-1 of element indices, one int32 row per
-    group generator g."""
-    gens = np.array([group.index(g) for g in group.generators()])
-    return read_only(conjugation_table(group, gens))
-
-
-@per_group
 def conjugation_orbitals(group: D2Group) -> Orbitals:
     """Label the simultaneous-conjugation orbits on G x G by union-find
-    (``orbit_minima``) over the pair permutations (u, v) -> (gug^-1, gvg^-1)
-    of the generators g; union-find needs no inverse permutations.  The pair
-    code u * |G| + v is an int32, so |G|^2 must stay below 2^31."""
+    (``orbit_minima``) over the pair permutations (u, v) -> (s^-1 u s, s^-1 v s)
+    of the generators s, from ``conjugations``; union-find needs no inverse
+    permutations.  The pair code u * |G| + v is an int32, so |G|^2 must stay
+    below 2^31."""
     order = group.order
     if order * order >= 2**31:
         raise GuardExceededError(f"group order {order}: pair codes exceed int32")
     # the pair permutations are freed once orbit_minima returns
-    root = orbit_minima([(p[:, None] * order + p).ravel() for p in conjugation_perms(group)])
+    root = orbit_minima([(p[:, None] * order + p).ravel() for p in conjugations(group)])
     # each orbit's first pair is its root
     first = np.flatnonzero(root == np.arange(order * order, dtype=root.dtype)).astype(np.int32)
     ids = np.empty_like(root)
@@ -363,7 +359,7 @@ def terwilliger_closure_dim(
     the scheme matrices alone span the commutative adjacency algebra.
     """
     check_guard(group.order, guard, "the closure path")
-    _assert_conjugation_invariant(class_index_table(group), conjugation_perms(group))
+    _assert_conjugation_invariant(class_index_table(group), conjugations(group))
     vectors, blocks = terwilliger_generator_coords(group, include_scheme, include_dual)
     if not vectors:
         raise ValueError("need at least one family of generators")

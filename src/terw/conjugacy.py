@@ -21,10 +21,11 @@ of them, for the product axiom, the class-sum products of the central
 idempotents and the block traces.
 
 The two oracles here, ``conjugacy_classes_bruteforce`` and
-``structure_tensor``, never read the tables: they compose the right
-translations by the generators and the inversion of
-``groups.translations``, which are counted with ``group.mul`` and
-``group.inv``, so a wrong table still disagrees with them.
+``structure_tensor``, never read the tables: the first takes the orbits of
+the generator conjugations ``groups.conjugations``, and the second composes
+the right translations by the generators and the inversion of
+``groups.translations``.  Both are built with ``group.mul`` and
+``group.inv`` alone, so a wrong table still disagrees with them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import OracleMismatch
 from .groups import (
-    D2Elem, D2Group, index_tables, orbit_minima, per_group, read_only, translations
+    D2Elem, D2Group, conjugations, index_tables, orbit_minima, per_group, read_only, translations
 )
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
@@ -145,11 +146,9 @@ def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
     """Conjugacy classes as the orbits (``orbit_minima``) of x -> s^-1 x s for
-    the k generators s.  Each conjugation is composed from ``translations``,
-    rho_s[iota[rho_s[iota]]], not read from the tables."""
+    the k generators s, read from ``conjugations``, not from the tables."""
     check_guard(group.order, guard, "orbit enumeration")
-    rho, iota = translations(group)
-    return class_list(group, orbit_minima(np.take_along_axis(rho, iota[rho[:, iota]], axis=1)))
+    return class_list(group, orbit_minima(conjugations(group)))
 
 
 def class_products(group: D2Group, i: int, j: int) -> set[int]:
@@ -229,16 +228,6 @@ def _translations_to(
     for level in levels[1:]:  # the last level is empty
         yield from ((position[x], rho_x) for x, rho_x in current.items() if x in position)
         current = {x: rho[step[x]][current[parent[x]]] for x in level if x in needed}
-
-
-def class_triple_codes(group: D2Group) -> np.ndarray:
-    """Code (class of u * l + class of v) * l + class of u*v of every pair
-    (u, v), with l the class count, over element indices."""
-    mult, _ = index_tables(group)
-    classes = conjugacy_classes(group)
-    ell = len(classes)
-    labels = classes.labels.astype(np.int64)
-    return (labels[:, None] * ell + labels[None, :]) * ell + labels[mult]
 
 
 @per_group

@@ -21,7 +21,10 @@ multiplication and inverse tables that the fast paths gather on, and
 ``translations``, the right translations by the generators and the
 inversion, counted with ``group.mul`` and ``group.inv`` alone.  The oracles
 that must not read the tables (the brute-force classes, the structure
-constants, scheme axiom (iv)) compose ``translations`` instead.
+constants, scheme axiom (iv)) compose ``translations`` instead, and
+``conjugations`` composes them once into the generator conjugations that
+the brute-force classes, the orbitals and the closure's invariance
+certificate share.
 """
 
 from __future__ import annotations
@@ -308,12 +311,22 @@ def translations(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     """The right translations rho_s: x -> x*s of element indices, one row per
     generator s, and the inversion iota: x -> x^-1, from ``group.mul``,
     ``group.inv`` and ``group.index`` alone, not the tables: k * |G|
-    products and |G| inverses.  The table-free oracles compose these."""
-    elems = list(group.elements())
+    products and |G| inverses, in int32.  The table-free oracles compose
+    these."""
+    elems, gens = list(group.elements()), group.generators()
     index = group.index
-    rho = np.array([[index(group.mul(x, s)) for x in elems] for s in group.generators()])
-    iota = np.array([index(group.inv(x)) for x in elems])
+    rho = np.array([[index(group.mul(x, s)) for x in elems] for s in gens], dtype=np.int32)
+    iota = np.array([index(group.inv(x)) for x in elems], dtype=np.int32)
     return read_only(rho), read_only(iota)
+
+
+@per_group
+def conjugations(group: D2Group) -> np.ndarray:
+    """The conjugations x -> s^-1 x s of element indices, one int32 row per
+    generator s, composed from ``translations`` as rho_s[iota[rho_s[iota]]]
+    and not read from the tables.  Their orbits are the conjugacy classes."""
+    rho, iota = translations(group)
+    return read_only(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
 
 
 @per_group
@@ -364,8 +377,7 @@ def centralizer_sizes(group: D2Group) -> np.ndarray:
     return read_only((mult == mult.T).sum(axis=1))
 
 
-def conjugation_table(group: D2Group, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """C[r, x] = index of g x g^-1, with g the element of index rows[r]
-    (by default every element, in index order)."""
+def conjugation_table(group: D2Group) -> np.ndarray:
+    """C[g, x] = index of g x g^-1, over element indices."""
     mult, inv = index_tables(group)
-    return mult[mult[rows], inv[rows][:, None]]
+    return mult[mult, inv[:, None]]

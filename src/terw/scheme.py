@@ -15,6 +15,12 @@ The product closure of the generated algebra (closure module) sits between
 the first two, so the four numbers agree exactly on every valid instance.
 ``verify_scheme_axioms`` checks the product axiom on the row of the identity
 only, after checking that right translations preserve the class-index table.
+
+The triple count reads only the l rows of the multiplication table at the
+class representatives rep_i, with l the class count.  Simultaneous
+conjugation (u, v) -> (gug^-1, gvg^-1) keeps the triple (class u, class v,
+class uv) and takes any u to its class representative, so the pairs
+(rep_i, v) over all v already give every triple.
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import closure_dim_in_orbit_coords, first_not_preserving, terwilliger_closure_dim
-from .conjugacy import (
-    class_index_table,
-    class_triple_codes,
-    conjugacy_classes,
-    structure_tensor,
+from .closure import (
+    closure_dim_in_orbit_coords, conjugation_orbitals, first_not_preserving,
+    terwilliger_closure_dim, terwilliger_generator_coords,
 )
+from .conjugacy import class_index_table, conjugacy_classes, structure_tensor
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, centralizer_sizes, orbit_minima, translations
+from .groups import D2Group, centralizer_sizes, index_tables, orbit_minima, translations
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -148,38 +152,33 @@ def dump_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> str:
 def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRIX_GUARD) -> int:
     """Dimension of the span of the sandwiches E*_i N_j E*_k.
 
-    The default strategy counts class triples (i, j, k) with Cl_k inside
-    Cl_i * Cl_j; the "span" strategy ranks the flattened sandwich matrices
-    over Q with the exact basis of the closure module, stopping early if the
-    rank reaches the count of nonzero sandwiches.
+    The default strategy counts the class triples (i, j, k) with Cl_k inside
+    Cl_i * Cl_j, as the distinct pairs (class v, class rep_i * v) of each
+    representative row i (see the module docstring).
+
+    The "span" strategy is round 0 of the closure: it ranks the block parts
+    of the generators in orbit coordinates over Q.  Each sandwich is
+    constant on the conjugation orbits, and the parts of N_j in block (a, b)
+    are the E*_a N_j E*_b; the parts of E*_i are E*_i N_0 E*_i again.
     """
     if strategy == "triples":
-        # distinct codes counted by sorting: np.unique's hashing is slower
-        # here, and a bincount would need l^3 bins
-        codes = np.sort(class_triple_codes(group), axis=None)
-        return int(np.count_nonzero(np.diff(codes))) + 1
+        classes = conjugacy_classes(group)
+        ell = len(classes)
+        mult, _ = index_tables(group)
+        labels = classes.labels.astype(np.min_scalar_type(ell * ell - 1))
+        reps = [group.index(cls.rep) for cls in classes]
+        # distinct codes counted by sorting each row: a bincount would need
+        # l^2 bins per row
+        codes = np.sort(labels * ell + labels[mult[reps]], axis=1)
+        return int(np.count_nonzero(np.diff(codes, axis=1))) + ell
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")
     check_guard(group.order, guard, "the span path")
-    vectors = sandwich_vectors(group)
+    vectors, blocks = terwilliger_generator_coords(group)
     # with no operators the closure is the span of the vectors
-    return closure_dim_in_orbit_coords(vectors, lambda: [], cap=len(vectors))
-
-
-def sandwich_vectors(group: D2Group) -> list[dict[int, int]]:
-    """The nonzero sandwiches E*_i N_j E*_k, flattened over u * |G| + v, in
-    order of (i, k, j).
-
-    One stable sort of the codes (class(u) * l + class(v)) * l + D[u, v]
-    groups the flat indices, each group in increasing order.
-    """
-    classes = conjugacy_classes(group)
-    labels, ell = classes.labels.astype(np.int64), len(classes)
-    table = class_index_table(group)
-    codes = ((labels[:, None] * ell + labels[None, :]) * ell + table).ravel()
-    order = np.argsort(codes, kind="stable")
-    bounds = np.flatnonzero(np.diff(codes[order])) + 1
-    return [dict.fromkeys(chunk.tolist(), 1) for chunk in np.split(order, bounds)]
+    return closure_dim_in_orbit_coords(
+        vectors, lambda: [], cap=conjugation_orbitals(group).count, blocks=blocks
+    )
 
 
 def dim_centralizer(group: D2Group) -> int:

@@ -8,7 +8,9 @@ identities without dense products.  A second axiom reference checks (iv) on
 the class-index table by sorted cells on every row (|G|^3 codes sorted),
 where the library sorts the row of the identity only, after checking that
 right translations by the generators preserve the table.  The sandwich reference loops over the
-l^3 class triples, where the library sorts one code array.  The rank
+l^3 class triples, where the library ranks the block parts of the generators in orbit
+coordinates.  The triple-code reference codes every pair (u, v) of G x G, where the library
+codes the l rows of the class representatives.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
 integer rows.  The explicit-matrix closure reference multiplies on both
 sides with Python ints only, where the library multiplies on the right, in
@@ -42,7 +44,7 @@ from terw import (
     adjacency_matrices,
     central_idempotent,
 )
-from terw.closure import Orbitals, SparseRationalBasis, conjugation_orbitals, conjugation_perms
+from terw.closure import Orbitals, SparseRationalBasis, conjugation_orbitals
 from terw.conjugacy import (
     COSET,
     FIXED,
@@ -50,7 +52,6 @@ from terw.conjugacy import (
     ClassList,
     ConjClass,
     class_index_table,
-    class_triple_codes,
     conjugacy_classes,
 )
 from terw.characters import elem_json
@@ -97,6 +98,16 @@ def sparse_pairs(p):
     flat = p.transpose(2, 0, 1).ravel()
     codes = np.flatnonzero(flat)
     return read_only(codes), read_only(flat[codes])
+
+
+def class_triple_codes(group):
+    """Code (class of u * l + class of v) * l + class of u*v of every pair
+    (u, v), with l the class count, over element indices."""
+    mult, _ = index_tables(group)
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    labels = classes.labels.astype(np.int64)
+    return (labels[:, None] * ell + labels[None, :]) * ell + labels[mult]
 
 
 def class_structure_constants(group):
@@ -214,11 +225,12 @@ def orbit_block_trace_counts(group):
     rep_u, rep_v = orb.reps
     orbit_ids = np.arange(orb.count)
     _, inv = index_tables(group)
+    conj = conjugation_table(group)
     classes = conjugacy_classes(group)
     counts = []
     for k in range(len(classes)):
         inverses = inv[classes.labels == k]
-        moved = conjugation_table(group, inverses)[:, rep_v]  # g^-1 v g
+        moved = conj[np.ix_(inverses, rep_v)]  # g^-1 v g
         counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
     return np.array(counts)
 
@@ -337,10 +349,12 @@ def min_propagation_orbitals(group):
     """The simultaneous-conjugation orbits on G x G, labelled by
     min-propagation: each pair takes the smallest label among its images under
     the pair permutations of the generators and of their inverses, until a
-    full sweep moves no label."""
+    full sweep moves no label.  The conjugations x -> g x g^-1 by the
+    generators g are rows of ``conjugation_table``, which the tables build."""
     order = group.order
+    gens = [group.index(g) for g in group.generators()]
     all_perms = []
-    for p in conjugation_perms(group):
+    for p in conjugation_table(group)[gens]:
         all_perms.append(p)
         q = np.empty_like(p)
         q[p] = np.arange(order)

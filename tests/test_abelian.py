@@ -115,8 +115,12 @@ def test_fixed_data_matches_brute_force_named():
         assert fx.d_vec == d_vec
         assert brute_fixed_set(g, f) == fixed_set
         assert brute_twisted_set(g, f) == twisted_set
-        assert {a for a in g.elements() if fx.is_fixed(a)} == fixed_set
-        assert {a for a in g.elements() if fx.in_b(a)} == twisted_set
+        assert fixed_set == {
+            a for a in g.elements() if all(t % n == 0 for t, n in zip(a, fx.n_vec))
+        }
+        assert twisted_set == {
+            a for a in g.elements() if all(t % d == 0 for t, d in zip(a, fx.d_vec))
+        }
 
 
 def test_fixed_data_matches_brute_force_random():
@@ -139,8 +143,8 @@ def test_fixed_data_matches_brute_force_random():
         fx = fixed_data(g, f)
         fixed = brute_fixed_set(g, f)
         twisted = brute_twisted_set(g, f)
-        assert {a for a in g.elements() if fx.is_fixed(a)} == fixed
-        assert {a for a in g.elements() if fx.in_b(a)} == twisted
+        assert {a for a in g.elements() if all(t % n == 0 for t, n in zip(a, fx.n_vec))} == fixed
+        assert {a for a in g.elements() if all(t % d == 0 for t, d in zip(a, fx.d_vec))} == twisted
         assert len(fixed) == fx.d
         assert len(twisted) == fx.twisted_size
         assert fx.d * fx.twisted_size == g.order

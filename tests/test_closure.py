@@ -29,11 +29,11 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
-    conjugation_perms,
     scheme_operators,
     terwilliger_generator_coords,
 )
 from terw.conjugacy import class_index_table
+from terw.groups import conjugations
 from terw.instances import random_general_instances
 
 
@@ -224,7 +224,7 @@ def test_scheme_closure_builds_the_operators_once(s3, sd16, monkeypatch):
 
 def test_closure_peak_memory_on_dih_c128():
     group = dihedral([(2, 7)])  # |G| = 256, 8584 orbits
-    for build in (conjugation_perms, conjugation_orbitals, conjugacy_classes, class_index_table):
+    for build in (conjugations, conjugation_orbitals, conjugacy_classes, class_index_table):
         build(group)
     tracemalloc.start()
     try:
@@ -246,17 +246,17 @@ def test_orbital_pair_codes_stay_int32(s3):
     assert 46340**2 < 2**31 <= 46346**2
     with pytest.raises(GuardExceededError):
         conjugation_orbitals(dihedral([(23173, 1)]))
-    assert conjugation_perms(s3).dtype == np.int32
+    assert conjugations(s3).dtype == np.int32
 
 
 def test_conjugation_invariance_failure_is_typed(s3):
     from terw import OracleMismatch, VerificationFailure
-    from terw.closure import _assert_conjugation_invariant, conjugation_perms
+    from terw.closure import _assert_conjugation_invariant
     from terw.conjugacy import class_index_table
 
     classes = conjugacy_classes(s3)
     table = class_index_table(s3).copy()
-    perms = conjugation_perms(s3)
+    perms = conjugations(s3)
     _assert_conjugation_invariant(table, perms)  # the real table passes
     # conjugation by b moves a to a^-1, so one changed entry breaks invariance
     table[0, 1] = (table[0, 1] + 1) % len(classes)

@@ -91,11 +91,11 @@ def test_class_kinds_and_invariants(sd16):
     for c in cl:
         if c.kind == FIXED:
             assert c.size == 1
-            assert fx.is_fixed(c.rep[0])
+            assert all(t % n == 0 for t, n in zip(c.rep[0], fx.n_vec))
         elif c.kind == PAIRED:
             assert c.size == 2
             a = c.rep[0]
-            assert not fx.is_fixed(a)
+            assert not all(t % n == 0 for t, n in zip(a, fx.n_vec))
             assert set(c.elements) == {(a, 0), (sd16.twist.apply(a), 0)}
         else:
             assert c.kind == COSET

@@ -1,6 +1,7 @@
 """Scheme matrices, axioms, dual idempotents, and the dimension paths."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from terw.closure import conjugation_orbitals
 from terw.conjugacy import class_index_table, structure_tensor
 from terw.groups import index_tables, translations
 from terw.instances import random_general_instances
-from terw.scheme import dump_matrices, sandwich_vectors
+from terw.scheme import dump_matrices
 
 import dense_reference
 from dense_reference import (
@@ -39,9 +40,11 @@ from dense_reference import (
     dense_scheme_axioms,
     dense_structure_tensor,
     dense_view,
+    fraction_closure_rank,
     loop_sandwich_vectors,
     sparse_pairs,
 )
+from test_tables import NAMED
 
 SEEDED = random_general_instances(6, 64, seed=606)
 
@@ -314,12 +317,37 @@ def test_named_dimension_values(s3, d4, q8, sd16):
 
 
 def test_sandwich_vectors_equal_the_triple_loop(s3, d4, q8, sd16):
-    # same vectors, same order, and each vector's keys in increasing order
+    # the span in orbit coordinates against the rank of the flat sandwiches
     for group in (s3, d4, q8, sd16, dihedral([(2, 3), (3, 1)]), *SEEDED):
-        got, want = sandwich_vectors(group), loop_sandwich_vectors(group)
-        assert got == want
-        assert [list(v) for v in got] == [list(v) for v in want]
-        assert len(got) == dim_t0(group)
+        flat = fraction_closure_rank(loop_sandwich_vectors(group), [])
+        assert dim_t0(group, strategy="span") == flat == dim_t0(group), group.name
+
+
+def test_t0_by_every_route():
+    # the representative rows, the span, the structure constants and the
+    # codes of all |G|^2 pairs
+    groups = [*NAMED, *SEEDED]
+    assert max(g.order for g in groups) >= 128
+    for group in groups:
+        t0 = dim_t0(group)
+        assert dim_t0(group, strategy="span", guard=group.order) == t0, group.name
+        assert len(structure_tensor(group)[0]) == t0, group.name
+        assert len(np.unique(dense_reference.class_triple_codes(group))) == t0, group.name
+
+
+def test_triple_count_peak_memory_on_dih_c512():
+    # the int64 codes of all |G|^2 pairs alone would take 8 MB
+    group = dihedral([(2, 9)])  # |G| = 1024
+    conjugacy_classes(group)  # per-group artefacts, built before tracing
+    index_tables(group)
+    tracemalloc.start()
+    try:
+        t0 = dim_t0(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t0 == dim_closed_form(group)
+    assert peak < 8 * 2**20
 
 
 def test_closed_form_dihedral_special_case():

@@ -28,9 +28,14 @@ from terw import (
     verify_scheme_axioms,
 )
 from terw.cli import main
-from terw.closure import conjugation_perms
 from terw.conjugacy import class_index_table, class_products, structure_tensor
-from terw.groups import centralizer_sizes, conjugation_table, index_tables, translations
+from terw.groups import (
+    centralizer_sizes,
+    conjugation_table,
+    conjugations,
+    index_tables,
+    translations,
+)
 from terw.instances import random_general_instances
 
 
@@ -111,8 +116,9 @@ def test_gathers_match_loops(group):
             assert class_products(group, i, j) == expected
     conj = [[group.index(group.conjugate(x, g)) for x in elems] for g in elems]
     assert np.array_equal(conjugation_table(group), conj)
-    gens = np.array([5, 0, group.order - 1])
-    assert np.array_equal(conjugation_table(group, gens), np.array(conj)[gens])
+    # row s of the generator conjugations is x -> s^-1 x s, row s^-1 of conj
+    gen_inverses = [group.index(group.inv(s)) for s in group.generators()]
+    assert np.array_equal(conjugations(group), np.array(conj)[gen_inverses])
     commuting = [sum(group.mul(g, h) == group.mul(h, g) for h in elems) for g in elems]
     assert np.array_equal(centralizer_sizes(group), commuting)
 
@@ -157,7 +163,7 @@ def test_tables_are_built_once_and_read_only():
     arrays = (
         mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
         table.exponents, table.coefficients, table.complex_matrix, orb.labels, orb.reps,
-        conjugation_perms(group), *structure_tensor(group), *translations(group),
+        conjugations(group), *structure_tensor(group), *translations(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -170,7 +176,7 @@ def test_tables_are_built_once_and_read_only():
 
 CACHED = [
     index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_labels,
-    character_table, conjugation_perms, conjugation_orbitals, structure_tensor, translations,
+    character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
 ]
 
 
