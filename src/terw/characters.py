@@ -14,6 +14,13 @@ a RootSum, and ``CharacterTable.value`` reads one entry as a RootSum, so
 the two can be compared.  The sign convention: the "+" character takes the
 principal square root on the coset.  Swapping the two signs permutes rows
 but never changes the table as a multiset (tested, not assumed).
+
+Both label lists are read off the class list.  For a diagonal twist,
+J -> J*s acts on character indices as the twist f acts on A, and J is
+trivial on B <=> n_i | J_i for every i <=> f(J) = J.  So the linear labels
+I are the coset representatives (z, 1) with 0 <= z_i < d_i, and the orbit
+minima J of the two-dimensional labels are the paired representatives
+(x, 0), both in the same mixed-radix order as the classes.
 """
 
 from __future__ import annotations
@@ -23,11 +30,10 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _iterproduct
 
 import numpy as np
 
-from .conjugacy import COSET, ClassList, ConjClass, conjugacy_classes
+from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes
 from .cyclotomic import RootSum, unit_roots
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
@@ -68,25 +74,13 @@ CharLabel = LinearLabel | TwoDimLabel
 @per_group
 def character_labels(group: D2Group) -> tuple[CharLabel, ...]:
     """All irreducible characters in canonical order: linear labels by
-    mixed-radix I then sign, then two-dimensional labels by orbit minimum."""
-    fx = group.fixed
-    labels: list[CharLabel] = []
-    for i_vec in _iterproduct(*(range(d) for d in fx.d_vec)):
-        labels.append(LinearLabel(i_vec=i_vec, sign=1))
-        labels.append(LinearLabel(i_vec=i_vec, sign=2))
-
-    A = group.abelian
-    s = group.twist.s
-    moduli = A.moduli
-    twodim: list[TwoDimLabel] = []
-    for j_vec in A.elements():
-        # trivial on B <=> n_i | k_i for every coordinate
-        if all(k % n == 0 for k, n in zip(j_vec, fx.n_vec)):
-            continue
-        partner = tuple((k * si) % m for k, si, m in zip(j_vec, s, moduli))
-        if A.index(partner) < A.index(j_vec):
-            continue
-        twodim.append(TwoDimLabel(j_vec=j_vec))
+    mixed-radix I then sign, then two-dimensional labels by orbit minimum,
+    read off the coset and paired class representatives."""
+    classes = conjugacy_classes(group)
+    labels: list[CharLabel] = [
+        LinearLabel(cls.rep[0], sign) for cls in classes if cls.kind == COSET for sign in (1, 2)
+    ]
+    twodim = [TwoDimLabel(cls.rep[0]) for cls in classes if cls.kind == PAIRED]
     labels.extend(twodim)
 
     n, d = group.n, group.d
@@ -272,15 +266,15 @@ def character_table(group: D2Group) -> CharacterTable:
     moduli = np.array(group.abelian.moduli, dtype=np.int64)
     reps = np.array([cls.rep[0] for cls in classes], dtype=np.int64).reshape(ell, -1)
     coset = np.array([cls.kind == COSET for cls in classes])
-    linear = [label for label in labels if isinstance(label, LinearLabel)]
-    twodim = [label for label in labels if isinstance(label, TwoDimLabel)]
-    i_mat = np.array([label.i_vec for label in linear], dtype=np.int64).reshape(len(linear), -1)
-    j_mat = np.array([label.j_vec for label in twodim], dtype=np.int64).reshape(len(twodim), -1)
-    signs = np.array([1 if label.sign == 1 else -1 for label in linear], dtype=np.int64)
+    # the label vectors are the representatives (see the module docstring):
+    # each coset one twice, for the signs +1 and -1, then each paired one
+    i_mat = np.repeat(reps[coset], 2, axis=0)
+    j_mat = reps[np.array([cls.kind == PAIRED for cls in classes])]
+    signs = np.tile(np.array([1, -1], dtype=np.int64), len(i_mat) // 2)
 
     exponents = np.zeros((ell, ell, 2), dtype=np.int64)
     coefficients = np.zeros((ell, ell, 2), dtype=np.int64)
-    lin, two = slice(0, len(linear)), slice(len(linear), ell)
+    lin, two = slice(0, len(i_mat)), slice(len(i_mat), ell)
     exponents[lin, :, 0] = np.where(
         coset,
         (i_mat * (order // (2 * d_vec))) @ (2 * reps + np.array(group.square)).T,

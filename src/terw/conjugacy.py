@@ -14,6 +14,8 @@ minimum of each class Cl, with idx the mixed-radix index in A:
 
 with t mod d taken per coordinate, t_i mod d_i, the smallest member of t + B.
 The orbit oracle takes the minima of the generators' conjugation orbits.
+``ClassList.reps`` holds the element index of every representative, so the
+per-class counts and the character labels read them from the one list.
 
 ``structure_tensor`` holds the structure constants p_ij^k of the scheme as
 sparse (code, count) pairs, one per nonzero constant; it is the one source
@@ -64,12 +66,15 @@ class ConjClass:
 class ClassList:
     """All conjugacy classes of a group, in the order of ``class_list``.
 
-    ``labels`` is the class index of every element, by element index, and is
-    read-only.  The group is not kept, because the group keeps the list.
+    ``labels`` is the class index of every element, by element index, and
+    ``reps`` the element index of every class representative, by class
+    index; both are read-only.  The group is not kept, because the group
+    keeps the list.
     """
 
     classes: tuple[ConjClass, ...]
     labels: np.ndarray = field(repr=False, compare=False)
+    reps: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -113,6 +118,7 @@ def class_list(group: D2Group, minima: np.ndarray) -> ClassList:
     # paired minima lie below n and coset minima at n or above, so shifting
     # all but the fixed ones by n orders the three kinds
     ranked = np.argsort(roots + n * ~fixed)
+    reps = read_only(roots[ranked])
     index = np.empty(len(roots), dtype=np.int32)
     index[ranked] = np.arange(len(roots), dtype=np.int32)
     labels = np.empty(len(members), dtype=np.int32)
@@ -126,7 +132,7 @@ def class_list(group: D2Group, minima: np.ndarray) -> ClassList:
         elements = tuple(map(elems.__getitem__, members[bounds[c]:bounds[c + 1]]))
         kind = FIXED if fixed[c] else PAIRED if roots[c] < n else COSET
         classes.append(ConjClass(kind, elements[0], elements, k))
-    return ClassList(tuple(classes), read_only(labels))
+    return ClassList(tuple(classes), read_only(labels), reps)
 
 
 @per_group
@@ -176,9 +182,8 @@ def structure_tensor(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     classes = conjugacy_classes(group)
     ell = len(classes)
     rho, iota = translations(group)
-    reps = [group.index(cls.rep) for cls in classes]
     codes = np.empty((ell, group.order), dtype=np.int64)
-    for k, rho_y in _translations_to(rho, reps, group.index(group.identity)):
+    for k, rho_y in _translations_to(rho, classes.reps.tolist(), group.index(group.identity)):
         codes[k] = classes.labels[rho_y[iota]]  # the class of u, by v
     # (k * l + class of u) * l + class of v, in place
     codes += np.arange(ell)[:, None] * ell

@@ -166,10 +166,9 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
         ell = len(classes)
         mult, _ = index_tables(group)
         labels = classes.labels.astype(np.min_scalar_type(ell * ell - 1))
-        reps = [group.index(cls.rep) for cls in classes]
         # distinct codes counted by sorting each row: a bincount would need
         # l^2 bins per row
-        codes = np.sort(labels * ell + labels[mult[reps]], axis=1)
+        codes = np.sort(labels * ell + labels[mult[classes.reps]], axis=1)
         return int(np.count_nonzero(np.diff(codes, axis=1))) + ell
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -73,16 +73,16 @@ class MultiplicityVector:
 
 def permutation_character(group: D2Group) -> list[int]:
     """psi on class representatives: psi(g) = |C_G(g)| = |G| / |Cl(g)|."""
-    cent_sizes = centralizer_sizes(group)
-    values = []
-    for cls in conjugacy_classes(group):
-        size = int(cent_sizes[group.index(cls.rep)])
-        if size * cls.size != group.order:
-            raise MultiplicityMismatch(
-                f"centralizer order {size} inconsistent with class size {cls.size}"
-            )
-        values.append(size)
-    return values
+    classes = conjugacy_classes(group)
+    values = centralizer_sizes(group)[classes.reps]
+    sizes = np.array(classes.sizes)
+    bad = np.flatnonzero(values * sizes != group.order)
+    if bad.size:
+        k = int(bad[0])
+        raise MultiplicityMismatch(
+            f"class {k}: centralizer order {values[k]} inconsistent with class size {sizes[k]}"
+        )
+    return values.tolist()
 
 
 def _conjugate_sums(table: CharacterTable, weights: np.ndarray) -> np.ndarray:

@@ -30,17 +30,22 @@ pairs, sorted per class; ``dense_view`` and ``sparse_pairs`` convert between
 the two forms.  The block-trace reference gathers the orbit label of
 (u, g^-1 v g) for every orbit representative (u, v) and every g, where
 the library sums the structure constants against the permutation
-character.  The tests compare each pair on small inputs.
+character.  The label reference walks the character indices of A and
+pairs J with J*s, where the library reads the labels off the coset and
+paired class representatives.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from terw import (
     AxiomFailure,
     IdempotencyFailure,
+    LinearLabel,
     OracleMismatch,
+    TwoDimLabel,
     adjacency_matrices,
     central_idempotent,
 )
@@ -427,7 +432,29 @@ def enumerated_conjugacy_classes(group):
     labels = np.empty(group.order, dtype=np.int32)
     for cls in classes:
         labels[[group.index(g) for g in cls.elements]] = cls.index
-    return ClassList(tuple(classes), read_only(labels))
+    reps = np.array([group.index(cls.rep) for cls in classes])
+    return ClassList(tuple(classes), read_only(labels), read_only(reps))
+
+
+def enumerated_character_labels(group):
+    """The irreducible character labels by a walk over the character indices:
+    the linear labels (I, sign) for 0 <= I_i < d_i in mixed-radix order,
+    then the two-dimensional labels J nontrivial on B (some n_i does not
+    divide J_i), each kept when J*s is not below it by index in A."""
+    fx = group.fixed
+    labels = [
+        LinearLabel(i_vec, sign)
+        for i_vec in product(*(range(d) for d in fx.d_vec))
+        for sign in (1, 2)
+    ]
+    A = group.abelian
+    for j_vec in A.elements():
+        if all(k % n == 0 for k, n in zip(j_vec, fx.n_vec)):
+            continue
+        partner = tuple((k * s) % m for k, s, m in zip(j_vec, group.twist.s, A.moduli))
+        if A.index(partner) >= A.index(j_vec):
+            labels.append(TwoDimLabel(j_vec))
+    return tuple(labels)
 
 
 def chartable_json_dict(table):

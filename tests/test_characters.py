@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from dense_reference import chartable_json_dict
+from dense_reference import chartable_json_dict, enumerated_character_labels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import terw.characters
 from terw import (
+    CharacterTableFailure,
     D2Group,
     LinearLabel,
     OrthogonalityFailure,
@@ -30,10 +32,17 @@ from terw import (
     multiplicities_inner_product,
     verify_orthogonality,
 )
-from terw.abelian import square_roots_of_unity
+from terw.abelian import AbelianGroup, square_roots_of_unity
 from terw.cli import GroupSpec, main
-from terw.conjugacy import COSET
-from terw.instances import abelian_factorizations, random_general_instances
+from terw.conjugacy import COSET, PAIRED, ClassList
+from terw.instances import (
+    abelian_factorizations,
+    dicyclic_instances,
+    dihedral_instances,
+    g2_instances,
+    random_general_instances,
+)
+from test_tables import NAMED
 
 
 # C4 x C9 with the twist fixing the C9 coordinate and y = (0, 1): the coset
@@ -62,6 +71,59 @@ def test_labels_are_built_once_and_shared(sd16):
     labels = character_labels(sd16)
     assert isinstance(labels, tuple) and character_labels(sd16) is labels
     assert character_table(sd16).labels is labels
+
+
+def test_labels_match_the_enumeration():
+    # the named groups, seeded general groups up to |G| = 384 and the
+    # acceptance corpus
+    groups = [
+        *NAMED,
+        *random_general_instances(12, max_group_order=384, seed=2001),
+        *dihedral_instances(range(3, 17)),
+        *dicyclic_instances([4, 6, 8, 12, 16]),
+        *g2_instances(16),
+        *random_general_instances(50, 48, seed=20240801),
+    ]
+    assert any(any(g.square) for g in groups) and any(g.abelian.rank > 2 for g in groups)
+    for group in groups:
+        assert character_labels(group) == enumerated_character_labels(group), group.name
+
+
+def test_labels_index_no_element(monkeypatch):
+    # both label lists are read off the class representatives; the walk
+    # over A made 2(n - d) = 60 index calls here
+    group = g2_group(32, 31, 16)  # Dic(C32), |G| = 64, fresh
+    calls = 0
+    index = AbelianGroup.index
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return index(self, x)
+
+    monkeypatch.setattr(AbelianGroup, "index", counting)
+    labels = character_labels(group)
+    assert calls == 0
+    assert len(labels) == 2 * group.d + (group.n - group.d) // 2
+
+
+@pytest.mark.parametrize(
+    "drop, repeat", [([PAIRED], []), ([COSET], []), ([PAIRED, PAIRED], [COSET])]
+)
+def test_labels_reject_a_wrong_class_list(drop, repeat, monkeypatch):
+    # a dropped paired class leaves one two-dimensional label too few, a
+    # dropped coset class two linear labels too few, and two paired classes
+    # traded for a repeated coset class keep the total right
+    group = g2_group(16, 7, 8)  # fresh, so that no labels are built yet
+    classes = conjugacy_classes(group)
+    wrong = list(classes)
+    for kind in drop:
+        wrong.remove(next(c for c in wrong if c.kind == kind))
+    wrong += [next(c for c in wrong if c.kind == kind) for kind in repeat]
+    wrong = ClassList(tuple(wrong), classes.labels, classes.reps)
+    monkeypatch.setattr(terw.characters, "conjugacy_classes", lambda _: wrong)
+    with pytest.raises(CharacterTableFailure, match="two-dimensional and"):
+        character_labels(group)
 
 
 def test_degree_identity():

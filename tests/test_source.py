@@ -112,3 +112,17 @@ def test_references_import_no_library_internals():
         if alias.name.startswith("_")
     ]
     assert not found, f"library internals imported by the references: {found}"
+
+
+def test_no_class_representative_is_indexed_again():
+    # ClassList.reps holds the element index of every class representative
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "index"
+        and any(isinstance(arg, ast.Attribute) and arg.attr == "rep" for arg in node.args)
+    ]
+    assert not found, f"class representatives indexed again: {found}"

@@ -83,6 +83,13 @@ def test_tables_match_loop_on_named_families(group):
     assert np.array_equal(inv, ref_inv)
 
 
+@pytest.mark.parametrize("group", NAMED, ids=lambda g: g.name)
+def test_class_reps_are_the_representatives_indices(group):
+    for classes in (conjugacy_classes(group), conjugacy_classes_bruteforce(group, guard=384)):
+        assert not classes.reps.flags.writeable
+        assert classes.reps.tolist() == [group.index(c.rep) for c in classes]
+
+
 def test_tables_match_loop_on_seeded_general_groups():
     groups = random_general_instances(8, max_group_order=384, seed=11)
     assert any(any(g.square) for g in groups)
@@ -161,9 +168,9 @@ def test_tables_are_built_once_and_read_only():
     assert table.classes is classes
     orb = conjugation_orbitals(group)
     arrays = (
-        mult, inv, centralizer_sizes(group), classes.labels, class_index_table(group),
-        table.exponents, table.coefficients, table.complex_matrix, orb.labels, orb.reps,
-        conjugations(group), *structure_tensor(group), *translations(group),
+        mult, inv, centralizer_sizes(group), classes.labels, classes.reps,
+        class_index_table(group), table.exponents, table.coefficients, table.complex_matrix,
+        orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):

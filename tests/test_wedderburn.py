@@ -27,7 +27,7 @@ from terw import (
 )
 from terw.closure import conjugation_orbitals
 from terw.conjugacy import structure_tensor
-from terw.groups import conjugation_table
+from terw.groups import centralizer_sizes, conjugation_table
 from terw.instances import random_general_instances
 from terw.wedderburn import _block_trace_counts, permutation_character
 
@@ -312,6 +312,17 @@ def test_block_trace_counts_equal_the_orbit_gather(s3, d4, q8, sd16):
     groups = (s3, d4, q8, sd16, dicyclic([(3, 1), (2, 2)], [0, 2]), g2_group(16, 7, 8), *seeded)
     for group in groups:
         assert np.array_equal(_block_trace_counts(group), orbit_block_trace_counts(group)), group.name
+
+
+def test_permutation_character_names_a_wrong_centralizer_order(monkeypatch):
+    group = dicyclic([(3, 1), (2, 3)], [0, 4])
+    classes = conjugacy_classes(group)
+    cent = centralizer_sizes(group).copy()
+    k = len(classes) - 2
+    cent[classes.reps[k]] += 1
+    monkeypatch.setattr("terw.wedderburn.centralizer_sizes", lambda _: cent)
+    with pytest.raises(MultiplicityMismatch, match=rf"^class {k}: centralizer order"):
+        permutation_character(group)
 
 
 def test_block_traces_reject_constants_that_are_not_a_group(monkeypatch):
