@@ -15,7 +15,9 @@ minimum of each class Cl, with idx the mixed-radix index in A:
 with t mod d taken per coordinate, t_i mod d_i, the smallest member of t + B.
 The orbit oracle takes the minima of the generators' conjugation orbits.
 ``ClassList.reps`` holds the element index of every representative, so the
-per-class counts and the character labels read them from the one list.
+per-class counts and the character labels read them from the one list, and
+``rep_products`` their products with G and centralizer orders.  A class
+keeps no member tuple: ``ClassList.labels`` gives its members.
 
 ``structure_tensor`` holds the structure constants p_ij^k of the scheme as
 sparse (code, count) pairs, one per nonzero constant; it is the one source
@@ -54,12 +56,8 @@ COSET: Kind = "coset"
 class ConjClass:
     kind: Kind
     rep: D2Elem
-    elements: tuple[D2Elem, ...]
+    size: int
     index: int
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -102,37 +100,24 @@ def class_list(group: D2Group, minima: np.ndarray) -> ClassList:
 
     The canonical order puts the fixed singletons {x} of A first, then the
     pairs {x, f(x)} of A, then the coset classes, each kind in order of its
-    smallest member, so class 0 is {e}.  Each class lists its members in
-    index order and is represented by its smallest member.  A class lies in
-    A when its minimum is below n, and is fixed when it also has one member.
-    The smallest member of a coset class (z + B, 1) is (z, 1) with
-    0 <= z_i < d_i, so the coset classes come in mixed-radix order of z.
+    smallest member, so class 0 is {e}.  Each class is represented by its
+    smallest member.  A class lies in A when its minimum is below n, and is
+    fixed when it also has one member.  The smallest member of a coset
+    class (z + B, 1) is (z, 1) with 0 <= z_i < d_i, so the coset classes
+    come in mixed-radix order of z.
     """
     n = group.n
-    # a stable sort lists each class's members in index order, minimum first
-    members = np.argsort(minima, kind="stable")
-    starts = np.flatnonzero(np.diff(minima[members], prepend=-1))
-    roots = members[starts]
-    sizes = np.diff(starts, append=len(members))
+    roots, inverse, sizes = np.unique(minima, return_inverse=True, return_counts=True)
     fixed = (roots < n) & (sizes == 1)
     # paired minima lie below n and coset minima at n or above, so shifting
     # all but the fixed ones by n orders the three kinds
     ranked = np.argsort(roots + n * ~fixed)
     reps = read_only(roots[ranked])
-    index = np.empty(len(roots), dtype=np.int32)
-    index[ranked] = np.arange(len(roots), dtype=np.int32)
-    labels = np.empty(len(members), dtype=np.int32)
-    labels[members] = np.repeat(index, sizes)
-
-    elems = list(group.elements())
-    members, bounds = members.tolist(), [*starts.tolist(), len(elems)]
-    fixed, roots = fixed.tolist(), roots.tolist()
-    classes = []
-    for k, c in enumerate(ranked.tolist()):
-        elements = tuple(map(elems.__getitem__, members[bounds[c]:bounds[c + 1]]))
-        kind = FIXED if fixed[c] else PAIRED if roots[c] < n else COSET
-        classes.append(ConjClass(kind, elements[0], elements, k))
-    return ClassList(tuple(classes), read_only(labels), reps)
+    index = np.argsort(ranked).astype(np.int32)  # the inverse permutation
+    kinds = np.where(fixed[ranked], FIXED, np.where(reps < n, PAIRED, COSET)).tolist()
+    elems = group.elements_at(reps)
+    classes = tuple(map(ConjClass, kinds, elems, sizes[ranked].tolist(), range(len(reps))))
+    return ClassList(classes, read_only(index[inverse]), reps)
 
 
 @per_group
@@ -240,3 +225,18 @@ def class_index_table(group: D2Group) -> np.ndarray:
     """Table D with D[x, y] = class index of y * x^-1, over element indices."""
     mult, inv = index_tables(group)
     return read_only(conjugacy_classes(group).labels[mult[:, inv].T])
+
+
+@per_group
+def rep_products(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, orders): the int32 (l, |G|) rows[k, v], the index of
+    r_k * v for the class representatives r_k, and |C_G(r_k)| = #{v : r_k v
+    = v r_k}, from ``index_tables`` over the r_k and G on either side, or off
+    the square within the matrix guard, where it is cheaper and built anyway."""
+    reps = conjugacy_classes(group).reps
+    if group.order <= DEFAULT_MATRIX_GUARD:
+        mult, _ = index_tables(group)
+        rows, cols = mult[reps], mult[:, reps]
+    else:
+        rows, cols = index_tables(group, reps, None)[0], index_tables(group, None, reps)[0]
+    return read_only(rows), read_only(np.count_nonzero(rows == cols.T, axis=1))

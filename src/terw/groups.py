@@ -16,8 +16,8 @@ cyclic group, which are stored internally in prime-power coordinates via
 the Chinese remainder theorem.
 
 Per-group artefacts (``per_group``) are built once and kept on the group.
-The element indices come here from two sides: ``index_tables``, the dense
-multiplication and inverse tables that the fast paths gather on, and
+The element indices come here from two sides: ``index_tables``, the
+normal-form products over two sets of element indices and the inverses, and
 ``translations``, the right translations by the generators and the
 inversion, counted with ``group.mul`` and ``group.inv`` alone.  The oracles
 that must not read the tables (the brute-force classes, the structure
@@ -133,9 +133,10 @@ class D2Group:
         a, beta = g
         return self.abelian.index(a) + beta * self.n
 
-    def element(self, idx: int) -> D2Elem:
-        beta, rem = divmod(idx, self.n)
-        return (self.abelian.element(rem), beta)
+    def elements_at(self, indices: np.ndarray) -> list[D2Elem]:
+        """The elements at an array of indices, from their coordinates at once."""
+        coords = np.stack(np.unravel_index(indices % self.n, self.abelian.moduli), axis=1)
+        return list(zip(map(tuple, coords.tolist()), (indices // self.n).tolist()))
 
     def generators(self) -> list[D2Elem]:
         """Coordinate generators of the abelian part plus b."""
@@ -256,17 +257,19 @@ def g2_group(n: int, s: int, t: int) -> D2Group:
 T = TypeVar("T")
 
 
-def per_group(build: Callable[[D2Group], T]) -> Callable[[D2Group], T]:
+def per_group(build: Callable[..., T]) -> Callable[..., T]:
     """Make ``build(group)`` run once per group, on first use.
 
     The result is kept on the group and every later call returns the same
     object, so each artefact is shared by all its users and is read-only.
-    The builder stays reachable as ``__wrapped__``, which is where each
-    first call looks it up.
+    A call with further arguments builds the part they pick afresh.  The
+    builder stays reachable as ``__wrapped__``, where each call finds it.
     """
 
     @functools.wraps(build)
-    def cached(group: D2Group) -> T:
+    def cached(group: D2Group, *part) -> T:
+        if part:
+            return cached.__wrapped__(group, *part)
         memo = group._memo
         if build not in memo:
             memo[build] = cached.__wrapped__(group)
@@ -330,51 +333,47 @@ def conjugations(group: D2Group) -> np.ndarray:
 
 
 @per_group
-def index_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
-    """Dense multiplication and inverse tables over element indices.
+def index_tables(group: D2Group, left=None, right=None) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplication and inverse tables over element indices.
 
-    ``mult[i, j]`` is the index of element i times element j and ``inv[i]``
-    the index of the inverse of element i.  They are built from the normal
-    form, one coordinate at a time: element index
-    i = sum_j x_j * w_j + beta * n with w_j the mixed-radix weights, so each
-    (beta, gamma) block of ``mult`` is
-    sum_j ((x_j + f^beta(x')_j + [beta gamma] * y_j) mod m_j) * w_j
-    plus the coset offset, accumulated in place with one (n, n) int32
-    temporary.
+    ``mult[i, j]`` is the index of element left[i] times element right[j]
+    and ``inv[g]`` the index of the inverse of element g.  ``left`` lists
+    its elements of A first; both sets default to all of G, the full
+    square, which is kept on the group.  The products come from the normal
+    form, one coordinate at a time: with element index
+    i = sum_j x_j * w_j + beta * n and w_j the mixed-radix weights,
+    (x, beta) * (x', gamma) has coordinates
+    x_j + f^beta(x')_j + beta * gamma * y_j mod m_j and coset bit
+    beta + gamma mod 2, accumulated in place with one int32 temporary.
     """
-    A = group.abelian
     n = group.n
-    moduli = A.moduli
-    weights = [math.prod(moduli[j + 1:]) for j in range(A.rank)]
-    coords = [x.astype(np.int32) for x in np.unravel_index(np.arange(n), moduli)]
-    twisted = [(s * x) % m for s, x, m in zip(group.twist.s, coords, moduli)]
+    moduli = group.abelian.moduli
+    weights = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
+    left = np.arange(group.order) if left is None else left
+    right = np.arange(group.order) if right is None else right
+    split = int(np.count_nonzero(left < n))  # the rows with beta = 0 come first
+    if (left[:split] >= n).any():
+        raise ValueError("the left index set lists a coset element before an element of A")
+    xs, ys = ([x.astype(np.int32) for x in np.unravel_index(i % n, moduli)] for i in (left, right))
+    gamma = (right >= n).astype(np.int32)
 
-    mult = np.empty((group.order, group.order), dtype=np.int32)
-    for beta in (0, 1):
-        for gamma in (0, 1):
-            block = mult[beta * n:(beta + 1) * n, gamma * n:(gamma + 1) * n]
-            block[...] = ((beta + gamma) % 2) * n
-            for j, (m, w) in enumerate(zip(moduli, weights)):
-                right = (twisted[j] if beta else coords[j]) + beta * gamma * group.square[j]
-                term = coords[j][:, None] + right[None, :]
-                term %= m
-                term *= w
-                block += term
+    mult = np.empty((len(left), len(right)), dtype=np.int32)
+    mult[:split], mult[split:] = gamma * n, (1 - gamma) * n
+    term = np.empty_like(mult)
+    for x, y, s, sq, m, w in zip(xs, ys, group.twist.s, group.square, moduli, weights):
+        np.add(x[:split, None], y, out=term[:split])
+        np.add(x[split:, None], (s * y + gamma * sq) % m, out=term[split:])
+        term %= m
+        term *= w
+        mult += term
 
-    # (x, 0)^-1 = (-x, 0) and (x, 1)^-1 = (-f(x) - y, 1)
-    inv = np.empty(group.order, dtype=np.int32)
-    inv[:n] = sum(((-x) % m) * w for x, m, w in zip(coords, moduli, weights))
-    inv[n:] = n + sum(
-        ((-fx - y) % m) * w for fx, y, m, w in zip(twisted, group.square, moduli, weights)
+    # (x, beta)^-1 = (-f^beta(x) - beta * y, beta)
+    beta, x = np.divmod(np.arange(group.order, dtype=np.int32), n)
+    terms = zip(np.unravel_index(x, moduli), group.twist.s, group.square, moduli, weights)
+    inv = beta * n + sum(
+        ((-np.where(beta, s * x, x) - beta * y) % m) * w for x, s, y, m, w in terms
     )
-    return read_only(mult), read_only(inv)
-
-
-@per_group
-def centralizer_sizes(group: D2Group) -> np.ndarray:
-    """|C_G(g)| for every element index g, counted from the multiplication table."""
-    mult, _ = index_tables(group)
-    return read_only((mult == mult.T).sum(axis=1))
+    return read_only(mult), read_only(inv.astype(np.int32))
 
 
 def conjugation_table(group: D2Group) -> np.ndarray:

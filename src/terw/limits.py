@@ -3,7 +3,7 @@
 Explicit-matrix paths (adjacency matrices, algebra closure, idempotents),
 quadratic or worse in the group order, and the brute-force class oracle they
 run beside (k * |G| conjugations) are gated behind ``DEFAULT_MATRIX_GUARD``.
-Formula and counting paths are capped only by ``ENUMERATION_LIMIT``.
+``dims`` and ``wedderburn`` check ``ENUMERATION_LIMIT`` before building anything.
 """
 
 from .errors import GuardExceededError

@@ -16,11 +16,11 @@ the first two, so the four numbers agree exactly on every valid instance.
 ``verify_scheme_axioms`` checks the product axiom on the row of the identity
 only, after checking that right translations preserve the class-index table.
 
-The triple count reads only the l rows of the multiplication table at the
-class representatives rep_i, with l the class count.  Simultaneous
-conjugation (u, v) -> (gug^-1, gvg^-1) keeps the triple (class u, class v,
-class uv) and takes any u to its class representative, so the pairs
-(rep_i, v) over all v already give every triple.
+The triple count and the centralizer orders read only the products of the
+l class representatives rep_i with all of G (``rep_products``), with l the
+class count.  Simultaneous conjugation (u, v) -> (gug^-1, gvg^-1) keeps the
+triple (class u, class v, class uv) and takes any u to its class
+representative, so the pairs (rep_i, v) over all v already give every triple.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .closure import (
     closure_dim_in_orbit_coords, conjugation_orbitals, first_not_preserving,
     terwilliger_closure_dim, terwilliger_generator_coords,
 )
-from .conjugacy import class_index_table, conjugacy_classes, structure_tensor
+from .conjugacy import class_index_table, conjugacy_classes, rep_products, structure_tensor
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, centralizer_sizes, index_tables, orbit_minima, translations
+from .groups import D2Group, orbit_minima, translations
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -164,11 +164,11 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     if strategy == "triples":
         classes = conjugacy_classes(group)
         ell = len(classes)
-        mult, _ = index_tables(group)
+        rows, _ = rep_products(group)
         labels = classes.labels.astype(np.min_scalar_type(ell * ell - 1))
         # distinct codes counted by sorting each row: a bincount would need
         # l^2 bins per row
-        codes = np.sort(labels * ell + labels[mult[classes.reps]], axis=1)
+        codes = np.sort(labels * ell + labels[rows], axis=1)
         return int(np.count_nonzero(np.diff(codes, axis=1))) + ell
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -181,15 +181,14 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
 
 
 def dim_centralizer(group: D2Group) -> int:
-    """Dimension of the centralizer algebra of the conjugation action:
-    (1/|G|) sum over g of |C_G(g)|^2, with the centralizer orders found by
-    scanning the multiplication table.  ``conjugation_orbitals(group).count``
-    is the same number, counted as orbits on G x G."""
+    """Dimension of the centralizer algebra of the conjugation action, after the
+    check of ``ENUMERATION_LIMIT``: (1/|G|) sum_k |Cl_k| |C_G(r_k)|^2, with the orders
+    of ``rep_products``; ``conjugation_orbitals(group).count`` counts it on G x G."""
     if group.order > ENUMERATION_LIMIT:
         raise GuardExceededError(
             f"group order {group.order} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
-    total = int((centralizer_sizes(group).astype(np.int64) ** 2).sum())
+    total = int((np.array(conjugacy_classes(group).sizes) * rep_products(group)[1] ** 2).sum())
     if total % group.order:
         raise OracleMismatch("sum of squared centralizer orders not divisible by |G|")
     return total // group.order
@@ -228,9 +227,9 @@ def is_triply_transitive(
     is None unless ``need_closure`` forces the computation, in which case the
     guard violation propagates.
     """
+    cent = dim_centralizer(group)  # first: it checks the enumeration limit
     t0 = dim_t0(group)
     closed = dim_closed_form(group)
-    cent = dim_centralizer(group)
     closure: int | None = None
     if group.order <= guard or need_closure:  # above the guard, the closure raises
         closure = terwilliger_closure_dim(group, guard=guard)

@@ -1,9 +1,9 @@
 """Block multiplicities of the centralizer algebra, three independent ways.
 
 The conjugation action of the group on itself has permutation character
-psi(g) = |C_G(g)|.  Its decomposition psi = sum d_j chi_j gives the
-Wedderburn blocks M_{d_j} of the centralizer algebra (equal to the
-Terwilliger algebra here).  The three routes to the d_j:
+psi(g) = |C_G(g)|, counted at the class representatives.  Its decomposition
+psi = sum d_j chi_j gives the Wedderburn blocks M_{d_j} of the centralizer
+algebra (equal to the Terwilliger algebra here).  The three routes to the d_j:
 
   * closed form by the divisibility pattern of the label vectors,
   * the plain character sum d_j = sum_k conj(chi_j(g_k)) over class reps,
@@ -44,10 +44,10 @@ from .characters import (
     character_labels,
     character_table,
 )
-from .conjugacy import conjugacy_classes, structure_tensor
+from .conjugacy import conjugacy_classes, rep_products, structure_tensor
 from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
-from .groups import D2Group, centralizer_sizes, conjugation_table
+from .groups import D2Group, conjugation_table
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 from .scheme import dim_centralizer
 
@@ -72,9 +72,9 @@ class MultiplicityVector:
 
 
 def permutation_character(group: D2Group) -> list[int]:
-    """psi on class representatives: psi(g) = |C_G(g)| = |G| / |Cl(g)|."""
+    """psi(g) = |C_G(g)| = |G| / |Cl(g)| on class representatives, from ``rep_products``."""
     classes = conjugacy_classes(group)
-    values = centralizer_sizes(group)[classes.reps]
+    _, values = rep_products(group)
     sizes = np.array(classes.sizes)
     bad = np.flatnonzero(values * sizes != group.order)
     if bad.size:
@@ -331,6 +331,7 @@ def wedderburn_report(group: D2Group) -> WedderburnReport:
     Raises MultiplicityMismatch if the three vectors differ or if either
     sum d^2 = dim of the centralizer algebra or sum d*deg = |G| fails.
     """
+    cent = dim_centralizer(group)  # first: it checks the enumeration limit
     table = character_table(group)
     closed = multiplicities_closed_form(group)
     sums = multiplicities_char_sum(group, table)
@@ -341,7 +342,6 @@ def wedderburn_report(group: D2Group) -> WedderburnReport:
             f"closed form {closed.values} vs char sums {sums.values} "
             f"vs inner products {inner.values} on {group.name}"
         )
-    cent = dim_centralizer(group)
     if closed.sum_d_sq != cent:
         raise MultiplicityMismatch(
             f"sum d^2 = {closed.sum_d_sq} but centralizer dimension is {cent}"

@@ -32,7 +32,11 @@ the two forms.  The block-trace reference gathers the orbit label of
 the library sums the structure constants against the permutation
 character.  The label reference walks the character indices of A and
 pairs J with J*s, where the library reads the labels off the coset and
-paired class representatives.  The tests compare each pair on small inputs.
+paired class representatives.  The centralizer reference compares the
+whole multiplication table with its transpose, where the library counts
+the commuting products on the representative rows only, and the member
+reference lists each class element by element, where the library keeps
+no member tuples.  The tests compare each pair on small inputs.
 """
 
 from fractions import Fraction
@@ -69,7 +73,7 @@ def structure_constant(group, i, j, k):
     classes = conjugacy_classes(group)
     y = classes[k].rep
     count = 0
-    for z in classes[i].elements:
+    for z in class_members(group, classes)[i]:
         if classes.labels[group.index(group.mul(y, group.inv(z)))] == j:
             count += 1
     return count
@@ -384,10 +388,11 @@ def min_propagation_orbitals(group):
 
 
 def canonical_classes(group, orbits):
-    """Order raw orbits fixed, paired, coset, as the closed form does.  Each
-    orbit lists its members in index order, and the orbits come in order of
-    their first members; the coset classes by z = t mod d of their first
-    member (t, 1), which represents them."""
+    """Order raw orbits fixed, paired, coset, as the closed form does, and
+    return the classes with the member tuple of each.  Each orbit lists its
+    members in index order, and the orbits come in order of their first
+    members; the coset classes by z = t mod d of their first member (t, 1),
+    which represents them."""
     fixed, paired, coset = [], [], []
     d_vec = group.fixed.d_vec
     for members in orbits:
@@ -407,12 +412,12 @@ def canonical_classes(group, orbits):
 
     classes = []
     for members in fixed:
-        classes.append(ConjClass(FIXED, members[0], members, len(classes)))
+        classes.append(ConjClass(FIXED, members[0], len(members), len(classes)))
     for members in paired:
-        classes.append(ConjClass(PAIRED, members[0], members, len(classes)))
+        classes.append(ConjClass(PAIRED, members[0], len(members), len(classes)))
     for members in coset:
-        classes.append(ConjClass(COSET, (coset_key(members), 1), members, len(classes)))
-    return classes
+        classes.append(ConjClass(COSET, (coset_key(members), 1), len(members), len(classes)))
+    return classes, fixed + paired + coset
 
 
 def enumerated_conjugacy_classes(group):
@@ -428,12 +433,28 @@ def enumerated_conjugacy_classes(group):
         orbit = {group.conjugate(g, h) for h in elems}
         orbits.append(tuple(sorted(orbit, key=group.index)))  # g comes first
         remaining -= orbit
-    classes = canonical_classes(group, orbits)
+    classes, members = canonical_classes(group, orbits)
     labels = np.empty(group.order, dtype=np.int32)
-    for cls in classes:
-        labels[[group.index(g) for g in cls.elements]] = cls.index
+    for cls, elements in zip(classes, members):
+        labels[[group.index(g) for g in elements]] = cls.index
     reps = np.array([group.index(cls.rep) for cls in classes])
     return ClassList(tuple(classes), read_only(labels), read_only(reps))
+
+
+def class_members(group, classes):
+    """The member tuples of every class of a ``ClassList``, each in index
+    order, element by element from the enumeration and the labels."""
+    members = [[] for _ in classes]
+    for g, k in zip(group.elements(), classes.labels.tolist()):
+        members[k].append(g)
+    return [tuple(m) for m in members]
+
+
+def centralizer_sizes(group):
+    """|C_G(g)| for every element index g, counted from the full
+    multiplication table as the g with mult[g, h] = mult[h, g]."""
+    mult, _ = index_tables(group)
+    return read_only((mult == mult.T).sum(axis=1))
 
 
 def enumerated_character_labels(group):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from dense_reference import chartable_json_dict, enumerated_character_labels
+from dense_reference import chartable_json_dict, class_members, enumerated_character_labels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -216,14 +216,13 @@ def test_values_constant_on_classes():
     )
     classes = conjugacy_classes(group)
     table = character_table(group)
+    members = class_members(group, classes)
     # recompute each value from every member of the class, not just the rep
     for r, label in enumerate(table.labels):
         for cls in classes:
             want = table.value(r, cls.index).eval_complex()
-            for g in cls.elements:
-                single = type(cls)(
-                    kind=cls.kind, rep=g, elements=(g,), index=cls.index
-                )
+            for g in members[cls.index]:
+                single = type(cls)(kind=cls.kind, rep=g, size=1, index=cls.index)
                 got = char_value(group, label, single).eval_complex()
                 assert abs(got - want) < 1e-9
 

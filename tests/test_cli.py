@@ -16,7 +16,7 @@ from terw.cli import (
     GroupSpec,
     main,
 )
-from terw.conjugacy import class_index_table, conjugacy_classes
+from terw.conjugacy import ClassList, class_index_table, conjugacy_classes
 
 
 def run_cli(capsys, *argv):
@@ -479,9 +479,13 @@ def test_verify_reports_a_broken_closure_certificate(capsys, monkeypatch):
 
 def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):
     real = cli.conjugacy_classes_bruteforce
-    monkeypatch.setattr(
-        cli, "conjugacy_classes_bruteforce", lambda *a, **k: list(real(*a, **k))[::-1]
-    )
+
+    def reversed_order(*args, **kwargs):
+        classes = real(*args, **kwargs)
+        labels = len(classes) - 1 - classes.labels
+        return ClassList(classes.classes[::-1], labels, classes.reps[::-1])
+
+    monkeypatch.setattr(cli, "conjugacy_classes_bruteforce", reversed_order)
     code, out, _ = run_cli(capsys, "classes", *S3, "--oracle")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["checks"][0]["check"] == "conjugacy_classes"
@@ -506,6 +510,33 @@ def test_wedderburn_mismatch_names_the_check(capsys, monkeypatch):
     assert payload["mismatch"] is True and payload["ok"] is False
     assert payload["name"] == "Dih(C3)" and payload["order"] == 6
     assert payload["checks"] == [{"check": "wedderburn", "ok": False, "detail": "planted"}]
+
+
+def test_a_wrong_class_size_is_a_mismatch(capsys, monkeypatch):
+    # the centralizer orders are counted on the representative rows and
+    # weighted by the class sizes, so a class list with one size wrong
+    # disagrees with them; the guard keeps the closure out.  On D4 the
+    # planted size 3 of class 2 ({a, a^3}, centralizer order 4) keeps the
+    # weighted sum divisible by |G|, so both commands reach their comparison
+    import terw.conjugacy
+
+    real = terw.conjugacy.conjugacy_classes.__wrapped__
+
+    def one_size_wrong(group):
+        classes = real(group)
+        wrong = dataclasses.replace(classes[2], size=3)
+        return ClassList((*classes[:2], wrong, *classes[3:]), classes.labels, classes.reps)
+
+    monkeypatch.setattr(terw.conjugacy.conjugacy_classes, "__wrapped__", one_size_wrong)
+    argv = ["--kind", "dihedral", "--factors", "2^2", "--guard", "6", "--format", "json"]
+    details = {}
+    for command in ("dims", "wedderburn"):
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == EXIT_MISMATCH
+        (check,) = json.loads(out)["checks"]
+        details[command] = check["detail"]
+    assert details["dims"] == "dimension paths disagree: (28, 28, 30, None)"
+    assert details["wedderburn"] == "class 2: centralizer order 4 inconsistent with class size 3"
 
 
 def test_verify_computes_inner_products_once(capsys, monkeypatch):

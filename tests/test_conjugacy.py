@@ -21,11 +21,11 @@ from terw import (
 )
 from terw.conjugacy import COSET, FIXED, PAIRED, structure_tensor
 
-from dense_reference import structure_constant
+from dense_reference import class_members, structure_constant
 
 
-def assert_same_classes(a, b):
-    assert [c.elements for c in a] == [c.elements for c in b]
+def assert_same_classes(a, b, group):
+    assert class_members(group, a) == class_members(group, b)
     assert [c.kind for c in a] == [c.kind for c in b]
     assert [c.rep for c in a] == [c.rep for c in b]
     assert np.array_equal(a.labels, b.labels)
@@ -35,10 +35,11 @@ def test_s3_classes(s3):
     cl = conjugacy_classes(s3)
     assert cl.counts == (1, 1, 1)
     assert cl.sizes == (1, 2, 3)
-    assert cl[0].elements == (((0,), 0),)
-    assert cl[1].elements == (((1,), 0), ((2,), 0))
-    assert set(cl[2].elements) == {((0,), 1), ((1,), 1), ((2,), 1)}
-    assert_same_classes(cl, conjugacy_classes_bruteforce(s3))
+    members = class_members(s3, cl)
+    assert members[0] == (((0,), 0),)
+    assert members[1] == (((1,), 0), ((2,), 0))
+    assert set(members[2]) == {((0,), 1), ((1,), 1), ((2,), 1)}
+    assert_same_classes(cl, conjugacy_classes_bruteforce(s3), s3)
 
 
 def test_d4_classes(d4):
@@ -47,21 +48,22 @@ def test_d4_classes(d4):
     assert cl.sizes == (1, 1, 2, 2, 2)
     # {e}, {a^2}, {a, a^3}, {b, a^2 b}, {a b, a^3 b}
     assert cl[1].rep == ((2,), 0)
-    assert set(cl[3].elements) == {((0,), 1), ((2,), 1)}
-    assert set(cl[4].elements) == {((1,), 1), ((3,), 1)}
-    assert_same_classes(cl, conjugacy_classes_bruteforce(d4))
+    members = class_members(d4, cl)
+    assert set(members[3]) == {((0,), 1), ((2,), 1)}
+    assert set(members[4]) == {((1,), 1), ((3,), 1)}
+    assert_same_classes(cl, conjugacy_classes_bruteforce(d4), d4)
 
 
 def test_q8_same_shape_as_d4(q8, d4):
     assert conjugacy_classes(q8).sizes == conjugacy_classes(d4).sizes
-    assert_same_classes(conjugacy_classes(q8), conjugacy_classes_bruteforce(q8))
+    assert_same_classes(conjugacy_classes(q8), conjugacy_classes_bruteforce(q8), q8)
 
 
 def test_sd16_classes(sd16):
     cl = conjugacy_classes(sd16)
     assert cl.counts == (2, 3, 2)
     assert cl.sizes == (1, 1, 2, 2, 2, 4, 4)
-    assert_same_classes(cl, conjugacy_classes_bruteforce(sd16))
+    assert_same_classes(cl, conjugacy_classes_bruteforce(sd16), sd16)
 
 
 def test_class_equation_shape():
@@ -82,11 +84,12 @@ def test_class_equation_shape():
         assert sorted(cl.sizes) == sorted(
             [1] * d + [2] * ((n - d) // 2) + [n // d] * d
         )
-        assert_same_classes(cl, conjugacy_classes_bruteforce(group))
+        assert_same_classes(cl, conjugacy_classes_bruteforce(group), group)
 
 
 def test_class_kinds_and_invariants(sd16):
     cl = conjugacy_classes(sd16)
+    members = class_members(sd16, cl)
     fx = sd16.fixed
     for c in cl:
         if c.kind == FIXED:
@@ -96,7 +99,7 @@ def test_class_kinds_and_invariants(sd16):
             assert c.size == 2
             a = c.rep[0]
             assert not all(t % n == 0 for t, n in zip(a, fx.n_vec))
-            assert set(c.elements) == {(a, 0), (sd16.twist.apply(a), 0)}
+            assert set(members[c.index]) == {(a, 0), (sd16.twist.apply(a), 0)}
         else:
             assert c.kind == COSET
             assert c.size == sd16.n // sd16.d
@@ -105,7 +108,7 @@ def test_class_kinds_and_invariants(sd16):
 def test_identity_class_is_first(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
         cl = conjugacy_classes(group)
-        assert cl[0].elements == (group.identity,)
+        assert class_members(group, cl)[0] == (group.identity,)
         assert cl.labels[group.index(group.identity)] == 0
 
 
@@ -143,7 +146,7 @@ def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(group, name, counted(name))
-    assert_same_classes(conjugacy_classes_bruteforce(group), expected)
+    assert_same_classes(conjugacy_classes_bruteforce(group), expected, group)
     assert 0 < calls["mul"] <= len(group.generators()) * group.order
     assert 0 < calls["inv"] <= group.order
     assert calls["conjugate"] == 0
@@ -151,19 +154,26 @@ def test_bruteforce_conjugates_by_the_generators_only(monkeypatch):
 
 def test_closed_form_indexes_no_element(monkeypatch):
     # the closed form computes the class minima over the coordinates of A,
-    # not element by element
+    # and the class list the representatives from their indices in one
+    # call, not element by element
     group = g2_group(32, 31, 16)  # Dic(C32), |G| = 64, fresh
-    calls = 0
-    index = D2Group.index
+    calls = dict.fromkeys(("index", "elements", "elements_at"), 0)
 
-    def counting(self, g):
-        nonlocal calls
-        calls += 1
-        return index(self, g)
+    def counted(name):
+        method = getattr(D2Group, name)
 
-    monkeypatch.setattr(D2Group, "index", counting)
+        def counting(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(D2Group, name, counted(name))
     classes = conjugacy_classes(group)
-    assert calls <= len(classes)
+    assert calls == {"index": 0, "elements": 0, "elements_at": 1}
+    elems = list(group.elements())
+    assert [c.rep for c in classes] == [elems[r] for r in classes.reps]
 
 
 def test_structure_tensor_makes_one_product_per_generator_and_element(monkeypatch):
@@ -206,15 +216,16 @@ def test_structure_constants_d4(d4):
 def test_structure_constant_rep_independent(sd16, q8):
     for group in (sd16, q8):
         cl = conjugacy_classes(group)
+        members = class_members(group, cl)
         ell = len(cl)
         for i in range(ell):
             for j in range(ell):
                 for k in range(ell):
                     vals = set()
-                    for y in cl[k].elements:
+                    for y in members[k]:
                         count = sum(
                             1
-                            for z in cl[i].elements
+                            for z in members[i]
                             if cl.labels[group.index(group.mul(y, group.inv(z)))] == j
                         )
                         vals.add(count)
@@ -262,6 +273,7 @@ def test_paired_product_distinctness(sd16):
 def test_coset_products_partition_abelian_part(sd16, d4):
     for group in (sd16, d4):
         cl = conjugacy_classes(group)
+        members = class_members(group, cl)
         cosets = [c for c in cl if c.kind == COSET]
         abelian_classes = {c.index for c in cl if c.kind != COSET}
         for r in cosets:
@@ -269,7 +281,7 @@ def test_coset_products_partition_abelian_part(sd16, d4):
             covered = set()
             for j in cosets:
                 prod = {
-                    group.mul(u, v) for u in r.elements for v in j.elements
+                    group.mul(u, v) for u in members[r.index] for v in members[j.index]
                 }
                 assert not (seen & prod)
                 seen |= prod

@@ -188,9 +188,12 @@ def test_g2_accepts_all_valid_squares():
 
 
 def test_element_enumeration_roundtrip(sd16):
-    for i, g in enumerate(sd16.elements()):
+    elems = list(sd16.elements())
+    for i, g in enumerate(elems):
         assert sd16.index(g) == i
-        assert sd16.element(i) == g
+    indices = np.arange(sd16.order)
+    assert sd16.elements_at(indices) == elems
+    assert sd16.elements_at(indices[::-3]) == elems[::-3]
 
 
 def test_group_axioms_random_general():

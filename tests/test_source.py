@@ -126,3 +126,29 @@ def test_no_class_representative_is_indexed_again():
         and any(isinstance(arg, ast.Attribute) and arg.attr == "rep" for arg in node.args)
     ]
     assert not found, f"class representatives indexed again: {found}"
+
+
+def test_only_the_explicit_matrix_paths_read_the_full_table():
+    # the formula route (dims, wedderburn, chartable) reads the products of
+    # the class representatives, index_tables over given index sets; a call
+    # with no set, or with None for both, builds the |G|^2 square, which
+    # rep_products reads only within the matrix guard
+    def full(call):
+        parts = [*call.args[1:], *(k.value for k in call.keywords)]
+        return all(isinstance(p, ast.Constant) and p.value is None for p in parts)
+
+    callers = set()
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "index_tables"
+                and full(node)
+                for node in ast.walk(func)
+            ):
+                callers.add(func.name)
+    assert callers == {
+        "class_index_table", "class_products", "scheme_operators", "conjugation_table",
+        "rep_products",
+    }

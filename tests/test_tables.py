@@ -2,15 +2,23 @@
 ``group.mul`` and ``group.inv``; every per-group artefact is built once."""
 
 import gc
+import io
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from dense_reference import enumerated_conjugacy_classes, min_propagation_orbitals
+from dense_reference import (
+    centralizer_sizes,
+    class_members,
+    enumerated_conjugacy_classes,
+    min_propagation_orbitals,
+)
 
 from terw import (
     character_labels,
@@ -27,15 +35,15 @@ from terw import (
     verify_central_idempotents,
     verify_scheme_axioms,
 )
+import terw.groups
 from terw.cli import main
-from terw.conjugacy import class_index_table, class_products, structure_tensor
-from terw.groups import (
-    centralizer_sizes,
-    conjugation_table,
-    conjugations,
-    index_tables,
-    translations,
+from terw.conjugacy import (
+    class_index_table,
+    class_products,
+    rep_products,
+    structure_tensor,
 )
+from terw.groups import conjugation_table, conjugations, index_tables, translations
 from terw.instances import random_general_instances
 
 
@@ -54,12 +62,11 @@ def loop_class_index_table(group, classes):
 
 
 def loop_triple_count(group, classes):
+    members = class_members(group, classes)
     return sum(
-        len({
-            classes.labels[group.index(group.mul(u, v))] for u in ci.elements for v in cj.elements
-        })
-        for ci in classes
-        for cj in classes
+        len({classes.labels[group.index(group.mul(u, v))] for u in ci for v in cj})
+        for ci in members
+        for cj in members
     )
 
 
@@ -90,6 +97,38 @@ def test_class_reps_are_the_representatives_indices(group):
         assert classes.reps.tolist() == [group.index(c.rep) for c in classes]
 
 
+def test_products_over_index_sets_are_the_table_block():
+    group = g2_group(16, 7, 8)
+    mult, _ = index_tables(group)
+    left, right = np.array([0, 3, 5, 17, 20]), np.array([31, 2, 16, 2])  # any right order
+    block, _ = index_tables(group, left, right)
+    assert block.dtype == np.int32 and not block.flags.writeable
+    assert np.array_equal(block, mult[np.ix_(left, right)])
+    assert index_tables(group)[0] is mult  # a part is built afresh, the square is kept
+    with pytest.raises(ValueError, match="lists a coset element before an element of A"):
+        index_tables(group, np.array([17, 3]), right)
+
+
+CENTRALIZER_GROUPS = NAMED + [
+    g for g in random_general_instances(12, max_group_order=256, seed=2101) if any(g.square)
+]
+
+
+@pytest.mark.parametrize("group", CENTRALIZER_GROUPS, ids=lambda g: g.name)
+def test_rep_products_are_the_table_rows_at_the_representatives(group):
+    mult, _ = index_tables(group)
+    reps = conjugacy_classes(group).reps
+    rows, orders = rep_products(group)
+    assert rows.dtype == np.int32 and np.array_equal(rows, mult[reps])
+    assert np.array_equal(orders, centralizer_sizes(group)[reps])
+
+
+def test_seeded_centralizer_groups_have_a_square_and_go_above_128():
+    seeded = CENTRALIZER_GROUPS[len(NAMED):]
+    assert len(seeded) >= 4 and all(any(g.square) for g in seeded)
+    assert max(g.order for g in seeded) > 128
+
+
 def test_tables_match_loop_on_seeded_general_groups():
     groups = random_general_instances(8, max_group_order=384, seed=11)
     assert any(any(g.square) for g in groups)
@@ -113,12 +152,13 @@ def test_gathers_match_loops(group):
     assert np.array_equal(class_index_table(group), loop_class_index_table(group, classes))
     assert dim_t0(group) == loop_triple_count(group, classes)
     elems = list(group.elements())
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
+    members = class_members(group, classes)
+    for i, ci in enumerate(members):
+        for j, cj in enumerate(members):
             expected = {
                 classes.labels[group.index(group.mul(u, v))]
-                for u in ci.elements
-                for v in cj.elements
+                for u in ci
+                for v in cj
             }
             assert class_products(group, i, j) == expected
     conj = [[group.index(group.conjugate(x, g)) for x in elems] for g in elems]
@@ -168,7 +208,7 @@ def test_tables_are_built_once_and_read_only():
     assert table.classes is classes
     orb = conjugation_orbitals(group)
     arrays = (
-        mult, inv, centralizer_sizes(group), classes.labels, classes.reps,
+        mult, inv, *rep_products(group), classes.labels, classes.reps,
         class_index_table(group), table.exponents, table.coefficients, table.complex_matrix,
         orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
     )
@@ -182,7 +222,7 @@ def test_tables_are_built_once_and_read_only():
 
 
 CACHED = [
-    index_tables, centralizer_sizes, conjugacy_classes, class_index_table, character_labels,
+    index_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
 ]
 
@@ -204,14 +244,15 @@ def test_a_dropped_group_is_freed_with_its_artefacts():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of each cached artefact's builder, counted by name."""
+    """Builds of each whole cached artefact, counted by name; a call that
+    builds a part (``index_tables`` over given index sets) is not counted."""
     counts = dict.fromkeys((build.__name__ for build in CACHED), 0)
     for cached in CACHED:
         build = cached.__wrapped__
 
-        def counted(group, build=build):
-            counts[build.__name__] += 1
-            return build(group)
+        def counted(group, *part, build=build):
+            counts[build.__name__] += not part
+            return build(group, *part)
 
         monkeypatch.setattr(cached, "__wrapped__", counted)
     return counts
@@ -221,7 +262,7 @@ def test_sweep_builds_each_row_once(builds):
     assert main(["sweep", "--kind", "dihedral", "--range", "3:12"]) == 0
     # ten rows, each through the dimensions and wedderburn checks
     assert builds["conjugacy_classes"] == builds["character_table"] == 10
-    assert builds["index_tables"] == builds["centralizer_sizes"] == 10
+    assert builds["index_tables"] == builds["rep_products"] == 10
 
 
 def test_verify_builds_each_artefact_once(builds, capsys):
@@ -230,13 +271,71 @@ def test_verify_builds_each_artefact_once(builds, capsys):
     assert builds == dict.fromkeys(builds, 1)
 
 
+def test_enumeration_limit_is_checked_before_any_work(builds, capsys, monkeypatch):
+    import terw.scheme
+
+    monkeypatch.setattr(terw.scheme, "ENUMERATION_LIMIT", 9)
+    for command in ("dims", "wedderburn"):
+        assert main([command, "--kind", "dihedral", "--factors", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: group order 10 exceeds the enumeration limit 9\n"
+    assert builds == dict.fromkeys(builds, 0)
+
+
+def formula_reports(argv):
+    """Output of dims, wedderburn and chartable in JSON, each in a fresh group."""
+    reports = []
+    for command in ("dims", "wedderburn", "chartable"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([command, *argv, "--format", "json"]) == 0
+        reports.append(out.getvalue())
+    return reports
+
+
+def general_argv(group):
+    return [
+        "--kind", "general",
+        "--factors", json.dumps([[f.p, f.e] for f in group.abelian.factors]),
+        "--s", json.dumps(list(group.twist.s)),
+        "--y", json.dumps(list(group.square)),
+    ]
+
+
+SEEDED_ABOVE_GUARD = next(
+    g for g in random_general_instances(20, max_group_order=256, seed=2102)
+    if any(g.square) and g.order > 64
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--kind", "dihedral", "--factors", "2^6"], general_argv(SEEDED_ABOVE_GUARD)],
+    ids=["Dih(C64)", "general"],
+)
+def test_formula_route_reads_no_full_table(argv, monkeypatch):
+    # above the matrix guard, dims, wedderburn and chartable read the
+    # representative rows only: a build of the full square raises
+    expected = formula_reports(argv)
+    real = terw.groups.index_tables
+
+    def parts_only(group, *part):
+        if not part:
+            raise RuntimeError("the formula route read the full table")
+        return real(group, *part)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terw") and getattr(module, "index_tables", None) is real:
+            monkeypatch.setattr(module, "index_tables", parts_only)
+    assert formula_reports(argv) == expected
+
+
 def test_central_idempotents_build_no_tables(builds):
     # the block traces take the permutation character from the class sizes,
-    # so neither the multiplication table nor the centralizer orders are built
+    # so neither the multiplication table nor the representative rows are built
     group = dicyclic([(3, 1), (2, 3)], [0, 4])  # fresh, so that nothing is built yet
     table = character_table(group)
     verify_central_idempotents(group, table, multiplicities_closed_form(group))
-    assert builds["index_tables"] == builds["centralizer_sizes"] == 0
+    assert builds["index_tables"] == builds["rep_products"] == 0
 
 
 def test_invariant_fires_under_optimize():

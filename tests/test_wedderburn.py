@@ -26,8 +26,8 @@ from terw import (
     wedderburn_report,
 )
 from terw.closure import conjugation_orbitals
-from terw.conjugacy import structure_tensor
-from terw.groups import centralizer_sizes, conjugation_table
+from terw.conjugacy import rep_products, structure_tensor
+from terw.groups import conjugation_table
 from terw.instances import random_general_instances
 from terw.wedderburn import _block_trace_counts, permutation_character
 
@@ -317,10 +317,11 @@ def test_block_trace_counts_equal_the_orbit_gather(s3, d4, q8, sd16):
 def test_permutation_character_names_a_wrong_centralizer_order(monkeypatch):
     group = dicyclic([(3, 1), (2, 3)], [0, 4])
     classes = conjugacy_classes(group)
-    cent = centralizer_sizes(group).copy()
+    rows, orders = rep_products(group)
+    cent = orders.copy()
     k = len(classes) - 2
-    cent[classes.reps[k]] += 1
-    monkeypatch.setattr("terw.wedderburn.centralizer_sizes", lambda _: cent)
+    cent[k] += 1
+    monkeypatch.setattr("terw.wedderburn.rep_products", lambda _: (rows, cent))
     with pytest.raises(MultiplicityMismatch, match=rf"^class {k}: centralizer order"):
         permutation_character(group)
 
