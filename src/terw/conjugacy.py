@@ -231,12 +231,7 @@ def class_index_table(group: D2Group) -> np.ndarray:
 def rep_products(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (rows, orders): the int32 (l, |G|) rows[k, v], the index of
     r_k * v for the class representatives r_k, and |C_G(r_k)| = #{v : r_k v
-    = v r_k}, from ``index_tables`` over the r_k and G on either side, or off
-    the square within the matrix guard, where it is cheaper and built anyway."""
+    = v r_k}, from ``index_tables`` over the r_k and G on either side."""
     reps = conjugacy_classes(group).reps
-    if group.order <= DEFAULT_MATRIX_GUARD:
-        mult, _ = index_tables(group)
-        rows, cols = mult[reps], mult[:, reps]
-    else:
-        rows, cols = index_tables(group, reps, None)[0], index_tables(group, None, reps)[0]
-    return read_only(rows), read_only(np.count_nonzero(rows == cols.T, axis=1))
+    rows, cols = index_tables(group, reps, None), index_tables(group, None, reps)
+    return rows, read_only(np.count_nonzero(rows == cols.T, axis=1))

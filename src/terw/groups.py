@@ -257,19 +257,17 @@ def g2_group(n: int, s: int, t: int) -> D2Group:
 T = TypeVar("T")
 
 
-def per_group(build: Callable[..., T]) -> Callable[..., T]:
+def per_group(build: Callable[[D2Group], T]) -> Callable[[D2Group], T]:
     """Make ``build(group)`` run once per group, on first use.
 
     The result is kept on the group and every later call returns the same
     object, so each artefact is shared by all its users and is read-only.
-    A call with further arguments builds the part they pick afresh.  The
-    builder stays reachable as ``__wrapped__``, where each call finds it.
+    The builder stays reachable as ``__wrapped__``, which is where each
+    first call looks it up.
     """
 
     @functools.wraps(build)
-    def cached(group: D2Group, *part) -> T:
-        if part:
-            return cached.__wrapped__(group, *part)
+    def cached(group: D2Group) -> T:
         memo = group._memo
         if build not in memo:
             memo[build] = cached.__wrapped__(group)
@@ -332,25 +330,39 @@ def conjugations(group: D2Group) -> np.ndarray:
     return read_only(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
 
 
-@per_group
-def index_tables(group: D2Group, left=None, right=None) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplication and inverse tables over element indices.
+def index_tables(
+    group: D2Group, left=None, right=None
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """With no index set, the multiplication and inverse tables (mult, inv)
+    over element indices, kept on the group: ``mult[i, j]`` is the index of
+    element i times element j and ``inv[g]`` that of the inverse of g.
+    Otherwise the read-only int32 block of left[i] times right[j] alone (a
+    missing set is all of G; ``left`` lists its elements of A first), built
+    afresh and not kept."""
+    if left is None and right is None:
+        return _square_tables(group)
+    every = np.arange(group.order)
+    return read_only(_products(group, every if left is None else left,
+                               every if right is None else right))
 
-    ``mult[i, j]`` is the index of element left[i] times element right[j]
-    and ``inv[g]`` the index of the inverse of element g.  ``left`` lists
-    its elements of A first; both sets default to all of G, the full
-    square, which is kept on the group.  The products come from the normal
-    form, one coordinate at a time: with element index
-    i = sum_j x_j * w_j + beta * n and w_j the mixed-radix weights,
-    (x, beta) * (x', gamma) has coordinates
+
+@per_group
+def _square_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
+    """The full (mult, inv) of ``index_tables``.  Each row of ``mult`` is a
+    permutation, so inv[g] is the column where row g holds the identity,
+    index 0."""
+    every = np.arange(group.order)
+    mult = read_only(_products(group, every, every))
+    return mult, read_only(np.argmin(mult, axis=1).astype(np.int32))
+
+
+def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The int32 block of left[i] * right[j] from the normal form, one
+    coordinate at a time: (x, beta) * (x', gamma) has coordinates
     x_j + f^beta(x')_j + beta * gamma * y_j mod m_j and coset bit
-    beta + gamma mod 2, accumulated in place with one int32 temporary.
-    """
-    n = group.n
-    moduli = group.abelian.moduli
+    beta + gamma mod 2, accumulated in place with one int32 temporary."""
+    n, moduli = group.n, group.abelian.moduli
     weights = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
-    left = np.arange(group.order) if left is None else left
-    right = np.arange(group.order) if right is None else right
     split = int(np.count_nonzero(left < n))  # the rows with beta = 0 come first
     if (left[:split] >= n).any():
         raise ValueError("the left index set lists a coset element before an element of A")
@@ -366,14 +378,7 @@ def index_tables(group: D2Group, left=None, right=None) -> tuple[np.ndarray, np.
         term %= m
         term *= w
         mult += term
-
-    # (x, beta)^-1 = (-f^beta(x) - beta * y, beta)
-    beta, x = np.divmod(np.arange(group.order, dtype=np.int32), n)
-    terms = zip(np.unravel_index(x, moduli), group.twist.s, group.square, moduli, weights)
-    inv = beta * n + sum(
-        ((-np.where(beta, s * x, x) - beta * y) % m) * w for x, s, y, m, w in terms
-    )
-    return read_only(mult), read_only(inv.astype(np.int32))
+    return mult
 
 
 def conjugation_table(group: D2Group) -> np.ndarray:

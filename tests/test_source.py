@@ -131,8 +131,7 @@ def test_no_class_representative_is_indexed_again():
 def test_only_the_explicit_matrix_paths_read_the_full_table():
     # the formula route (dims, wedderburn, chartable) reads the products of
     # the class representatives, index_tables over given index sets; a call
-    # with no set, or with None for both, builds the |G|^2 square, which
-    # rep_products reads only within the matrix guard
+    # with no set, or with None for both, builds the |G|^2 square
     def full(call):
         parts = [*call.args[1:], *(k.value for k in call.keywords)]
         return all(isinstance(p, ast.Constant) and p.value is None for p in parts)
@@ -150,5 +149,4 @@ def test_only_the_explicit_matrix_paths_read_the_full_table():
                 callers.add(func.name)
     assert callers == {
         "class_index_table", "class_products", "scheme_operators", "conjugation_table",
-        "rep_products",
     }

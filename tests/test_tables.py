@@ -43,7 +43,7 @@ from terw.conjugacy import (
     rep_products,
     structure_tensor,
 )
-from terw.groups import conjugation_table, conjugations, index_tables, translations
+from terw.groups import _square_tables, conjugation_table, conjugations, index_tables, translations
 from terw.instances import random_general_instances
 
 
@@ -101,7 +101,7 @@ def test_products_over_index_sets_are_the_table_block():
     group = g2_group(16, 7, 8)
     mult, _ = index_tables(group)
     left, right = np.array([0, 3, 5, 17, 20]), np.array([31, 2, 16, 2])  # any right order
-    block, _ = index_tables(group, left, right)
+    block = index_tables(group, left, right)
     assert block.dtype == np.int32 and not block.flags.writeable
     assert np.array_equal(block, mult[np.ix_(left, right)])
     assert index_tables(group)[0] is mult  # a part is built afresh, the square is kept
@@ -222,7 +222,7 @@ def test_tables_are_built_once_and_read_only():
 
 
 CACHED = [
-    index_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
+    _square_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
 ]
 
@@ -244,17 +244,27 @@ def test_a_dropped_group_is_freed_with_its_artefacts():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Builds of each whole cached artefact, counted by name; a call that
-    builds a part (``index_tables`` over given index sets) is not counted."""
+    """Builds of each cached artefact, counted by name, and the blocks that
+    ``index_tables`` builds over given index sets, as "index_tables_part"."""
     counts = dict.fromkeys((build.__name__ for build in CACHED), 0)
     for cached in CACHED:
         build = cached.__wrapped__
 
-        def counted(group, *part, build=build):
-            counts[build.__name__] += not part
-            return build(group, *part)
+        def counted(group, build=build):
+            counts[build.__name__] += 1
+            return build(group)
 
         monkeypatch.setattr(cached, "__wrapped__", counted)
+    counts["index_tables_part"] = 0
+    real = terw.groups.index_tables
+
+    def parts_counted(group, left=None, right=None):
+        counts["index_tables_part"] += left is not None or right is not None
+        return real(group, left, right)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terw") and getattr(module, "index_tables", None) is real:
+            monkeypatch.setattr(module, "index_tables", parts_counted)
     return counts
 
 
@@ -262,13 +272,15 @@ def test_sweep_builds_each_row_once(builds):
     assert main(["sweep", "--kind", "dihedral", "--range", "3:12"]) == 0
     # ten rows, each through the dimensions and wedderburn checks
     assert builds["conjugacy_classes"] == builds["character_table"] == 10
-    assert builds["index_tables"] == builds["rep_products"] == 10
+    assert builds["_square_tables"] == builds["rep_products"] == 10
+    assert builds["index_tables_part"] == 20
 
 
 def test_verify_builds_each_artefact_once(builds, capsys):
     assert main(["verify", "--kind", "dihedral", "--factors", "2^5"]) == 0
     capsys.readouterr()
-    assert builds == dict.fromkeys(builds, 1)
+    # each artefact once, and the two blocks of rep_products
+    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 2}
 
 
 def test_enumeration_limit_is_checked_before_any_work(builds, capsys, monkeypatch):
@@ -318,10 +330,10 @@ def test_formula_route_reads_no_full_table(argv, monkeypatch):
     expected = formula_reports(argv)
     real = terw.groups.index_tables
 
-    def parts_only(group, *part):
-        if not part:
+    def parts_only(group, left=None, right=None):
+        if left is None and right is None:
             raise RuntimeError("the formula route read the full table")
-        return real(group, *part)
+        return real(group, left, right)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("terw") and getattr(module, "index_tables", None) is real:
@@ -335,7 +347,7 @@ def test_central_idempotents_build_no_tables(builds):
     group = dicyclic([(3, 1), (2, 3)], [0, 4])  # fresh, so that nothing is built yet
     table = character_table(group)
     verify_central_idempotents(group, table, multiplicities_closed_form(group))
-    assert builds["index_tables"] == builds["rep_products"] == 0
+    assert builds["_square_tables"] == builds["rep_products"] == builds["index_tables_part"] == 0
 
 
 def test_invariant_fires_under_optimize():
