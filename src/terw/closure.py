@@ -39,9 +39,14 @@ a part whose block is full is skipped.  As for ``algebra_dimension``, only
 products on the right are formed.  Multiplying a part of block (a, b) on the
 right by E*_i keeps it (i = b) or drops it, so the span stays closed under
 the E*_i and only the scheme matrices act as operators, one per N_j.  These
-are built only when a round leaves a block below its cap: for the groups here
-the sandwiches E*_a N_j E*_b of round 0 already fill every block.  Without
-the dual idempotents the same search runs with all orbits in one block.
+are built only when a round leaves a block below its cap.  Without the dual
+idempotents the same search runs with all orbits in one block.
+
+Round 0 of the full closure needs no elimination: each orbit lies in exactly
+one sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
+``sandwich_count`` counts them.  They are among the parts of round 0 and the
+rank never passes the orbit count, so a count at the cap is the closure
+dimension; for the groups here it always is, and the basis runs only below it.
 
 Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
 It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
@@ -346,6 +351,23 @@ def closure_dim_in_orbit_coords(
         batch = (op(vec) for vec in frontier for op in ops)
 
 
+def sandwich_count(group: D2Group) -> int:
+    """Number of distinct nonzero sandwiches E*_a N_j E*_b in orbit
+    coordinates: the distinct (class u, class v, class v*u^-1) over the orbit
+    reps (u, v), counted by sorting their codes.  The sandwiches have
+    disjoint 0/1 supports, so this is the rank of their span over Q.  With
+    N_0 = I the E*_i = E*_i N_0 E*_i are sandwiches too, so it is also the
+    rank of round 0 of the full closure."""
+    classes = conjugacy_classes(group)
+    ell = len(classes)
+    rep_u, rep_v = conjugation_orbitals(group).reps
+    code = np.min_scalar_type(ell**3 - 1)
+    labels = classes.labels.astype(code)
+    rel = class_index_table(group)[rep_u, rep_v].astype(code)
+    codes = np.sort((labels[rep_u] * ell + labels[rep_v]) * ell + rel)
+    return int(np.count_nonzero(np.diff(codes))) + 1
+
+
 def terwilliger_closure_dim(
     group: D2Group,
     guard: int = DEFAULT_MATRIX_GUARD,
@@ -360,6 +382,9 @@ def terwilliger_closure_dim(
     """
     check_guard(group.order, guard, "the closure path")
     _assert_conjugation_invariant(class_index_table(group), conjugations(group))
+    cap = conjugation_orbitals(group).count
+    if include_scheme and include_dual and sandwich_count(group) == cap:
+        return cap
     vectors, blocks = terwilliger_generator_coords(group, include_scheme, include_dual)
     if not vectors:
         raise ValueError("need at least one family of generators")
@@ -369,6 +394,4 @@ def terwilliger_closure_dim(
         # scheme matrices need operators
         return scheme_operators(group) if include_scheme else []
 
-    return closure_dim_in_orbit_coords(
-        vectors, operators, cap=conjugation_orbitals(group).count, blocks=blocks
-    )
+    return closure_dim_in_orbit_coords(vectors, operators, cap=cap, blocks=blocks)

@@ -29,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import (
-    closure_dim_in_orbit_coords, conjugation_orbitals, first_not_preserving,
-    terwilliger_closure_dim, terwilliger_generator_coords,
-)
+from .closure import first_not_preserving, sandwich_count, terwilliger_closure_dim
 from .conjugacy import class_index_table, conjugacy_classes, rep_products, structure_tensor
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
 from .groups import D2Group, orbit_minima, translations
@@ -156,10 +153,10 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     Cl_i * Cl_j, as the distinct pairs (class v, class rep_i * v) of each
     representative row i (see the module docstring).
 
-    The "span" strategy is round 0 of the closure: it ranks the block parts
-    of the generators in orbit coordinates over Q.  Each sandwich is
-    constant on the conjugation orbits, and the parts of N_j in block (a, b)
-    are the E*_a N_j E*_b; the parts of E*_i are E*_i N_0 E*_i again.
+    The "span" strategy is round 0 of the closure, ``sandwich_count``: each
+    sandwich is constant on the conjugation orbits, and in orbit coordinates
+    the distinct ones have disjoint 0/1 supports, so their rank over Q is
+    their number.
     """
     if strategy == "triples":
         classes = conjugacy_classes(group)
@@ -173,11 +170,7 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     if strategy != "span":
         raise ValueError(f"unknown strategy {strategy!r}")
     check_guard(group.order, guard, "the span path")
-    vectors, blocks = terwilliger_generator_coords(group)
-    # with no operators the closure is the span of the vectors
-    return closure_dim_in_orbit_coords(
-        vectors, lambda: [], cap=conjugation_orbitals(group).count, blocks=blocks
-    )
+    return sandwich_count(group)
 
 
 def dim_centralizer(group: D2Group) -> int:

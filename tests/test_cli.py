@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from terw import MultiplicityMismatch, OrthogonalityFailure, cli
@@ -177,7 +178,7 @@ def test_verify_command(capsys):
 
 
 def test_verify_dih_c128_within_a_raised_guard(capsys):
-    # |G| = 256: the closure ranks 8584 orbits in blocks
+    # |G| = 256: the sandwich count reaches the 8584 orbits
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "dihedral", "--factors", "2^7", "--guard", "256",
         "--format", "json",
@@ -537,6 +538,34 @@ def test_a_wrong_class_size_is_a_mismatch(capsys, monkeypatch):
         details[command] = check["detail"]
     assert details["dims"] == "dimension paths disagree: (28, 28, 30, None)"
     assert details["wedderburn"] == "class 2: centralizer order 4 inconsistent with class size 3"
+
+
+def test_merged_orbits_are_a_mismatch(capsys, monkeypatch):
+    # two orbits of one block merged: the sandwich count reaches the planted
+    # cap, one below the centralizer dimension, so the paths disagree
+    import terw.closure
+
+    real = terw.closure.conjugation_orbitals.__wrapped__
+
+    def merged(group):
+        orb = real(group)
+        classes = conjugacy_classes(group)
+        blocks = classes.labels[orb.reps[0]] * len(classes) + classes.labels[orb.reps[1]]
+        _, first, counts = np.unique(blocks, return_index=True, return_counts=True)
+        keep = int(first[np.argmax(counts > 1)])
+        gone = int(np.flatnonzero(blocks == blocks[keep])[1])
+        labels = np.where(orb.labels == gone, keep, orb.labels)
+        labels -= labels > gone
+        reps = np.delete(orb.reps, gone, axis=1)
+        return terw.closure.Orbitals(orb.count - 1, labels, reps)
+
+    monkeypatch.setattr(terw.closure.conjugation_orbitals, "__wrapped__", merged)
+    code, out, _ = run_cli(capsys, "verify", *S3, "--format", "json")
+    assert code == EXIT_MISMATCH
+    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed == [
+        {"check": "dimensions", "ok": False, "detail": "dimension paths disagree: (11, 11, 11, 10)"}
+    ]
 
 
 def test_verify_computes_inner_products_once(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Algebra-closure oracles: generic flattened path vs orbit-coordinate path."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,18 +9,21 @@ import pytest
 from dense_reference import FractionBasis, fraction_closure_rank, two_sided_algebra_dimension
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_tables import CENTRALIZER_GROUPS
 
 import terw.closure
 
 from terw import (
     D2Group,
     GuardExceededError,
+    OracleMismatch,
     adjacency_matrices,
     algebra_dimension,
     conjugacy_classes,
     conjugation_orbitals,
     dihedral,
     dim_centralizer,
+    dim_t0,
     dual_idempotents,
     g2_group,
     make_abelian,
@@ -29,12 +33,13 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
+    sandwich_count,
     scheme_operators,
     terwilliger_generator_coords,
 )
 from terw.conjugacy import class_index_table
 from terw.groups import conjugations
-from terw.instances import random_general_instances
+from terw.instances import random_general_instance, random_general_instances
 
 
 def test_scalar_algebra():
@@ -307,12 +312,77 @@ def basis_inserts(monkeypatch):
     return grew
 
 
-def test_closure_grows_the_basis_cap_times_then_stops(basis_inserts):
+def test_only_the_restricted_closure_grows_a_basis(basis_inserts):
     group = dihedral([(2, 4)])
     cap = conjugation_orbitals(group).count
     assert terwilliger_closure_dim(group) == cap
-    assert sum(basis_inserts) == cap
-    assert basis_inserts[-1]  # no product is generated after the cap
+    assert basis_inserts == []  # the sandwich count reaches the cap
+    # the scheme matrices alone fill their basis in round 0; every product
+    # after that reduces to zero
+    ell = len(conjugacy_classes(group))
+    assert terwilliger_closure_dim(group, include_dual=False) == ell
+    assert len(basis_inserts) > ell
+    assert all(basis_inserts[:ell]) and not any(basis_inserts[ell:])
+
+
+def round0_rank(group):
+    """Rank over Q of the block parts of the generators, by elimination."""
+    vectors, blocks = terwilliger_generator_coords(group)
+    return closure_dim_in_orbit_coords(
+        vectors, lambda: [], conjugation_orbitals(group).count, blocks=blocks
+    )
+
+
+def test_sandwich_count_is_the_rank_of_round_0():
+    # the named groups and seeded general groups with y != 0, up to |G| = 384
+    for group in CENTRALIZER_GROUPS:
+        count = sandwich_count(group)
+        assert count == round0_rank(group) == dim_t0(group), group.name
+        assert dim_t0(group, strategy="span", guard=group.order) == count, group.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sandwich_count_is_the_rank_of_round_0_on_random_groups(seed):
+    group = random_general_instance(random.Random(seed), 48)
+    assert sandwich_count(group) == round0_rank(group) == dim_t0(group)
+
+
+def split_orbitals(orb):
+    """``orb`` with the last pair of its first orbit of two or more pairs
+    moved to an orbit of its own."""
+    labels = orb.labels.copy()
+    sizes = np.bincount(labels.ravel(), minlength=orb.count)
+    orbit = int(np.flatnonzero(sizes > 1)[0])
+    pair = np.flatnonzero(labels.ravel() == orbit)[-1]
+    labels.flat[pair] = orb.count
+    reps = np.concatenate([orb.reps, np.array(divmod(pair, orb.labels.shape[1]))[:, None]], 1)
+    return terw.closure.Orbitals(orb.count + 1, labels, reps.astype(orb.reps.dtype))
+
+
+def test_a_split_orbit_falls_through_to_the_product_rounds(basis_inserts, monkeypatch):
+    # the two halves of the orbit share their sandwich, so the count stays at
+    # the true cap, below the planted one; the product rounds then find that
+    # every generated vector agrees on both halves
+    group = dihedral([(2, 3)])
+    real = conjugation_orbitals.__wrapped__
+    cap = real(group).count
+    monkeypatch.setattr(conjugation_orbitals, "__wrapped__", lambda g: split_orbitals(real(g)))
+    assert conjugation_orbitals(group).count == cap + 1
+    assert sandwich_count(group) == cap
+    assert terwilliger_closure_dim(group) == cap
+    assert sum(basis_inserts) == cap < len(basis_inserts)
+
+
+def test_an_invariance_failure_comes_before_the_count(s3, monkeypatch):
+    table = class_index_table(s3).copy()
+    table[0, 1] = (table[0, 1] + 1) % len(conjugacy_classes(s3))
+    counted = []
+    monkeypatch.setattr(terw.closure, "class_index_table", lambda _: table)
+    monkeypatch.setattr(terw.closure, "sandwich_count", counted.append)
+    with pytest.raises(OracleMismatch):
+        terwilliger_closure_dim(s3)
+    assert counted == []
 
 
 # large entries, including ones that vanish mod 2^31 - 1 and ones above int64
