@@ -30,23 +30,19 @@ closure in one step).  The orbits are labelled by union-find
 ``groups.conjugations``, with no inverses; the invariance certificate reads
 the same conjugations.
 
-With the dual idempotents among the generators, the algebra T is the direct
-sum of its blocks E*_a T E*_b (Terwilliger, J. Algebraic Combin. 1, 1992),
-and the orbit with representative (u, v) lies in block (class of u, class of
-v).  Every generated vector is then split into its block parts, and each
-part is ranked in its block's own basis, capped at the block's orbit count;
-a part whose block is full is skipped.  As for ``algebra_dimension``, only
-products on the right are formed.  Multiplying a part of block (a, b) on the
-right by E*_i keeps it (i = b) or drops it, so the span stays closed under
-the E*_i and only the scheme matrices act as operators, one per N_j.  These
-are built only when a round leaves a block below its cap.  Without the dual
-idempotents the same search runs with all orbits in one block.
+The search is the right-product closure of ``algebra_dimension`` in orbit
+coordinates: one basis, seeded with the generators, and one operator per
+generator, the right product by N_j (``scheme_operators``) or by E*_i
+(``dual_operators``).  The product by E*_i keeps the orbits whose
+representative (u, v) has v in class i.  Each closure gets the operators of
+the families it was given; without the dual idempotents it is the
+adjacency algebra.
 
-Round 0 of the full closure needs no elimination: each orbit lies in exactly
-one sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
-``sandwich_count`` counts them.  They are among the parts of round 0 and the
-rank never passes the orbit count, so a count at the cap is the closure
-dimension; for the groups here it always is, and the basis runs only below it.
+The full closure needs no elimination: each orbit lies in exactly one
+sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
+``sandwich_count`` counts them.  They lie in the algebra and its rank never
+passes the orbit count, so a count at the cap is the closure dimension; for
+the groups here it always is, and the product rounds run only below it.
 
 Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
 It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
@@ -267,49 +263,40 @@ def scheme_operators(group: D2Group) -> list[Operator]:
     ]
 
 
+def dual_operators(group: D2Group) -> list[Operator]:
+    """The operators that multiply by each dual idempotent E*_i on the
+    right, in orbit coordinates: (X E*_i)(u, v) is X(u, v) when v lies in
+    class i and 0 otherwise."""
+    classes = conjugacy_classes(group)
+    col_class = classes.labels[conjugation_orbitals(group).reps[1]].tolist()
+
+    def keeping(i: int) -> Operator:
+        return lambda vec: {col: val for col, val in vec.items() if col_class[col] == i}
+
+    return [keeping(i) for i in range(len(classes))]
+
+
 def terwilliger_generator_coords(
     group: D2Group, include_scheme: bool = True, include_dual: bool = True
-) -> tuple[list[SparseVec], np.ndarray | None]:
-    """Orbit coordinates of the scheme matrices and of the dual idempotents
-    (either family may be left out), and the block of each orbit.
-
-    The block of the orbit with rep (u, v) is class(u) * l + class(v), the
-    E*_a T E*_b it lies in.  Blocks are returned only with the dual
-    idempotents: without them the algebra need not split.
-    """
+) -> list[SparseVec]:
+    """Orbit coordinates of the scheme matrices and of the dual idempotents;
+    either family may be left out."""
     classes = conjugacy_classes(group)
-    orb = conjugation_orbitals(group)
-    rep_u, rep_v = orb.reps
-    row_class = classes.labels[rep_u]  # class of u at each orbit rep (u, v)
+    rep_u, rep_v = conjugation_orbitals(group).reps
     vectors: list[SparseVec] = []
     if include_scheme:
         rel = class_index_table(group)[rep_u, rep_v]  # class of v*u^-1
         for j in range(len(classes)):
             vectors.append(dict.fromkeys(np.flatnonzero(rel == j).tolist(), 1))
-    if not include_dual:
-        return vectors, None
-    diag_class = np.where(rep_u == rep_v, row_class, -1)  # -1 off the diagonal
-    for i in range(len(classes)):
-        vectors.append(dict.fromkeys(np.flatnonzero(diag_class == i).tolist(), 1))
-    return vectors, row_class * len(classes) + classes.labels[rep_v]
-
-
-def _block_parts(vec: SparseVec, block_of: list[int] | None) -> Iterable[tuple[int, SparseVec]]:
-    """The nonzero parts of vec, one per block, with their block ids."""
-    if block_of is None:
-        return [(0, vec)] if vec else []
-    parts: dict[int, SparseVec] = {}
-    for col, val in vec.items():
-        if val:
-            parts.setdefault(block_of[col], {})[col] = val
-    return parts.items()
+    if include_dual:
+        diag_class = np.where(rep_u == rep_v, classes.labels[rep_u], -1)  # -1 off the diagonal
+        for i in range(len(classes)):
+            vectors.append(dict.fromkeys(np.flatnonzero(diag_class == i).tolist(), 1))
+    return vectors
 
 
 def closure_dim_in_orbit_coords(
-    vectors: list[SparseVec],
-    operators: Callable[[], Sequence[Operator]],
-    cap: int,
-    blocks: np.ndarray | None = None,
+    vectors: list[SparseVec], operators: Sequence[Operator], cap: int
 ) -> int:
     """Exact breadth-first closure dimension in orbit coordinates.
 
@@ -317,38 +304,19 @@ def closure_dim_in_orbit_coords(
     the round before.  ``cap`` is the orbit count: since every product stays
     constant on orbits, a rank that reaches it proves closure without
     generating more products.
-
-    ``blocks`` gives the block of each coordinate, for an algebra that holds
-    the projection onto each block: every vector is then split into its
-    block parts and each part is ranked in its block's own basis, capped at
-    the block's coordinate count, and a part whose block is full is
-    skipped.  Without ``blocks`` all coordinates form one block.
-    ``operators`` is called at most once, when a round ends with a block
-    below its cap.
     """
-    if blocks is None:
-        block_of, caps = None, [cap]
-    else:
-        block_of, caps = blocks.tolist(), np.bincount(blocks).tolist()
-    bases = [SparseRationalBasis() for _ in caps]
-    rank = 0
-    ops: Sequence[Operator] | None = None
+    basis = SparseRationalBasis()
     batch: Iterable[SparseVec] = vectors
     while True:
         frontier = []
         for vec in batch:
-            for block, part in _block_parts(vec, block_of):
-                basis = bases[block]
-                if basis.dimension < caps[block] and basis.insert(part):
-                    rank += 1
-                    if rank == cap:
-                        return cap
-                    frontier.append(part)
+            if basis.insert(vec):
+                if basis.dimension == cap:
+                    return cap
+                frontier.append(vec)
         if not frontier:
-            return rank
-        if ops is None:
-            ops = operators()
-        batch = (op(vec) for vec in frontier for op in ops)
+            return basis.dimension
+        batch = (op(vec) for vec in frontier for op in operators)
 
 
 def sandwich_count(group: D2Group) -> int:
@@ -357,7 +325,7 @@ def sandwich_count(group: D2Group) -> int:
     reps (u, v), counted by sorting their codes.  The sandwiches have
     disjoint 0/1 supports, so this is the rank of their span over Q.  With
     N_0 = I the E*_i = E*_i N_0 E*_i are sandwiches too, so it is also the
-    rank of round 0 of the full closure."""
+    rank of the block parts E*_a X E*_b of the generators X."""
     classes = conjugacy_classes(group)
     ell = len(classes)
     rep_u, rep_v = conjugation_orbitals(group).reps
@@ -380,18 +348,16 @@ def terwilliger_closure_dim(
     Restricting the generator set exercises genuinely smaller algebras, e.g.
     the scheme matrices alone span the commutative adjacency algebra.
     """
+    if not (include_scheme or include_dual):
+        raise ValueError("need at least one family of generators")
     check_guard(group.order, guard, "the closure path")
     _assert_conjugation_invariant(class_index_table(group), conjugations(group))
     cap = conjugation_orbitals(group).count
     if include_scheme and include_dual and sandwich_count(group) == cap:
         return cap
-    vectors, blocks = terwilliger_generator_coords(group, include_scheme, include_dual)
-    if not vectors:
-        raise ValueError("need at least one family of generators")
-
-    def operators() -> list[Operator]:
-        # multiplying by E*_i keeps or drops whole block parts, so only the
-        # scheme matrices need operators
-        return scheme_operators(group) if include_scheme else []
-
-    return closure_dim_in_orbit_coords(vectors, operators, cap=cap, blocks=blocks)
+    operators = [
+        *(scheme_operators(group) if include_scheme else []),
+        *(dual_operators(group) if include_dual else []),
+    ]
+    vectors = terwilliger_generator_coords(group, include_scheme, include_dual)
+    return closure_dim_in_orbit_coords(vectors, operators, cap)

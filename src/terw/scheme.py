@@ -153,7 +153,7 @@ def dim_t0(group: D2Group, strategy: str = "triples", guard: int = DEFAULT_MATRI
     Cl_i * Cl_j, as the distinct pairs (class v, class rep_i * v) of each
     representative row i (see the module docstring).
 
-    The "span" strategy is round 0 of the closure, ``sandwich_count``: each
+    The "span" strategy is the closure's ``sandwich_count``: each
     sandwich is constant on the conjugation orbits, and in orbit coordinates
     the distinct ones have disjoint 0/1 supports, so their rank over Q is
     their number.

@@ -8,8 +8,8 @@ identities without dense products.  A second axiom reference checks (iv) on
 the class-index table by sorted cells on every row (|G|^3 codes sorted),
 where the library sorts the row of the identity only, after checking that
 right translations by the generators preserve the table.  The sandwich reference loops over the
-l^3 class triples, where the library ranks the block parts of the generators in orbit
-coordinates.  The triple-code reference codes every pair (u, v) of G x G, where the library
+l^3 class triples, where the library counts the distinct sandwich codes of the orbit
+representatives.  The triple-code reference codes every pair (u, v) of G x G, where the library
 codes the l rows of the class representatives.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
 integer rows.  The explicit-matrix closure reference multiplies on both

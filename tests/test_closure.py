@@ -33,6 +33,7 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
+    dual_operators,
     sandwich_count,
     scheme_operators,
     terwilliger_generator_coords,
@@ -61,14 +62,12 @@ def test_full_matrix_algebra():
 
 
 def test_generic_closure_s3(s3):
-    classes = conjugacy_classes(s3)
     gens = adjacency_matrices(s3) + dual_idempotents(s3)
     assert algebra_dimension(gens) == 11
 
 
 def test_generic_closure_matches_fast_path(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
-        classes = conjugacy_classes(group)
         gens = adjacency_matrices(group) + dual_idempotents(group)
         assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
@@ -76,7 +75,6 @@ def test_generic_closure_matches_fast_path(s3, d4, q8, sd16):
 def test_generic_closure_matches_fast_path_general_instance():
     abelian = make_abelian([(2, 1), (3, 1)])
     group = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
-    classes = conjugacy_classes(group)
     gens = adjacency_matrices(group) + dual_idempotents(group)
     assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
@@ -173,8 +171,8 @@ def test_orbital_labels_partition(d4):
 
 
 def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
-    # generator vectors, scheme operators and orbit blocks against the dense
-    # matrices and their products with an orbit-constant X
+    # generator vectors, scheme operators and dual operators against the
+    # dense matrices and their products with an orbit-constant X
     abelian = make_abelian([(2, 1), (3, 1)])
     general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
     for group in (s3, d4, sd16, general):
@@ -182,25 +180,40 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
         u, v = orb.reps
         x = np.random.default_rng(0).integers(-3, 4, orb.count)[orb.labels]
         scheme, duals = adjacency_matrices(group), dual_idempotents(group)
-        vectors, blocks = terwilliger_generator_coords(group)
+        vectors = terwilliger_generator_coords(group)
         assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in scheme + duals]
-        products = [x @ gen for gen in scheme]
-        operators = scheme_operators(group)
-        assert len(operators) == len(conjugacy_classes(group))
-        for op, prod in zip(operators, products, strict=True):
-            expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
-            assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
-        # E*_a X E*_b keeps exactly the orbits of block (a, b)
-        ell = len(duals)
-        for a, b in np.ndindex(ell, ell):
-            kept = np.where(blocks == a * ell + b, x[u, v], 0)
-            assert np.array_equal((duals[a] @ x @ duals[b])[u, v], kept)
+        ell = len(conjugacy_classes(group))
+        for family, gens in ((scheme_operators, scheme), (dual_operators, duals)):
+            operators = family(group)
+            assert len(operators) == ell
+            for op, gen in zip(operators, gens, strict=True):
+                prod = x @ gen
+                expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
+                assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
 
 
-def test_scheme_closure_has_no_blocks(s3):
-    vectors, blocks = terwilliger_generator_coords(s3, include_dual=False)
-    assert blocks is None
-    assert vectors == terwilliger_generator_coords(s3)[0][: len(vectors)]
+def test_scheme_coords_lead_the_full_coords(s3):
+    vectors = terwilliger_generator_coords(s3, include_dual=False)
+    assert vectors == terwilliger_generator_coords(s3)[: len(vectors)]
+
+
+def test_full_closure_product_rounds_on_real_groups(s3, d4, q8, sd16, monkeypatch):
+    # with the count below the cap, the product rounds run with both
+    # operator families
+    abelian = make_abelian([(2, 1), (3, 1)])
+    general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
+    monkeypatch.setattr(terw.closure, "sandwich_count", lambda group: 0)
+    for group in (s3, d4, q8, sd16, general):
+        dim = terwilliger_closure_dim(group)
+        assert dim == conjugation_orbitals(group).count
+        assert dim == algebra_dimension(adjacency_matrices(group) + dual_idempotents(group))
+
+
+def test_closure_without_generators_raises_before_any_work():
+    group = dihedral([(2, 3)])
+    with pytest.raises(ValueError):
+        terwilliger_closure_dim(group, include_scheme=False, include_dual=False)
+    assert group._memo == {}
 
 
 def test_full_closure_never_builds_the_operators(monkeypatch):
@@ -271,14 +284,14 @@ def test_conjugation_invariance_failure_is_typed(s3):
 
 
 def test_vector_that_vanishes_mod_a_prime_has_rank_one():
-    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], lambda: [], cap=1) == 1
+    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], [], cap=1) == 1
 
 
 def test_int64_entries_whose_products_overflow_keep_the_exact_rank():
     # reducing the second vector computes 0 - 2^32 * 2^32 = -2^64, which is 0
     # in int64 arithmetic; the vectors are independent over Q
     vectors = [{0: np.int64(1), 1: np.int64(2**32)}, {0: np.int64(2**32)}]
-    assert closure_dim_in_orbit_coords(vectors, lambda: [], cap=3) == 2
+    assert closure_dim_in_orbit_coords(vectors, [], cap=3) == 2
 
 
 def assert_rows_primitive(basis):
@@ -326,11 +339,19 @@ def test_only_the_restricted_closure_grows_a_basis(basis_inserts):
 
 
 def round0_rank(group):
-    """Rank over Q of the block parts of the generators, by elimination."""
-    vectors, blocks = terwilliger_generator_coords(group)
-    return closure_dim_in_orbit_coords(
-        vectors, lambda: [], conjugation_orbitals(group).count, blocks=blocks
-    )
+    """Rank over Q of the block parts E*_a X E*_b of the generators X, by
+    elimination; the orbit with rep (u, v) lies in block (class u, class v)."""
+    labels = conjugacy_classes(group).labels
+    rep_u, rep_v = conjugation_orbitals(group).reps
+    block_of = list(zip(labels[rep_u].tolist(), labels[rep_v].tolist()))
+    basis = SparseRationalBasis()
+    for vec in terwilliger_generator_coords(group):
+        parts = {}
+        for col, val in vec.items():
+            parts.setdefault(block_of[col], {})[col] = val
+        for part in parts.values():
+            basis.insert(part)
+    return basis.dimension
 
 
 def test_sandwich_count_is_the_rank_of_round_0():
@@ -420,29 +441,9 @@ def test_closure_rank_equals_fraction_reference(problem):
     # reference may search to exhaustion
     vectors, matrices, cap = problem
     operators = [sparse_operator(m) for m in matrices]
-    assert closure_dim_in_orbit_coords(vectors, lambda: operators, cap) == fraction_closure_rank(
+    assert closure_dim_in_orbit_coords(vectors, operators, cap) == fraction_closure_rank(
         vectors, operators
     )
-
-
-def projection(blocks, block):
-    def apply(vec):
-        return {col: val for col, val in vec.items() if val and blocks[col] == block}
-
-    return apply
-
-
-@settings(max_examples=300, deadline=None)
-@given(closure_problems(), st.data())
-def test_split_closure_equals_fraction_reference_with_projections(problem, data):
-    # ranking block parts separately is the closure of the same vectors under
-    # the operators and the projection onto each block
-    vectors, matrices, cap = problem
-    blocks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=cap, max_size=cap)))
-    operators = [sparse_operator(m) for m in matrices]
-    projections = [projection(blocks, b) for b in np.unique(blocks)]
-    got = closure_dim_in_orbit_coords(vectors, lambda: operators, cap, blocks=blocks)
-    assert got == fraction_closure_rank(vectors, operators + projections)
 
 
 @settings(max_examples=300, deadline=None)
