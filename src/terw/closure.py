@@ -5,8 +5,9 @@ Two closure paths are provided.
 ``algebra_dimension`` is the plain oracle: seed a basis with the generator
 matrices, repeatedly append the products of basis elements with generators
 on the right, and row-reduce the flattened matrices exactly until the
-dimension stabilizes.  A product is formed in int64 only when a bound on
-its entries proves that it fits, and with Python ints otherwise, so there is
+dimension stabilizes.  Each matrix is multiplied by all the generators at
+once, as one int64 product with their stack, when a bound over all of them
+proves that every entry fits, and with Python ints otherwise, so there is
 no tolerance and no overflow anywhere.
 
 Right products suffice.  Let W be the span the search builds: it contains
@@ -48,13 +49,24 @@ Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
 It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
 each row primitive instead of dividing by the previous pivot; no rational
 number is ever formed.  The rank stops at ``cap`` only when it reaches it.
+
+Both searches keep most products away from the basis (``_unseen``).  A
+product is skipped when it is zero, when it equals a vector of the previous
+frontier (X I = X, E E = E), or when it equals a product already formed in
+the same round (A_i A_j = A_j A_i).  Each of these already lies in the span
+the basis holds: the frontier vectors grew it, and an earlier product of the
+round was offered to it first.  So its insert would return False, and the
+frontiers, the order of growth and the dimension are those of the search
+without the skip.  Products are compared by their exact content (the bytes
+of an int64 matrix, the Python ints of an object matrix, the items of an
+orbit vector), never by a digest, and the keys are kept for one round only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,6 +126,22 @@ class SparseRationalBasis:
         return True
 
 
+def _unseen(
+    candidates: Iterable[Any], previous: Iterable[Hashable], content: Callable[[Any], Hashable]
+) -> Iterator[tuple[Any, Hashable]]:
+    """The candidates that are nonzero and repeat neither a vector of the
+    previous frontier, given by its ``content`` keys, nor an earlier
+    candidate, each with its key; ``content`` is None for a zero vector.
+    Every candidate left out lies in the span of the basis already (see the
+    module docstring)."""
+    seen = {None, *previous}
+    for vec in candidates:
+        key = content(vec)
+        if key not in seen:
+            seen.add(key)
+            yield vec, key
+
+
 def algebra_dimension(
     generators: Sequence[np.ndarray],
     guard: int = DEFAULT_MATRIX_GUARD,
@@ -122,31 +150,44 @@ def algebra_dimension(
 
     Breadth-first closure: new candidates are the products X s of each
     matrix X that grew the basis with each generator s, on the right (see
-    the module docstring); stops when a full round adds nothing.
+    the module docstring); stops when a full round adds nothing.  Products
+    that are zero or exact repeats never reach the basis (``_unseen``).
 
     Every entry of X s, and every partial sum of it, is at most max|X| times
-    the largest absolute column sum of s; the product is formed in int64
-    when that bound is below 2^63, and with Python ints otherwise.
+    the largest absolute column sum over all the generators.  When that
+    bound is below 2^63, the products of X with every generator are formed
+    at once in int64, as X @ stack over the (g, n, n) stack of the
+    generators; otherwise they are formed with Python ints.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    side = generators[0].shape[0]
+    shapes = [np.shape(g) for g in generators]
+    if len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1] or len(set(shapes)) > 1:
+        raise ValueError(f"generators must be square and of one side, not {sorted(set(shapes))}")
+    side = shapes[0][0]
     if side > guard:
         raise GuardExceededError(f"matrix side {side} exceeds guard {guard}")
     gens = [np.asarray(g, dtype=object) for g in generators]
-    # the largest absolute column sum of each generator, at least 1, exact
-    col_sums = [max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens]
-    gens64 = [g.astype(np.int64) if c < INT64_LIMIT else None for g, c in zip(gens, col_sums)]
+    # the largest absolute column sum over all generators, at least 1, exact;
+    # it also bounds every entry, so below 2^63 the stack is exact in int64
+    col_sum = max(max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens)
+    stack = np.stack(gens).astype(np.int64) if col_sum < INT64_LIMIT else None
 
-    def products(mat: np.ndarray) -> Iterator[np.ndarray]:
+    def products(mat: np.ndarray) -> Iterable[np.ndarray]:
         """mat s for each generator s, in generator order."""
         top = max(int(mat.max()), -int(mat.min()), 1)
-        mat64 = mat.astype(np.int64, copy=False) if top < INT64_LIMIT else None
-        for gen, gen64, col_sum in zip(gens, gens64, col_sums):
-            if top * col_sum < INT64_LIMIT:
-                yield mat64 @ gen64
-            else:
-                yield mat.astype(object) @ gen
+        if top * col_sum < INT64_LIMIT:  # so col_sum < 2^63 and the stack exists
+            return mat.astype(np.int64, copy=False) @ stack
+        return [mat.astype(object, copy=False) @ gen for gen in gens]
+
+    zero = bytes(8 * side * side)  # an all-zero int64 matrix
+
+    def content(mat: np.ndarray) -> Hashable:
+        if mat.dtype == np.int64:
+            key = mat.tobytes()
+            return None if key == zero else key
+        key = tuple(mat.ravel().tolist())
+        return key if any(key) else None
 
     def flat(mat: np.ndarray) -> SparseVec:
         entries = mat.ravel()
@@ -154,10 +195,17 @@ def algebra_dimension(
         return dict(zip(cols.tolist(), entries[cols].tolist()))
 
     basis = SparseRationalBasis()
-    frontier = [g for g in gens if basis.insert(flat(g))]
-    while frontier:
-        frontier = [prod for mat in frontier for prod in products(mat) if basis.insert(flat(prod))]
-    return basis.dimension
+    # the int64 stack, when it exists, lets X I = X match its generator X
+    batch: Iterable[np.ndarray] = gens if stack is None else stack
+    previous: list[Hashable] = []
+    while True:
+        frontier = [
+            (mat, key) for mat, key in _unseen(batch, previous, content) if basis.insert(flat(mat))
+        ]
+        if not frontier:
+            return basis.dimension
+        previous = [key for _, key in frontier]
+        batch = (prod for mat, _ in frontier for prod in products(mat))
 
 
 # -- conjugation orbits -------------------------------------------------------
@@ -295,28 +343,35 @@ def terwilliger_generator_coords(
     return vectors
 
 
+def _orbit_content(vec: SparseVec) -> Hashable:
+    return frozenset(vec.items()) if vec else None
+
+
 def closure_dim_in_orbit_coords(
     vectors: list[SparseVec], operators: Sequence[Operator], cap: int
 ) -> int:
     """Exact breadth-first closure dimension in orbit coordinates.
 
     Each round applies every operator to the vectors that grew the basis in
-    the round before.  ``cap`` is the orbit count: since every product stays
-    constant on orbits, a rank that reaches it proves closure without
-    generating more products.
+    the round before; zero and repeated products are skipped (``_unseen``).
+    ``cap`` is the orbit count: since every product stays constant on
+    orbits, a rank that reaches it proves closure without generating more
+    products.
     """
     basis = SparseRationalBasis()
     batch: Iterable[SparseVec] = vectors
+    previous: list[Hashable] = []
     while True:
         frontier = []
-        for vec in batch:
+        for vec, key in _unseen(batch, previous, _orbit_content):
             if basis.insert(vec):
                 if basis.dimension == cap:
                     return cap
-                frontier.append(vec)
+                frontier.append((vec, key))
         if not frontier:
             return basis.dimension
-        batch = (op(vec) for vec in frontier for op in operators)
+        previous = [key for _, key in frontier]
+        batch = (op(vec) for vec, _ in frontier for op in operators)
 
 
 def sandwich_count(group: D2Group) -> int:

@@ -90,6 +90,15 @@ def test_generic_closure_matches_fast_path_general_instance():
         id="zero-beside-large",
     ),
     pytest.param([np.array([[2**64, 0], [0, 1]], dtype=object)], 2, id="object-2^64"),
+    # repeats and X I = X are skipped before the basis, on both paths
+    pytest.param([np.array([[2**40, 1], [0, 2**40]])] * 2, 2, id="repeated-2^40"),
+    pytest.param(
+        [np.eye(2, dtype=np.int64), np.array([[2**40, 1], [0, 2**40]])], 2,
+        id="identity-beside-2^40",
+    ),
+    pytest.param(
+        [np.array([[2**64, 0], [0, 1]], dtype=object)] * 2, 2, id="repeated-object-2^64"
+    ),
 ])
 def test_products_that_overflow_int64_stay_exact(generators, dim):
     assert algebra_dimension(generators) == two_sided_algebra_dimension(generators) == dim
@@ -114,7 +123,14 @@ def small_matrices(draw):
     side = draw(st.integers(1, 4))
     entries = st.lists(st.integers(-2, 2), min_size=side * side, max_size=side * side)
     count = draw(st.integers(1, 3))
-    return [np.array(draw(entries), dtype=np.int64).reshape(side, side) for _ in range(count)]
+    gens = [np.array(draw(entries), dtype=np.int64).reshape(side, side) for _ in range(count)]
+    # a repeated generator or the identity, whose products the closure skips
+    extra = draw(st.sampled_from(["none", "copy", "identity"]))
+    if extra == "copy":
+        gens.append(draw(st.sampled_from(gens)).copy())
+    elif extra == "identity":
+        gens.append(np.eye(side, dtype=np.int64))
+    return gens
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,6 +142,16 @@ def test_right_closure_equals_two_sided_reference(generators):
 def test_guard_on_generic_closure():
     with pytest.raises(GuardExceededError):
         algebra_dimension([np.eye(100, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("generators", [
+    pytest.param([np.eye(2), np.ones((600, 600))], id="two-sides"),
+    pytest.param([np.ones((2, 3))], id="not-square"),
+])
+def test_generators_of_two_sides_or_not_square_raise_before_any_work(generators, basis_inserts):
+    with pytest.raises(ValueError):
+        algebra_dimension(generators)
+    assert basis_inserts == []
 
 
 def test_adjacency_algebra_alone_is_commutative_span(s3, d4, sd16):
@@ -314,10 +340,13 @@ def test_stored_rows_are_primitive_with_a_positive_pivot():
 
 @pytest.fixture
 def basis_inserts(monkeypatch):
+    """Whether each ``SparseRationalBasis.insert`` grew its basis; an insert
+    of an empty vector fails the test."""
     grew = []
     insert = SparseRationalBasis.insert
 
     def recorded(basis, vec):
+        assert vec, "an empty vector reached the basis"
         grew.append(insert(basis, vec))
         return grew[-1]
 
@@ -331,11 +360,29 @@ def test_only_the_restricted_closure_grows_a_basis(basis_inserts):
     assert terwilliger_closure_dim(group) == cap
     assert basis_inserts == []  # the sandwich count reaches the cap
     # the scheme matrices alone fill their basis in round 0; every product
-    # after that reduces to zero
+    # after that which is not skipped as zero or a repeat reduces to zero
     ell = len(conjugacy_classes(group))
     assert terwilliger_closure_dim(group, include_dual=False) == ell
     assert len(basis_inserts) > ell
     assert all(basis_inserts[:ell]) and not any(basis_inserts[ell:])
+
+
+def test_zero_and_repeated_products_never_reach_the_basis(s3, basis_inserts):
+    # E*_a E*_b is zero for a != b and repeats E*_a for a = b, so the dual
+    # closure offers the basis its l generators and no product
+    dih_c8 = dihedral([(2, 3)])
+    for group in (s3, dih_c8):
+        ell = len(conjugacy_classes(group))
+        basis_inserts.clear()
+        assert terwilliger_closure_dim(group, include_scheme=False) == ell
+        assert basis_inserts == [True] * ell
+    # offering every product would make l + l^2 = 56 and 910 inserts
+    basis_inserts.clear()
+    assert terwilliger_closure_dim(dih_c8, include_dual=False) == 7
+    assert len(basis_inserts) < 56
+    basis_inserts.clear()
+    assert algebra_dimension(adjacency_matrices(dih_c8) + dual_idempotents(dih_c8)) == 64
+    assert len(basis_inserts) < 910
 
 
 def round0_rank(group):
@@ -417,6 +464,9 @@ def closure_problems(draw):
     cap = draw(st.integers(1, 6))
     coords = st.integers(0, cap - 1)
     vectors = draw(st.lists(st.dictionaries(coords, ENTRIES, max_size=cap), max_size=5))
+    if vectors:  # repeated vectors, which the closure skips
+        repeats = draw(st.lists(st.sampled_from(vectors), max_size=2))
+        vectors = draw(st.permutations([*vectors, *map(dict, repeats)]))
     matrices = draw(st.lists(
         st.dictionaries(st.tuples(coords, coords), ENTRIES, max_size=2 * cap), max_size=3
     ))
