@@ -22,22 +22,28 @@ fast enough for batch sweeps.  The key fact, checked exactly per instance
 rather than assumed: all generators commute with every conjugation
 permutation, hence everything the closure can produce is constant on the
 orbits of G acting on G x G by simultaneous conjugation.  Each matrix is
-then represented by one integer per orbit, products with generators become
-sparse operator applications, and the orbit count is a hard ceiling for the
-dimension (reaching it certifies equality with the centralizer algebra and
-closure in one step).  The orbits are labelled by union-find
+then represented by one integer per orbit, kept as a sparse row (its
+nonzero columns and their values), and the orbit count is a hard ceiling
+for the dimension (reaching it certifies equality with the centralizer
+algebra and closure in one step).  The orbits are labelled by union-find
 (``groups.orbit_minima``) over the pair permutations
 (u, v) -> (s^-1 u s, s^-1 v s) of the generator conjugations
 ``groups.conjugations``, with no inverses; the invariance certificate reads
 the same conjugations.
 
 The search is the right-product closure of ``algebra_dimension`` in orbit
-coordinates: one basis, seeded with the generators, and one operator per
-generator, the right product by N_j (``scheme_operators``) or by E*_i
-(``dual_operators``).  The product by E*_i keeps the orbits whose
-representative (u, v) has v in class i.  Each closure gets the operators of
-the families it was given; without the dual idempotents it is the
-adjacency algebra.
+coordinates: one basis, seeded with the generators, and one batched product
+function (``orbit_products``) that forms all the products of one frontier
+row with the generators of the families it was given; without the dual
+idempotents it is the adjacency algebra.  The products by the N_j read one
+``per_group`` artefact, ``gather_table``, built on first use: they are one
+gather of the dense row by its (|G|, orbit count) source table, whose rows
+are grouped by class, and one sum over each class's rows, in int64 when
+max|row| times the largest class size is below 2^63 and in Python ints
+otherwise.  The product by E*_i keeps the entries whose orbit
+representative (u, v) has v in class i; a stable sort of the row's support
+by that class splits it, so its cost follows the nonzeros.  Each row's
+products go to the basis as they are formed; a round is never stacked.
 
 The full closure needs no elimination: each orbit lies in exactly one
 sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
@@ -58,13 +64,15 @@ the basis holds: the frontier vectors grew it, and an earlier product of the
 round was offered to it first.  So its insert would return False, and the
 frontiers, the order of growth and the dimension are those of the search
 without the skip.  Products are compared by their exact content (the bytes
-of an int64 matrix, the Python ints of an object matrix, the items of an
-orbit vector), never by a digest, and the keys are kept for one round only.
+of an int64 matrix, the Python ints of an object matrix, the column bytes
+and the Python ints of a sparse row), never by a digest, and the keys are
+kept for one round only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -269,109 +277,158 @@ def _assert_conjugation_invariant(table: np.ndarray, perms: Iterable[np.ndarray]
         )
 
 
-Operator = Callable[[SparseVec], SparseVec]
+SparseRow = tuple[np.ndarray, np.ndarray]  # increasing columns and their nonzero values
+Products = Callable[[SparseRow], list[SparseRow]]
 
 
-def _gather_operator(sources: np.ndarray) -> Operator:
-    """The operator whose output at orbit ``row`` is the sum over k of its
-    input at orbit ``sources[k, row]``; the rows reading each source are
-    kept in increasing order."""
-    rows = np.repeat(np.arange(sources.shape[1]), sources.shape[0])
-    sources = sources.T.ravel()
-    order = np.argsort(sources, kind="stable")
-    sources, rows = sources[order], rows[order]
-    bounds = (np.flatnonzero(np.diff(sources)) + 1).tolist()
-    starts, ends, rows = [0, *bounds], [*bounds, len(rows)], rows.tolist()
-    incoming = {
-        src: rows[a:b] for src, a, b in zip(sources[starts].tolist(), starts, ends)
-    }
+class GatherTable:
+    """What the right products by the scheme matrices read in orbit
+    coordinates.
 
-    def apply(vec: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for col, val in vec.items():
-            for row in incoming.get(col, ()):
-                out[row] = out.get(row, 0) + val
-        return {k: v for k, v in out.items() if v}
+    ``sources[k, c]`` is the orbit of (u, g_k^-1 v), for the representative
+    (u, v) of orbit c and the elements g_k of G listed class by class; the
+    rows of class j are ``offsets[j]`` to ``offsets[j + 1]`` and no class
+    has more than ``largest`` rows.  A plain class with slots: a dataclass
+    or a NamedTuple adds 0.3-0.6 ms to every import of this module.
+    """
 
-    return apply
+    __slots__ = ("sources", "offsets", "largest")
+
+    def __init__(self, sources: np.ndarray, offsets: tuple[int, ...], largest: int):
+        self.sources = sources
+        self.offsets = offsets
+        self.largest = largest
 
 
-def scheme_operators(group: D2Group) -> list[Operator]:
-    """The operators that multiply by each scheme matrix N_j on the right,
-    in orbit coordinates; the search needs no left products (see the module
-    docstring)."""
+@per_group
+def gather_table(group: D2Group) -> GatherTable:
+    """The read-only int32 (|G|, orbit count) source table of the scheme
+    products."""
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
     rep_u, rep_v = orb.reps
     mult, inv = index_tables(group)
-    # (X N_j)(u, v) = sum over c in class j of X(u, c^-1 * v)
-    return [
-        _gather_operator(orb.labels[rep_u, mult[np.ix_(inv[classes.labels == j], rep_v)]])
-        for j in range(len(classes))
-    ]
+    sizes = np.bincount(classes.labels, minlength=len(classes))
+    by_class = inv[np.argsort(classes.labels, kind="stable")]
+    return GatherTable(
+        sources=read_only(orb.labels[rep_u, mult[np.ix_(by_class, rep_v)]]),
+        offsets=(0, *np.cumsum(sizes).tolist()),
+        largest=int(sizes.max()),
+    )
 
 
-def dual_operators(group: D2Group) -> list[Operator]:
-    """The operators that multiply by each dual idempotent E*_i on the
-    right, in orbit coordinates: (X E*_i)(u, v) is X(u, v) when v lies in
-    class i and 0 otherwise."""
-    classes = conjugacy_classes(group)
-    col_class = classes.labels[conjugation_orbitals(group).reps[1]].tolist()
+def _runs(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[SparseRow]:
+    """The (cols, vals) of each run of equal keys, for keys in increasing
+    order."""
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return [(cols[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def keeping(i: int) -> Operator:
-        return lambda vec: {col: val for col, val in vec.items() if col_class[col] == i}
 
-    return [keeping(i) for i in range(len(classes))]
+def _by_key(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[SparseRow]:
+    """The (cols, vals) of each key present, in increasing key order; a
+    stable sort keeps the columns of each key in their order."""
+    order = np.argsort(keys, kind="stable")
+    return _runs(keys[order], cols[order], vals[order])
+
+
+def _scheme_products(table: GatherTable, vec: SparseRow) -> list[SparseRow]:
+    """The nonzero X N_j, in class order, where (X N_j)(u, v) is the sum over
+    c in class j of X(u, c^-1 v): one gather of the dense row by
+    ``sources``, then one sum over the rows of each class (a sum per class
+    adds whole rows, where ``np.add.reduceat`` runs one short loop per
+    class and column).  Every partial sum is at most max|X| times the
+    largest class size; below 2^63 the sums are int64, otherwise Python
+    ints."""
+    cols, vals = vec
+    top = max(int(vals.max()), -int(vals.min()))
+    cap = table.sources.shape[1]
+    row = np.zeros(cap, np.int64 if top * table.largest < INT64_LIMIT else object)
+    row[cols] = vals
+    gathered = row[table.sources]
+    offsets = table.offsets
+    sums = np.empty((len(offsets) - 1, cap), row.dtype)
+    for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        np.add.reduce(gathered[a:b], axis=0, out=sums[j])
+    flat = np.flatnonzero(sums)
+    classes, out = np.divmod(flat, cap)
+    return _runs(classes, out, sums.ravel()[flat])
+
+
+def _dual_products(col_class: np.ndarray, vec: SparseRow) -> list[SparseRow]:
+    """The nonzero X E*_i, in class order: the entries of X whose orbit has
+    v in class i (``col_class``), split by a sort of the support, so the
+    cost follows the nonzeros of X and not the orbit count."""
+    cols, vals = vec
+    return _by_key(col_class[cols], cols, vals)
+
+
+def orbit_products(
+    group: D2Group, include_scheme: bool = True, include_dual: bool = True
+) -> Products:
+    """The nonzero products of an orbit vector with each generator on the
+    right, in the order of ``terwilliger_generator_coords``: by every scheme
+    matrix N_j, then by every dual idempotent E*_i.  The search needs no
+    left products (see the module docstring).  The dual products read only
+    the class of each orbit's v, one gather of the class labels, so a
+    closure without the scheme matrices builds no ``gather_table``."""
+    families: list[Products] = []
+    if include_scheme:
+        families.append(partial(_scheme_products, gather_table(group)))
+    if include_dual:
+        col_class = conjugacy_classes(group).labels[conjugation_orbitals(group).reps[1]]
+        families.append(partial(_dual_products, col_class))
+    return lambda vec: [prod for family in families for prod in family(vec)]
 
 
 def terwilliger_generator_coords(
     group: D2Group, include_scheme: bool = True, include_dual: bool = True
-) -> list[SparseVec]:
-    """Orbit coordinates of the scheme matrices and of the dual idempotents;
-    either family may be left out."""
+) -> list[SparseRow]:
+    """Orbit coordinates of the scheme matrices and of the dual idempotents,
+    as sparse 0/1 rows; either family may be left out.  Every class labels
+    some orbit of each kind, that of (e, c) and that of (c, c) for e the
+    identity and c in the class, so each family has one row per class."""
     classes = conjugacy_classes(group)
     rep_u, rep_v = conjugation_orbitals(group).reps
-    vectors: list[SparseVec] = []
+    rows = []
     if include_scheme:
         rel = class_index_table(group)[rep_u, rep_v]  # class of v*u^-1
-        for j in range(len(classes)):
-            vectors.append(dict.fromkeys(np.flatnonzero(rel == j).tolist(), 1))
+        rows += _by_key(rel, np.arange(len(rel)), np.ones(len(rel), np.int8))
     if include_dual:
-        diag_class = np.where(rep_u == rep_v, classes.labels[rep_u], -1)  # -1 off the diagonal
-        for i in range(len(classes)):
-            vectors.append(dict.fromkeys(np.flatnonzero(diag_class == i).tolist(), 1))
-    return vectors
+        diagonal = np.flatnonzero(rep_u == rep_v)
+        ones = np.ones(len(diagonal), np.int8)
+        rows += _by_key(classes.labels[rep_u[diagonal]], diagonal, ones)
+    return rows
 
 
-def _orbit_content(vec: SparseVec) -> Hashable:
-    return frozenset(vec.items()) if vec else None
+def _row_content(vec: SparseRow) -> Hashable:
+    cols, vals = vec
+    return (cols.tobytes(), tuple(vals.tolist())) if len(cols) else None
 
 
-def closure_dim_in_orbit_coords(
-    vectors: list[SparseVec], operators: Sequence[Operator], cap: int
-) -> int:
+def closure_dim_in_orbit_coords(rows: Iterable[SparseRow], products: Products, cap: int) -> int:
     """Exact breadth-first closure dimension in orbit coordinates.
 
-    Each round applies every operator to the vectors that grew the basis in
-    the round before; zero and repeated products are skipped (``_unseen``).
-    ``cap`` is the orbit count: since every product stays constant on
-    orbits, a rank that reaches it proves closure without generating more
-    products.
+    The basis is seeded with the sparse integer rows.  Each round forms all
+    the products of each vector that grew the basis in the round before, at
+    once, and offers them to the basis as they come; zero and repeated
+    products are skipped (``_unseen``).  ``cap`` is the orbit count: since
+    every product stays constant on orbits, a rank that reaches it proves
+    closure without generating more products.
     """
     basis = SparseRationalBasis()
-    batch: Iterable[SparseVec] = vectors
+    batch: Iterable[SparseRow] = rows
     previous: list[Hashable] = []
     while True:
         frontier = []
-        for vec, key in _unseen(batch, previous, _orbit_content):
-            if basis.insert(vec):
+        for vec, key in _unseen(batch, previous, _row_content):
+            if basis.insert(dict(zip(vec[0].tolist(), key[1]))):
                 if basis.dimension == cap:
                     return cap
                 frontier.append((vec, key))
         if not frontier:
             return basis.dimension
         previous = [key for _, key in frontier]
-        batch = (op(vec) for vec, _ in frontier for op in operators)
+        batch = (prod for vec, _ in frontier for prod in products(vec))
 
 
 def sandwich_count(group: D2Group) -> int:
@@ -410,9 +467,8 @@ def terwilliger_closure_dim(
     cap = conjugation_orbitals(group).count
     if include_scheme and include_dual and sandwich_count(group) == cap:
         return cap
-    operators = [
-        *(scheme_operators(group) if include_scheme else []),
-        *(dual_operators(group) if include_dual else []),
-    ]
-    vectors = terwilliger_generator_coords(group, include_scheme, include_dual)
-    return closure_dim_in_orbit_coords(vectors, operators, cap)
+    return closure_dim_in_orbit_coords(
+        terwilliger_generator_coords(group, include_scheme, include_dual),
+        orbit_products(group, include_scheme, include_dual),
+        cap,
+    )

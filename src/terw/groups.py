@@ -290,7 +290,10 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
     hook the larger root onto the smaller, then root = root[root] until
     stable.  A hook only joins points of one orbit, so the result is exact
     once root[p] == root for every p, which is the only way out of the loop.
-    The result has the dtype of the permutations.
+    The result has the dtype of the permutations.  A round frees the
+    full-size image and mask once it has taken the moved roots from them,
+    writes the smaller root of each edge in place, and keeps one root array
+    between rounds.
     """
     root = np.arange(len(perms[0]), dtype=perms[0].dtype)
     while True:
@@ -301,10 +304,16 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
                 break
         else:
             return root
-        a, b = root[moved], other[moved]
-        root[np.maximum(a, b)] = np.minimum(a, b)
+        b = other[moved]
+        del other
+        a = root[moved]
+        del moved
+        high = np.maximum(a, b)
+        root[high] = np.minimum(a, b, out=a)
+        del a, b, high
         while not np.array_equal(jumped := root[root], root):
             root = jumped
+        del jumped  # equal to root
 
 
 @per_group

@@ -33,9 +33,9 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
-    dual_operators,
+    gather_table,
+    orbit_products,
     sandwich_count,
-    scheme_operators,
     terwilliger_generator_coords,
 )
 from terw.conjugacy import class_index_table
@@ -196,31 +196,79 @@ def test_orbital_labels_partition(d4):
                 assert labels[hu, hv] == labels[u, v]
 
 
+def sparse(row):
+    cols = np.flatnonzero(row)
+    return cols, row[cols]
+
+
+def listed(rows):
+    return [(cols.tolist(), vals.tolist()) for cols, vals in rows]
+
+
+def assert_products_equal_dense(products, x, gens, reps):
+    """The sparse products are the nonzero orbit coordinates of x @ gen, in
+    the order of gens."""
+    expected = [sparse((x @ gen)[tuple(reps)]) for gen in gens]
+    assert listed(products) == listed(prod for prod in expected if len(prod[0]))
+
+
 def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
-    # generator vectors, scheme operators and dual operators against the
-    # dense matrices and their products with an orbit-constant X
+    # generator rows and the batched products by the scheme matrices and the
+    # dual idempotents against the dense matrices and their products with an
+    # orbit-constant X
     abelian = make_abelian([(2, 1), (3, 1)])
     general = D2Group(abelian, make_involution(abelian, [1, 2]), [0, 0])
     for group in (s3, d4, sd16, general):
         orb = conjugation_orbitals(group)
-        u, v = orb.reps
         x = np.random.default_rng(0).integers(-3, 4, orb.count)[orb.labels]
         scheme, duals = adjacency_matrices(group), dual_idempotents(group)
-        vectors = terwilliger_generator_coords(group)
-        assert vectors == [{c: 1 for c in np.flatnonzero(g[u, v])} for g in scheme + duals]
-        ell = len(conjugacy_classes(group))
-        for family, gens in ((scheme_operators, scheme), (dual_operators, duals)):
-            operators = family(group)
-            assert len(operators) == ell
-            for op, gen in zip(operators, gens, strict=True):
-                prod = x @ gen
-                expected = {c: int(prod[u[c], v[c]]) for c in np.flatnonzero(prod[u, v])}
-                assert op({c: int(val) for c, val in enumerate(x[u, v]) if val}) == expected
+        rows = terwilliger_generator_coords(group)
+        assert listed(rows) == listed(sparse(g[tuple(orb.reps)]) for g in scheme + duals)
+        vec = sparse(x[tuple(orb.reps)])
+        for products, gens in (
+            (orbit_products(group), scheme + duals),
+            (orbit_products(group, include_dual=False), scheme),
+            (orbit_products(group, include_scheme=False), duals),
+        ):
+            assert_products_equal_dense(products(vec), x, gens, orb.reps)
+
+
+def dense_operator(group, gen):
+    """The right product by the |G| x |G| matrix gen on orbit vectors (dicts),
+    through the dense matrices in Python ints."""
+    orb = conjugation_orbitals(group)
+    u, v = orb.reps
+    gen = gen.astype(object)
+
+    def apply(vec):
+        x = np.zeros(orb.count, dtype=object)
+        for col, val in vec.items():
+            x[col] = val
+        prod = (x[orb.labels] @ gen)[u, v]
+        return {col: prod[col] for col in np.flatnonzero(prod).tolist()}
+
+    return apply
+
+
+def test_scheme_products_past_the_int64_bound_stay_exact(s3, sd16):
+    # max|X| times the largest class size passes 2^63, so the products are
+    # formed in Python ints; int64 sums of the entries near 2^62 would wrap
+    for group in (s3, sd16):
+        orb = conjugation_orbitals(group)
+        assert 2**62 * max(c.size for c in conjugacy_classes(group)) >= 2**63
+        big = np.array([2**62 - 7 * c for c in range(orb.count)], dtype=object)
+        scheme = adjacency_matrices(group)
+        products = orbit_products(group, include_dual=False)
+        assert_products_equal_dense(products(sparse(big)), big[orb.labels], scheme, orb.reps)
+        rows = [sparse(big), *terwilliger_generator_coords(group, include_dual=False)]
+        vectors = [dict(zip(cols.tolist(), vals.tolist())) for cols, vals in rows]
+        expected = fraction_closure_rank(vectors, [dense_operator(group, g) for g in scheme])
+        assert closure_dim_in_orbit_coords(rows, products, orb.count) == expected
 
 
 def test_scheme_coords_lead_the_full_coords(s3):
-    vectors = terwilliger_generator_coords(s3, include_dual=False)
-    assert vectors == terwilliger_generator_coords(s3)[: len(vectors)]
+    rows = listed(terwilliger_generator_coords(s3, include_dual=False))
+    assert rows == listed(terwilliger_generator_coords(s3))[: len(rows)]
 
 
 def test_full_closure_product_rounds_on_real_groups(s3, d4, q8, sd16, monkeypatch):
@@ -244,25 +292,33 @@ def test_closure_without_generators_raises_before_any_work():
 
 def test_full_closure_never_builds_the_operators(monkeypatch):
     # the sandwiches fill every block in round 0, so no product is formed
-    def unused(sources):
-        raise AssertionError("operator built")
+    def unused(group):
+        raise AssertionError("gather table built")
 
-    monkeypatch.setattr(terw.closure, "_gather_operator", unused)
+    monkeypatch.setattr(gather_table, "__wrapped__", unused)
     for group in (dihedral([(2, 4)]), *random_general_instances(1, 64, seed=1010)):
         assert terwilliger_closure_dim(group) == conjugation_orbitals(group).count
 
 
-def test_scheme_closure_builds_the_operators_once(s3, sd16, monkeypatch):
+def test_scheme_closure_builds_the_operators_once(monkeypatch):
+    # repeated restricted closures share one gather table, which only the
+    # scheme products read
     built = []
-    original = terw.closure.scheme_operators
+    original = gather_table.__wrapped__
 
     def counted(group):
         built.append(group)
         return original(group)
 
-    monkeypatch.setattr(terw.closure, "scheme_operators", counted)
+    monkeypatch.setattr(gather_table, "__wrapped__", counted)
+    s3, sd16 = dihedral([(3, 1)]), g2_group(8, 3, 0)  # fresh, so that nothing is built yet
     for group in (s3, sd16):
-        assert terwilliger_closure_dim(group, include_dual=False) == len(conjugacy_classes(group))
+        ell = len(conjugacy_classes(group))
+        assert terwilliger_closure_dim(group, include_scheme=False) == ell
+        assert group not in built
+        for _ in range(2):
+            assert terwilliger_closure_dim(group, include_dual=False) == ell
+            assert terwilliger_closure_dim(group, include_scheme=False) == ell
     assert built == [s3, sd16]
 
 
@@ -277,6 +333,22 @@ def test_closure_peak_memory_on_dih_c128():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_restricted_closure_peak_memory_on_dih_c32():
+    # one frontier row's products at a time, never a whole round; the scheme
+    # products of a row are one (|G|, orbit count) int64 gather, 0.3 MiB here
+    group = dihedral([(2, 5)])  # |G| = 64, 616 orbits, 19 classes
+    for build in (conjugations, conjugation_orbitals, class_index_table, gather_table):
+        build(group)
+    for kwargs, bound in ((dict(include_dual=False), 1.25), (dict(include_scheme=False), 0.2)):
+        tracemalloc.start()
+        try:
+            assert terwilliger_closure_dim(group, guard=64, **kwargs) == 19
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, kwargs
 
 
 def test_closure_guard(sd16):
@@ -309,15 +381,21 @@ def test_conjugation_invariance_failure_is_typed(s3):
     assert isinstance(info.value, VerificationFailure)
 
 
+def no_products(vec):
+    return []
+
+
 def test_vector_that_vanishes_mod_a_prime_has_rank_one():
-    assert closure_dim_in_orbit_coords([{0: 2**31 - 1}], [], cap=1) == 1
+    assert closure_dim_in_orbit_coords([sparse(np.array([2**31 - 1]))], no_products, cap=1) == 1
 
 
 def test_int64_entries_whose_products_overflow_keep_the_exact_rank():
     # reducing the second vector computes 0 - 2^32 * 2^32 = -2^64, which is 0
     # in int64 arithmetic; the vectors are independent over Q
-    vectors = [{0: np.int64(1), 1: np.int64(2**32)}, {0: np.int64(2**32)}]
-    assert closure_dim_in_orbit_coords(vectors, [], cap=3) == 2
+    rows = np.array([[1, 2**32, 0], [2**32, 0, 0]], dtype=np.int64)
+    assert closure_dim_in_orbit_coords(map(sparse, rows), no_products, cap=3) == 2
+    basis = SparseRationalBasis()
+    assert all(basis.insert(dict(enumerate(row))) for row in rows)
 
 
 def assert_rows_primitive(basis):
@@ -392,9 +470,9 @@ def round0_rank(group):
     rep_u, rep_v = conjugation_orbitals(group).reps
     block_of = list(zip(labels[rep_u].tolist(), labels[rep_v].tolist()))
     basis = SparseRationalBasis()
-    for vec in terwilliger_generator_coords(group):
+    for cols, vals in terwilliger_generator_coords(group):
         parts = {}
-        for col, val in vec.items():
+        for col, val in zip(cols.tolist(), vals.tolist()):
             parts.setdefault(block_of[col], {})[col] = val
         for part in parts.values():
             basis.insert(part)
@@ -484,16 +562,35 @@ def sparse_operator(matrix):
     return apply
 
 
+def object_array(entries, shape):
+    """The object array of the given shape with the given {index: value}."""
+    arr = np.zeros(shape, dtype=object)
+    for index, val in entries.items():
+        arr[index] = val
+    return arr
+
+
+def batched_products(matrices, cap):
+    """The nonzero products M x of a sparse row x, in Python ints."""
+    dense = [object_array(m, (cap, cap)) for m in matrices]
+
+    def products(vec):
+        cols, vals = vec
+        x = object_array(dict(zip(cols.tolist(), vals.tolist())), cap)
+        return [prod for m in dense if len((prod := sparse(m @ x))[0])]
+
+    return products
+
+
 @settings(max_examples=300, deadline=None)
 @given(closure_problems())
 def test_closure_rank_equals_fraction_reference(problem):
     # the coordinates are below the cap, so the rank never exceeds it and the
     # reference may search to exhaustion
     vectors, matrices, cap = problem
-    operators = [sparse_operator(m) for m in matrices]
-    assert closure_dim_in_orbit_coords(vectors, operators, cap) == fraction_closure_rank(
-        vectors, operators
-    )
+    rows = [sparse(object_array(vec, cap)) for vec in vectors]
+    rank = closure_dim_in_orbit_coords(rows, batched_products(matrices, cap), cap)
+    assert rank == fraction_closure_rank(vectors, [sparse_operator(m) for m in matrices])
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Normal-form arithmetic of the index-2 extensions and the named families."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -23,7 +24,7 @@ from terw import (
     make_abelian,
     make_involution,
 )
-from terw.groups import index_tables, orbit_minima
+from terw.groups import conjugations, index_tables, orbit_minima
 
 
 def check_group_axioms(group, max_triples=10_000, seed=3):
@@ -248,3 +249,21 @@ def test_orbit_minima_match_a_search(perms):
             orbit.update(frontier)
         expected.append(min(orbit))
     assert orbit_minima([np.array(p) for p in perms]).tolist() == expected
+
+
+def test_orbit_minima_peak_memory():
+    # a hook round keeps the root array, the moved roots a and b and the
+    # larger of each pair alive, at most four root-sized arrays; holding the
+    # image and the mask as well, or the last jumped copy of the roots
+    # into the next round, passes that
+    group = dihedral([(2, 8)])  # |G| = 512: 262144 pairs
+    order = group.order
+    perms = [(p[:, None] * order + p).ravel() for p in conjugations(group)]
+    tracemalloc.start()
+    try:
+        root = orbit_minima(perms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(root[np.concatenate(perms)], np.tile(root, len(perms)))
+    assert peak < 4.5 * root.nbytes

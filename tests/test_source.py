@@ -148,5 +148,5 @@ def test_only_the_explicit_matrix_paths_read_the_full_table():
             ):
                 callers.add(func.name)
     assert callers == {
-        "class_index_table", "class_products", "scheme_operators", "conjugation_table",
+        "class_index_table", "class_products", "gather_table", "conjugation_table",
     }

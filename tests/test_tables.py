@@ -37,6 +37,7 @@ from terw import (
 )
 import terw.groups
 from terw.cli import main
+from terw.closure import gather_table
 from terw.conjugacy import (
     class_index_table,
     class_products,
@@ -211,6 +212,7 @@ def test_tables_are_built_once_and_read_only():
         mult, inv, *rep_products(group), classes.labels, classes.reps,
         class_index_table(group), table.exponents, table.coefficients, table.complex_matrix,
         orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
+        gather_table(group).sources,
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -224,6 +226,7 @@ def test_tables_are_built_once_and_read_only():
 CACHED = [
     _square_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
+    gather_table,
 ]
 
 
@@ -279,8 +282,9 @@ def test_sweep_builds_each_row_once(builds):
 def test_verify_builds_each_artefact_once(builds, capsys):
     assert main(["verify", "--kind", "dihedral", "--factors", "2^5"]) == 0
     capsys.readouterr()
-    # each artefact once, and the two blocks of rep_products
-    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 2}
+    # each artefact once, and the two blocks of rep_products; the full
+    # closure forms no product, so it builds no gather table
+    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 2, "gather_table": 0}
 
 
 def test_enumeration_limit_is_checked_before_any_work(builds, capsys, monkeypatch):
