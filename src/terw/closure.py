@@ -1,49 +1,40 @@
 """Exact algebra-closure dimension and the conjugation-orbit machinery.
 
-Two closure paths are provided.
-
 ``algebra_dimension`` is the plain oracle: seed a basis with the generator
-matrices, repeatedly append the products of basis elements with generators
-on the right, and row-reduce the flattened matrices exactly until the
-dimension stabilizes.  Each matrix is multiplied by all the generators at
-once, as one int64 product with their stack, when a bound over all of them
-proves that every entry fits, and with Python ints otherwise, so there is
-no tolerance and no overflow anywhere.
+matrices, append the products of basis elements with the generators on the
+right, and row-reduce the flattened matrices exactly until the dimension
+stabilizes.  Each matrix is multiplied by all the generators at once, as one
+int64 product with their stack when a bound over all of them proves that
+every entry fits, and with Python ints otherwise: no tolerance, no overflow.
+Right products suffice: when the search stops, every element that grew the
+span W has been multiplied on the right by every generator s, so W s lies in
+W; by induction W holds every word in the generators, so it is the algebra.
 
-Right products suffice.  Let W be the span the search builds: it contains
-the generators S, and when the search stops every element that grew the
-basis has been multiplied on the right by every s in S, so W s lies in W.
-By induction W holds every word in S, so W is the algebra S generates and
-products on the left add nothing.
-
-``terwilliger_closure_dim`` specializes the same idea to the generators of
-the Terwilliger algebra (scheme matrices plus dual idempotents) and makes it
-fast enough for batch sweeps.  The key fact, checked exactly per instance
-rather than assumed: all generators commute with every conjugation
-permutation, hence everything the closure can produce is constant on the
-orbits of G acting on G x G by simultaneous conjugation.  Each matrix is
-then represented by one integer per orbit, kept as a sparse row (its
-nonzero columns and their values), and the orbit count is a hard ceiling
-for the dimension (reaching it certifies equality with the centralizer
-algebra and closure in one step).  The orbits are labelled by union-find
-(``groups.orbit_minima``) over the pair permutations
-(u, v) -> (s^-1 u s, s^-1 v s) of the generator conjugations
-``groups.conjugations``, with no inverses; the invariance certificate reads
-the same conjugations.
+``terwilliger_closure_dim`` specializes it to the scheme matrices and the
+dual idempotents.  They commute with every conjugation permutation, which
+``conjugation_certificate`` checks exactly per group: the class-index table
+is invariant under the generators' conjugations ``groups.conjugations``.  It
+is a per-group artefact, so ``verify_scheme_axioms`` and every closure of a
+group share its one scan, and a closure called on its own reads it before it
+counts.  So everything the closure produces is constant on the orbits of G
+on G x G under simultaneous conjugation: a matrix is one integer per orbit,
+kept as a sparse row (its nonzero columns and values), and the orbit count
+caps the dimension (reaching it certifies equality with the centralizer
+algebra).  The orbits are labelled by union-find (``groups.orbit_minima``)
+over the pair permutations (u, v) -> (s^-1 u s, s^-1 v s), with no inverses.
 
 The search is the right-product closure of ``algebra_dimension`` in orbit
 coordinates: one basis, seeded with the generators, and one batched product
 function (``orbit_products``) that forms all the products of one frontier
 row with the generators of the families it was given; without the dual
 idempotents it is the adjacency algebra.  The products by the N_j read one
-``per_group`` artefact, ``gather_table``, built on first use: they are one
-gather of the dense row by its (|G|, orbit count) source table, whose rows
-are grouped by class, and one sum over each class's rows, in int64 when
-max|row| times the largest class size is below 2^63 and in Python ints
-otherwise.  The product by E*_i keeps the entries whose orbit
-representative (u, v) has v in class i; a stable sort of the row's support
-by that class splits it, so its cost follows the nonzeros.  Each row's
-products go to the basis as they are formed; a round is never stacked.
+``per_group`` artefact, ``gather_table``: one gather of the dense row by its
+(|G|, orbit count) source table, whose rows are grouped by class, and one
+sum over each class's rows, in int64 when max|row| times the largest class
+size is below 2^63 and in Python ints otherwise.  The product by E*_i keeps
+the entries whose orbit representative (u, v) has v in class i; a stable
+sort of the row's support by that class splits it, so its cost follows the
+nonzeros.  Each row's products go to the basis as they are formed.
 
 The full closure needs no elimination: each orbit lies in exactly one
 sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
@@ -261,20 +252,21 @@ def conjugation_orbitals(group: D2Group) -> Orbitals:
 
 def first_not_preserving(table: np.ndarray, perms: Iterable[np.ndarray]) -> int | None:
     """Position of the first p in perms with table[p][:, p] != table, or
-    None if every p preserves the table."""
-    moved = (k for k, p in enumerate(perms) if not np.array_equal(table[np.ix_(p, p)], table))
+    None if every p preserves the table; compared in blocks of about 2^18
+    cells, each a gather of whole rows and one take along them."""
+    step = max(1, 2**18 // len(table))
+    blocks = [slice(a, a + step) for a in range(0, len(table), step)]
+    moved = (k for k, p in enumerate(perms) if not all(
+        np.array_equal(table[p[rows]].take(p, axis=1), table[rows]) for rows in blocks))
     return next(moved, None)
 
 
-def _assert_conjugation_invariant(table: np.ndarray, perms: Iterable[np.ndarray]) -> None:
-    """Exact certificate that every scheme matrix and dual idempotent lies in
-    the centralizer algebra: the class-of-quotient table is invariant under
-    simultaneous conjugation, and classes are conjugation-stable."""
-    if first_not_preserving(table, perms) is not None:
-        raise OracleMismatch(
-            "conjugation does not preserve the class table; generators "
-            "would not lie in the centralizer algebra"
-        )
+@per_group
+def conjugation_certificate(group: D2Group) -> int | None:
+    """The position of the first generator whose conjugation moves
+    ``class_index_table``, or None: None certifies exactly that every
+    scheme matrix and dual idempotent lies in the centralizer algebra."""
+    return first_not_preserving(class_index_table(group), conjugations(group))
 
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # increasing columns and their nonzero values
@@ -463,7 +455,9 @@ def terwilliger_closure_dim(
     if not (include_scheme or include_dual):
         raise ValueError("need at least one family of generators")
     check_guard(group.order, guard, "the closure path")
-    _assert_conjugation_invariant(class_index_table(group), conjugations(group))
+    if conjugation_certificate(group) is not None:
+        raise OracleMismatch("conjugation does not preserve the class table; generators "
+                             "would not lie in the centralizer algebra")
     cap = conjugation_orbitals(group).count
     if include_scheme and include_dual and sandwich_count(group) == cap:
         return cap

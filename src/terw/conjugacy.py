@@ -25,10 +25,10 @@ of them, for the product axiom, the class-sum products of the central
 idempotents and the block traces.
 
 The two oracles here, ``conjugacy_classes_bruteforce`` and
-``structure_tensor``, never read the tables: the first takes the orbits of
-the generator conjugations ``groups.conjugations``, and the second composes
-the right translations by the generators and the inversion of
-``groups.translations``.  Both are built with ``group.mul`` and
+``structure_tensor``, never read the tables: the first reads the orbit
+minima ``groups.conjugation_minima`` of the generator conjugations, and the
+second composes the right translations by the generators and the inversion
+of ``groups.translations``.  Both are built with ``group.mul`` and
 ``group.inv`` alone, so a wrong table still disagrees with them.
 """
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import OracleMismatch
 from .groups import (
-    D2Elem, D2Group, conjugations, index_tables, orbit_minima, per_group, read_only, translations
+    D2Elem, D2Group, conjugation_minima, index_tables, per_group, read_only, translations
 )
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
@@ -136,10 +136,10 @@ def conjugacy_classes(group: D2Group) -> ClassList:
 def conjugacy_classes_bruteforce(
     group: D2Group, guard: int = DEFAULT_MATRIX_GUARD
 ) -> ClassList:
-    """Conjugacy classes as the orbits (``orbit_minima``) of x -> s^-1 x s for
-    the k generators s, read from ``conjugations``, not from the tables."""
+    """Conjugacy classes as the orbits of x -> s^-1 x s for the k generators
+    s, from their minima ``conjugation_minima``, not from the tables."""
     check_guard(group.order, guard, "orbit enumeration")
-    return class_list(group, orbit_minima(conjugations(group)))
+    return class_list(group, conjugation_minima(group))
 
 
 def class_products(group: D2Group, i: int, j: int) -> set[int]:

@@ -16,15 +16,12 @@ cyclic group, which are stored internally in prime-power coordinates via
 the Chinese remainder theorem.
 
 Per-group artefacts (``per_group``) are built once and kept on the group.
-The element indices come here from two sides: ``index_tables``, the
-normal-form products over two sets of element indices and the inverses, and
-``translations``, the right translations by the generators and the
-inversion, counted with ``group.mul`` and ``group.inv`` alone.  The oracles
-that must not read the tables (the brute-force classes, the structure
-constants, scheme axiom (iv)) compose ``translations`` instead, and
-``conjugations`` composes them once into the generator conjugations that
-the brute-force classes, the orbitals and the closure's invariance
-certificate share.
+The element indices come from two sides: ``index_tables``, the normal-form
+products and inverses, and ``translations``, the right translations by the
+generators and the inversion, counted with ``group.mul`` and ``group.inv``
+alone.  The oracles that must not read the tables compose ``translations``:
+``conjugations``, the generator conjugations, and their orbit minima
+``conjugation_minima``, the brute-force classes and the axiom (iv) columns.
 """
 
 from __future__ import annotations
@@ -337,6 +334,13 @@ def conjugations(group: D2Group) -> np.ndarray:
     and not read from the tables.  Their orbits are the conjugacy classes."""
     rho, iota = translations(group)
     return read_only(np.take_along_axis(rho, iota[rho[:, iota]], axis=1))
+
+
+@per_group
+def conjugation_minima(group: D2Group) -> np.ndarray:
+    """The ``orbit_minima`` of ``conjugations``: each element's class minimum,
+    read neither from the tables nor from the closed form."""
+    return read_only(orbit_minima(conjugations(group)))
 
 
 def index_tables(

@@ -13,8 +13,18 @@ the dimension of the algebra they generate:
 
 The product closure of the generated algebra (closure module) sits between
 the first two, so the four numbers agree exactly on every valid instance.
-``verify_scheme_axioms`` checks the product axiom on the row of the identity
-only, after checking that right translations preserve the class-index table.
+
+``verify_scheme_axioms`` reads the matrices as the class-index table D and
+checks them on a few vectors.  The right translations x -> xg by the
+generators keep D, D[xg, yg] = class(y x^-1) = D[x, y], and reach every
+element from e, so D[x, y] = D[e, y x^-1]: the scheme is homogeneous (Bannai
+and Ito, Algebraic Combinatorics I, 1984, ch. II).  Both facts are checked
+with ``translations``, built by ``group.mul``, so a table that fails them
+disagrees with ``group.mul``.  Then (i) holds iff it holds on row e, and
+(iii) iff it holds on row e and column e, as D[w, e] = D[e, w^-1].
+Conjugation fixes e, so once ``conjugation_certificate`` shows that it keeps
+D, (N_i N_j)(e, w) depends only on the class of w, and (iv) is checked on one
+column per class of ``group.mul``, its minimum in ``conjugation_minima``.
 
 The triple count and the centralizer orders read only the products of the
 l class representatives rep_i with all of G (``rep_products``), with l the
@@ -29,10 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import first_not_preserving, sandwich_count, terwilliger_closure_dim
+from .closure import (
+    conjugation_certificate, first_not_preserving, sandwich_count, terwilliger_closure_dim
+)
 from .conjugacy import class_index_table, conjugacy_classes, rep_products, structure_tensor
 from .errors import AxiomFailure, GuardExceededError, OracleMismatch, ParityFailure
-from .groups import D2Group, orbit_minima, translations
+from .groups import D2Group, conjugation_minima, orbit_minima, translations
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 
 
@@ -57,66 +69,56 @@ class SchemeAxiomReport:
 
 
 def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> SchemeAxiomReport:
-    """Check the four defining identities of the scheme matrices.
-
-    (i) N_0 = I, (ii) sum N_i = J, (iii) each transpose is again a scheme
-    matrix, (iv) N_i N_j = sum_k p_ij^k N_k with the structure constants
-    counted from the classes by ``structure_tensor``.  Raises AxiomFailure
-    naming the first violated clause.
-
-    The matrices are read as the class-index table D = ``class_index_table``,
-    D[u, v] = i iff N_i(u, v) = 1, for which (ii) holds by construction.
-    (iv) is checked on the row of the identity e only: a right translation
-    rho_g: x -> xg keeps D, D[xg, yg] = class(y x^-1) = D[x, y], so it maps
-    each cell (u, w) of N_i N_j to (ug, wg) with the same count, and these
-    reach every row from e (the scheme is homogeneous; Bannai and Ito,
-    Algebraic Combinatorics I, 1984, ch. II).  Both facts are checked for the
-    generators g, with rho_g read from ``translations``, which are built by
-    ``group.mul``: a table that fails them disagrees with ``group.mul``.
+    """Check the four defining identities of the scheme matrices on row e,
+    column e and one column per class (see the module docstring): (i)
+    N_0 = I, (ii) sum N_i = J, (iii) each transpose is again a scheme
+    matrix, (iv) N_i N_j = sum_k p_ij^k N_k with the constants of
+    ``structure_tensor``.  Raises AxiomFailure naming the first violated
+    clause.  The matrices are read as the class-index table D, D[u, v] = i
+    iff N_i(u, v) = 1, for which (ii) holds by construction.
     """
     order = group.order
     check_guard(order, guard, "the scheme axioms")
     ell = len(conjugacy_classes(group))
     table = class_index_table(group)
+    row, col = table[0], table[:, 0]  # D[e, w] and D[w, e]; e has index 0
 
-    if not ((np.diagonal(table) == 0).all() and np.count_nonzero(table == 0) == order):
+    if not (row[0] == 0 and np.count_nonzero(row == 0) == 1):
         raise AxiomFailure("(i)", "N_0 is not the identity")
 
-    # N_i^T = N_j iff the cell D == i is the cell D.T == j.  pairing[i] takes
-    # any D.T value of cell i, and a cell that holds another one is split;
-    # classes with an empty cell (a zero matrix) are their own transposes
-    sizes = np.bincount(table.ravel(), minlength=ell)
+    # N_i^T = N_j iff each cell of N_i has its transpose in N_j: (e, w) in
+    # D[w, e], (w, e) in D[e, w]; a class with two partners is split
+    cells, partners = np.concatenate([row, col]), np.concatenate([col, row])
     pairing = np.arange(ell)
-    pairing[table] = table.T
-    split = np.bincount(table[pairing[table] != table.T], minlength=ell) > 0
-    bad = np.flatnonzero(split | (sizes != sizes[pairing]))
+    pairing[cells] = partners
+    bad = np.flatnonzero(np.bincount(cells[pairing[cells] != partners], minlength=ell))
     if bad.size:
         raise AxiomFailure("(iii)", f"transpose of N_{bad[0]} is not a scheme matrix")
 
     codes, counts = structure_tensor(group)
     if not (np.bincount(codes // (ell * ell), counts, minlength=ell) == order).all():
         raise AxiomFailure("(iv)", "structure constants p_ij^k do not sum to |G| over i, j")
-    rho, _ = translations(group)
-    moved = first_not_preserving(table, rho)
-    if moved is not None:
-        g = group.generators()[moved]
-        raise AxiomFailure("(iv)", f"right translation by {g} changes the class-index table")
+    rho, gens = translations(group)[0], group.generators()
+    if (moved := first_not_preserving(table, rho)) is not None:
+        raise AxiomFailure(
+            "(iv)", f"right translation by {gens[moved]} changes the class-index table")
     if orbit_minima(rho).any():
         raise AxiomFailure("(iv)", "right translations by the generators miss an element")
+    if (moved := conjugation_certificate(group)) is not None:
+        raise AxiomFailure("(iv)", f"conjugation by {gens[moved]} changes the class-index table")
 
     # (N_i N_j)(e, w) = #{v : D[e, v] = i, D[v, w] = j} must be p_ij^k, with
-    # k = D[e, w], for every w.  Equivalently, the codes D[e, v] * l + D[v, w]
-    # of all v, sorted, are expected[k]: each code i * l + j repeated p_ij^k
-    # times, |G| codes in all iff the constants of class k sum to |G|.  A cell
-    # w that differs is counted in full, to name the first pair (i, j)
-    # failing; by homogeneity the pairs failing on row e are those failing on
-    # any row
+    # k = D[e, w]: the codes D[e, v] * l + D[v, w] of all v, sorted, are
+    # expected[k], each code i * l + j repeated p_ij^k times (|G| in all, by
+    # the sums above).  A column that differs is counted in full, to name
+    # the first pair (i, j) failing
     code = np.min_scalar_type(ell * ell - 1)
     expected = np.repeat((codes % (ell * ell)).astype(code), counts).reshape(ell, order)
-    row = table[0]
-    sorted_codes = np.sort(row.astype(code) * ell + table.T.astype(code), axis=1)  # [w, v]
+    columns = np.flatnonzero(conjugation_minima(group) == np.arange(order))  # each class's minimum
+    at = table.take(columns, axis=1).T.astype(code, order="C")  # [w, v], D[v, w]
+    sorted_codes = np.sort(row.astype(code) * ell + at, axis=1)
     mismatch = np.zeros(ell * ell, dtype=bool)
-    for w in np.flatnonzero((sorted_codes != expected[row]).any(axis=1)):
+    for w in columns[(sorted_codes != expected[row[columns]]).any(axis=1)]:
         full = np.bincount(row * ell + table[:, w], minlength=ell * ell)
         mismatch |= full != np.bincount(expected[row[w]], minlength=ell * ell)
     if mismatch.any():

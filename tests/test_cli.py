@@ -474,8 +474,10 @@ def test_verify_reports_a_broken_closure_certificate(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", *S3, "--format", "json")
     assert code == EXIT_MISMATCH
     failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
-    assert [c["check"] for c in failed] == ["dimensions"]
-    assert "conjugation does not preserve" in failed[0]["detail"]
+    # the scheme axioms read the same certificate
+    assert [c["check"] for c in failed] == ["scheme_axioms", "dimensions"]
+    assert "conjugation by ((0,), 1) changes" in failed[0]["detail"]
+    assert "conjugation does not preserve" in failed[1]["detail"]
 
 
 def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):

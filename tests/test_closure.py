@@ -33,6 +33,7 @@ from terw import (
 from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
+    conjugation_certificate,
     gather_table,
     orbit_products,
     sandwich_count,
@@ -366,19 +367,20 @@ def test_orbital_pair_codes_stay_int32(s3):
 
 
 def test_conjugation_invariance_failure_is_typed(s3):
-    from terw import OracleMismatch, VerificationFailure
-    from terw.closure import _assert_conjugation_invariant
-    from terw.conjugacy import class_index_table
+    from terw import VerificationFailure
+    from test_scheme import planted
 
-    classes = conjugacy_classes(s3)
-    table = class_index_table(s3).copy()
-    perms = conjugations(s3)
-    _assert_conjugation_invariant(table, perms)  # the real table passes
-    # conjugation by b moves a to a^-1, so one changed entry breaks invariance
-    table[0, 1] = (table[0, 1] + 1) % len(classes)
-    with pytest.raises(OracleMismatch) as info:
-        _assert_conjugation_invariant(table, perms)
+    assert conjugation_certificate(s3) is None  # the real table passes
+    group, _ = planted(s3, _shift_a)
+    with pytest.raises(OracleMismatch, match="conjugation does not preserve") as info:
+        terwilliger_closure_dim(group)
     assert isinstance(info.value, VerificationFailure)
+    assert conjugation_certificate(group) == 1  # the generator b
+
+
+def _shift_a(table):
+    # conjugation by b moves a to a^-1, so one changed entry breaks invariance
+    table[0, 1] = (table[0, 1] + 1) % 3
 
 
 def no_products(vec):
@@ -521,14 +523,14 @@ def test_a_split_orbit_falls_through_to_the_product_rounds(basis_inserts, monkey
 
 
 def test_an_invariance_failure_comes_before_the_count(s3, monkeypatch):
-    table = class_index_table(s3).copy()
-    table[0, 1] = (table[0, 1] + 1) % len(conjugacy_classes(s3))
+    from test_scheme import planted
+
+    group, _ = planted(s3, _shift_a)
     counted = []
-    monkeypatch.setattr(terw.closure, "class_index_table", lambda _: table)
     monkeypatch.setattr(terw.closure, "sandwich_count", counted.append)
     with pytest.raises(OracleMismatch):
-        terwilliger_closure_dim(s3)
-    assert counted == []
+        terwilliger_closure_dim(group)
+    assert counted == [] and conjugation_orbitals.__wrapped__ not in group._memo
 
 
 # large entries, including ones that vanish mod 2^31 - 1 and ones above int64

@@ -1,5 +1,6 @@
 """Scheme matrices, axioms, dual idempotents, and the dimension paths."""
 
+import itertools
 import sys
 import tracemalloc
 
@@ -29,8 +30,8 @@ import terw.conjugacy
 import terw.groups
 import terw.scheme
 from terw.closure import conjugation_orbitals
-from terw.conjugacy import class_index_table, structure_tensor
-from terw.groups import index_tables, translations
+from terw.conjugacy import class_index_table, class_list, structure_tensor
+from terw.groups import index_tables, read_only, translations
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices
 
@@ -99,13 +100,15 @@ def test_sd16_has_asymmetric_matrix(sd16):
     assert any(not np.array_equal(m, m.T) for m in mats)
 
 
-def _patch_table(monkeypatch, group, corrupt):
-    """A corrupted copy of the class-index table of group, which
-    verify_scheme_axioms then reads in place of the real one."""
+def planted(group, corrupt):
+    """(fresh, table): a fresh copy of group whose class-index table is a
+    corrupted copy of the real one, kept in its memo, so that every reader
+    of the artefact, the conjugation certificate too, reads it."""
     table = class_index_table(group).copy()
     corrupt(table)
-    monkeypatch.setattr("terw.scheme.class_index_table", lambda _: table)
-    return table
+    fresh = D2Group(group.abelian, group.twist, group.square, group.name)
+    fresh._memo[class_index_table.__wrapped__] = read_only(table)
+    return fresh, table
 
 
 def _matrices(table):
@@ -117,13 +120,13 @@ def _swap(table, i, j):
     table[cell_i], table[cell_j] = j, i
 
 
-def test_axiom_iv_detects_swapped_rows(q8, monkeypatch):
+def test_axiom_iv_detects_swapped_rows(q8):
     # swapping classes of different sizes breaks the product expansion
     # (swapping the two size-2 coset classes would not: that relabeling is a
     # genuine automorphism of the scheme)
-    _patch_table(monkeypatch, q8, lambda table: _swap(table, 1, 2))
+    group, _ = planted(q8, lambda table: _swap(table, 1, 2))
     with pytest.raises(AxiomFailure):
-        verify_scheme_axioms(q8)
+        verify_scheme_axioms(group)
 
 
 def test_axioms_agree_with_dense_reference(s3, d4, q8, sd16):
@@ -163,9 +166,9 @@ def _split_transpose(table):
         (_split_transpose, "(iii)"),
     ],
 )
-def test_axiom_clauses_agree_with_dense_reference(d4, q8, monkeypatch, corrupt, clause):
+def test_axiom_clauses_agree_with_dense_reference(d4, q8, corrupt, clause):
     for group in (d4, q8):
-        table = _patch_table(monkeypatch, group, corrupt)
+        group, table = planted(group, corrupt)
         with pytest.raises(AxiomFailure) as dense:
             dense_scheme_axioms(group, _matrices(table))
         with pytest.raises(AxiomFailure) as all_rows:
@@ -176,7 +179,7 @@ def test_axiom_clauses_agree_with_dense_reference(d4, q8, monkeypatch, corrupt, 
         assert str(dense.value) == str(all_rows.value) == str(gathered.value)
 
 
-def test_a_relabelled_table_is_a_scheme_but_the_wrong_one(d4, q8, sd16, monkeypatch):
+def test_a_relabelled_table_is_a_scheme_but_the_wrong_one(d4, q8, sd16):
     # D[s][:, s] for a permutation s of the elements is the table of an
     # isomorphic scheme, so both references accept it, but it is not the
     # table of group.mul: right translation moves it
@@ -187,10 +190,82 @@ def test_a_relabelled_table_is_a_scheme_but_the_wrong_one(d4, q8, sd16, monkeypa
         def relabel(table):
             table[...] = table[np.ix_(perm, perm)]
 
-        table = _patch_table(monkeypatch, group, relabel)
+        group, table = planted(group, relabel)
         assert dense_scheme_axioms(group, _matrices(table)) == all_rows_scheme_axioms(group, table)
         with pytest.raises(AxiomFailure, match=r"\(iv\) failed: right translation by \("):
             verify_scheme_axioms(group)
+
+
+def _moved_labels(table, group):
+    """D'[x, y] = L[y x^-1] for the labels L of row e with those of b and
+    ab (indices 4 and 5) swapped: every right translation keeps it, but L
+    is not constant on the classes, so conjugation moves it."""
+    mult, inv = index_tables(group)
+    labels = table[0].copy()
+    labels[[4, 5]] = labels[[5, 4]]
+    table[...] = labels[mult[:, inv].T]
+
+
+def test_a_table_that_only_conjugation_moves_fails_the_certificate(d4, q8):
+    # Dih(C4) and Dic(C4): b and ab lie in the two coset classes
+    for group in (d4, q8):
+        group, table = planted(group, lambda table: _moved_labels(table, group))
+        assert all(np.array_equal(table[np.ix_(p, p)], table) for p in translations(group)[0])
+        with pytest.raises(AxiomFailure, match=r"\(iv\) failed: conjugation by \(\(1,\), 0\) "
+                                               r"changes the class-index table$"):
+            verify_scheme_axioms(group)
+        with pytest.raises(AxiomFailure):
+            all_rows_scheme_axioms(group, table)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except AxiomFailure as failure:
+        return str(failure)
+
+
+@pytest.mark.parametrize(
+    "build, rejections",
+    [(lambda: dihedral([(2, 3)]), 13), (lambda: dihedral([(2, 1), (3, 1)]), 8),
+     (lambda: dicyclic([(2, 3)], [4]), 13)],
+    ids=["Dih(C8)", "Dih(C6)", "Dic(C8)"],
+)
+def test_axiom_iv_reads_a_column_in_every_class_of_the_group(build, rejections):
+    # the closed-form classes with class b merged into class a, which keeps
+    # its representative: the table stays homogeneous and conjugation
+    # invariant, and only a column in the class of b can show that a product
+    # is not a combination of the merged matrices
+    real = conjugacy_classes(build())
+    minima = real.reps[real.labels]
+    rejected = 0
+    for a, b in itertools.combinations(real.reps[1:].tolist(), 2):
+        group = build()
+        merged = np.where(minima == b, a, minima)
+        group._memo[conjugacy_classes.__wrapped__] = class_list(group, merged)
+        want = _outcome(all_rows_scheme_axioms, group, class_index_table(group))
+        got = _outcome(verify_scheme_axioms, group)
+        assert got == want or (got.transpose_pairing, got.class_count) == want, (a, b)
+        rejected += isinstance(want, str)
+        if group.name == "Dih(C8)" and (a, b) == (4, 1):
+            # class 2, {a, a^7}, joins class 1, {a^4}, and keeps its representative
+            assert got == "scheme axiom (iv) failed: N_1 N_1 differs from its " \
+                          "structure-constant expansion"
+    assert rejected == rejections  # the other merges are fusions, schemes again
+
+
+def test_a_fault_off_row_and_column_e_fails_the_translation_scan(d4):
+    # D[2, 5] is the class of ab a^-2 = a^3 b, class 4; row e and column e
+    # keep their cells, so the translation scan is the first check it fails
+    def corrupt(table):
+        assert table[2, 5] == 4
+        table[2, 5] = 3
+
+    group, table = planted(d4, corrupt)
+    with pytest.raises(AxiomFailure, match=r"\(iv\) failed: right translation by \(\(1,\), 0\) "):
+        verify_scheme_axioms(group)
+    with pytest.raises(AxiomFailure):
+        all_rows_scheme_axioms(group, table)
 
 
 def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):

@@ -37,14 +37,16 @@ from terw import (
 )
 import terw.groups
 from terw.cli import main
-from terw.closure import gather_table
+from terw.closure import conjugation_certificate, gather_table
 from terw.conjugacy import (
     class_index_table,
     class_products,
     rep_products,
     structure_tensor,
 )
-from terw.groups import _square_tables, conjugation_table, conjugations, index_tables, translations
+from terw.groups import (
+    _square_tables, conjugation_minima, conjugation_table, conjugations, index_tables, translations
+)
 from terw.instances import random_general_instances
 
 
@@ -212,7 +214,7 @@ def test_tables_are_built_once_and_read_only():
         mult, inv, *rep_products(group), classes.labels, classes.reps,
         class_index_table(group), table.exponents, table.coefficients, table.complex_matrix,
         orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
-        gather_table(group).sources,
+        gather_table(group).sources, conjugation_minima(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -226,7 +228,7 @@ def test_tables_are_built_once_and_read_only():
 CACHED = [
     _square_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
-    gather_table,
+    gather_table, conjugation_minima, conjugation_certificate,
 ]
 
 
