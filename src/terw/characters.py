@@ -9,11 +9,11 @@ order M; the b-coset values of the linear characters need the doubled order
 because they are square roots of values on the abelian part.  The table
 keeps them exactly as two (l, l, 2) integer arrays, exponents mod M and
 coefficients, filled by integer matrix products over the label vectors and
-the class representatives; ``char_value`` computes one entry on its own as
-a RootSum, and ``CharacterTable.value`` reads one entry as a RootSum, so
-the two can be compared.  The sign convention: the "+" character takes the
-principal square root on the coset.  Swapping the two signs permutes rows
-but never changes the table as a multiset (tested, not assumed).
+the class representatives; ``char_value`` computes one entry on its own,
+to compare with ``CharacterTable.value``, and ``verify_orthogonality``
+certifies the rows exactly.  The "+" character takes the principal square
+root on the coset; swapping the two signs permutes rows but never changes
+the table as a multiset (tested, not assumed).
 
 Both label lists are read off the class list.  For a diagonal twist,
 J -> J*s acts on character indices as the twist f acts on A, and J is
@@ -28,13 +28,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes
-from .cyclotomic import RootSum, unit_roots
+from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes, structure_tensor
+from .cyclotomic import RootSum, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
 
@@ -150,13 +150,6 @@ class CharacterTable:
         """Entry (row, col) as an exact RootSum."""
         terms = zip(self.exponents[row, col].tolist(), self.coefficients[row, col].tolist())
         return RootSum(self.root_order, terms)
-
-    @cached_property
-    def complex_matrix(self) -> np.ndarray:
-        # 0j + c1 W[e1] + c2 W[e2], the order of RootSum.eval_complex, so the
-        # values match it bit for bit
-        terms = self.coefficients * unit_roots(self.root_order)[self.exponents]
-        return read_only(0j + terms[..., 0] + terms[..., 1])
 
     def _distinct_values(self) -> tuple[list[RootSum], list[list[int]]]:
         """The distinct entries as RootSums, and the index of each entry among them."""
@@ -296,32 +289,71 @@ def character_table(group: D2Group) -> CharacterTable:
     return table
 
 
-FLOAT_TOLERANCE = 1e-9  # bounds the float relations: orthogonality and idempotents
+def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ...]:
+    """Certify exactly, in Z[z_M] by ``cyclotomic.reduced_sums``, that the
+    rows are the l irreducible characters, each once; return the classes S
+    read.  With omega_j(K_k) = |Cl_k| chi_j(k) / chi_j(1) and p the constants
+    of ``structure_tensor``: (b) the rows differ on S, chosen from the classes
+    smallest first, each when it splits rows still tied (Dixon, Numer. Math.
+    10, 1967); (c) sum_k |Cl_k| |chi_j(k)|^2 = |G|; (0) chi_j(1), at class 0,
+    is the degree of label j; (a) |Cl_s||Cl_b| chi_j(s) chi_j(b) = chi_j(1)
+    sum_c p_sb^c |Cl_c| chi_j(c) for s in S and every class b.  The x in
+    Z(CG) with omega_j(xy) = omega_j(x) omega_j(y) for all y form a
+    subalgebra, so by (a) omega_j is multiplicative on the algebra generated
+    by S, which is Z(CG) by (b) and Dedekind's independence of characters:
+    the omega_j are the l central characters (Isaacs, Character Theory of
+    Finite Groups, 1976, ch. 2).  Each row is then a positive multiple of an
+    irreducible character, 1 by (c), and both orthogonality relations,
+    e_j e_m = delta_jm e_j and sum_j e_j = 1 follow as theorems, with no float
+    read.  A failure names two equal rows for (b), else the first failing row."""
+    ell, order = len(table.labels), table.root_order
+    exps, coeffs = table.exponents, table.coefficients
+    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
+    # (b) on chi_j(k) lcm(deg) / deg_j as forms: (coordinate + 1, value), zero-padded
+    by_size = np.argsort(sizes, kind="stable")
+    entry, coord, value = reduced_sums(order, (
+        np.arange(ell * ell).reshape(ell, ell, 1), exps[:, by_size],
+        coeffs[:, by_size] * (np.lcm.reduce(degrees) // degrees)[:, None, None]))
+    slot = np.arange(entry.size) - np.searchsorted(entry, entry)
+    forms = np.zeros((ell * ell, 2, int(slot.max(initial=0)) + 1), dtype=np.int64)
+    forms[entry, 0, slot], forms[entry, 1, slot] = coord + 1, value
+    # rows sorted by bytes: the greedy S is the classes where adjacent rows first differ
+    rows = forms.reshape(ell, -1)
+    o = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    equal = (rows[o[1:]] == rows[o[:-1]]).reshape(ell - 1, ell, -1).all(axis=2)
+    first = np.argmin(equal, axis=1)
+    if (same := equal[np.arange(ell - 1), first]).any():
+        j, m = sorted(o[np.argmax(same) + np.arange(2)].tolist())
+        raise OrthogonalityFailure(f"character certificate failed for rows {j} and {m}: (b) equal")
+    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]].tolist()
 
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    first_max_deviation: float
-    second_max_deviation: float
-
-
-def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """Check both orthogonality relations numerically, to ``FLOAT_TOLERANCE``.
-
-    First: (1/|G|) sum_u |Cl_u| chi_r(u) conj(chi_t(u)) = delta_rt.
-    Second: sum_r chi_r(u) conj(chi_r(v)) = delta_uv |G| / |Cl_u|.
-    """
-    mat, order = table.complex_matrix, table.order
-    sizes = np.array(table.classes.sizes)
-    relations = {
-        "first": (mat * sizes) @ mat.conj().T / order - np.eye(len(table.labels)),
-        "second": mat.conj().T @ mat - np.diag(order / sizes),
-    }
-    worst = {}
-    for kind, diff in relations.items():
-        dev = np.abs(diff)
-        worst[kind] = float(dev.max())
-        if worst[kind] >= FLOAT_TOLERANCE:
-            pair = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise OrthogonalityFailure(kind, (int(pair[0]), int(pair[1])), worst[kind])
-    return OrthogonalityReport(worst["first"], worst["second"])
+    # key j n + q for row j of a block: (c) q = 0, (0) q = 1, (a) 2 + t l + b for s = S[t]
+    n, offset = 2 + len(chosen) * ell, np.full(ell, -1)
+    offset[chosen] = np.arange(len(chosen)) * ell + 2
+    k, ib = np.divmod(structure_tensor(group)[0], ell * ell)
+    pick = offset[ib // ell] >= 0
+    q, k, p = offset[ib[pick] // ell] + ib[pick] % ell, k[pick], -structure_tensor(group)[1][pick]
+    step = max(1, (1 << 13) // (4 * (n + ell) + 2 * len(p)))  # about 2^13 terms a block
+    for lo in range(0, ell, step):
+        e, c, d = exps[lo:lo + step], coeffs[lo:lo + step], degrees[lo:lo + step]
+        key = np.arange(0, len(e) * n, n)[:, None]
+        bad = reduced_sums(
+            order,
+            (key[..., None, None], e[..., :, None] - e[..., None, :],
+             sizes[:, None, None] * c[..., :, None] * c[..., None, :]),
+            (key + 1, e[:, 0], c[:, 0]),
+            (key + [0, 1], 0, -(d[:, None] * [0, 1] + [group.order, 0])),
+            ((key[..., None] + offset[chosen, None] + np.arange(ell))[..., None, None],
+             e[:, chosen, None, :, None] + e[:, None, :, None, :],
+             (c[:, chosen] * sizes[chosen, None])[:, :, None, :, None]
+             * (c * sizes[:, None])[:, None, :, None, :]),
+            ((key + q)[..., None], e[:, k], (d[:, None] * p * sizes[k])[..., None] * c[:, k]),
+        )[0]
+        if bad.size:
+            j, eq = divmod(int(bad[0]), n)
+            t, b = divmod(eq - 2, ell)
+            what = ["(c) sum_k |Cl_k| |chi(k)|^2 != |G|", "(0) chi(1) != its degree",
+                    f"(a) omega is not multiplicative at s = {chosen[t]}, b = {b}"][min(eq, 2)]
+            raise OrthogonalityFailure(f"character certificate failed for row {lo + j} "
+                                       f"{table.labels[lo + j].describe()}: {what}")
+    return tuple(chosen)

@@ -386,7 +386,7 @@ def cmd_chartable(spec: GroupSpec, args: argparse.Namespace) -> int:
     table = character_table(group)
     if args.oracle:
         checks = Checks()
-        checks.run("orthogonality", verify_orthogonality, table)
+        checks.run("orthogonality", verify_orthogonality, group, table)
         if checks.failed:
             return _mismatch(_head(spec, group), checks, args)
     if args.fmt == "json":
@@ -443,7 +443,7 @@ def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
     checks.run("conjugacy_classes", _classes_agree, group, args.guard)
     checks.run("scheme_axioms", verify_scheme_axioms, group, guard=args.guard)
     table = character_table(group)
-    checks.run("orthogonality", verify_orthogonality, table)
+    checks.run("orthogonality", verify_orthogonality, group, table)
     checks.run("dimensions", _dimensions_agree, group, args, {})
     report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:

@@ -21,8 +21,8 @@ keeps no member tuple: ``ClassList.labels`` gives its members.
 
 ``structure_tensor`` holds the structure constants p_ij^k of the scheme as
 sparse (code, count) pairs, one per nonzero constant; it is the one source
-of them, for the product axiom, the class-sum products of the central
-idempotents and the block traces.
+of them, for the product axiom, the character certificate and the block
+traces.
 
 The two oracles here, ``conjugacy_classes_bruteforce`` and
 ``structure_tensor``, never read the tables: the first reads the orbit

@@ -10,7 +10,7 @@ power basis 1, z, ..., z^(phi(M)-1) of Q(z_M) are unique, so a sum is the
 integer n iff they are (n, 0, ..., 0).  ``power_basis_coordinates`` does the
 reduction for whole (..., M) integer coefficient blocks at once, using
 Phi_M(x) = Phi_rad(x^q) with rad the product of the primes dividing M and
-q = M / rad.
+q = M / rad; ``reduced_sums`` does it for sparse lists of terms.
 """
 
 from __future__ import annotations
@@ -202,16 +202,49 @@ def _power_reduction(rad: int) -> np.ndarray:
 
 def power_basis_coordinates(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Coordinates of sum_e coeffs[..., e] z^e, z = exp(2 pi i / order), in
-    the power basis 1, z, ..., z^(phi(order)-1) of Q(z); exact.
-
-    With e = j*q + r (0 <= r < q), z^e = (z^q)^j z^r and z^q is a primitive
-    rad-th root, so the (rad, q) block of coefficients is multiplied along
-    the rad axis by the reduction matrix of y^j mod Phi_rad(y).  Coordinate
-    k*q + r belongs to z^(k*q + r).
-    """
+    the power basis 1, z, ..., z^(phi(order)-1) of Q(z); exact.  With
+    e = j*q + r (0 <= r < q), z^e = (z^q)^j z^r and z^q is a primitive rad-th
+    root, so the (rad, q) block of coefficients is multiplied along the rad
+    axis by the reduction matrix of y^j mod Phi_rad(y).  Coordinate k*q + r
+    belongs to z^(k*q + r)."""
     rad = math.prod(p for p, _ in factorize(order))
     blocks = coeffs.reshape(*coeffs.shape[:-1], rad, order // rad)
     return (_power_reduction(rad).T @ blocks).reshape(*coeffs.shape[:-1], -1)
+
+
+@functools.cache
+def _power_terms(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(start, coords, values, phi): z^e = sum of values[t] z^coords[t] over start[e] <= t <
+    start[e + 1] in the phi-dimensional basis of ``power_basis_coordinates``."""
+    rad = math.prod(p for p, _ in factorize(order))
+    q, red = order // rad, _power_reduction(rad)
+    e, k = np.nonzero(red[np.arange(order) // q])
+    start = np.searchsorted(e, np.arange(order + 1))
+    return read_only(start), read_only(k * q + e % q), read_only(red[e // q, k]), red.shape[1] * q
+
+
+def reduced_sums(order: int, *parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums s_q = sum of c z^e over the terms (q, e, c) of ``parts``, integer (keys >= 0,
+    exponents, coefficients) triples with coefficients in the shape the others broadcast to, as
+    sorted (keys, coordinates, values) of their nonzero power-basis coordinates: s_q = 0 exactly
+    when q is missing.  z^e expands by ``_power_terms`` (z^(order/2) = -1 folds a power of 2) and
+    one sort of the codes q phi + coordinate collects them, with no dense (keys, order) block."""
+    start, coords, values, phi = _power_terms(order)
+    codes = np.concatenate([(q * order + e % order).ravel() for q, e, _ in parts])
+    coeffs = np.concatenate([part[2].ravel() for part in parts])
+    keys, exps = np.divmod(codes[live := coeffs != 0], order)
+    coeffs = coeffs[live]
+    if len(coords) > order:  # some powers have several coordinates
+        n = start[exps + 1] - start[exps]
+        exps = np.repeat(start[exps] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        keys, coeffs = np.repeat(keys, n), np.repeat(coeffs, n)
+    codes, coeffs = keys * phi + coords[exps], coeffs * values[exps]
+    perm = codes.argsort()
+    codes = codes[perm]
+    starts = np.concatenate((codes[:1] >= 0, codes[1:] != codes[:-1])).nonzero()[0]
+    sums = np.add.reduceat(coeffs[perm], starts)
+    keys, coordinates = np.divmod(codes[starts[sums != 0]], phi)
+    return keys, coordinates, sums[sums != 0]
 
 
 def integer_values(coeffs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -81,15 +81,7 @@ class AxiomFailure(VerificationFailure):
 
 
 class OrthogonalityFailure(VerificationFailure):
-    """A character-table orthogonality relation failed."""
-
-    def __init__(self, kind: str, pair: tuple[int, int], deviation: float):
-        self.kind = kind
-        self.pair = pair
-        self.deviation = deviation
-        super().__init__(
-            f"{kind} orthogonality failed at pair {pair} (deviation {deviation:.3e})"
-        )
+    """A clause of the exact character certificate of ``verify_orthogonality`` failed."""
 
 
 class NonIntegralMultiplicity(VerificationFailure):
@@ -97,8 +89,8 @@ class NonIntegralMultiplicity(VerificationFailure):
 
 
 class IdempotencyFailure(VerificationFailure):
-    """A central idempotent failed one of its defining identities, or its
-    block has the wrong dimension."""
+    """The block of a central idempotent has the wrong dimension, or a
+    trace that is not an integer."""
 
 
 class MultiplicityMismatch(VerificationFailure):

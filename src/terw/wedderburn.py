@@ -9,24 +9,14 @@ algebra (equal to the Terwilliger algebra here).  The three routes to the d_j:
   * the plain character sum d_j = sum_k conj(chi_j(g_k)) over class reps,
   * the inner product <psi, chi_j>.
 
-Both sums are exact: the character table's integer arrays are accumulated
-into one (l, M) coefficient block over the M-th roots of unity, which is
-reduced mod the cyclotomic polynomial (``cyclotomic.integer_values``); a
-sum is an integer only when every reduced coordinate but the constant one
-is zero, and no tolerance enters the verdict.
+Both sums are exact: the table's integer arrays are accumulated into one
+(l, M) block over the M-th roots of unity and reduced mod the cyclotomic
+polynomial (``cyclotomic.integer_values``), with no tolerance.
 
-The primitive central idempotents e_j built from the characters provide a
-further oracle: e_j^2 = e_j, mutually annihilating, summing to the
-identity, and the two-sided block T~ e_j has dimension d_j^2.  Each e_j is
-the image under the conjugation representation of a central element eps_j
-of the group algebra, so the relations are checked on the class
-coefficients of the eps_j, multiplied with the exact structure constants of
-``conjugacy.structure_tensor`` (the ones the scheme axioms read), but in
-floating point, to ``characters.FLOAT_TOLERANCE``.  The block dimensions
-are exact: the trace of right multiplication by e_j on T~ is a character
-sum over integer counts K[k], reduced like the sums above, and K comes in
-O(dim T) from the same structure constants and the permutation character
-|G| / |Cl_k| of the class sizes (``_block_trace_counts``);
+The primitive central idempotents e_j give a further oracle: the block
+T~ e_j has dimension d_j^2, a character sum over integer counts
+(``_block_trace_counts``).  Their relations e_j e_m = delta_jm e_j and
+sum e_j = I follow from the certificate of ``characters.verify_orthogonality``;
 ``central_idempotent`` builds e_j as a dense matrix.
 """
 
@@ -37,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import (
-    FLOAT_TOLERANCE,
     CharacterTable,
     CharLabel,
     LinearLabel,
@@ -170,7 +159,8 @@ def central_idempotent(
     order = group.order
     check_guard(order, guard, "idempotent matrices")
     # e[u, g u g^-1] accumulates conj(chi(g)) over all g
-    weights = table.complex_matrix[label_index].conjugate()[table.classes.labels]
+    row = [table.value(label_index, k).eval_complex() for k in range(len(table.classes))]
+    weights = np.conjugate(row)[table.classes.labels]
     targets = np.arange(order)[None, :] * order + conjugation_table(group)
     e = np.zeros(order * order, dtype=complex)
     np.add.at(e, targets.ravel(), np.repeat(weights, order))
@@ -180,17 +170,10 @@ def central_idempotent(
 
 @dataclass(frozen=True)
 class IdempotentReport:
-    """Block dimensions and the largest deviation of each idempotent relation.
-
-    The deviations are taken on the class coefficients of the central
-    elements eps_j of the group algebra (see ``verify_central_idempotents``).
-    """
+    """The multiplicities d_j and the block dimensions d_j^2 they were checked against."""
 
     multiplicities: tuple[int, ...]
     block_dims: tuple[int, ...]
-    max_idempotency_dev: float
-    max_product_dev: float
-    max_resolution_dev: float
 
 
 def verify_central_idempotents(
@@ -199,41 +182,13 @@ def verify_central_idempotents(
     multiplicities: MultiplicityVector,
     guard: int = DEFAULT_MATRIX_GUARD,
 ) -> IdempotentReport:
-    """Check e_j e_m = delta_jm e_j, sum e_j = I, and dim(T~ e_j) = d_j^2.
-
-    e_j = Phi(eps_j), with Phi the conjugation representation and
-    eps_j = (deg_j / |G|) sum_g conj(chi_j(g)) g central in the group algebra.
-    The relations are checked, all l^2 at once, on the class coefficients of
-    the eps_j, which implies them for the e_j.  The block dimensions are
-    exact: deg_j * T_j = |G| * d_j^2 with T_j = sum_k conj(chi_j(k)) K[k]
-    in Z[zeta] and K the counts of ``_block_trace_counts``.
-    """
+    """Check dim(T~ e_j) = d_j^2 for e_j the image of (deg_j / |G|) sum_g
+    conj(chi_j(g)) g: deg_j * T_j = |G| * d_j^2 exactly, with T_j = sum_k
+    conj(chi_j(k)) K[k] for the counts K of ``_block_trace_counts``."""
     check_guard(group.order, guard, "the central idempotents")
-    ell = len(table.labels)
-    degrees = np.array(table.degrees)
-    coeffs = table.complex_matrix.conj() * (degrees[:, None] / group.order)
-    # the class constants a[j, i, k] = p_ij^k, K_j K_i = sum_k a[j, i, k] K_k,
-    # scattered from the codes (k * l + i) * l + j
-    codes, counts = structure_tensor(group)
-    consts = np.zeros((ell, ell, ell), dtype=np.int64)
-    consts[np.unravel_index(codes, consts.shape)[::-1]] = counts
-    # products[j, m, c]: coefficient of class sum c in eps_j eps_m - delta_jm eps_j
-    products = coeffs @ np.tensordot(coeffs, consts, axes=(1, 0))
-    products[np.arange(ell), np.arange(ell)] -= coeffs
-    dev = np.abs(products).max(axis=2)
-    failed = np.argwhere(np.triu(dev > FLOAT_TOLERANCE))
-    if len(failed):
-        j, m = failed[0].tolist()
-        relation = f"eps_{j}^2 != eps_{j}" if j == m else f"eps_{j} eps_{m} != 0"
-        raise IdempotencyFailure(f"{relation} (deviation {dev[j, m]:.3e})")
-
-    max_res = float(np.abs(coeffs.sum(axis=0) - np.eye(ell)[0]).max())  # class 0 is {e}
-    if max_res > FLOAT_TOLERANCE:
-        raise IdempotencyFailure(f"sum of idempotents != identity (deviation {max_res:.3e})")
-
     weights = table.coefficients * _block_trace_counts(group)[:, None]
     traces, exact = integer_values(_conjugate_sums(table, weights), table.root_order)
-    scaled = degrees * traces  # |G| * dim(T~ e_j)
+    scaled = np.array(table.degrees) * traces  # |G| * dim(T~ e_j)
     targets = np.array(multiplicities.values) ** 2
     wrong = ~exact | (scaled != group.order * targets)
     if wrong.any():
@@ -243,34 +198,22 @@ def verify_central_idempotents(
         dim = f"{scaled[j]}/{group.order}" if scaled[j] % group.order else scaled[j] // group.order
         raise IdempotencyFailure(f"block of e_{j} has dimension {dim}, expected {targets[j]}")
 
-    return IdempotentReport(
-        multiplicities=multiplicities.values,
-        block_dims=tuple(targets.tolist()),
-        max_idempotency_dev=float(dev.diagonal().max()),
-        max_product_dev=float(np.triu(dev, 1).max()),
-        max_resolution_dev=max_res,
-    )
+    return IdempotentReport(multiplicities.values, tuple(targets.tolist()))
 
 
 def _block_trace_counts(group: D2Group) -> np.ndarray:
     """K[k] = (|Cl_k| / |G|) sum_{i, j} p_ij^k psi_i psi_j, exactly, with p
-    the structure constants of ``structure_tensor`` and psi the permutation
-    character psi_i = |G| / |Cl_i|, from the class sizes and not the tables.
+    from ``structure_tensor`` and psi_i = |G| / |Cl_i| the permutation
+    character, from the class sizes and not the tables.
 
-    Right multiplication by an idempotent e_j of T~ is an idempotent map on
-    T~, so dim(T~ e_j) is its trace.  That is linear in
-    e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), so
-    dim(T~ e_j) = (deg_j / |G|) sum_k conj(chi_j(k)) K[k], with K[k] the
-    trace of X -> X Z_k on T~ for Z_k the image Phi(K_k) of the class sum.
-    With P(X) = (1/|G|) sum_h Phi(h) X Phi(h)^-1 the projection of End(CG)
-    onto T~, that is the trace of X -> P(X) Z_k on End(CG), and
-    tr(X -> A X B) = tr A tr B makes it
-    (1/|G|) sum_h psi(h) sum_{g in Cl_k} psi(h^-1 g); grouping the pairs
-    (h, h^-1 g) by class gives the sum over p.  Each sum is at most |G|^3,
-    so int64 holds it.  Raises IdempotencyFailure when |G| does not divide
-    |Cl_k| times the sum, which constants that are not those of a group can
-    do.
-    """
+    dim(T~ e_j) is the trace of right multiplication by the idempotent e_j,
+    linear in e_j = (deg_j / |G|) sum_g conj(chi_j(g)) Phi(g), so it is
+    (deg_j / |G|) sum_k conj(chi_j(k)) K[k] with K[k] the trace of
+    X -> P(X) Phi(K_k) on End(CG), P(X) = (1/|G|) sum_h Phi(h) X Phi(h)^-1
+    the projection onto T~.  tr(X -> A X B) = tr A tr B makes that
+    (1/|G|) sum_h psi(h) sum_{g in Cl_k} psi(h^-1 g), and grouping the pairs
+    (h, h^-1 g) by class gives the sum over p, at most |G|^3.  Raises
+    IdempotencyFailure when |G| does not divide |Cl_k| times the sum."""
     classes = conjugacy_classes(group)
     ell = len(classes)
     psi = group.order // np.array(classes.sizes, dtype=np.int64)

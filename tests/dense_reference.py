@@ -27,8 +27,12 @@ tensors: p by one l^2-bin count per class with ``group.mul``, and the class
 constants a[i, j, k] = p[j, i, k] by one count over the multiplication
 table, where the library keeps the nonzero p_ij^k as sparse (code, count)
 pairs, sorted per class; ``dense_view`` and ``sparse_pairs`` convert between
-the two forms.  The block-trace reference gathers the orbit label of
-(u, g^-1 v g) for every orbit representative (u, v) and every g, where
+the two forms.  The float references check both orthogonality relations and
+the central-idempotent relations eps_j eps_m = delta_jm eps_j in complex
+floating point, with the dense class constants, where the library checks
+one exact certificate on a few classes and derives the relations from it.
+The block-trace reference gathers the orbit label of (u, g^-1 v g) for
+every orbit representative (u, v) and every g, where
 the library sums the structure constants against the permutation
 character.  The label reference walks the character indices of A and
 pairs J with J*s, where the library reads the labels off the coset and
@@ -207,6 +211,36 @@ def all_rows_scheme_axioms(group, table):
             "(iv)", f"N_{a} N_{b} differs from its structure-constant expansion"
         )
     return tuple(pairing.tolist()), ell
+
+
+def complex_values(table):
+    """The table's values as an (l, l) complex array, one ``eval_complex`` each."""
+    ell = len(table.labels)
+    return np.array([[table.value(r, c).eval_complex() for c in range(ell)] for r in range(ell)])
+
+
+def float_orthogonality(table):
+    """The largest deviations of both orthogonality relations in complex
+    floating point: (1/|G|) sum_u |Cl_u| chi_r(u) conj(chi_t(u)) = delta_rt
+    and sum_r chi_r(u) conj(chi_r(v)) = delta_uv |G| / |Cl_u|."""
+    mat, order = complex_values(table), table.order
+    sizes = np.array(table.classes.sizes)
+    first = (mat * sizes) @ mat.conj().T / order - np.eye(len(table.labels))
+    second = mat.conj().T @ mat - np.diag(order / sizes)
+    return float(np.abs(first).max()), float(np.abs(second).max())
+
+
+def float_idempotent_relations(group, table):
+    """The largest deviations of eps_j eps_m = delta_jm eps_j and
+    sum_j eps_j = 1 in complex floating point, on the class coefficients of
+    eps_j = (deg_j / |G|) sum_g conj(chi_j(g)) g, multiplied with the dense
+    class constants a[i, j, k]: K_i K_j = sum_k a[i, j, k] K_k."""
+    ell = len(table.labels)
+    coeffs = complex_values(table).conj() * (np.array(table.degrees)[:, None] / group.order)
+    products = coeffs @ np.tensordot(coeffs, class_structure_constants(group), axes=(1, 0))
+    products[np.arange(ell), np.arange(ell)] -= coeffs
+    resolution = coeffs.sum(axis=0) - np.eye(ell)[0]  # class 0 is {e}
+    return float(np.abs(products).max()), float(np.abs(resolution).max())
 
 
 def dense_block_dimension(e, orb, tol=1e-9):

@@ -154,20 +154,18 @@ def test_criterion_3_family_special_cases(corpus):
 
 
 def test_criterion_4_character_tables(corpus):
-    """Row count, degree identity, 1e-9 orthogonality, exact coset zeros."""
+    """Row count, degree identity, the exact character certificate, exact coset zeros."""
     for bundle in corpus:
         table = character_table(bundle.group)
         assert len(table.labels) == len(conjugacy_classes(bundle.group))
         assert sum(deg * deg for deg in table.degrees) == bundle.group.order
-        report = verify_orthogonality(table)
-        assert report.first_max_deviation < 1e-9
-        assert report.second_max_deviation < 1e-9
+        assert verify_orthogonality(bundle.group, table)
         for r, label in enumerate(table.labels):
             if label.degree == 2:
                 for cls in table.classes:
                     if cls.kind == COSET:
                         assert not table.value(r, cls.index)
-    _report(4, f"tables on {len(corpus)} instances: counts, degrees, orthogonality, coset zeros")
+    _report(4, f"tables on {len(corpus)} instances: counts, degrees, certificate, coset zeros")
 
 
 def test_criterion_5_multiplicity_agreement(corpus):

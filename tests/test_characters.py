@@ -7,7 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from dense_reference import chartable_json_dict, class_members, enumerated_character_labels
+from dense_reference import (
+    chartable_json_dict,
+    class_members,
+    complex_values,
+    enumerated_character_labels,
+    float_idempotent_relations,
+    float_orthogonality,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +30,7 @@ from terw import (
     character_labels,
     character_table,
     conjugacy_classes,
+    dicyclic,
     dihedral,
     g2_group,
     make_abelian,
@@ -135,7 +143,7 @@ def test_degree_identity():
 def test_s3_table_is_standard(s3):
     table = character_table(s3)
     # classes: {e}, {a, a^2}, reflections
-    rows = {tuple(round(z.real, 9) for z in row) for row in table.complex_matrix.tolist()}
+    rows = {tuple(round(z.real, 9) for z in row) for row in complex_values(table).tolist()}
     assert rows == {(1, 1, 1), (1, 1, -1), (2, -1, 0)}
 
 
@@ -274,7 +282,7 @@ def test_table_multiset_invariant_under_sign_swap(sd16):
 def test_odd_coordinate_square_needs_doubled_root_order():
     group = C4_C9
     table = character_table(group)
-    verify_orthogonality(table)
+    verify_orthogonality(group, table)
     classes = table.classes
     b = (group.abelian.identity, 1)
     y = (group.square, 0)
@@ -286,20 +294,86 @@ def test_odd_coordinate_square_needs_doubled_root_order():
 
 
 def test_orthogonality_passes(s3, d4, q8, sd16):
-    for group in (s3, d4, q8, sd16):
-        report = verify_orthogonality(character_table(group))
-        assert report.first_max_deviation < 1e-9
-        assert report.second_max_deviation < 1e-9
+    # the exact certificate passes on every real table: the conftest groups,
+    # Dic(C3 x C4), G2(16, 7, 8) and seeded general groups up to |G| = 256,
+    # some with y != 0; the float references of both orthogonality
+    # relations and of the idempotent relations hold on them too
+    seeded = random_general_instances(8, 256, seed=2701)
+    assert any(any(g.square) for g in seeded) and max(g.order for g in seeded) > 128
+    dic_c3_c4 = dicyclic([(3, 1), (2, 2)], [0, 2])
+    for group in (s3, d4, q8, sd16, dic_c3_c4, g2_group(16, 7, 8), *seeded):
+        table = character_table(group)
+        chosen = verify_orthogonality(group, table)
+        assert chosen and len(set(chosen)) == len(chosen), group.name
+        assert max(float_orthogonality(table)) < 1e-9, group.name
+        assert max(float_idempotent_relations(group, table)) < 1e-9, group.name
+
+
+def with_rows(table, rows):
+    return dataclasses.replace(
+        table, exponents=table.exponents[rows], coefficients=table.coefficients[rows]
+    )
 
 
 def test_orthogonality_detects_corruption(d4):
     table = character_table(d4)
     coefficients = table.coefficients.copy()
-    coefficients[1, 2] *= -1  # flip one sign
+    coefficients[1, 2] *= -1  # flip one sign of a linear row
     corrupted = dataclasses.replace(table, coefficients=coefficients)
-    with pytest.raises(OrthogonalityFailure):
-        verify_orthogonality(corrupted)
-    verify_orthogonality(table)  # the cached table is untouched
+    with pytest.raises(
+        OrthogonalityFailure, match=r"^character certificate failed for row 1 chi\[0;2\]: \(a\) "
+    ):
+        verify_orthogonality(d4, corrupted)
+    verify_orthogonality(d4, table)  # the cached table is untouched
+
+
+def test_certificate_names_a_doubled_and_a_duplicated_row(sd16):
+    table = character_table(sd16)
+    doubled = table.coefficients.copy()
+    doubled[0] *= 2  # 2 chi_0 is still multiplicative, but its norm is 4 |G|
+    with pytest.raises(
+        OrthogonalityFailure,
+        match=r"^character certificate failed for row 0 chi\[0;1\]: "
+        r"\(c\) sum_k \|Cl_k\| \|chi\(k\)\|\^2 != \|G\|$",
+    ):
+        verify_orthogonality(sd16, dataclasses.replace(table, coefficients=doubled))
+    # row 1 a copy of row 0: a real character, so only (b) sees it
+    copied = with_rows(table, [0, 0, *range(2, len(table.labels))])
+    with pytest.raises(
+        OrthogonalityFailure, match=r"^character certificate failed for rows 0 and 1: \(b\) equal$"
+    ):
+        verify_orthogonality(sd16, copied)
+
+
+def test_certificate_names_a_swapped_linear_and_two_dimensional_row(sd16):
+    # the rows are still the irreducible characters; (0) names the first one
+    # whose identity entry is not its label's degree
+    table = character_table(sd16)
+    linear = next(r for r, label in enumerate(table.labels) if label.degree == 1)
+    twodim = next(r for r, label in enumerate(table.labels) if label.degree == 2)
+    swap = list(range(len(table.labels)))
+    swap[linear], swap[twodim] = twodim, linear
+    with pytest.raises(
+        OrthogonalityFailure,
+        match=r"^character certificate failed for row 0 chi\[0;1\]: \(0\) chi\(1\) != its degree$",
+    ):
+        verify_orthogonality(sd16, with_rows(table, swap))
+
+
+def test_certificate_names_an_off_identity_shift():
+    # one value of a linear row of Dih(C64) moved by one 128th root: its norm
+    # is unchanged, so (a) names the row and the two classes
+    group = dihedral([(2, 6)])
+    table = character_table(group)
+    exponents = table.exponents.copy()
+    exponents[2, 5, 0] = (exponents[2, 5, 0] + 1) % table.root_order
+    assert table.degrees[2] == 1
+    with pytest.raises(
+        OrthogonalityFailure,
+        match=r"^character certificate failed for row 2 chi\[1;1\]: "
+        r"\(a\) omega is not multiplicative at s = 1, b = 5$",
+    ):
+        verify_orthogonality(group, dataclasses.replace(table, exponents=exponents))
 
 
 def test_exports(d4):

@@ -448,8 +448,8 @@ def test_dims_mismatch_names_the_check(capsys, monkeypatch):
 
 
 def test_verify_mismatch_names_the_check(capsys, monkeypatch):
-    def broken(table, *args, **kwargs):
-        raise OrthogonalityFailure("row", (0, 1), 0.5)
+    def broken(group, table):
+        raise OrthogonalityFailure("character certificate failed for rows 0 and 1: (b) equal")
 
     monkeypatch.setattr(cli, "verify_orthogonality", broken)
     code, out, _ = run_cli(capsys, "verify", *S3, "--format", "json")
@@ -458,7 +458,7 @@ def test_verify_mismatch_names_the_check(capsys, monkeypatch):
     assert payload["mismatch"] is True and payload["ok"] is False
     failed = [c for c in payload["checks"] if not c["ok"]]
     assert [c["check"] for c in failed] == ["orthogonality"]
-    assert "row orthogonality failed" in failed[0]["detail"]
+    assert "character certificate failed for rows 0 and 1" in failed[0]["detail"]
     assert len(payload["checks"]) == 6  # the other checks still ran
 
 
@@ -493,8 +493,8 @@ def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):
     assert code == EXIT_MISMATCH
     assert json.loads(out)["checks"][0]["check"] == "conjugacy_classes"
 
-    def broken(table, *args, **kwargs):
-        raise OrthogonalityFailure("column", (1, 2), 0.5)
+    def broken(group, table):
+        raise OrthogonalityFailure("character certificate failed for row 1")
 
     monkeypatch.setattr(cli, "verify_orthogonality", broken)
     code, out, _ = run_cli(capsys, "chartable", *S3, "--oracle")

@@ -10,6 +10,7 @@ from terw.cyclotomic import (
     cyclotomic_poly,
     integer_values,
     power_basis_coordinates,
+    reduced_sums,
     unit_roots,
 )
 
@@ -115,3 +116,24 @@ def test_integer_values_on_a_block():
 def test_unit_roots_match_eval_complex():
     for order in (5, 72, 384):
         assert unit_roots(order).tolist() == [RootSum.root(order, e).eval_complex() for e in range(order)]
+
+
+@pytest.mark.parametrize("order", [2, 64, 1024, 82, 214, *ORDERS])
+def test_reduced_sums_match_the_dense_reduction(order):
+    # the sparse sums of two parts, with exponents out of range and
+    # coefficients past 2^32, against power_basis_coordinates of the dense
+    # block; orders 2^k fold each power into one term, the others expand
+    rng = np.random.default_rng(order)
+    keys = rng.integers(0, 40, (2, 300))
+    exps = rng.integers(-3 * order, 3 * order, (2, 300))
+    coeffs = rng.integers(-3, 4, (2, 300)) << 40
+    dense = np.zeros((40, order), dtype=np.int64)
+    np.add.at(dense, (keys, exps % order), coeffs)
+    want = power_basis_coordinates(dense, order)
+    got = np.zeros_like(want)
+    key, coord, value = reduced_sums(order, *zip(keys, exps, coeffs))
+    got[key, coord] = value
+    assert np.array_equal(got, want) and value.all()
+    assert np.all(np.diff(key * want.shape[1] + coord) > 0)
+    empty = np.zeros(0, dtype=np.int64)
+    assert all(a.size == 0 for a in reduced_sums(order, (empty, empty, empty)))

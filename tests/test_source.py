@@ -68,8 +68,36 @@ def test_only_the_command_line_reads_the_environment():
     assert not found, f"environment read outside cli.py: {found}"
 
 
+def test_no_float_verdicts():
+    # every verdict is exact: no module defines a FLOAT_TOLERANCE, and the
+    # complex values (a complex_matrix, the unit roots) appear only in error text
+    readers = {
+        f"{path.name}:{func.name}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) in ("complex_matrix", "unit_roots")
+            for node in ast.walk(func)
+        )
+    }
+    assert readers == {"wedderburn.py:_exact_integers"}  # the complex value in its message
+    tolerances = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and any(
+            isinstance(target, ast.Name) and target.id == "FLOAT_TOLERANCE"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+    ]
+    assert not tolerances, f"FLOAT_TOLERANCE defined in the library: {tolerances}"
+
+
 def test_no_tolerance_parameters():
-    # float relations compare against the one characters.FLOAT_TOLERANCE
+    # no function takes a tolerance: the verdicts are exact
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

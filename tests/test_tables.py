@@ -33,6 +33,7 @@ from terw import (
     multiplicities_closed_form,
     multiplicities_inner_product,
     verify_central_idempotents,
+    verify_orthogonality,
     verify_scheme_axioms,
 )
 import terw.groups
@@ -212,7 +213,7 @@ def test_tables_are_built_once_and_read_only():
     orb = conjugation_orbitals(group)
     arrays = (
         mult, inv, *rep_products(group), classes.labels, classes.reps,
-        class_index_table(group), table.exponents, table.coefficients, table.complex_matrix,
+        class_index_table(group), table.exponents, table.coefficients,
         orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
         gather_table(group).sources, conjugation_minima(group),
     )
@@ -374,6 +375,24 @@ def test_invariant_fires_under_optimize():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
     )
     assert out.stdout.startswith("raised"), out.stderr
+
+
+def test_character_checks_stay_below_an_l_cubed_array():
+    # the float idempotent relations scattered the structure constants into
+    # a dense (l, l, l) int64 array; the exact certificate and the block
+    # dimensions read them in blocks and form nothing that grows with l^3
+    group = dihedral([(2, 7)])  # Dih(C128), |G| = 256, l = 67
+    table = character_table(group)
+    vec = multiplicities_inner_product(group, table)
+    structure_tensor(group)  # per-group artefacts, built before tracing
+    tracemalloc.start()
+    try:
+        verify_orthogonality(group, table)
+        verify_central_idempotents(group, table, vec, guard=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(table.labels) ** 3 * 8
 
 
 def test_oracle_checks_stay_below_a_dense_stack():
