@@ -448,9 +448,7 @@ def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
     report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:
         inner = MultiplicityVector(report.labels, report.inner_product)
-        checks.run(
-            "central_idempotents", verify_central_idempotents, group, table, inner, args.guard
-        )
+        checks.run("central_idempotents", verify_central_idempotents, group, table, inner)
     head = _head(spec, group)
     if checks.failed:
         return _mismatch(head, checks, args)

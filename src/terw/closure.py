@@ -4,8 +4,10 @@
 matrices, append the products of basis elements with the generators on the
 right, and row-reduce the flattened matrices exactly until the dimension
 stabilizes.  Each matrix is multiplied by all the generators at once, as one
-int64 product with their stack when a bound over all of them proves that
-every entry fits, and with Python ints otherwise: no tolerance, no overflow.
+float64 product with their stack (BLAS) when a bound over all of them keeps
+every entry and every partial sum below 2^53, so that each is an exact
+float64 integer and no summation order can round, and with Python ints
+otherwise: no tolerance, no overflow.
 Right products suffice: when the search stops, every element that grew the
 span W has been multiplied on the right by every generator s, so W s lies in
 W; by induction W holds every word in the generators, so it is the algebra.
@@ -78,6 +80,9 @@ SparseVec = dict[int, int]
 
 INT64_LIMIT = 2**63
 
+# every integer of absolute value up to 2^53 is a float64
+FLOAT64_EXACT = 2**53
+
 
 class SparseRationalBasis:
     """Row-reduced basis of sparse integer vectors, ranked over Q.
@@ -141,6 +146,34 @@ def _unseen(
             yield vec, key
 
 
+def right_products(
+    generators: Sequence[np.ndarray],
+) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
+    """The function that forms X s for every generator s, in generator
+    order, exactly: as one float64 product with the stack of the generators
+    when a bound proves it exact, cast back to int64, and with Python ints
+    otherwise.
+
+    Every entry of X s, and every partial sum of it, is at most max|X| times
+    ``col_sum``, the largest absolute column sum over all the generators
+    (at least 1; it also bounds every entry of a generator).  Below 2^53
+    each of these is an integer that float64 holds exactly, so no sum
+    rounds, whatever order BLAS adds the terms in and with or without fused
+    multiply-adds.
+    """
+    gens = [np.asarray(g, dtype=object) for g in generators]
+    col_sum = max(max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens)
+    stack = np.stack(gens).astype(np.float64) if col_sum < FLOAT64_EXACT else None
+
+    def products(mat: np.ndarray) -> Sequence[np.ndarray]:
+        top = max(int(mat.max(initial=1)), -int(mat.min(initial=0)))
+        if top * col_sum < FLOAT64_EXACT:  # so col_sum < 2^53 and the stack exists
+            return (mat.astype(np.float64) @ stack).astype(np.int64)
+        return [mat.astype(object, copy=False) @ gen for gen in gens]
+
+    return products
+
+
 def algebra_dimension(
     generators: Sequence[np.ndarray],
     guard: int = DEFAULT_MATRIX_GUARD,
@@ -151,12 +184,10 @@ def algebra_dimension(
     matrix X that grew the basis with each generator s, on the right (see
     the module docstring); stops when a full round adds nothing.  Products
     that are zero or exact repeats never reach the basis (``_unseen``).
-
-    Every entry of X s, and every partial sum of it, is at most max|X| times
-    the largest absolute column sum over all the generators.  When that
-    bound is below 2^63, the products of X with every generator are formed
-    at once in int64, as X @ stack over the (g, n, n) stack of the
-    generators; otherwise they are formed with Python ints.
+    ``right_products`` forms the products of X with every generator at once,
+    in float64 when max|X| times the largest absolute column sum is below
+    2^53, which makes every partial sum an exact float64 integer, and with
+    Python ints otherwise.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -166,19 +197,7 @@ def algebra_dimension(
     side = shapes[0][0]
     if side > guard:
         raise GuardExceededError(f"matrix side {side} exceeds guard {guard}")
-    gens = [np.asarray(g, dtype=object) for g in generators]
-    # the largest absolute column sum over all generators, at least 1, exact;
-    # it also bounds every entry, so below 2^63 the stack is exact in int64
-    col_sum = max(max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens)
-    stack = np.stack(gens).astype(np.int64) if col_sum < INT64_LIMIT else None
-
-    def products(mat: np.ndarray) -> Iterable[np.ndarray]:
-        """mat s for each generator s, in generator order."""
-        top = max(int(mat.max()), -int(mat.min()), 1)
-        if top * col_sum < INT64_LIMIT:  # so col_sum < 2^63 and the stack exists
-            return mat.astype(np.int64, copy=False) @ stack
-        return [mat.astype(object, copy=False) @ gen for gen in gens]
-
+    products = right_products(generators)
     zero = bytes(8 * side * side)  # an all-zero int64 matrix
 
     def content(mat: np.ndarray) -> Hashable:
@@ -194,8 +213,9 @@ def algebra_dimension(
         return dict(zip(cols.tolist(), entries[cols].tolist()))
 
     basis = SparseRationalBasis()
-    # the int64 stack, when it exists, lets X I = X match its generator X
-    batch: Iterable[np.ndarray] = gens if stack is None else stack
+    # the seeds are the products I s, in the dtype of the products, so that
+    # X I = X matches its generator X
+    batch: Iterable[np.ndarray] = products(np.eye(side, dtype=np.int64))
     previous: list[Hashable] = []
     while True:
         frontier = [

@@ -37,7 +37,7 @@ from .conjugacy import conjugacy_classes, rep_products, structure_tensor
 from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
 from .groups import D2Group, conjugation_table
-from .limits import DEFAULT_MATRIX_GUARD, check_guard
+from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 from .scheme import dim_centralizer
 
 
@@ -180,12 +180,14 @@ def verify_central_idempotents(
     group: D2Group,
     table: CharacterTable,
     multiplicities: MultiplicityVector,
-    guard: int = DEFAULT_MATRIX_GUARD,
 ) -> IdempotentReport:
     """Check dim(T~ e_j) = d_j^2 for e_j the image of (deg_j / |G|) sum_g
     conj(chi_j(g)) g: deg_j * T_j = |G| * d_j^2 exactly, with T_j = sum_k
-    conj(chi_j(k)) K[k] for the counts K of ``_block_trace_counts``."""
-    check_guard(group.order, guard, "the central idempotents")
+    conj(chi_j(k)) K[k] for the counts K of ``_block_trace_counts``.  It
+    forms no |G| x |G| or l^3 array, so it is guarded by the limit of the
+    l * |G| passes it reads, ``ENUMERATION_LIMIT``, as ``dim_centralizer``
+    is, and not by the matrix guard."""
+    check_guard(group.order, ENUMERATION_LIMIT, "the central idempotents")
     weights = table.coefficients * _block_trace_counts(group)[:, None]
     traces, exact = integer_values(_conjugate_sums(table, weights), table.root_order)
     scaled = np.array(table.degrees) * traces  # |G| * dim(T~ e_j)

@@ -23,6 +23,7 @@ from terw import (
     conjugation_orbitals,
     dihedral,
     dim_centralizer,
+    dim_closed_form,
     dim_t0,
     dual_idempotents,
     g2_group,
@@ -36,6 +37,7 @@ from terw.closure import (
     conjugation_certificate,
     gather_table,
     orbit_products,
+    right_products,
     sandwich_count,
     terwilliger_generator_coords,
 )
@@ -46,6 +48,10 @@ from terw.instances import random_general_instance, random_general_instances
 
 def test_scalar_algebra():
     assert algebra_dimension([np.eye(5, dtype=np.int64)]) == 1
+
+
+def test_empty_matrices_span_nothing():
+    assert algebra_dimension([np.zeros((0, 0), dtype=np.int64)]) == 0
 
 
 def test_diagonal_generators_span_diagonals():
@@ -103,6 +109,35 @@ def test_generic_closure_matches_fast_path_general_instance():
 ])
 def test_products_that_overflow_int64_stay_exact(generators, dim):
     assert algebra_dimension(generators) == two_sided_algebra_dimension(generators) == dim
+
+
+def test_products_at_the_float64_bound_take_float64_and_stay_exact():
+    # 2^53 - 1 = 441650591 * 20394401: max|X| times the largest column sum
+    # is one below the bound, and entry (0, 0) of X s reaches it
+    mat = np.full((2, 2), 441650591, dtype=np.int64)
+    gens = [np.array([[10197200, 1], [10197201, 0]]), np.eye(2, dtype=np.int64)]
+    prods = right_products(gens)(mat)
+    assert prods.dtype == np.int64
+    assert prods[0, 0, 0] == 2**53 - 1
+    exact = [(mat.astype(object) @ g.astype(object)).tolist() for g in gens]
+    assert [p.tolist() for p in prods] == exact
+
+
+def test_products_past_the_float64_bound_take_python_ints():
+    # (2^31 + 1)(2^31 - 1) = 2^62 - 1 fits int64, but float64 rounds it to 2^62
+    mat, gens = np.array([[2**31 + 1]]), [np.array([[2**31 - 1]])]
+    prods = right_products(gens)(mat)
+    assert [p.tolist() for p in prods] == [[[2**62 - 1]]]
+    assert [p.dtype for p in prods] == [object]
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(dihedral([(2, 4)]), id="Dih(C16)"),
+    pytest.param(g2_group(16, 7, 8), id="G2(16,7,8)"),
+])
+def test_explicit_closure_at_order_32(group):
+    gens = adjacency_matrices(group) + dual_idempotents(group)
+    assert algebra_dimension(gens) == terwilliger_closure_dim(group) == dim_closed_form(group)
 
 
 def test_fixed_inputs_equal_the_two_sided_reference(s3):

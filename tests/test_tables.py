@@ -388,7 +388,7 @@ def test_character_checks_stay_below_an_l_cubed_array():
     tracemalloc.start()
     try:
         verify_orthogonality(group, table)
-        verify_central_idempotents(group, table, vec, guard=256)
+        verify_central_idempotents(group, table, vec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -409,7 +409,7 @@ def test_oracle_checks_stay_below_a_dense_stack():
         verify_scheme_axioms(group, guard=128)
         axioms_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        verify_central_idempotents(group, table, vec, guard=128)
+        verify_central_idempotents(group, table, vec)
         idempotents_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

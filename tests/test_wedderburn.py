@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from terw import (
+    GuardExceededError,
     IdempotencyFailure,
     MultiplicityMismatch,
     NonIntegralMultiplicity,
@@ -205,6 +206,18 @@ def test_idempotents_agree_with_dense_reference(s3, d4, q8, sd16):
         assert report.block_dims == dense_block_dims(group, table, vec), group.name
 
 
+def test_idempotent_check_is_guarded_by_the_enumeration_limit(monkeypatch):
+    # it forms no |G| x |G| array, so the matrix guard (64) does not bound it
+    group = dihedral([(2, 6)])  # Dih(C64), |G| = 128
+    table = character_table(group)
+    vec = multiplicities_inner_product(group, table)
+    report = verify_central_idempotents(group, table, vec)
+    assert sum(report.block_dims) == dim_centralizer(group)
+    monkeypatch.setattr("terw.wedderburn.ENUMERATION_LIMIT", 127)
+    with pytest.raises(GuardExceededError, match="^group order 128 exceeds guard 127 for the c"):
+        verify_central_idempotents(group, table, vec)
+
+
 def test_idempotent_check_rejects_corrupted_table(sd16):
     table = character_table(sd16)
     vec = multiplicities_inner_product(sd16, table)
@@ -271,7 +284,7 @@ def test_certificate_catches_one_step_on_a_two_dimensional_row():
     with pytest.raises(
         IdempotencyFailure, match=r"^block of e_34 has a trace that is not an integer$"
     ):
-        verify_central_idempotents(group, shifted, vec, guard=128)
+        verify_central_idempotents(group, shifted, vec)
 
 
 @pytest.mark.parametrize("group", SMALL, ids=lambda g: g.name)
