@@ -28,13 +28,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes, structure_tensor
-from .cyclotomic import RootSum, reduced_sums
+from .cyclotomic import RootSum, integer_values, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
 
@@ -130,9 +129,10 @@ class CharacterTable:
     Entry (r, c) is the sum of coefficients[r, c, t] * z^exponents[r, c, t]
     over t = 0, 1, with z = exp(2 pi i / root_order): the arrays are
     (l, l, 2) int64, read-only, exponents reduced mod the root order, and a
-    zero coefficient marks an absent term (its exponent is 0).  It keeps the
-    group's order and root order, not the group, because the group keeps
-    the table.
+    zero coefficient marks an absent term (its exponent is 0).  Only this
+    module reads the arrays; other modules read ``value``, ``class_sums``
+    and the exports.  It keeps the group's order and root order, not the
+    group, because the group keeps the table.
     """
 
     order: int
@@ -150,6 +150,27 @@ class CharacterTable:
         """Entry (row, col) as an exact RootSum."""
         terms = zip(self.exponents[row, col].tolist(), self.coefficients[row, col].tolist())
         return RootSum(self.root_order, terms)
+
+    def class_sums(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For every row j, sum_k weights[k] conj(chi_j(k)) over the classes k,
+        given (l,) integer weights: its value where it is a rational integer,
+        and whether it is one; exact.  The rows go in blocks of about 2^17
+        int64 entries (the block and the codes and weights of its terms):
+        each block is scattered into (rows, M) coefficients of the M-th roots
+        of unity, which ``integer_values`` reduces before the next block."""
+        ell, order = len(self.labels), self.root_order
+        values, exact = np.empty(ell, dtype=np.int64), np.empty(ell, dtype=bool)
+        step = max(1, (1 << 17) // (order + 4 * ell))
+        for lo in range(0, ell, step):
+            e, c = self.exponents[lo:lo + step], self.coefficients[lo:lo + step]
+            codes = order - e  # conj(z^e) = z^(M - e), and z^M = z^0
+            codes[codes == order] = 0
+            codes += np.arange(0, len(e) * order, order)[:, None, None]
+            block = np.zeros(len(e) * order, dtype=np.int64)
+            np.add.at(block, codes.ravel(), (c * weights[:, None]).ravel())
+            values[lo:lo + step], exact[lo:lo + step] = integer_values(
+                block.reshape(len(e), order), order)
+        return values, exact
 
     def _distinct_values(self) -> tuple[list[RootSum], list[list[int]]]:
         """The distinct entries as RootSums, and the index of each entry among them."""

@@ -6,7 +6,7 @@ over a parameter range, one CSV row per instance).  A group is described by
 flags or a JSON spec file with fields ``kind`` (general | dihedral |
 dicyclic | g2), ``factors`` (list of [p, e]), ``s``/``y`` (integer vectors
 for the general and dicyclic kinds), and ``n``/``s``/``t`` integers for the
-g2 kind (``KINDS``; any other of these fields is an invalid spec); flags
+g2 kind (``KINDS``; any other key is an invalid spec, named in its error); flags
 override file values, and each kind is built by its one constructor in
 ``terw.groups``.  The parser is built once per process, and
 the parsed arguments are the whole run configuration: the commands read
@@ -102,7 +102,7 @@ class GroupSpec:
             "n": _integer,
             "t": _integer,
         }
-        extra = [k for k in shapes if k in data and k not in KINDS[kind]]
+        extra = [k for k in data if k != "kind" and k not in KINDS[kind]]
         if extra:
             raise InvalidGroupError(f"{kind} takes no {', '.join(extra)}")
         return GroupSpec(kind, **{k: shape(data[k], k) for k, shape in shapes.items() if k in data})

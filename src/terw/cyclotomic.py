@@ -11,6 +11,15 @@ integer n iff they are (n, 0, ..., 0).  ``power_basis_coordinates`` does the
 reduction for whole (..., M) integer coefficient blocks at once, using
 Phi_M(x) = Phi_rad(x^q) with rad the product of the primes dividing M and
 q = M / rad; ``reduced_sums`` does it for sparse lists of terms.
+
+Both reductions stay, each where it is the faster: dense (rows, M) blocks
+through ``integer_values`` for sums with about 2l terms on each key (the
+rows of ``CharacterTable.class_sums``), and ``reduced_sums`` for per-entry
+forms and per-clause sums with a few terms on each key (the certificate of
+``characters.verify_orthogonality``), where a dense block is mostly zeros.
+Routing the class sums through ``reduced_sums`` as well made each sum
+2.5-5.4 times slower on the ``formula`` benchmark's instances (|G| 128-384),
+and a trial of it read 7-10 % fewer ``formula`` groups per reference second.
 """
 
 from __future__ import annotations
@@ -66,16 +75,7 @@ class RootSum:
 
     def __add__(self, other: RootSum) -> RootSum:
         self._check(other)
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            new = merged.get(exp, 0) + coeff
-            if new:
-                merged[exp] = new
-            else:
-                merged.pop(exp, None)
-        out = RootSum(self.order)
-        out.terms = merged
-        return out
+        return RootSum(self.order, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: RootSum) -> RootSum:
         return self + (-other)
@@ -87,31 +87,17 @@ class RootSum:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        out = RootSum(self.order)
-        table: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1 + e2) % self.order
-                new = table.get(exp, 0) + c1 * c2
-                if new:
-                    table[exp] = new
-                else:
-                    table.pop(exp, None)
-        out.terms = table
-        return out
+        return RootSum(self.order, (
+            (e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def scale(self, k: int) -> RootSum:
-        out = RootSum(self.order)
-        if k:
-            out.terms = {e: k * c for e, c in self.terms.items()}
-        return out
+        return RootSum(self.order, ((e, k * c) for e, c in self.terms.items()))
 
     def conjugate(self) -> RootSum:
-        out = RootSum(self.order)
-        out.terms = {(-e) % self.order: c for e, c in self.terms.items()}
-        return out
+        return RootSum(self.order, ((-e, c) for e, c in self.terms.items()))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -253,10 +239,3 @@ def integer_values(coeffs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     coords = power_basis_coordinates(coeffs, order)
     return coords[..., 0], ~(coords[..., 1:] != 0).any(axis=-1)
 
-
-@functools.cache
-def unit_roots(order: int) -> np.ndarray:
-    """W[e] = exp(2 pi i e / order), computed exactly as ``RootSum.eval_complex``
-    computes each term, so gathers from W reproduce its values bit for bit."""
-    step = 2j * cmath.pi / order
-    return read_only(np.array([cmath.exp(step * e) for e in range(order)], dtype=complex))

@@ -1,23 +1,29 @@
-"""Block multiplicities of the centralizer algebra, three independent ways.
+"""Block multiplicities of the centralizer algebra, and the evidence for them.
 
 The conjugation action of the group on itself has permutation character
 psi(g) = |C_G(g)|, counted at the class representatives.  Its decomposition
 psi = sum d_j chi_j gives the Wedderburn blocks M_{d_j} of the centralizer
-algebra (equal to the Terwilliger algebra here).  The three routes to the d_j:
+algebra (equal to the Terwilliger algebra here).  The d_j come three ways:
 
   * closed form by the divisibility pattern of the label vectors,
   * the plain character sum d_j = sum_k conj(chi_j(g_k)) over class reps,
-  * the inner product <psi, chi_j>.
+  * the inner product <psi, chi_j> = (1/|G|) sum_k |Cl_k| psi_k conj(chi_j(g_k)).
 
-Both sums are exact: the table's integer arrays are accumulated into one
-(l, M) block over the M-th roots of unity and reduced mod the cyclotomic
-polynomial (``cyclotomic.integer_values``), with no tolerance.
+The last two are not independent: |Cl_k| psi_k = |G| for every class, the
+orbit-stabilizer count that ``permutation_character`` checks class by class,
+makes the inner product the character sum term by term.  The independent
+evidence is the closed form, the character sum, that check, and the block
+dimensions below.
+
+Both sums are exact: ``CharacterTable.class_sums`` reduces them mod the
+cyclotomic polynomial, a block of rows at a time, with no tolerance.
 
 The primitive central idempotents e_j give a further oracle: the block
 T~ e_j has dimension d_j^2, a character sum over integer counts
-(``_block_trace_counts``).  Their relations e_j e_m = delta_jm e_j and
-sum e_j = I follow from the certificate of ``characters.verify_orthogonality``;
-``central_idempotent`` builds e_j as a dense matrix.
+(``_block_trace_counts``), through ``class_sums`` too.  Their relations
+e_j e_m = delta_jm e_j and sum e_j = I follow from the certificate of
+``characters.verify_orthogonality``; ``central_idempotent`` builds e_j as a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .characters import (
     character_table,
 )
 from .conjugacy import conjugacy_classes, rep_products, structure_tensor
-from .cyclotomic import integer_values, unit_roots
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
 from .groups import D2Group, conjugation_table
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
@@ -74,31 +79,20 @@ def permutation_character(group: D2Group) -> list[int]:
     return values.tolist()
 
 
-def _conjugate_sums(table: CharacterTable, weights: np.ndarray) -> np.ndarray:
-    """S[j, e]: the coefficient of z^e in sum over classes k and terms t of
-    weights[j, k, t] * conj(z^exponents[j, k, t]), an (l, M) int64 block."""
-    ell, order = len(table.labels), table.root_order
-    sums = np.zeros((ell, order), dtype=np.int64)
-    rows = np.broadcast_to(np.arange(ell)[:, None, None], table.exponents.shape)
-    np.add.at(sums, (rows, -table.exponents % order), weights)
-    return sums
-
-
-def _exact_integers(table: CharacterTable, sums: np.ndarray, what: str) -> np.ndarray:
-    """The rational-integer values of the rows of ``sums``; raises
-    NonIntegralMultiplicity, with the complex value, on the first row that
-    is not one."""
-    values, exact = integer_values(sums, table.root_order)
+def _exact_integers(table: CharacterTable, weights: np.ndarray, what: str) -> np.ndarray:
+    """The values sum_k weights[k] conj(chi_j(k)) of ``CharacterTable.class_sums``;
+    raises NonIntegralMultiplicity, naming the label, on the first that is
+    not a rational integer."""
+    values, exact = table.class_sums(weights)
     if not exact.all():
-        j = int(np.argmin(exact))
-        z = complex(sums[j] @ unit_roots(table.root_order))
-        raise NonIntegralMultiplicity(f"{what} {z} of {table.labels[j].describe()} is not an integer")
+        label = table.labels[int(np.argmin(exact))]
+        raise NonIntegralMultiplicity(f"{what} of {label.describe()} is not an integer")
     return values
 
 
 def multiplicities_char_sum(group: D2Group, table: CharacterTable) -> MultiplicityVector:
     """d_j = sum over class representatives of conj(chi_j), exactly."""
-    values = _exact_integers(table, _conjugate_sums(table, table.coefficients), "character sum")
+    values = _exact_integers(table, np.ones(len(table.classes), dtype=np.int64), "character sum")
     if (values < 0).any():
         raise NonIntegralMultiplicity(f"character sums {values.tolist()} include a negative one")
     return MultiplicityVector(labels=tuple(table.labels), values=tuple(values.tolist()))
@@ -107,10 +101,9 @@ def multiplicities_char_sum(group: D2Group, table: CharacterTable) -> Multiplici
 def multiplicities_inner_product(group: D2Group, table: CharacterTable) -> MultiplicityVector:
     """d_j = <psi, chi_j> with psi the conjugation permutation character:
     (1/|G|) sum_k |Cl_k| psi_k conj(chi_j(g_k)), exactly."""
-    class_weights = np.array(permutation_character(group), dtype=np.int64)
-    class_weights *= table.classes.sizes
-    weights = table.coefficients * class_weights[:, None]
-    totals = _exact_integers(table, _conjugate_sums(table, weights), "|G| <psi, chi>")
+    weights = np.array(permutation_character(group), dtype=np.int64)
+    weights *= table.classes.sizes
+    totals = _exact_integers(table, weights, "|G| <psi, chi>")
     values, rest = np.divmod(totals, group.order)
     if rest.any() or (values < 0).any():
         raise NonIntegralMultiplicity(
@@ -188,8 +181,7 @@ def verify_central_idempotents(
     l * |G| passes it reads, ``ENUMERATION_LIMIT``, as ``dim_centralizer``
     is, and not by the matrix guard."""
     check_guard(group.order, ENUMERATION_LIMIT, "the central idempotents")
-    weights = table.coefficients * _block_trace_counts(group)[:, None]
-    traces, exact = integer_values(_conjugate_sums(table, weights), table.root_order)
+    traces, exact = table.class_sums(_block_trace_counts(group))
     scaled = np.array(table.degrees) * traces  # |G| * dim(T~ e_j)
     targets = np.array(multiplicities.values) ** 2
     wrong = ~exact | (scaled != group.order * targets)
@@ -220,10 +212,12 @@ def _block_trace_counts(group: D2Group) -> np.ndarray:
     ell = len(classes)
     psi = group.order // np.array(classes.sizes, dtype=np.int64)
     codes, counts = structure_tensor(group)
-    k, ij = np.divmod(codes, ell * ell)
-    i, j = np.divmod(ij, ell)
     sums = np.zeros(ell, dtype=np.int64)
-    np.add.at(sums, k, counts * psi[i] * psi[j])
+    step = 1 << 13  # codes a chunk, so no temporary grows with dim T
+    for lo in range(0, len(codes), step):
+        k, ij = np.divmod(codes[lo:lo + step], ell * ell)
+        i, j = np.divmod(ij, ell)
+        np.add.at(sums, k, counts[lo:lo + step] * psi[i] * psi[j])
     sums *= classes.sizes
     traces, rest = np.divmod(sums, group.order)
     if rest.any():

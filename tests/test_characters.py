@@ -376,6 +376,20 @@ def test_certificate_names_an_off_identity_shift():
         verify_orthogonality(group, dataclasses.replace(table, exponents=exponents))
 
 
+def test_class_sums_match_the_complex_values_across_blocks():
+    # Dih(C256): l = 131 and M = 512 take two blocks of rows
+    group = dihedral([(2, 8)])
+    table = character_table(group)
+    mat = complex_values(table)
+    weights = np.random.default_rng(5).integers(-2, 3, size=len(table.labels))
+    for w in (np.ones_like(weights), weights):
+        values, exact = table.class_sums(w)
+        ref = mat.conj() @ w
+        assert exact.tolist() == np.isclose(ref, np.round(ref.real), atol=1e-6).tolist()
+        assert values[exact].tolist() == np.round(ref.real[exact]).astype(int).tolist()
+    assert 0 < exact.sum() < len(exact)
+
+
 def test_exports(d4):
     table = character_table(d4)
     text = table.to_text()

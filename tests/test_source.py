@@ -69,8 +69,9 @@ def test_only_the_command_line_reads_the_environment():
 
 
 def test_no_float_verdicts():
-    # every verdict is exact: no module defines a FLOAT_TOLERANCE, and the
-    # complex values (a complex_matrix, the unit roots) appear only in error text
+    # every verdict is exact: no module defines a FLOAT_TOLERANCE, and no
+    # function reads a complex_matrix or the unit roots, not even for an
+    # error message
     readers = {
         f"{path.name}:{func.name}"
         for path in SOURCES
@@ -82,7 +83,7 @@ def test_no_float_verdicts():
             for node in ast.walk(func)
         )
     }
-    assert readers == {"wedderburn.py:_exact_integers"}  # the complex value in its message
+    assert readers == set()
     tolerances = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -94,6 +95,19 @@ def test_no_float_verdicts():
         )
     ]
     assert not tolerances, f"FLOAT_TOLERANCE defined in the library: {tolerances}"
+
+
+def test_only_the_character_table_reads_its_arrays():
+    # the (l, l, 2) exponent and coefficient layout has one owner: other
+    # modules read the table through value, class_sums and the exports
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in SOURCES
+        if path.name != "characters.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("exponents", "coefficients")
+    ]
+    assert not found, f"table arrays read outside characters.py: {found}"
 
 
 def test_no_tolerance_parameters():

@@ -2,6 +2,7 @@
 central-idempotent oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,12 +149,28 @@ def test_nonintegral_multiplicity_detected(d4):
     exponents = table.exponents.copy()
     exponents[2, 1, 0] = 1  # one term moved to z_8, which is not rational
     corrupted = dataclasses.replace(table, exponents=exponents)
-    with pytest.raises(NonIntegralMultiplicity):
+    # the message names the label only, with no float value
+    with pytest.raises(NonIntegralMultiplicity, match=r"^character sum of chi\[1;1\] is not an int"):
         multiplicities_char_sum(d4, corrupted)
-    with pytest.raises(NonIntegralMultiplicity):
+    with pytest.raises(NonIntegralMultiplicity, match=r"^\|G\| <psi, chi> of chi\[1;1\] is not an"):
         multiplicities_inner_product(d4, corrupted)
     # the cached table is untouched
     assert multiplicities_char_sum(d4, table).values == multiplicities_closed_form(d4).values
+
+
+def test_character_sums_stay_below_one_dense_block():
+    # CharacterTable.class_sums reduces blocks of rows, so no (l, M) int64
+    # block of root coefficients is formed whole
+    group = dihedral([(2, 9)])  # Dih(C512), |G| = 1024, l = 259, M = 1024
+    table = character_table(group)
+    tracemalloc.start()
+    try:
+        vec = multiplicities_char_sum(group, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.values == multiplicities_closed_form(group).values
+    assert peak < len(table.labels) * table.root_order * 8
 
 
 def test_mismatch_detected_on_corrupted_table(d4, monkeypatch):
@@ -313,6 +330,20 @@ def test_block_trace_counts_equal_the_orbit_gather(s3, d4, q8, sd16):
     groups = (s3, d4, q8, sd16, dicyclic([(3, 1), (2, 2)], [0, 2]), g2_group(16, 7, 8), *seeded)
     for group in groups:
         assert np.array_equal(_block_trace_counts(group), orbit_block_trace_counts(group)), group.name
+
+
+def test_block_trace_counts_stay_below_the_structure_tensor():
+    # the constants are read in chunks: no temporary the size of all dim T
+    # codes, of which the whole decode took five
+    group = dihedral([(2, 9)])  # Dih(C512), |G| = 1024, dim T = 132616
+    codes, counts = structure_tensor(group)  # per-group artefacts, built before tracing
+    tracemalloc.start()
+    try:
+        _block_trace_counts(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < codes.nbytes + counts.nbytes
 
 
 def test_permutation_character_names_a_wrong_centralizer_order(monkeypatch):
