@@ -12,10 +12,8 @@ closed form downstream, so they are computed once and carried around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as _iterproduct
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -40,8 +38,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CyclicFactor:
+class CyclicFactor(NamedTuple):
     """One cyclic factor C_m with m = p^e."""
 
     p: int
@@ -49,16 +46,27 @@ class CyclicFactor:
     m: int
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    """Product of prime-power cyclic factors, even-prime factors first."""
+    """Product of prime-power cyclic factors, even-prime factors first.
 
-    factors: tuple[CyclicFactor, ...]
+    ``moduli``, the factor orders, is built once beside ``factors``;
+    equality, hashing and repr read ``factors`` alone.
+    """
 
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        # kept in the instance dict, which equality and hashing never read
-        return tuple(f.m for f in self.factors)
+    __slots__ = ("factors", "moduli")
+
+    def __init__(self, factors: tuple[CyclicFactor, ...]):
+        self.factors = factors
+        self.moduli = tuple(f.m for f in factors)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AbelianGroup) and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"AbelianGroup(factors={self.factors!r})"
 
     @property
     def lam(self) -> int:
@@ -142,8 +150,7 @@ def make_abelian(factor_list: Sequence[tuple[int, int]]) -> AbelianGroup:
     return group
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(NamedTuple):
     """Order-2 coordinate-diagonal automorphism t_i -> s_i * t_i mod m_i."""
 
     s: tuple[int, ...]
@@ -169,8 +176,7 @@ def make_involution(group: AbelianGroup, s_vector: Sequence[int]) -> Involution:
     return Involution(s=s, moduli=moduli)
 
 
-@dataclass(frozen=True)
-class FixedData:
+class FixedData(NamedTuple):
     """Per-factor gcd data for an involution: d_i = gcd(s_i - 1, m_i), n_i = m_i / d_i.
 
     The fixed subgroup consists of vectors with n_i | t_i (size d = prod d_i);

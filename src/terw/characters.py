@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes, s
 from .cyclotomic import RootSum, integer_values, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
+from .limits import ENUMERATION_LIMIT, check_guard
 
 
-@dataclass(frozen=True)
-class LinearLabel:
+class LinearLabel(NamedTuple):
     """One-dimensional character chi_{I,sign}; I_i is taken mod d_i."""
 
     i_vec: tuple[int, ...]
@@ -53,8 +53,7 @@ class LinearLabel:
         return f"chi[{','.join(map(str, self.i_vec))};{self.sign}]"
 
 
-@dataclass(frozen=True)
-class TwoDimLabel:
+class TwoDimLabel(NamedTuple):
     """Two-dimensional character phi_J; J is the orbit minimum of {J, J*s}."""
 
     j_vec: tuple[int, ...]
@@ -122,8 +121,7 @@ def char_value(group: D2Group, label: CharLabel, cls: ConjClass) -> RootSum:
     return RootSum.root(order, e1) + RootSum.root(order, e2)
 
 
-@dataclass(eq=False)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Rows are irreducible characters, columns are conjugacy classes.
 
     Entry (r, c) is the sum of coefficients[r, c, t] * z^exponents[r, c, t]
@@ -269,7 +267,12 @@ def character_table(group: D2Group) -> CharacterTable:
         coefficient +1 or -1 from the sign,
       * two-dimensional rows: (J * M/m) . t and (J * s * M/m) . t, with
         coefficient 0 on the coset classes.
+
+    Each product is written straight into its block of the two (l, l, 2)
+    arrays, which are allocated only after the check of
+    ``ENUMERATION_LIMIT``.
     """
+    check_guard(group.order, ENUMERATION_LIMIT, "the character table")
     classes = conjugacy_classes(group)
     labels = character_labels(group)
     ell = len(labels)
@@ -279,27 +282,26 @@ def character_table(group: D2Group) -> CharacterTable:
     d_vec = np.array(group.fixed.d_vec, dtype=np.int64)
     moduli = np.array(group.abelian.moduli, dtype=np.int64)
     reps = np.array([cls.rep[0] for cls in classes], dtype=np.int64).reshape(ell, -1)
-    coset = np.array([cls.kind == COSET for cls in classes])
-    # the label vectors are the representatives (see the module docstring):
-    # each coset one twice, for the signs +1 and -1, then each paired one
-    i_mat = np.repeat(reps[coset], 2, axis=0)
+    # the classes in A come first and the coset classes last, and the label
+    # vectors are the representatives (see the module docstring): each coset
+    # one twice, for the signs +1 and -1, then each paired one
+    cosets = sum(cls.kind == COSET for cls in classes)
+    a, b = slice(0, ell - cosets), slice(ell - cosets, ell)
+    i_mat = np.repeat(reps[b], 2, axis=0)
     j_mat = reps[np.array([cls.kind == PAIRED for cls in classes])]
-    signs = np.tile(np.array([1, -1], dtype=np.int64), len(i_mat) // 2)
+    lin, two = slice(0, 2 * cosets), slice(2 * cosets, ell)
 
     exponents = np.zeros((ell, ell, 2), dtype=np.int64)
     coefficients = np.zeros((ell, ell, 2), dtype=np.int64)
-    lin, two = slice(0, len(i_mat)), slice(len(i_mat), ell)
-    exponents[lin, :, 0] = np.where(
-        coset,
-        (i_mat * (order // (2 * d_vec))) @ (2 * reps + np.array(group.square)).T,
-        (i_mat * (order // d_vec)) @ reps.T,
-    )
-    coefficients[lin, :, 0] = np.where(coset, signs[:, None], 1)
+    np.matmul(i_mat * (order // d_vec), reps[a].T, out=exponents[lin, a, 0])
+    np.matmul(i_mat * (order // (2 * d_vec)), (2 * reps[b] + group.square).T,
+              out=exponents[lin, b, 0])
+    coefficients[lin, a, 0] = 1
+    coefficients[lin, b, 0] = np.tile([[1], [-1]], (cosets, 1))
     step = order // moduli
-    s_vec = np.array(group.twist.s, dtype=np.int64)
-    exponents[two, :, 0] = np.where(coset, 0, (j_mat * step) @ reps.T)
-    exponents[two, :, 1] = np.where(coset, 0, (j_mat * s_vec * step) @ reps.T)
-    coefficients[two] = np.where(coset, 0, 1)[:, None]
+    np.matmul(j_mat * step, reps[a].T, out=exponents[two, a, 0])
+    np.matmul(j_mat * (np.array(group.twist.s) * step), reps[a].T, out=exponents[two, a, 1])
+    coefficients[two, a] = 1
     exponents %= order
     table = CharacterTable(
         group.order, order, classes, labels, read_only(exponents), read_only(coefficients)

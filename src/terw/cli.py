@@ -28,8 +28,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .characters import character_table, elem_json, verify_orthogonality
 from .conjugacy import conjugacy_classes, conjugacy_classes_bruteforce
@@ -43,7 +42,7 @@ from .errors import (
 from .groups import D2Group, dicyclic, dihedral, g2_group, general
 from .limits import DEFAULT_MATRIX_GUARD, MIN_GUARD
 from .scheme import dump_matrices, is_triply_transitive, verify_scheme_axioms
-from .wedderburn import MultiplicityVector, verify_central_idempotents, wedderburn_report
+from .wedderburn import verify_central_idempotents, wedderburn_report
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 1
@@ -76,8 +75,7 @@ def _factor_pairs(value: Any, name: str) -> list[list[int]]:
     return [_integers(f, name) for f in value]
 
 
-@dataclass
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Parsed description of one group instance."""
 
     kind: str
@@ -88,12 +86,12 @@ class GroupSpec:
     t: int | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
     @staticmethod
     def from_dict(data: dict) -> "GroupSpec":
         kind = data.get("kind")
-        if kind not in KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise InvalidGroupError(f"unknown kind {kind!r}")
         shapes = {
             "factors": _factor_pairs,
@@ -447,8 +445,8 @@ def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
     checks.run("dimensions", _dimensions_agree, group, args, {})
     report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:
-        inner = MultiplicityVector(report.labels, report.inner_product)
-        checks.run("central_idempotents", verify_central_idempotents, group, table, inner)
+        checks.run("central_idempotents", verify_central_idempotents, group, table,
+                   report.inner_product)
     head = _head(spec, group)
     if checks.failed:
         return _mismatch(head, checks, args)

@@ -34,8 +34,7 @@ of ``groups.translations``.  Both are built with ``group.mul`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -52,27 +51,29 @@ PAIRED: Kind = "paired"
 COSET: Kind = "coset"
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     kind: Kind
     rep: D2Elem
     size: int
     index: int
 
 
-@dataclass(frozen=True)
 class ClassList:
     """All conjugacy classes of a group, in the order of ``class_list``.
 
     ``labels`` is the class index of every element, by element index, and
     ``reps`` the element index of every class representative, by class
-    index; both are read-only.  The group is not kept, because the group
-    keeps the list.
+    index; both are read-only.  Equality reads ``classes`` alone.
+    The group is not kept, because the group keeps the list.
     """
 
-    classes: tuple[ConjClass, ...]
-    labels: np.ndarray = field(repr=False, compare=False)
-    reps: np.ndarray = field(repr=False, compare=False)
+    __slots__ = ("classes", "labels", "reps")
+
+    def __init__(self, classes: tuple[ConjClass, ...], labels: np.ndarray, reps: np.ndarray):
+        self.classes, self.labels, self.reps = classes, labels, reps
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ClassList) and self.classes == other.classes
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -4,8 +4,9 @@ Explicit-matrix paths (adjacency matrices, algebra closure, idempotents),
 quadratic or worse in the group order, and the brute-force class oracle they
 run beside (k * |G| conjugations) are gated behind ``DEFAULT_MATRIX_GUARD``.
 ``dims`` and ``wedderburn`` check ``ENUMERATION_LIMIT`` before building anything,
-and the block-dimension check of the central idempotents, which forms no
-|G| x |G| array, checks it in place of the matrix guard.
+and so does ``character_table``, before its two (l, l, 2) arrays; the
+block-dimension check of the central idempotents, which forms no |G| x |G|
+array, checks it in place of the matrix guard.
 """
 
 from .errors import GuardExceededError

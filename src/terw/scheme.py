@@ -35,7 +35,7 @@ representative, so the pairs (rep_i, v) over all v already give every triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,20 +62,15 @@ def dual_idempotents(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> list[
     return [np.diag((classes.labels == i).astype(np.int64)) for i in range(len(classes))]
 
 
-@dataclass(frozen=True)
-class SchemeAxiomReport:
-    transpose_pairing: tuple[int, ...]
-    class_count: int
-
-
-def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> SchemeAxiomReport:
+def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> tuple[int, ...]:
     """Check the four defining identities of the scheme matrices on row e,
     column e and one column per class (see the module docstring): (i)
     N_0 = I, (ii) sum N_i = J, (iii) each transpose is again a scheme
     matrix, (iv) N_i N_j = sum_k p_ij^k N_k with the constants of
     ``structure_tensor``.  Raises AxiomFailure naming the first violated
     clause.  The matrices are read as the class-index table D, D[u, v] = i
-    iff N_i(u, v) = 1, for which (ii) holds by construction.
+    iff N_i(u, v) = 1, for which (ii) holds by construction.  Returns the
+    transpose pairing: entry i is the j with N_i^T = N_j, one per class.
     """
     order = group.order
     check_guard(order, guard, "the scheme axioms")
@@ -127,7 +122,7 @@ def verify_scheme_axioms(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> S
             "(iv)", f"N_{a} N_{b} differs from its structure-constant expansion"
         )
 
-    return SchemeAxiomReport(transpose_pairing=tuple(pairing.tolist()), class_count=ell)
+    return tuple(pairing.tolist())
 
 
 def dump_matrices(group: D2Group, guard: int = DEFAULT_MATRIX_GUARD) -> str:
@@ -198,8 +193,7 @@ def dim_closed_form(group: D2Group) -> int:
     return total // 2
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """The four dimension computations and the resulting verdict."""
 
     dim_t0: int

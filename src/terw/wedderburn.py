@@ -28,7 +28,7 @@ dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 from .scheme import dim_centralizer
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(NamedTuple):
     """Per-character block multiplicities, in table row order."""
 
     labels: tuple[CharLabel, ...]
@@ -161,29 +160,20 @@ def central_idempotent(
     return e.reshape(order, order) * (deg / order)
 
 
-@dataclass(frozen=True)
-class IdempotentReport:
-    """The multiplicities d_j and the block dimensions d_j^2 they were checked against."""
-
-    multiplicities: tuple[int, ...]
-    block_dims: tuple[int, ...]
-
-
 def verify_central_idempotents(
-    group: D2Group,
-    table: CharacterTable,
-    multiplicities: MultiplicityVector,
-) -> IdempotentReport:
-    """Check dim(T~ e_j) = d_j^2 for e_j the image of (deg_j / |G|) sum_g
-    conj(chi_j(g)) g: deg_j * T_j = |G| * d_j^2 exactly, with T_j = sum_k
-    conj(chi_j(k)) K[k] for the counts K of ``_block_trace_counts``.  It
-    forms no |G| x |G| or l^3 array, so it is guarded by the limit of the
-    l * |G| passes it reads, ``ENUMERATION_LIMIT``, as ``dim_centralizer``
-    is, and not by the matrix guard."""
+    group: D2Group, table: CharacterTable, values: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Check dim(T~ e_j) = d_j^2, given the multiplicities d_j in table row
+    order, for e_j the image of (deg_j / |G|) sum_g conj(chi_j(g)) g:
+    deg_j * T_j = |G| * d_j^2 exactly, with T_j = sum_k conj(chi_j(k)) K[k]
+    for the counts K of ``_block_trace_counts``; return the block dimensions
+    d_j^2.  It forms no |G| x |G| or l^3 array, so it is guarded by the
+    limit of the l * |G| passes it reads, ``ENUMERATION_LIMIT``, as
+    ``dim_centralizer`` is, and not by the matrix guard."""
     check_guard(group.order, ENUMERATION_LIMIT, "the central idempotents")
     traces, exact = table.class_sums(_block_trace_counts(group))
     scaled = np.array(table.degrees) * traces  # |G| * dim(T~ e_j)
-    targets = np.array(multiplicities.values) ** 2
+    targets = np.array(values) ** 2
     wrong = ~exact | (scaled != group.order * targets)
     if wrong.any():
         j = int(np.argmax(wrong))
@@ -192,7 +182,7 @@ def verify_central_idempotents(
         dim = f"{scaled[j]}/{group.order}" if scaled[j] % group.order else scaled[j] // group.order
         raise IdempotencyFailure(f"block of e_{j} has dimension {dim}, expected {targets[j]}")
 
-    return IdempotentReport(multiplicities.values, tuple(targets.tolist()))
+    return tuple(targets.tolist())
 
 
 def _block_trace_counts(group: D2Group) -> np.ndarray:
@@ -231,8 +221,7 @@ def _block_trace_counts(group: D2Group) -> np.ndarray:
 # -- combined report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WedderburnReport:
+class WedderburnReport(NamedTuple):
     group_name: str
     order: int
     labels: tuple[CharLabel, ...]

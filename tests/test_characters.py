@@ -1,9 +1,9 @@
 """Character tables: counts, known tables, homomorphism and class-constancy
 properties, orthogonality, and the fault-injection path."""
 
-import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import terw.characters
 from terw import (
     CharacterTableFailure,
     D2Group,
+    GuardExceededError,
     LinearLabel,
     OrthogonalityFailure,
     RootSum,
@@ -41,7 +42,7 @@ from terw import (
     verify_orthogonality,
 )
 from terw.abelian import AbelianGroup, square_roots_of_unity
-from terw.cli import GroupSpec, main
+from terw.cli import EXIT_GUARD, GroupSpec, main
 from terw.conjugacy import COSET, PAIRED, ClassList
 from terw.instances import (
     abelian_factorizations,
@@ -259,7 +260,7 @@ def sign_swapped(table):
     linear = np.array([isinstance(label, LinearLabel) for label in table.labels])
     coefficients = table.coefficients.copy()
     coefficients[np.ix_(linear, coset)] *= -1
-    return dataclasses.replace(table, coefficients=coefficients)
+    return table._replace(coefficients=coefficients)
 
 
 def exact_rows(table):
@@ -310,16 +311,14 @@ def test_orthogonality_passes(s3, d4, q8, sd16):
 
 
 def with_rows(table, rows):
-    return dataclasses.replace(
-        table, exponents=table.exponents[rows], coefficients=table.coefficients[rows]
-    )
+    return table._replace(exponents=table.exponents[rows], coefficients=table.coefficients[rows])
 
 
 def test_orthogonality_detects_corruption(d4):
     table = character_table(d4)
     coefficients = table.coefficients.copy()
     coefficients[1, 2] *= -1  # flip one sign of a linear row
-    corrupted = dataclasses.replace(table, coefficients=coefficients)
+    corrupted = table._replace(coefficients=coefficients)
     with pytest.raises(
         OrthogonalityFailure, match=r"^character certificate failed for row 1 chi\[0;2\]: \(a\) "
     ):
@@ -336,7 +335,7 @@ def test_certificate_names_a_doubled_and_a_duplicated_row(sd16):
         match=r"^character certificate failed for row 0 chi\[0;1\]: "
         r"\(c\) sum_k \|Cl_k\| \|chi\(k\)\|\^2 != \|G\|$",
     ):
-        verify_orthogonality(sd16, dataclasses.replace(table, coefficients=doubled))
+        verify_orthogonality(sd16, table._replace(coefficients=doubled))
     # row 1 a copy of row 0: a real character, so only (b) sees it
     copied = with_rows(table, [0, 0, *range(2, len(table.labels))])
     with pytest.raises(
@@ -373,7 +372,7 @@ def test_certificate_names_an_off_identity_shift():
         match=r"^character certificate failed for row 2 chi\[1;1\]: "
         r"\(a\) omega is not multiplicative at s = 1, b = 5$",
     ):
-        verify_orthogonality(group, dataclasses.replace(table, exponents=exponents))
+        verify_orthogonality(group, table._replace(exponents=exponents))
 
 
 def test_class_sums_match_the_complex_values_across_blocks():
@@ -388,6 +387,33 @@ def test_class_sums_match_the_complex_values_across_blocks():
         assert exact.tolist() == np.isclose(ref, np.round(ref.real), atol=1e-6).tolist()
         assert values[exact].tolist() == np.round(ref.real[exact]).astype(int).tolist()
     assert 0 < exact.sum() < len(exact)
+
+
+def test_table_peaks_at_what_it_keeps():
+    # each integer product is written straight into its block of the two
+    # kept (l, l, 2) arrays: no (l, l) temporary is formed beside them
+    group = dihedral([(2, 9)])  # Dih(C512), |G| = 1024, l = 259
+    character_labels(group)  # per-group artefacts, built before tracing
+    tracemalloc.start()
+    try:
+        table = character_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = table.exponents.nbytes + table.coefficients.nbytes
+    assert peak <= kept + len(table.labels) ** 2 * 8
+
+
+def test_table_checks_the_enumeration_limit_before_any_work(monkeypatch, capsys):
+    # two (l, l, 2) int64 arrays are 2.15 GB at Dih(C16384), l = 8195
+    group = dihedral([(2, 6)])  # fresh, so that nothing is built yet
+    monkeypatch.setattr(terw.characters, "ENUMERATION_LIMIT", 127)
+    with pytest.raises(GuardExceededError, match="^group order 128 exceeds guard 127 for the char"):
+        character_table(group)
+    assert not group._memo  # not even the classes
+    assert main(["chartable", "--kind", "dihedral", "--factors", "2^6"]) == EXIT_GUARD
+    err = "error: group order 128 exceeds guard 127 for the character table\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_exports(d4):

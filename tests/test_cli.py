@@ -1,7 +1,6 @@
 """Command-line interface: spec parsing, formats, exit codes, round-trips."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -394,11 +393,20 @@ def test_fields_the_kind_does_not_take_are_rejected(tmp_path, capsys, spec, mess
             text = json.dumps(value) if isinstance(value, list) else str(value)
             flags += [f"--{key}", text]
     runs = [["--spec", str(spec_file)]]
-    if spec.keys() <= {f.name for f in dataclasses.fields(GroupSpec)}:
+    if spec.keys() <= set(GroupSpec._fields):
         runs.append(flags)  # a key that is no field has no flag
     for argv in runs:
         code, out, err = run_cli(capsys, "info", *argv, "--format", "json")
         assert (code, out, err) == (EXIT_INVALID_SPEC, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("kind", [["dihedral"], {"dihedral": 1}, 3])
+def test_a_kind_that_is_no_name_is_an_unknown_kind(tmp_path, capsys, kind):
+    # no --kind flag, so the file's kind is read: an unhashable one too
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": kind, "factors": [[3, 1]]}))
+    code, out, err = run_cli(capsys, "info", "--spec", str(spec_file))
+    assert (code, out, err) == (EXIT_INVALID_SPEC, "", f"error: unknown kind {kind!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -438,7 +446,7 @@ def test_dims_mismatch_names_the_check(capsys, monkeypatch):
 
     def off_by_one(*args, **kwargs):
         report = real(*args, **kwargs)
-        return dataclasses.replace(report, dim_centralizer=report.dim_centralizer + 1)
+        return report._replace(dim_centralizer=report.dim_centralizer + 1)
 
     monkeypatch.setattr(cli, "is_triply_transitive", off_by_one)
     code, out, _ = run_cli(capsys, "dims", *S3)
@@ -531,7 +539,7 @@ def test_a_wrong_class_size_is_a_mismatch(capsys, monkeypatch):
 
     def one_size_wrong(group):
         classes = real(group)
-        wrong = dataclasses.replace(classes[2], size=3)
+        wrong = classes[2]._replace(size=3)
         return ClassList((*classes[:2], wrong, *classes[3:]), classes.labels, classes.reps)
 
     monkeypatch.setattr(terw.conjugacy.conjugacy_classes, "__wrapped__", one_size_wrong)

@@ -80,10 +80,9 @@ def test_row_sums_equal_class_sizes(s3, d4):
 
 def test_axioms_pass(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
-        report = verify_scheme_axioms(group)
-        assert report.class_count == len(conjugacy_classes(group))
+        pairing = verify_scheme_axioms(group)
+        assert len(pairing) == len(conjugacy_classes(group))
         # transpose pairing is an involution on indices
-        pairing = report.transpose_pairing
         assert sorted(pairing) == list(range(len(pairing)))
         for i, j in enumerate(pairing):
             assert pairing[j] == i
@@ -131,15 +130,15 @@ def test_axiom_iv_detects_swapped_rows(q8):
 
 def test_axioms_agree_with_dense_reference(s3, d4, q8, sd16):
     for group in [s3, d4, q8, sd16, *SEEDED]:
-        report = verify_scheme_axioms(group)
-        assert (report.transpose_pairing, report.class_count) == dense_scheme_axioms(group)
+        pairing = verify_scheme_axioms(group)
+        assert (pairing, len(pairing)) == dense_scheme_axioms(group)
 
 
 def test_axioms_agree_with_the_all_rows_reference(s3, d4, q8, sd16):
     for group in [s3, d4, q8, sd16, *SEEDED, dihedral([(2, 7)])]:
-        report = verify_scheme_axioms(group, guard=256)
+        pairing = verify_scheme_axioms(group, guard=256)
         want = all_rows_scheme_axioms(group, class_index_table(group))
-        assert (report.transpose_pairing, report.class_count) == want
+        assert (pairing, len(pairing)) == want
 
 
 def _swap_identity(table):
@@ -245,7 +244,7 @@ def test_axiom_iv_reads_a_column_in_every_class_of_the_group(build, rejections):
         group._memo[conjugacy_classes.__wrapped__] = class_list(group, merged)
         want = _outcome(all_rows_scheme_axioms, group, class_index_table(group))
         got = _outcome(verify_scheme_axioms, group)
-        assert got == want or (got.transpose_pairing, got.class_count) == want, (a, b)
+        assert got == want or (got, len(got)) == want, (a, b)
         rejected += isinstance(want, str)
         if group.name == "Dih(C8)" and (a, b) == (4, 1):
             # class 2, {a, a^7}, joins class 1, {a^4}, and keeps its representative
@@ -282,7 +281,7 @@ def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
     rho, iota = translations.__wrapped__(sd16)  # built afresh, under the patch
     assert np.array_equal(rho, mult[:, gens].T) and np.array_equal(iota, inv)
     assert np.array_equal(translations(sd16)[0], rho)
-    assert verify_scheme_axioms(sd16).class_count == len(conjugacy_classes(sd16))
+    assert len(verify_scheme_axioms(sd16)) == len(conjugacy_classes(sd16))
 
 
 def test_structure_tensor_is_the_dense_reference_as_sparse_pairs(s3, d4, q8, sd16):

@@ -32,6 +32,19 @@ def test_no_fractions_import():
     assert not found, f"fractions imported in the library: {found}"
 
 
+def test_no_dataclasses_import():
+    # records are NamedTuples or classes with slots: generating a dataclass's
+    # methods costs each import of terw about ten times as much
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert not found, f"dataclasses imported in the library: {found}"
+
+
 def test_integrality_is_decided_without_a_tolerance():
     # RootSum.is_integer is exact and takes no tolerance, and the old
     # "empty term table" test is spelled ``not v``

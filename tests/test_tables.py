@@ -353,7 +353,7 @@ def test_central_idempotents_build_no_tables(builds):
     # so neither the multiplication table nor the representative rows are built
     group = dicyclic([(3, 1), (2, 3)], [0, 4])  # fresh, so that nothing is built yet
     table = character_table(group)
-    verify_central_idempotents(group, table, multiplicities_closed_form(group))
+    verify_central_idempotents(group, table, multiplicities_closed_form(group).values)
     assert builds["_square_tables"] == builds["rep_products"] == builds["index_tables_part"] == 0
 
 
@@ -388,7 +388,7 @@ def test_character_checks_stay_below_an_l_cubed_array():
     tracemalloc.start()
     try:
         verify_orthogonality(group, table)
-        verify_central_idempotents(group, table, vec)
+        verify_central_idempotents(group, table, vec.values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -409,7 +409,7 @@ def test_oracle_checks_stay_below_a_dense_stack():
         verify_scheme_axioms(group, guard=128)
         axioms_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        verify_central_idempotents(group, table, vec)
+        verify_central_idempotents(group, table, vec.values)
         idempotents_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
