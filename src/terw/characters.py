@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes, structure_tensor
-from .cyclotomic import RootSum, integer_values, reduced_sums
+from .cyclotomic import RootSum, coordinate_bound, embedding, integer_values, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
 from .limits import ENUMERATION_LIMIT, check_guard
@@ -313,22 +313,134 @@ def character_table(group: D2Group) -> CharacterTable:
 
 
 def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ...]:
-    """Certify exactly, in Z[z_M] by ``cyclotomic.reduced_sums``, that the
-    rows are the l irreducible characters, each once; return the classes S
-    read.  With omega_j(K_k) = |Cl_k| chi_j(k) / chi_j(1) and p the constants
-    of ``structure_tensor``: (b) the rows differ on S, chosen from the classes
-    smallest first, each when it splits rows still tied (Dixon, Numer. Math.
-    10, 1967); (c) sum_k |Cl_k| |chi_j(k)|^2 = |G|; (0) chi_j(1), at class 0,
-    is the degree of label j; (a) |Cl_s||Cl_b| chi_j(s) chi_j(b) = chi_j(1)
-    sum_c p_sb^c |Cl_c| chi_j(c) for s in S and every class b.  The x in
-    Z(CG) with omega_j(xy) = omega_j(x) omega_j(y) for all y form a
-    subalgebra, so by (a) omega_j is multiplicative on the algebra generated
-    by S, which is Z(CG) by (b) and Dedekind's independence of characters:
-    the omega_j are the l central characters (Isaacs, Character Theory of
-    Finite Groups, 1976, ch. 2).  Each row is then a positive multiple of an
-    irreducible character, 1 by (c), and both orthogonality relations,
-    e_j e_m = delta_jm e_j and sum_j e_j = 1 follow as theorems, with no float
-    read.  A failure names two equal rows for (b), else the first failing row."""
+    """Certify exactly that the rows are the l irreducible characters, each
+    once; return the classes S read.  With omega_j(K_k) = |Cl_k| chi_j(k) /
+    chi_j(1) and p_sb^c the constants of ``structure_tensor``: (b) the rows
+    differ on S, chosen from the classes smallest first, each when it splits
+    rows still tied (Dixon, Numer. Math. 10, 1967); (c) sum_k |Cl_k|
+    |chi_j(k)|^2 = |G|; (0) chi_j(1), at class 0, is the degree of label j;
+    (a) |Cl_s||Cl_b| chi_j(s) chi_j(b) = chi_j(1) sum_c p_sb^c |Cl_c|
+    chi_j(c) for s in S and every class b.  The x in Z(CG) with omega_j(xy)
+    = omega_j(x) omega_j(y) for all y form a subalgebra, so by (a) omega_j
+    is multiplicative on the algebra generated by S, which is Z(CG) by (b)
+    and Dedekind's independence of characters: the omega_j are the l central
+    characters (Isaacs, Character Theory of Finite Groups, 1976, ch. 2).
+    Each row is then a positive multiple of an irreducible character, 1 by
+    (c), and both orthogonality relations, e_j e_m = delta_jm e_j and sum_j
+    e_j = 1 follow as theorems, with no float read.
+
+    The clauses are first checked in F_p under one embedding ev: Z[z_M] ->
+    F_p, z -> omega, with p = 1 (mod M) prime and omega of order M
+    (``cyclotomic.embedding``); the kernel of ev is a prime P over p.  A
+    clause is an element x_j of Z[z_M] built from row j, its conjugate and
+    rational constants (class sizes, p_sb^c, |G|, the degree), and each of
+    its power-basis coordinates is at most ``_clause_bound`` in absolute
+    value.  For each generator i of the units mod M, sigma_i (z -> z^i)
+    must carry every row j exactly onto a row pi_i(j) of the same degree:
+    the exponents times i, -z^e written z^(e + M/2) when M is even and each
+    entry's two terms sorted, equal the table's row raw.  sigma_i fixes the
+    constants and commutes with conjugation, so sigma_i x_j = x_pi_i(j),
+    and by composition the rows are closed under every sigma_u.  So
+    ev(sigma_u x_j) = ev(x_pi_u(j)) = 0 for every unit u once every row
+    passes under ev, and x_j lies in the intersection of the sigma_u^-1 P,
+    which is pZ[z_M] as p does not divide M: every coordinate is divisible
+    by p, and below p/2 in absolute value, so x_j = 0.  This holds for (c),
+    (0) and (a) alike.  (b) needs neither: different residues are different
+    values, and the residues pick the same S as the values unless two of
+    them collide.
+
+    Whatever the residues cannot certify goes to ``_exact_certificate``,
+    which reduces every clause in Z[z_M] by ``cyclotomic.reduced_sums`` and
+    decides the result: a nonzero residue, two rows equal on every class, an
+    image row with no raw match, or a bound at or above p/2.  A failure
+    names two equal rows for (b), else the first failing row."""
+    chosen = _modular_certificate(group, table)
+    return _exact_certificate(group, table) if chosen is None else chosen
+
+
+def _clause_bound(table: CharacterTable) -> int:
+    """A bound on every power-basis coordinate of every clause: each clause
+    is a sum of terms c z^e with sum |c| at most 8 |Cl_s| |Cl_b| c_max^2 <=
+    2 |G|^2 c_max^2, for c_max the table's largest |coefficient|, and each
+    z^e has coordinates at most ``cyclotomic.coordinate_bound``."""
+    c_max = int(np.abs(table.coefficients).max())
+    return 2 * table.order**2 * c_max**2 * coordinate_bound(table.root_order)
+
+
+def _modular_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...] | None:
+    """S when every clause of ``verify_orthogonality`` holds under ev and the
+    rows are closed under the Galois action, else None.  A residue is below
+    p < 2^31, and the bound keeps |G| c_max below 2^15, so every product and
+    sum below fits int64."""
+    ell, order = len(table.labels), table.root_order
+    p, powers, units = embedding(order)
+    if 2 * _clause_bound(table) >= p:
+        return None
+    exps, coeffs = table.exponents, table.coefficients
+    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
+    terms, conj = coeffs * powers[exps], coeffs * powers[order - exps]
+    res = (terms[..., 0] + terms[..., 1]) % p
+    conj = (conj[..., 0] + conj[..., 1]) % p
+    if (res[:, 0] != degrees).any() or ((res * conj % p) @ sizes % p != group.order % p).any():
+        return None
+    # (b) on chi_j(k) lcm(deg) / deg_j, as for the exact forms
+    by_size = np.argsort(sizes, kind="stable")
+    scaled = np.take(res, by_size, axis=1) * (np.lcm.reduce(degrees) // degrees)[:, None] % p
+    o = scaled.view(np.dtype((np.void, scaled.itemsize * ell))).ravel().argsort()
+    equal = scaled[o[1:]] == scaled[o[:-1]]
+    first = np.argmin(equal, axis=1)
+    if equal[np.arange(ell - 1), first].any():
+        return None
+    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]]
+
+    # (a) with y = |Cl_b| chi_j(b): y_s y_b = deg_j sum_c p_sb^c y_c, the constants p_sb^c of
+    # s = S[t] summed into key t l + b; the sum over c is below 2^31 |Cl_s| |Cl_b|
+    n = len(chosen) * ell
+    keys = np.full((ell, ell), -1)
+    keys[chosen] = np.arange(n).reshape(-1, ell)
+    codes, counts = structure_tensor(group)
+    c, sb = np.divmod(codes, ell * ell)
+    key = keys.ravel()[sb]
+    pick = key >= 0
+    key, c, count = key[pick, None], c[pick], counts[pick, None]
+    y = res * sizes % p
+    step = max(1, (1 << 18) // (len(c) + n))
+    for lo in range(0, ell, step):
+        yb = y[lo:lo + step]
+        sums = np.zeros(len(yb) * n, dtype=np.int64)
+        np.add.at(sums, key + n * np.arange(len(yb)), yb.T[c] * count)
+        rhs = sums.reshape(len(yb), -1, ell) * degrees[lo:lo + step, None, None]
+        if ((yb[:, chosen, None] * yb[:, None, :] - rhs) % p).any():
+            return None
+
+    # the Galois closure, on one code per entry: its two terms, each e (2 c_max + 1) + c + c_max
+    # with -z^e as z^(e + M/2) for even M and an absent term as (0, 0), min and max
+    e, c, every = exps, coeffs, np.arange(order)
+    if order % 2 == 0:
+        e, c = np.where(c < 0, ((every + order // 2) % order)[e], e), np.abs(c)
+    c_max = int(np.abs(c).max())
+    e, shift = np.where(c == 0, 0, e), c + c_max
+
+    def entry_codes(e: np.ndarray) -> np.ndarray:
+        terms = e * (2 * c_max + 1) + shift
+        lo, hi = np.minimum(terms[..., 0], terms[..., 1]), np.maximum(terms[..., 0], terms[..., 1])
+        return lo * (order * (2 * c_max + 1)) + hi
+
+    # a row is found by its degree and its codes on S, which tell the rows apart by (b)
+    table_codes, deg = entry_codes(e), table.degrees
+    row_of = {k: m for m, k in enumerate(zip(deg, *table_codes[:, chosen].T.tolist()))}
+    for u in units:
+        image = entry_codes((every * u % order)[e])
+        pi = [row_of.get(k, -1) for k in zip(deg, *image[:, chosen].T.tolist())]
+        if -1 in pi or (image != table_codes[pi]).any():
+            return None
+    return tuple(chosen.tolist())
+
+
+def _exact_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...]:
+    """The clauses of ``verify_orthogonality`` reduced in Z[z_M] by
+    ``cyclotomic.reduced_sums``, every row and every clause; return S or
+    raise ``OrthogonalityFailure`` for the first failing row."""
     ell, order = len(table.labels), table.root_order
     exps, coeffs = table.exponents, table.coefficients
     sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)

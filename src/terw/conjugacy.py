@@ -232,7 +232,16 @@ def class_index_table(group: D2Group) -> np.ndarray:
 def rep_products(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (rows, orders): the int32 (l, |G|) rows[k, v], the index of
     r_k * v for the class representatives r_k, and |C_G(r_k)| = #{v : r_k v
-    = v r_k}, from ``index_tables`` over the r_k and G on either side."""
+    = v r_k}, from ``index_tables`` over the r_k and G on either side.  The
+    representatives go in blocks of about 2^17 products, so that beside the
+    kept rows only one block of rows and of columns v r_k is alive."""
     reps = conjugacy_classes(group).reps
-    rows, cols = index_tables(group, reps, None), index_tables(group, None, reps)
-    return rows, read_only(np.count_nonzero(rows == cols.T, axis=1))
+    rows = np.empty((len(reps), group.order), dtype=np.int32)
+    orders = np.empty(len(reps), dtype=np.int64)
+    step = max(1, (1 << 17) // group.order)
+    for lo in range(0, len(reps), step):
+        block = reps[lo:lo + step]  # the classes in A come first, so a block lists them first
+        rows[lo:lo + step] = index_tables(group, block, None)
+        cols = index_tables(group, None, block)
+        orders[lo:lo + step] = np.count_nonzero(rows[lo:lo + step] == cols.T, axis=1)
+    return read_only(rows), read_only(orders)

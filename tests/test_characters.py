@@ -42,6 +42,7 @@ from terw import (
     verify_orthogonality,
 )
 from terw.abelian import AbelianGroup, square_roots_of_unity
+from terw.characters import _clause_bound, _exact_certificate, _modular_certificate
 from terw.cli import EXIT_GUARD, GroupSpec, main
 from terw.conjugacy import COSET, PAIRED, ClassList
 from terw.instances import (
@@ -373,6 +374,116 @@ def test_certificate_names_an_off_identity_shift():
         r"\(a\) omega is not multiplicative at s = 1, b = 5$",
     ):
         verify_orthogonality(group, table._replace(exponents=exponents))
+
+
+def _no_exact_reduction(*_):
+    raise AssertionError("the exact certificate ran")
+
+
+def test_modular_certificate_decides_every_real_table(s3, d4, q8, sd16, monkeypatch):
+    # the groups of test_orthogonality_passes pass in F_p alone, and the
+    # classes S read are those of the exact certificate
+    dic_c3_c4 = dicyclic([(3, 1), (2, 2)], [0, 2])
+    groups = [s3, d4, q8, sd16, dic_c3_c4, g2_group(16, 7, 8),
+              *random_general_instances(8, 256, seed=2701)]
+    exact = [_exact_certificate(group, character_table(group)) for group in groups]
+    monkeypatch.setattr(terw.characters, "reduced_sums", _no_exact_reduction)
+    for group, chosen in zip(groups, exact):
+        assert verify_orthogonality(group, character_table(group)) == chosen, group.name
+
+
+def test_verify_makes_no_exact_reduction(monkeypatch, capsys):
+    monkeypatch.setattr(terw.characters, "reduced_sums", _no_exact_reduction)
+    assert main(["verify", "--kind", "dihedral", "--factors", "2^5", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"check": "orthogonality", "ok": True} in checks
+
+
+def _counted_reductions(monkeypatch) -> list:
+    calls = []
+    reduce = terw.characters.reduced_sums
+    monkeypatch.setattr(terw.characters, "reduced_sums",
+                        lambda *args: calls.append(1) or reduce(*args))
+    return calls
+
+
+def test_a_prime_below_the_bound_hands_over_to_the_exact_certificate(monkeypatch):
+    # p = 17 for M = 16 on Dih(C8): the bound 2 |G|^2 = 512 is above p/2, so
+    # the exact routine decides.  17 added to a coefficient of the trivial row
+    # keeps every residue and the row Galois-fixed: without the bound the
+    # residues would pass that table
+    group = dihedral([(2, 3)])
+    table = character_table(group)
+    assert table.root_order == 16
+    embedding = terw.characters.embedding
+    small = (17, np.array([pow(3, e, 17) for e in range(17)]), embedding(16)[2])  # 3 has order 16
+    monkeypatch.setattr(terw.characters, "embedding",
+                        lambda order: small if order == 16 else embedding(order))
+    calls = _counted_reductions(monkeypatch)
+    assert verify_orthogonality(group, table) == _exact_certificate(group, table)
+    assert calls and _modular_certificate(group, table) is None
+
+    coefficients = table.coefficients.copy()
+    coefficients[0, 1, 0] += 17
+    planted = table._replace(coefficients=coefficients)
+    with pytest.raises(
+        OrthogonalityFailure,
+        match=r"^character certificate failed for row 0 chi\[0;1\]: "
+        r"\(c\) sum_k \|Cl_k\| \|chi\(k\)\|\^2 != \|G\|$",
+    ):
+        verify_orthogonality(group, planted)
+    monkeypatch.setattr(terw.characters, "_clause_bound", lambda _: 0)
+    assert _modular_certificate(group, planted) is not None
+
+
+def test_a_coefficient_raised_by_p_lifts_the_bound_to_p_over_2():
+    for group in (dihedral([(2, 3)]), C4_C9, g2_group(16, 7, 8)):
+        table = character_table(group)
+        p = terw.characters.embedding(table.root_order)[0]
+        assert 2 * _clause_bound(table) < p
+        coefficients = table.coefficients.copy()
+        coefficients[-1, 0, 0] += p
+        assert 2 * _clause_bound(table._replace(coefficients=coefficients)) >= p
+
+
+def test_a_row_without_a_raw_galois_image_goes_to_the_exact_certificate(monkeypatch):
+    # one value z^e of a linear row of C4 x C9 written as 2 z^e - z^e: the
+    # table is right, but sigma_u of that row matches no row raw
+    table = character_table(C4_C9)
+    order, unit = table.root_order, terw.characters.embedding(table.root_order)[2][0]
+    j, k = next((j, k) for j in range(len(table.labels)) for k in range(len(table.labels))
+                if table.coefficients[j, k, 1] == 0 and table.exponents[j, k, 0] * unit % order
+                != table.exponents[j, k, 0])
+    exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
+    exponents[j, k, 1] = exponents[j, k, 0]
+    coefficients[j, k] = 2 * coefficients[j, k, 0], -coefficients[j, k, 0]
+    rewritten = table._replace(exponents=exponents, coefficients=coefficients)
+    assert _modular_certificate(C4_C9, rewritten) is None
+    calls = _counted_reductions(monkeypatch)
+    assert verify_orthogonality(C4_C9, rewritten) == verify_orthogonality(C4_C9, table)
+    assert calls
+
+
+def test_single_exponent_plants_fail_with_the_exact_message():
+    # every nonzero term of Dih(C32) at the identity class and the two coset
+    # classes moved by one 64th root: 42 wrong tables, each refused with the
+    # message the exact routine gives, and none certified in F_p
+    group = dihedral([(2, 5)])
+    table = character_table(group)
+    columns = [0, *(c.index for c in table.classes if c.kind == COSET)]
+    plants = [(j, k, t) for j in range(len(table.labels)) for k in columns for t in (0, 1)
+              if table.coefficients[j, k, t]]
+    assert len(plants) == 42
+    for j, k, t in plants:
+        exponents = table.exponents.copy()
+        exponents[j, k, t] = (exponents[j, k, t] + 1) % table.root_order
+        planted = table._replace(exponents=exponents)
+        assert _modular_certificate(group, planted) is None
+        with pytest.raises(OrthogonalityFailure) as exact:
+            _exact_certificate(group, planted)
+        with pytest.raises(OrthogonalityFailure) as got:
+            verify_orthogonality(group, planted)
+        assert str(got.value) == str(exact.value)
 
 
 def test_class_sums_match_the_complex_values_across_blocks():

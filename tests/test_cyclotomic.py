@@ -1,17 +1,23 @@
 """Exact root-of-unity sums: ring operations and evaluation."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from terw import MixedRootOrdersError, RootSum
+from terw import MixedRootOrdersError, RootSum, dihedral
 from terw.cyclotomic import (
+    _is_prime,
     cyclotomic_poly,
+    embedding,
     integer_values,
     power_basis_coordinates,
     reduced_sums,
 )
+from terw.groups import factorize
 
 ORDERS = [6, 12, 30, 60, 72, 384, 840]
 
@@ -132,3 +138,46 @@ def test_reduced_sums_match_the_dense_reduction(order):
     assert np.all(np.diff(key * want.shape[1] + coord) > 0)
     empty = np.zeros(0, dtype=np.int64)
     assert all(a.size == 0 for a in reduced_sums(order, (empty, empty, empty)))
+
+
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # 46657 and 75361 are Carmichael numbers; 25326001 is a strong
+    # pseudoprime to the bases 2, 3 and 5, caught by 7
+    for n in [*range(3000), 46657, 75361, 25326001, 2**31 - 1, 2**31 - 3]:
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def check_embedding(order):
+    p, powers, units = embedding.__wrapped__(order)  # not kept
+    omega = int(powers[1])
+    assert powers.tolist() == [pow(omega, e, p) for e in range(order + 1)]
+    assert p < 2**31 and p % order == 1 % order and _trial_division(p), order
+    assert pow(omega, order, p) == 1
+    assert all(pow(omega, order // q, p) != 1 for q, _ in factorize(order)), order
+    reached, frontier = {1 % order}, [1 % order]  # the subgroup the units generate
+    while frontier:
+        frontier = {x * u % order for x in frontier for u in units} - reached
+        reached |= frontier
+    assert reached == {u for u in range(order) if math.gcd(u, order) == 1}, order
+
+
+# every group of the benchmark has |G| <= 384, and its root order divides |G|; the ladder
+# Dih(C8) ... Dih(C4096) reaches |G| = 8192
+BENCHMARK_AND_LADDER_ORDERS = sorted(
+    {*range(1, 385), *(dihedral([(2, k)]).root_order for k in range(3, 13))})
+
+
+def test_embedding_on_the_benchmark_and_ladder_orders():
+    assert max(BENCHMARK_AND_LADDER_ORDERS) == 2**13
+    for order in BENCHMARK_AND_LADDER_ORDERS:
+        check_embedding(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2**13))
+def test_embedding(order):
+    check_embedding(order)

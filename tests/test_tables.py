@@ -127,6 +127,24 @@ def test_rep_products_are_the_table_rows_at_the_representatives(group):
     assert np.array_equal(orders, centralizer_sizes(group)[reps])
 
 
+def test_rep_products_peak_at_what_they_keep():
+    # the rows and the columns v r_k go in blocks of 2^17 products: beside
+    # the kept rows, at most two int32 blocks and their comparison are alive,
+    # where the whole (|G|, l) columns and their temporary were 2x the rows
+    group = dihedral([(2, 10)])  # Dih(C1024), |G| = 2048, l = 515, nine blocks of 64
+    conjugacy_classes(group)  # per-group artefacts, built before tracing
+    tracemalloc.start()
+    try:
+        rows, orders = rep_products(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + orders.nbytes + 4 * (1 << 17) * 4
+    reps = conjugacy_classes(group).reps
+    assert np.array_equal(rows, index_tables(group)[0][reps])
+    assert np.array_equal(orders, centralizer_sizes(group)[reps])
+
+
 def test_seeded_centralizer_groups_have_a_square_and_go_above_128():
     seeded = CENTRALIZER_GROUPS[len(NAMED):]
     assert len(seeded) >= 4 and all(any(g.square) for g in seeded)
