@@ -20,9 +20,10 @@ their inverses, and the class reference
 conjugates every element by every element and orders the orbits by kind,
 where the library labels both orbit sets by union-find over the generators
 only and orders the classes by their minima.  The character-table
-report reference builds the whole dict, one shared dict per distinct value,
-for ``json.dumps``, where the library joins the text from cells encoded once
-per distinct value.  The structure-constant references are dense (l, l, l)
+export references format every entry on its own from ``table.value``: the
+report as one dict for ``json.dumps``, the text and CSV exports with their
+format strings, where the library formats each distinct entry once from the
+integer arrays.  The structure-constant references are dense (l, l, l)
 tensors: p by one l^2-bin count per class with ``group.mul``, and the class
 constants a[i, j, k] = p[j, i, k] by one count over the multiplication
 table, where the library keeps the nonzero p_ij^k as sparse (code, count)
@@ -43,6 +44,8 @@ reference lists each class element by element, where the library keeps
 no member tuples.  The tests compare each pair on small inputs.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -514,14 +517,14 @@ def enumerated_character_labels(group):
 
 def chartable_json_dict(table):
     """The ``chartable --format json`` report of ``table`` without its head,
-    as a dict for ``json.dumps``."""
+    as a dict for ``json.dumps``: every entry encoded on its own from
+    ``table.value``."""
 
     def encode(v):
         z = v.eval_complex()
         return {"terms": v.sorted_terms(), "complex": [z.real, z.imag]}
 
-    values, inverse = table._distinct_values()
-    encoded = [encode(v) for v in values]  # shared by the entries equal to each
+    ell = len(table.labels)
     return {
         "root_order": table.root_order,
         "classes": [
@@ -532,8 +535,44 @@ def chartable_json_dict(table):
             {
                 "label": label.describe(),
                 "degree": label.degree,
-                "values": [encoded[i] for i in row],
+                "values": [encode(table.value(r, c)) for c in range(ell)],
             }
-            for label, row in zip(table.labels, inverse)
+            for r, label in enumerate(table.labels)
         ],
     }
+
+
+def chartable_text(table):
+    """``CharacterTable.to_text``: right-aligned columns, each entry an
+    integer where it is one, else its complex value to 4 digits."""
+
+    integers = {}  # is_integer by the sorted terms: it is exact and slow
+
+    def fmt(v):
+        key = tuple(v.sorted_terms())
+        if key not in integers:
+            integers[key] = v.is_integer()
+        if integers[key] is not None:
+            return str(integers[key])
+        z = v.eval_complex()
+        return f"{z.real:.4g}{z.imag:+.4g}i"
+
+    ell = len(table.labels)
+    grid = [[""] + [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in table.classes]]
+    for r, label in enumerate(table.labels):
+        grid.append([label.describe()] + [fmt(table.value(r, c)) for c in range(ell)])
+    widths = [max(len(row[i]) for row in grid) for i in range(ell + 1)]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in grid)
+
+
+def chartable_csv(table):
+    """``CharacterTable.to_csv``: one row per character, each entry its
+    complex value to 12 digits."""
+    ell = len(table.labels)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["character"] + [f"class_{c.index}" for c in table.classes])
+    for r, label in enumerate(table.labels):
+        values = [table.value(r, c).eval_complex() for c in range(ell)]
+        writer.writerow([label.describe()] + [f"{z.real:.12g}{z.imag:+.12g}i" for z in values])
+    return buf.getvalue()

@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (
+    chartable_csv,
     chartable_json_dict,
+    chartable_text,
     class_members,
     complex_values,
     enumerated_character_labels,
@@ -634,3 +636,53 @@ def test_chartable_json_is_byte_identical_to_the_dict_reference(data, tmp_path, 
     assert main([*argv, "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert first_difference(path.read_bytes(), out.encode()) is None
+
+
+@pytest.mark.parametrize("data", CHARTABLE_SPECS, ids=lambda d: json.dumps(d).replace(" ", ""))
+def test_chartable_text_and_csv_are_byte_identical_to_the_references(data, capsys):
+    # the same groups, every entry formatted on its own from table.value
+    argv = ["chartable"]
+    for key, value in data.items():
+        argv += [f"--{key}", json.dumps(value) if isinstance(value, list) else str(value)]
+    table = character_table(GroupSpec.from_dict(data).build())
+    assert main([*argv, "--format", "text"]) == 0
+    assert first_difference(capsys.readouterr().out, chartable_text(table) + "\n") is None
+    assert main([*argv, "--format", "csv"]) == 0
+    assert first_difference(capsys.readouterr().out, chartable_csv(table)) is None
+
+
+# (e1, e2, c1, c2) of planted entries: zero ones, with and without an
+# exponent on an absent term, a lone +-z^e in either slot, merged 2z^e and
+# a cancelled z^e - z^e, two terms stored out of order, and coefficients
+# +-2 and +-3, which widen the span of the coefficient codes
+PLANTED_ENTRIES = [
+    (0, 0, 0, 0), (3, 5, 0, 0),
+    (1, 0, 1, 0), (2, 0, -1, 0), (0, 3, 0, 1), (4, 5, 0, -1),
+    (3, 3, 1, 1), (2, 2, 1, -1), (5, 5, -3, 2),
+    (5, 1, 1, 1), (7, 2, -1, 1), (6, 0, 2, -3),
+    (1, 4, 3, -2), (0, 0, -2, 0), (0, 7, 3, 3),
+]
+
+
+def planted_tables(table):
+    """``table`` with PLANTED_ENTRIES written over its first cells, row by
+    row, and with every cell drawn at random from exponents below the root
+    order and coefficients in -3..3."""
+    ell, order = len(table.labels), table.root_order
+    exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
+    for k, (e1, e2, c1, c2) in enumerate(PLANTED_ENTRIES):
+        exponents[divmod(k, ell)] = (e1 % order, e2 % order)
+        coefficients[divmod(k, ell)] = (c1, c2)
+    rng = np.random.default_rng(32)
+    drawn = (rng.integers(0, order, size=(ell, ell, 2)), rng.integers(-3, 4, size=(ell, ell, 2)))
+    return [table._replace(exponents=exponents, coefficients=coefficients),
+            table._replace(exponents=drawn[0], coefficients=drawn[1])]
+
+
+@pytest.mark.parametrize("group", [dihedral([(2, 3)]), C4_C9], ids=["Dih(C8)", "C4xC9"])
+def test_exports_of_planted_entries_match_the_references(group):
+    head = {"name": group.name}
+    for table in planted_tables(character_table(group)):
+        assert table.to_json(head) == json.dumps({**head, **chartable_json_dict(table)})
+        assert table.to_text() == chartable_text(table)
+        assert table.to_csv() == chartable_csv(table)
