@@ -25,6 +25,7 @@ minima J of the two-dimensional labels are the paired representatives
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -170,20 +171,30 @@ class CharacterTable(NamedTuple):
                 block.reshape(len(e), order), order)
         return values, exact
 
-    def _distinct_values(self) -> tuple[list[RootSum], list[list[int]]]:
-        """The distinct entries as RootSums, and the index of each entry among them."""
+    def _distinct_entries(self) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
+        """The distinct entries, each as the (exponent, coefficient) terms
+        that ``RootSum`` keeps for it, in its order, and the (l, l) index of
+        each entry among them.  An entry is keyed by one int64 from
+        (e1, e2, c1, c2); zero coefficients are dropped and equal exponents
+        merged by hand, as ``RootSum`` does."""
         low = min(int(self.coefficients.min()), 0)
         span = int(self.coefficients.max()) - low + 1
         shape = (self.root_order, self.root_order, span, span)
         e, c = self.exponents, self.coefficients - low
         keys = np.ravel_multi_index((e[..., 0], e[..., 1], c[..., 0], c[..., 1]), shape)
         distinct, inverse = np.unique(keys, return_inverse=True)
-        e1, e2, c1, c2 = (x.tolist() for x in np.unravel_index(distinct, shape))
-        values = [
-            RootSum(self.root_order, ((e1[i], c1[i] + low), (e2[i], c2[i] + low)))
-            for i in range(len(distinct))
-        ]
-        return values, inverse.reshape(keys.shape).tolist()
+        entries = []
+        for e1, e2, c1, c2 in zip(*(x.tolist() for x in np.unravel_index(distinct, shape))):
+            c1, c2 = c1 + low, c2 + low
+            if not c1:
+                entries.append(((e2, c2),) if c2 else ())
+            elif not c2:
+                entries.append(((e1, c1),))
+            elif e1 == e2:
+                entries.append(((e1, c1 + c2),) if c1 + c2 else ())
+            else:
+                entries.append(((e1, c1), (e2, c2)))
+        return entries, inverse.reshape(keys.shape)  # numpy 1.x returns it flat
 
     # -- exports -----------------------------------------------------------
 
@@ -195,11 +206,11 @@ class CharacterTable(NamedTuple):
             z = v.eval_complex()
             return f"{z.real:.4g}{z.imag:+.4g}i"
 
-        values, inverse = self._distinct_values()
-        cells = [fmt(v) for v in values]
+        entries, inverse = self._distinct_entries()
+        cells = [fmt(RootSum(self.root_order, terms)) for terms in entries]
         headers = [""] + [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in self.classes]
         grid = [headers]
-        for label, row in zip(self.labels, inverse):
+        for label, row in zip(self.labels, inverse.tolist()):
             grid.append([label.describe()] + [cells[i] for i in row])
         widths = [max(len(r[i]) for r in grid) for i in range(len(headers))]
         return "\n".join(
@@ -210,43 +221,63 @@ class CharacterTable(NamedTuple):
         def fmt(z: complex) -> str:
             return f"{z.real:.12g}{z.imag:+.12g}i"
 
-        values, inverse = self._distinct_values()
-        cells = [fmt(v.eval_complex()) for v in values]
+        entries, inverse = self._distinct_entries()
+        cells = [fmt(RootSum(self.root_order, terms).eval_complex()) for terms in entries]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
             ["character"] + [f"class_{c.index}" for c in self.classes]
         )
-        for label, row in zip(self.labels, inverse):
+        for label, row in zip(self.labels, inverse.tolist()):
             writer.writerow([label.describe()] + [cells[i] for i in row])
         return buf.getvalue()
 
     def to_json(self, head: dict) -> str:
         """The report {**head, "root_order", "classes", "characters"} as the
-        text ``json.dumps`` writes for it: the head and the classes go
-        through one ``json.dumps``, each distinct value through one more,
-        and the rows are joined from those cells."""
+        text ``json.dumps`` writes for it.
 
-        def encode(v: RootSum) -> str:
-            z = v.eval_complex()
-            return json.dumps({"terms": v.sorted_terms(), "complex": [z.real, z.imag]})
-
-        values, inverse = self._distinct_values()
-        cells = [encode(v) for v in values]
-        start = json.dumps({
-            **head,
-            "root_order": self.root_order,
-            "classes": [
-                {"index": c.index, "kind": c.kind, "size": c.size, "rep": elem_json(c.rep)}
-                for c in self.classes
-            ],
-        })
-        rows = [
-            f'{{"label": {json.dumps(label.describe())}, "degree": {label.degree}, '
-            f'"values": [{", ".join([cells[i] for i in row])}]}}'
-            for label, row in zip(self.labels, inverse)
+        Each distinct entry is encoded once, straight from its terms: the
+        sorted "terms", and the "complex" value summed from 0j over the
+        terms in ``RootSum``'s order, each c * exp(2 pi i e / M) with the
+        root cached per exponent.  Those are the float operations of
+        ``eval_complex`` in its order, so the floats are bit-identical, and
+        ``!r`` writes them as ``json.dumps`` does.  The head goes through
+        one ``json.dumps``, the classes are formatted directly, and the
+        cells are gathered through one object array indexed by the entries'
+        (l, l) index.  The report is one join over the row heads and the
+        cells, each carrying its separator; the first head carries the
+        head and the classes.
+        """
+        entries, inverse = self._distinct_entries()
+        step = 2j * cmath.pi / self.root_order
+        roots: dict[int, complex] = {}
+        cells = []
+        for terms in entries:
+            z = 0j
+            for e, c in terms:
+                if e not in roots:
+                    roots[e] = cmath.exp(step * e)
+                z += c * roots[e]
+            body = ", ".join([f"[{e}, {c}]" for e, c in sorted(terms)])
+            cells.append(f'{{"terms": [{body}], "complex": [{z.real!r}, {z.imag!r}]}}')
+        classes = ", ".join([
+            f'{{"index": {c.index}, "kind": "{c.kind}", "size": {c.size}, '
+            f'"rep": [[{", ".join(map(str, c.rep[0]))}], {c.rep[1]}]}}'
+            for c in self.classes
+        ])
+        start = json.dumps({**head, "root_order": self.root_order})
+        ell = len(self.labels)
+        grid = np.empty((ell, ell + 1), dtype=object)
+        grid[:, 0] = [
+            f'{", " if r else ""}{{"label": {json.dumps(label.describe())}, '
+            f'"degree": {label.degree}, "values": ['
+            for r, label in enumerate(self.labels)
         ]
-        return f'{start[:-1]}, "characters": [{", ".join(rows)}]}}'
+        grid[0, 0] = f'{start[:-1]}, "classes": [{classes}], "characters": [{grid[0, 0]}'
+        grid[:, 1:] = np.array([cell + ", " for cell in cells], dtype=object)[inverse]
+        grid[:, -1] = np.array([cell + "]}" for cell in cells], dtype=object)[inverse[:, -1]]
+        grid[-1, -1] += "]}"
+        return "".join(grid.ravel().tolist())
 
 
 def elem_json(g) -> list:

@@ -229,13 +229,15 @@ DIM_KEYS = ("dim_t0", "dim_closed_form", "dim_centralizer", "dim_closure")
 SWEEP_CHECK_FIELDS = (*DIM_KEYS, "triply_transitive", "wedderburn_ok")
 
 
-def _write(body: str, args: argparse.Namespace) -> None:
-    """The one place a report leaves the program: the ``--out`` file or stdout."""
+def _write(args: argparse.Namespace, *chunks: str) -> None:
+    """The one place a report leaves the program: the ``--out`` file or
+    stdout.  The chunks are written in order, so that a large report is
+    never copied to append its newline."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
 
 
 def _json(payload: Any) -> str:
@@ -261,7 +263,7 @@ def _emit(payload: Any, args: argparse.Namespace, text=None, table=None) -> int:
         body = _csv(*table(payload))
     else:
         body = text(payload)
-    _write(body, args)
+    _write(args, body)
     return EXIT_OK
 
 
@@ -293,7 +295,7 @@ class Checks:
 
 def _mismatch(head: dict, checks: Checks, args: argparse.Namespace) -> int:
     """Report failed checks, always as JSON."""
-    _write(_json({"mismatch": True, **head, "checks": checks.results, "ok": False}), args)
+    _write(args, _json({"mismatch": True, **head, "checks": checks.results, "ok": False}))
     return EXIT_MISMATCH
 
 
@@ -388,10 +390,11 @@ def cmd_chartable(spec: GroupSpec, args: argparse.Namespace) -> int:
         if checks.failed:
             return _mismatch(_head(spec, group), checks, args)
     if args.fmt == "json":
-        body = table.to_json({"spec": spec.to_dict(), "name": group.name}) + "\n"
+        _write(args, table.to_json({"spec": spec.to_dict(), "name": group.name}), "\n")
+    elif args.fmt == "csv":
+        _write(args, table.to_csv())
     else:
-        body = table.to_csv() if args.fmt == "csv" else table.to_text() + "\n"
-    _write(body, args)
+        _write(args, table.to_text(), "\n")
     return EXIT_OK
 
 
