@@ -617,13 +617,18 @@ CHARTABLE_SPECS = [
 ]
 
 
+def chartable_argv(data):
+    argv = ["chartable"]
+    for key, value in data.items():
+        argv += [f"--{key}", json.dumps(value) if isinstance(value, list) else str(value)]
+    return argv
+
+
 @pytest.mark.parametrize("data", CHARTABLE_SPECS, ids=lambda d: json.dumps(d).replace(" ", ""))
 def test_chartable_json_is_byte_identical_to_the_dict_reference(data, tmp_path, capsys):
     # S3, C4 x C9 and seeded groups up to |G| = 376 against json.dumps of the
     # whole report; the sign-2 linear characters put -1 on the coset classes
-    argv = ["chartable", "--format", "json"]
-    for key, value in data.items():
-        argv += [f"--{key}", json.dumps(value) if isinstance(value, list) else str(value)]
+    argv = [*chartable_argv(data), "--format", "json"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     spec = GroupSpec.from_dict(data)
@@ -641,9 +646,7 @@ def test_chartable_json_is_byte_identical_to_the_dict_reference(data, tmp_path, 
 @pytest.mark.parametrize("data", CHARTABLE_SPECS, ids=lambda d: json.dumps(d).replace(" ", ""))
 def test_chartable_text_and_csv_are_byte_identical_to_the_references(data, capsys):
     # the same groups, every entry formatted on its own from table.value
-    argv = ["chartable"]
-    for key, value in data.items():
-        argv += [f"--{key}", json.dumps(value) if isinstance(value, list) else str(value)]
+    argv = chartable_argv(data)
     table = character_table(GroupSpec.from_dict(data).build())
     assert main([*argv, "--format", "text"]) == 0
     assert first_difference(capsys.readouterr().out, chartable_text(table) + "\n") is None
@@ -671,8 +674,9 @@ def planted_tables(table):
     ell, order = len(table.labels), table.root_order
     exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
     for k, (e1, e2, c1, c2) in enumerate(PLANTED_ENTRIES):
-        exponents[divmod(k, ell)] = (e1 % order, e2 % order)
-        coefficients[divmod(k, ell)] = (c1, c2)
+        cell = divmod(k, ell)
+        exponents[cell] = (e1 % order, e2 % order)
+        coefficients[cell] = (c1, c2)
     rng = np.random.default_rng(32)
     drawn = (rng.integers(0, order, size=(ell, ell, 2)), rng.integers(-3, 4, size=(ell, ell, 2)))
     return [table._replace(exponents=exponents, coefficients=coefficients),
