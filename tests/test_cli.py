@@ -554,6 +554,26 @@ def test_a_wrong_class_size_is_a_mismatch(capsys, monkeypatch):
     assert details["wedderburn"] == "class 2: centralizer order 4 inconsistent with class size 3"
 
 
+def test_a_wrong_centralizer_order_fails_the_wedderburn_check(capsys, monkeypatch):
+    # the orbit-stabilizer count |C_G(r_k)| |Cl_k| = |G| of permutation_character
+    # is evidence of its own: a centralizer order planted one too high is named
+    # by both commands, in the wedderburn check and nowhere else
+    import terw.wedderburn
+
+    group = GroupSpec(kind="dihedral", factors=[[3, 1]]).build()
+    rows, orders = terw.wedderburn.rep_products(group)
+    k = len(orders) - 2
+    cent = orders.copy()
+    cent[k] += 1
+    monkeypatch.setattr(terw.wedderburn, "rep_products", lambda _: (rows, cent))
+    for command in ("wedderburn", "verify"):
+        code, out, _ = run_cli(capsys, command, *S3, "--format", "json")
+        assert code == EXIT_MISMATCH
+        (failed,) = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed["check"] == "wedderburn"
+        assert failed["detail"].startswith(f"class {k}: centralizer order"), command
+
+
 def test_merged_orbits_are_a_mismatch(capsys, monkeypatch):
     # two orbits of one block merged: the sandwich count reaches the planted
     # cap, one below the centralizer dimension, so the paths disagree
