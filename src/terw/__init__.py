@@ -17,7 +17,6 @@ from .characters import (
     CharacterTable,
     LinearLabel,
     TwoDimLabel,
-    char_value,
     character_labels,
     character_table,
     verify_orthogonality,

@@ -9,11 +9,11 @@ order M; the b-coset values of the linear characters need the doubled order
 because they are square roots of values on the abelian part.  The table
 keeps them exactly as two (l, l, 2) integer arrays, exponents mod M and
 coefficients, filled by integer matrix products over the label vectors and
-the class representatives; ``char_value`` computes one entry on its own,
-to compare with ``CharacterTable.value``, and ``verify_orthogonality``
-certifies the rows exactly.  The "+" character takes the principal square
-root on the coset; swapping the two signs permutes rows but never changes
-the table as a multiset (tested, not assumed).
+the class representatives, and ``verify_orthogonality`` certifies the rows
+exactly: the certificate, not a second evaluation of the same formula, is
+the evidence that the table is right.  The "+" character takes the
+principal square root on the coset; swapping the two signs permutes rows
+but never changes the table as a multiset (tested, not assumed).
 
 Both label lists are read off the class list.  For a diagonal twist,
 J -> J*s acts on character indices as the twist f acts on A, and J is
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conjugacy import COSET, PAIRED, ClassList, ConjClass, conjugacy_classes, structure_tensor
+from .conjugacy import COSET, PAIRED, ClassList, conjugacy_classes, structure_tensor
 from .cyclotomic import RootSum, coordinate_bound, embedding, integer_values, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
@@ -89,37 +89,6 @@ def character_labels(group: D2Group) -> tuple[CharLabel, ...]:
             f"expected {(n - d) // 2} and {2 * d + (n - d) // 2} for n = {n}, d = {d}"
         )
     return tuple(labels)
-
-
-def char_value(group: D2Group, label: CharLabel, cls: ConjClass) -> RootSum:
-    """Exact character value on a conjugacy class."""
-    order = group.root_order
-    fx = group.fixed
-    rep_a, _ = cls.rep
-
-    if isinstance(label, LinearLabel):
-        if cls.kind == COSET:
-            # value at z*b: product over coordinates of the (2*d_i)-th root
-            # with exponent l_i * (2*z_i + v_i), sign from the label
-            exp = 0
-            for li, zi, vi, di in zip(label.i_vec, rep_a, group.square, fx.d_vec):
-                exp += li * (2 * zi + vi) * (order // (2 * di))
-            coeff = 1 if label.sign == 1 else -1
-            return RootSum.root(order, exp, coeff)
-        exp = 0
-        for li, ti, di in zip(label.i_vec, rep_a, fx.d_vec):
-            exp += li * ti * (order // di)
-        return RootSum.root(order, exp)
-
-    if cls.kind == COSET:
-        return RootSum.zero(order)
-    moduli = group.abelian.moduli
-    e1 = 0
-    e2 = 0
-    for ki, ti, si, mi in zip(label.j_vec, rep_a, group.twist.s, moduli):
-        e1 += ki * ti * (order // mi)
-        e2 += ki * ti * si * (order // mi)
-    return RootSum.root(order, e1) + RootSum.root(order, e2)
 
 
 class CharacterTable(NamedTuple):
@@ -290,8 +259,7 @@ def character_table(group: D2Group) -> CharacterTable:
     """Build the full character table; row count always equals class count.
 
     Every exponent is an integer matrix product mod the root order M over
-    the label vectors and the class representatives' coordinates, the same
-    sums that ``char_value`` forms one entry at a time:
+    the label vectors and the class representatives' coordinates:
 
       * linear rows on abelian-part classes: (I * M/d) . t,
       * linear rows on coset classes z*b: (I * M/(2d)) . (2z + y), with
@@ -398,6 +366,23 @@ def _clause_bound(table: CharacterTable) -> int:
     return 2 * table.order**2 * c_max**2 * coordinate_bound(table.root_order)
 
 
+def _separating_classes(forms: np.ndarray, by_size: np.ndarray) -> np.ndarray:
+    """The classes S of (b), from (l, l, w) integer forms: forms[j, t] stands for
+    chi_j at class by_size[t], and different forms are different values.  With the
+    rows sorted by bytes, S is the classes where adjacent rows first differ, the
+    greedy choice smallest class first; raises ``OrthogonalityFailure`` for two rows
+    whose forms are equal on every class."""
+    ell = len(forms)
+    rows = forms.reshape(ell, -1)
+    o = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    equal = (rows[o[1:]] == rows[o[:-1]]).reshape(ell - 1, ell, -1).all(axis=2)
+    first = np.argmin(equal, axis=1)
+    if (same := equal[np.arange(ell - 1), first]).any():
+        j, m = sorted(o[np.argmax(same) + np.arange(2)].tolist())
+        raise OrthogonalityFailure(f"character certificate failed for rows {j} and {m}: (b) equal")
+    return by_size[np.bincount(first, minlength=ell).nonzero()[0]]
+
+
 def _modular_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...] | None:
     """S when every clause of ``verify_orthogonality`` holds under ev and the
     rows are closed under the Galois action, else None.  A residue is below
@@ -417,12 +402,10 @@ def _modular_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ..
     # (b) on chi_j(k) lcm(deg) / deg_j, as for the exact forms
     by_size = np.argsort(sizes, kind="stable")
     scaled = np.take(res, by_size, axis=1) * (np.lcm.reduce(degrees) // degrees)[:, None] % p
-    o = scaled.view(np.dtype((np.void, scaled.itemsize * ell))).ravel().argsort()
-    equal = scaled[o[1:]] == scaled[o[:-1]]
-    first = np.argmin(equal, axis=1)
-    if equal[np.arange(ell - 1), first].any():
+    try:
+        chosen = _separating_classes(scaled[..., None], by_size)
+    except OrthogonalityFailure:
         return None
-    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]]
 
     # (a) with y = |Cl_b| chi_j(b): y_s y_b = deg_j sum_c p_sb^c y_c, the constants p_sb^c of
     # s = S[t] summed into key t l + b; the sum over c is below 2^31 |Cl_s| |Cl_b|
@@ -483,15 +466,7 @@ def _exact_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...]
     slot = np.arange(entry.size) - np.searchsorted(entry, entry)
     forms = np.zeros((ell * ell, 2, int(slot.max(initial=0)) + 1), dtype=np.int64)
     forms[entry, 0, slot], forms[entry, 1, slot] = coord + 1, value
-    # rows sorted by bytes: the greedy S is the classes where adjacent rows first differ
-    rows = forms.reshape(ell, -1)
-    o = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
-    equal = (rows[o[1:]] == rows[o[:-1]]).reshape(ell - 1, ell, -1).all(axis=2)
-    first = np.argmin(equal, axis=1)
-    if (same := equal[np.arange(ell - 1), first]).any():
-        j, m = sorted(o[np.argmax(same) + np.arange(2)].tolist())
-        raise OrthogonalityFailure(f"character certificate failed for rows {j} and {m}: (b) equal")
-    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]].tolist()
+    chosen = _separating_classes(forms.reshape(ell, ell, -1), by_size).tolist()
 
     # key j n + q for row j of a block: (c) q = 0, (0) q = 1, (a) 2 + t l + b for s = S[t]
     n, offset = 2 + len(chosen) * ell, np.full(ell, -1)

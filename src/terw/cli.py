@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("classes", "conjugacy classes"),
         ("chartable", "character table"),
         ("dims", "all dimension paths and the triple-transitivity verdict"),
-        ("wedderburn", "block multiplicities three ways"),
+        ("wedderburn", "block multiplicities: closed form against the character sums"),
         ("verify", "run every check with oracles forced on"),
     ]:
         p = sub.add_parser(name, help=doc)
@@ -449,7 +449,7 @@ def cmd_verify(spec: GroupSpec, args: argparse.Namespace) -> int:
     report = checks.run("wedderburn", wedderburn_report, group)
     if report is not None:
         checks.run("central_idempotents", verify_central_idempotents, group, table,
-                   report.inner_product)
+                   report.closed_form)
     head = _head(spec, group)
     if checks.failed:
         return _mismatch(head, checks, args)

@@ -40,6 +40,7 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
+from .abelian import is_prime
 from .errors import MixedRootOrdersError
 from .groups import factorize, read_only
 
@@ -260,7 +261,7 @@ def embedding(order: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     is the first x^((p-1)/order) with no omega^(order/q) = 1 for a prime q | order, so p - 1 is
     never factored; the units are added greedily, each one missing from the subgroup so far."""
     p = (2**31 - 2) // order * order + 1
-    while not _is_prime(p):
+    while not is_prime(p):
         p -= order
     primes = [q for q, _ in factorize(order)]
     x, omega = 2, 1
@@ -279,26 +280,6 @@ def embedding(order: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
                 power = power * u % order
             reached = grown
     return p, read_only(np.array(powers, dtype=np.int64)), tuple(units)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact for n < 3.2 * 10^9."""
-    if n < 2 or any(n % b == 0 for b in (2, 3, 5, 7)):
-        return n in (2, 3, 5, 7)
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, n)
-        if x == 1:
-            continue
-        for _ in range(r):  # some b^(d 2^i), i < r, must be -1
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
 
 
 def integer_values(coeffs: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

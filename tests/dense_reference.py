@@ -37,7 +37,11 @@ every orbit representative (u, v) and every g, where
 the library sums the structure constants against the permutation
 character.  The label reference walks the character indices of A and
 pairs J with J*s, where the library reads the labels off the coset and
-paired class representatives.  The centralizer reference compares the
+paired class representatives.  The per-entry reference evaluates the
+table's formula one entry at a time with ``RootSum`` arithmetic, where the
+library fills whole blocks of the integer arrays by matrix products; it is
+the same formula, so the certificate of ``verify_orthogonality``, not this
+comparison, is what shows the table is right.  The centralizer reference compares the
 whole multiplication table with its transpose, where the library counts
 the commuting products on the representative rows only, and the member
 reference lists each class element by element, where the library keeps
@@ -56,6 +60,7 @@ from terw import (
     IdempotencyFailure,
     LinearLabel,
     OracleMismatch,
+    RootSum,
     TwoDimLabel,
     adjacency_matrices,
     central_idempotent,
@@ -513,6 +518,33 @@ def enumerated_character_labels(group):
         if A.index(partner) >= A.index(j_vec):
             labels.append(TwoDimLabel(j_vec))
     return tuple(labels)
+
+
+def char_value(group, label, cls):
+    """The exact value of the character ``label`` on the conjugacy class
+    ``cls``, at its representative."""
+    order = group.root_order
+    rep_a, _ = cls.rep
+    if isinstance(label, LinearLabel):
+        if cls.kind == COSET:
+            # at z*b: the (2 d_i)-th root with exponent l_i (2 z_i + v_i) per
+            # coordinate, negated for the second sign
+            exp = sum(
+                li * (2 * zi + vi) * (order // (2 * di))
+                for li, zi, vi, di in zip(label.i_vec, rep_a, group.square, group.fixed.d_vec)
+            )
+            return RootSum.root(order, exp, 1 if label.sign == 1 else -1)
+        exp = sum(
+            li * ti * (order // di) for li, ti, di in zip(label.i_vec, rep_a, group.fixed.d_vec)
+        )
+        return RootSum.root(order, exp)
+    if cls.kind == COSET:
+        return RootSum.zero(order)
+    e1 = e2 = 0
+    for ki, ti, si, mi in zip(label.j_vec, rep_a, group.twist.s, group.abelian.moduli):
+        e1 += ki * ti * (order // mi)
+        e2 += ki * ti * si * (order // mi)
+    return RootSum.root(order, e1) + RootSum.root(order, e2)
 
 
 def chartable_json_dict(table):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (
+    char_value,
     chartable_csv,
     chartable_json_dict,
     chartable_text,
@@ -29,7 +30,6 @@ from terw import (
     OrthogonalityFailure,
     RootSum,
     TwoDimLabel,
-    char_value,
     character_labels,
     character_table,
     conjugacy_classes,
@@ -333,18 +333,22 @@ def test_certificate_names_a_doubled_and_a_duplicated_row(sd16):
     table = character_table(sd16)
     doubled = table.coefficients.copy()
     doubled[0] *= 2  # 2 chi_0 is still multiplicative, but its norm is 4 |G|
+    doubled = table._replace(coefficients=doubled)
     with pytest.raises(
         OrthogonalityFailure,
         match=r"^character certificate failed for row 0 chi\[0;1\]: "
         r"\(c\) sum_k \|Cl_k\| \|chi\(k\)\|\^2 != \|G\|$",
     ):
-        verify_orthogonality(sd16, table._replace(coefficients=doubled))
-    # row 1 a copy of row 0: a real character, so only (b) sees it
+        verify_orthogonality(sd16, doubled)
+    # row 1 a copy of row 0: a real character, so only (b) sees it, and the
+    # residues tie as the values do
     copied = with_rows(table, [0, 0, *range(2, len(table.labels))])
     with pytest.raises(
         OrthogonalityFailure, match=r"^character certificate failed for rows 0 and 1: \(b\) equal$"
     ):
         verify_orthogonality(sd16, copied)
+    assert _modular_certificate(sd16, doubled) is None
+    assert _modular_certificate(sd16, copied) is None
 
 
 def test_certificate_names_a_swapped_linear_and_two_dimensional_row(sd16):

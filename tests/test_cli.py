@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_info_json_spec_roundtrip(capsys):
     spec = GroupSpec.from_dict(payload["spec"])
     assert spec == GroupSpec(kind="g2", n=8, s=3, t=0)
     assert payload["d"] == 2
+
+
+def test_info_on_a_factor_near_2_to_the_60(capsys):
+    p = 10**18 + 3
+    code, out, _ = run_cli(
+        capsys, "info", "--kind", "dihedral", "--factors", str(p), "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["order"] == 2 * p
 
 
 def test_spec_file_with_flag_override(tmp_path, capsys):
@@ -602,20 +612,27 @@ def test_merged_orbits_are_a_mismatch(capsys, monkeypatch):
     ]
 
 
-def test_verify_computes_inner_products_once(capsys, monkeypatch):
+def test_verify_and_wedderburn_check_orbit_stabilizer_not_inner_products(capsys, monkeypatch):
+    # the inner-product weights |Cl_k| psi_k are |G| once permutation_character
+    # has checked them, so each command runs that check once and no inner product
     import terw.wedderburn
 
-    calls = []
-    real = terw.wedderburn.multiplicities_inner_product
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(terw.wedderburn, "multiplicities_inner_product", counted)
-    code, _, _ = run_cli(capsys, "verify", *S3)
-    assert code == EXIT_OK
-    assert len(calls) == 1
+        return counted
+
+    for name in ("multiplicities_inner_product", "permutation_character"):
+        monkeypatch.setattr(terw.wedderburn, name, counting(name, getattr(terw.wedderburn, name)))
+    for command in ("verify", "wedderburn"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, command, *S3)
+        assert code == EXIT_OK
+        assert calls == {"permutation_character": 1}, command
 
 
 def _sweep_rows(out):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terw import MixedRootOrdersError, RootSum, dihedral
+from terw import MixedRootOrdersError, NonPrimeError, RootSum, dihedral, make_abelian
+from terw.abelian import is_prime
 from terw.cyclotomic import (
-    _is_prime,
     cyclotomic_poly,
     embedding,
     integer_values,
@@ -148,7 +148,15 @@ def test_is_prime_matches_trial_division():
     # 46657 and 75361 are Carmichael numbers; 25326001 is a strong
     # pseudoprime to the bases 2, 3 and 5, caught by 7
     for n in [*range(3000), 46657, 75361, 25326001, 2**31 - 1, 2**31 - 3]:
-        assert _is_prime(n) == _trial_division(n), n
+        assert is_prime(n) == _trial_division(n), n
+    # beyond trial division: 3215031751 is a strong pseudoprime to the bases
+    # 2, 3, 5 and 7, and 3825123056546413051 to every prime base up to 23
+    for factors in [(151, 751, 28351), (149491, 747451, 34233211)]:
+        assert not is_prime(math.prod(factors)), factors
+    for p in [2**61 - 1, 10**18 + 3, 2**64 - 59]:  # 2^64 - 59 is the largest below 2^64
+        assert is_prime(p), p
+    with pytest.raises(NonPrimeError, match=r"not below 2\^64"):
+        make_abelian([(2**64 + 1, 1)])
 
 
 def check_embedding(order):
