@@ -41,11 +41,11 @@ paired class representatives.  The per-entry reference evaluates the
 table's formula one entry at a time with ``RootSum`` arithmetic, where the
 library fills whole blocks of the integer arrays by matrix products; it is
 the same formula, so the certificate of ``verify_orthogonality``, not this
-comparison, is what shows the table is right.  The centralizer reference compares the
-whole multiplication table with its transpose, where the library counts
-the commuting products on the representative rows only, and the member
-reference lists each class element by element, where the library keeps
-no member tuples.  The tests compare each pair on small inputs.
+comparison, is what shows the table is right.  The centralizer reference
+compares the whole multiplication table with its transpose, where the
+library counts the commuting products on the representative rows only, and
+the member reference lists each class element by element, where the
+library keeps no member tuples.  The tests compare each pair on small inputs.
 """
 
 import csv

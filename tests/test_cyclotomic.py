@@ -153,7 +153,7 @@ def test_is_prime_matches_trial_division():
     # 2, 3, 5 and 7, and 3825123056546413051 to every prime base up to 23
     for factors in [(151, 751, 28351), (149491, 747451, 34233211)]:
         assert not is_prime(math.prod(factors)), factors
-    for p in [2**61 - 1, 10**18 + 3, 2**64 - 59]:  # 2^64 - 59 is the largest below 2^64
+    for p in [2**61 - 1, 10**18 + 3, 2**64 - 59]:  # 2^64 - 59 is the largest prime below 2^64
         assert is_prime(p), p
     with pytest.raises(NonPrimeError, match=r"not below 2\^64"):
         make_abelian([(2**64 + 1, 1)])
