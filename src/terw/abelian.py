@@ -12,12 +12,14 @@ closed form downstream, so they are computed once and carried around.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product as _iterproduct
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
     IdentityAutomorphismError,
+    InvalidGroupError,
     NonPrimeError,
     NotInvolutionError,
     OrderTooSmallError,
@@ -137,9 +139,13 @@ def canonical_factor_order(factors: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def make_abelian(factor_list: Sequence[tuple[int, int]]) -> AbelianGroup:
-    """Validate and canonically order a list of (p, e) prime-power factors."""
+    """Validate and canonically order a list of (p, e) prime-power factors.
+    The order 2|A| must print within Python's int digit limit, so its digits
+    are summed as logarithms before any power is formed."""
     if not factor_list:
         raise OrderTooSmallError("a group needs at least one cyclic factor")
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    total = math.log10(2)
     for p, e in factor_list:
         if p >= 2**64:
             raise NonPrimeError(f"{p} is not below 2^64, where the primality test is exact")
@@ -147,6 +153,10 @@ def make_abelian(factor_list: Sequence[tuple[int, int]]) -> AbelianGroup:
             raise NonPrimeError(f"{p} is not prime")
         if e < 1:
             raise NonPrimeError(f"exponent must be >= 1, got {e}")
+        total += e * math.log10(p)
+        if total >= digits:
+            raise InvalidGroupError(
+                f"the factor {[p, e]} takes the group order past {digits} digits")
     order = canonical_factor_order(factor_list)
     factors = tuple(CyclicFactor(p=factor_list[i][0], e=factor_list[i][1], m=factor_list[i][0] ** factor_list[i][1]) for i in order)
     group = AbelianGroup(factors=factors)

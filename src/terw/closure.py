@@ -72,7 +72,9 @@ import numpy as np
 
 from .conjugacy import class_index_table, conjugacy_classes
 from .errors import GuardExceededError, OracleMismatch
-from .groups import D2Group, conjugations, index_tables, orbit_minima, per_group, read_only
+from .groups import (
+    D2Group, conjugations, index_tables, inverses, orbit_minima, per_group, read_only
+)
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
@@ -318,11 +320,10 @@ def gather_table(group: D2Group) -> GatherTable:
     classes = conjugacy_classes(group)
     orb = conjugation_orbitals(group)
     rep_u, rep_v = orb.reps
-    mult, inv = index_tables(group)
     sizes = np.bincount(classes.labels, minlength=len(classes))
-    by_class = inv[np.argsort(classes.labels, kind="stable")]
+    by_class = inverses(group)[np.argsort(classes.labels, kind="stable")]
     return GatherTable(
-        sources=read_only(orb.labels[rep_u, mult[np.ix_(by_class, rep_v)]]),
+        sources=read_only(orb.labels[rep_u, index_tables(group, by_class, rep_v)]),
         offsets=(0, *np.cumsum(sizes).tolist()),
         largest=int(sizes.max()),
     )

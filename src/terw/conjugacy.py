@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import OracleMismatch
 from .groups import (
-    D2Elem, D2Group, conjugation_minima, index_tables, per_group, read_only, translations
+    D2Elem, D2Group, conjugation_minima, index_tables, inverses, per_group, read_only, translations
 )
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
@@ -145,11 +145,10 @@ def conjugacy_classes_bruteforce(
 
 def class_products(group: D2Group, i: int, j: int) -> set[int]:
     """Indices of the classes contained in the elementwise product Cl_i * Cl_j."""
-    mult, _ = index_tables(group)
     labels = conjugacy_classes(group).labels
     rows = np.flatnonzero(labels == i)
     cols = np.flatnonzero(labels == j)
-    counts = np.bincount(labels[mult[np.ix_(rows, cols)]].ravel())
+    counts = np.bincount(labels[index_tables(group, rows, cols)].ravel())
     return set(np.flatnonzero(counts).tolist())
 
 
@@ -223,9 +222,11 @@ def _translations_to(
 
 @per_group
 def class_index_table(group: D2Group) -> np.ndarray:
-    """Table D with D[x, y] = class index of y * x^-1, over element indices."""
-    mult, inv = index_tables(group)
-    return read_only(conjugacy_classes(group).labels[mult[:, inv].T])
+    """Table D with D[x, y] = class index of y * x^-1, over element indices,
+    read as the class of its conjugate x^-1 * y (by x) from the block with
+    the inverses on the left, so that D is C-contiguous like the block."""
+    labels = conjugacy_classes(group).labels
+    return read_only(labels[index_tables(group, inverses(group), None)])
 
 
 @per_group

@@ -16,8 +16,9 @@ cyclic group, which are stored internally in prime-power coordinates via
 the Chinese remainder theorem.
 
 Per-group artefacts (``per_group``) are built once and kept on the group.
-The element indices come from two sides: ``index_tables``, the normal-form
-products and inverses, and ``translations``, the right translations by the
+The element indices come from two sides: ``index_tables``, blocks of
+normal-form products built afresh on each call, with ``inverses`` read off
+the normal form, and ``translations``, the right translations by the
 generators and the inversion, counted with ``group.mul`` and ``group.inv``
 alone.  The oracles that must not read the tables compose ``translations``:
 ``conjugations``, the generator conjugations, and their orbit minima
@@ -109,15 +110,6 @@ class D2Group:
 
     def conjugate(self, g: D2Elem, by: D2Elem) -> D2Elem:
         return self.mul(self.mul(by, g), self.inv(by))
-
-    def element_order(self, g: D2Elem) -> int:
-        k = 1
-        x = g
-        e = self.identity
-        while x != e:
-            x = self.mul(x, g)
-            k += 1
-        return k
 
     # -- enumeration -----------------------------------------------------
 
@@ -343,30 +335,25 @@ def conjugation_minima(group: D2Group) -> np.ndarray:
     return read_only(orbit_minima(conjugations(group)))
 
 
-def index_tables(
-    group: D2Group, left=None, right=None
-) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """With no index set, the multiplication and inverse tables (mult, inv)
-    over element indices, kept on the group: ``mult[i, j]`` is the index of
-    element i times element j and ``inv[g]`` that of the inverse of g.
-    Otherwise the read-only int32 block of left[i] times right[j] alone (a
-    missing set is all of G; ``left`` lists its elements of A first), built
-    afresh and not kept."""
-    if left is None and right is None:
-        return _square_tables(group)
+def index_tables(group: D2Group, left=None, right=None) -> np.ndarray:
+    """The read-only int32 block of left[i] times right[j] over element
+    indices, built afresh and not kept; a missing set is all of G, and
+    ``left`` lists its elements of A first."""
     every = np.arange(group.order)
     return read_only(_products(group, every if left is None else left,
                                every if right is None else right))
 
 
-@per_group
-def _square_tables(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
-    """The full (mult, inv) of ``index_tables``.  Each row of ``mult`` is a
-    permutation, so inv[g] is the column where row g holds the identity,
-    index 0."""
-    every = np.arange(group.order)
-    mult = read_only(_products(group, every, every))
-    return mult, read_only(np.argmin(mult, axis=1).astype(np.int32))
+def inverses(group: D2Group) -> np.ndarray:
+    """The read-only int32 index of every element's inverse, off the normal
+    form: (x, 0)^-1 = (-x, 0) and (x, 1)^-1 = (-f(x) - y, 1), one coordinate
+    at a time.  The elements of A come first, as a left set must list them."""
+    moduli = group.abelian.moduli
+    coords = np.unravel_index(np.arange(group.n), moduli)
+    negated = np.ravel_multi_index([-x % m for x, m in zip(coords, moduli)], moduli)
+    twisted = [(-s * x - y) % m for x, s, y, m in zip(coords, group.twist.s, group.square, moduli)]
+    coset = np.ravel_multi_index(twisted, moduli)
+    return read_only(np.concatenate([negated, coset + group.n]).astype(np.int32))
 
 
 def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -395,6 +382,6 @@ def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray
 
 
 def conjugation_table(group: D2Group) -> np.ndarray:
-    """C[g, x] = index of g x g^-1, over element indices."""
-    mult, inv = index_tables(group)
-    return mult[mult, inv[:, None]]
+    """C[g, x] = index of g x g^-1, over element indices, from a full block."""
+    mult = index_tables(group)
+    return mult[mult, inverses(group)[:, None]]

@@ -76,7 +76,7 @@ from terw.conjugacy import (
     conjugacy_classes,
 )
 from terw.characters import elem_json
-from terw.groups import conjugation_table, index_tables, read_only
+from terw.groups import conjugation_table, index_tables, inverses, read_only
 
 
 def structure_constant(group, i, j, k):
@@ -97,11 +97,11 @@ def dense_structure_tensor(group):
     l^2-bin count per class, with ``group.mul`` and ``group.inv``."""
     classes = conjugacy_classes(group)
     ell = len(classes)
-    inverses = [group.inv(u) for u in group.elements()]
+    inverted = [group.inv(u) for u in group.elements()]
     first = classes.labels.astype(np.int64) * ell  # class of u, by element index
     p = np.empty((ell, ell, ell), dtype=np.int64)
     for k, cls in enumerate(classes):
-        second = [classes.labels[group.index(group.mul(cls.rep, u_inv))] for u_inv in inverses]
+        second = [classes.labels[group.index(group.mul(cls.rep, u_inv))] for u_inv in inverted]
         p[:, :, k] = np.bincount(first + second, minlength=ell * ell).reshape(ell, ell)
     return p
 
@@ -124,7 +124,7 @@ def sparse_pairs(p):
 def class_triple_codes(group):
     """Code (class of u * l + class of v) * l + class of u*v of every pair
     (u, v), with l the class count, over element indices."""
-    mult, _ = index_tables(group)
+    mult = index_tables(group)
     classes = conjugacy_classes(group)
     ell = len(classes)
     labels = classes.labels.astype(np.int64)
@@ -275,13 +275,13 @@ def orbit_block_trace_counts(group):
     orb = conjugation_orbitals(group)
     rep_u, rep_v = orb.reps
     orbit_ids = np.arange(orb.count)
-    _, inv = index_tables(group)
+    inv = inverses(group)
     conj = conjugation_table(group)
     classes = conjugacy_classes(group)
     counts = []
     for k in range(len(classes)):
-        inverses = inv[classes.labels == k]
-        moved = conj[np.ix_(inverses, rep_v)]  # g^-1 v g
+        inverted = inv[classes.labels == k]
+        moved = conj[np.ix_(inverted, rep_v)]  # g^-1 v g
         counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
     return np.array(counts)
 
@@ -495,7 +495,7 @@ def class_members(group, classes):
 def centralizer_sizes(group):
     """|C_G(g)| for every element index g, counted from the full
     multiplication table as the g with mult[g, h] = mult[h, g]."""
-    mult, _ = index_tables(group)
+    mult = index_tables(group)
     return read_only((mult == mult.T).sum(axis=1))
 
 

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import terw.groups
 from terw import MultiplicityMismatch, OrthogonalityFailure, cli
 from terw.cli import (
     EXIT_GUARD,
@@ -52,6 +54,22 @@ def test_info_on_a_factor_near_2_to_the_60(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["order"] == 2 * p
+
+
+def test_info_on_a_factor_of_70_bits(capsys):
+    code, out, _ = run_cli(
+        capsys, "info", "--kind", "dihedral", "--factors", "2^70", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["order"] == 2**71
+
+
+@pytest.mark.parametrize("factor, p, e", [("2^20000", 2, 20000), ("3^1000000000", 3, 10**9)])
+def test_a_factor_too_large_to_print_exits_1_before_its_power_is_formed(capsys, factor, p, e):
+    # 3^(10^9) would take minutes to form; the check reads e * log(p) first
+    code, out, err = run_cli(capsys, "info", "--kind", "dihedral", "--factors", factor)
+    assert (code, out) == (EXIT_INVALID_SPEC, "")
+    assert err == f"error: the factor {[p, e]} takes the group order past 4300 digits\n"
 
 
 def test_spec_file_with_flag_override(tmp_path, capsys):
@@ -500,6 +518,30 @@ def test_verify_reports_a_broken_closure_certificate(capsys, monkeypatch):
     assert [c["check"] for c in failed] == ["scheme_axioms", "dimensions"]
     assert "conjugation by ((0,), 1) changes" in failed[0]["detail"]
     assert "conjugation does not preserve" in failed[1]["detail"]
+
+
+def test_verify_reports_a_wrong_inverse_as_a_scheme_axiom_failure(capsys, monkeypatch):
+    # the class-index table reads the inverses off the normal form; with two
+    # coset entries swapped, the axioms, whose oracle is built by group.mul,
+    # must fail
+    real = terw.groups.inverses
+
+    def swapped(group):
+        inv = real(group).copy()
+        inv[[group.n, group.n + 1]] = inv[[group.n + 1, group.n]]
+        return inv
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terw") and getattr(module, "inverses", None) is real:
+            monkeypatch.setattr(module, "inverses", swapped)
+    code, out, _ = run_cli(
+        capsys, "verify", "--kind", "dihedral", "--factors", "2^2", "--format", "json"
+    )
+    assert code == EXIT_MISMATCH
+    failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    # the conjugation certificate reads the same table
+    assert [c["check"] for c in failed] == ["scheme_axioms", "dimensions"]
+    assert failed[0]["detail"].startswith("scheme axiom (iii) failed")
 
 
 def test_oracle_mismatch_in_classes_and_chartable(capsys, monkeypatch):

@@ -31,7 +31,7 @@ import terw.groups
 import terw.scheme
 from terw.closure import conjugation_orbitals
 from terw.conjugacy import class_index_table, class_list, structure_tensor
-from terw.groups import index_tables, read_only, translations
+from terw.groups import index_tables, inverses, read_only, translations
 from terw.instances import random_general_instances
 from terw.scheme import dump_matrices
 
@@ -199,7 +199,7 @@ def _moved_labels(table, group):
     """D'[x, y] = L[y x^-1] for the labels L of row e with those of b and
     ab (indices 4 and 5) swapped: every right translation keeps it, but L
     is not constant on the classes, so conjugation moves it."""
-    mult, inv = index_tables(group)
+    mult, inv = index_tables(group), inverses(group)
     labels = table[0].copy()
     labels[[4, 5]] = labels[[5, 4]]
     table[...] = labels[mult[:, inv].T]
@@ -268,7 +268,7 @@ def test_a_fault_off_row_and_column_e_fails_the_translation_scan(d4):
 
 
 def test_right_translations_are_built_without_the_tables(sd16, monkeypatch):
-    mult, inv = index_tables(sd16)
+    mult, inv = index_tables(sd16), inverses(sd16)
     gens = [sd16.index(g) for g in sd16.generators()]
     class_index_table(sd16)  # the table under test, built before the patch
 
@@ -413,7 +413,6 @@ def test_triple_count_peak_memory_on_dih_c512():
     # the int64 codes of all |G|^2 pairs alone would take 8 MB
     group = dihedral([(2, 9)])  # |G| = 1024
     conjugacy_classes(group)  # per-group artefacts, built before tracing
-    index_tables(group)
     tracemalloc.start()
     try:
         t0 = dim_t0(group)

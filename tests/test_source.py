@@ -184,9 +184,9 @@ def test_no_class_representative_is_indexed_again():
 
 
 def test_only_the_explicit_matrix_paths_read_the_full_table():
-    # the formula route (dims, wedderburn, chartable) reads the products of
-    # the class representatives, index_tables over given index sets; a call
-    # with no set, or with None for both, builds the |G|^2 square
+    # the library reads index_tables over given index sets, the class
+    # representatives or the inverses; a call with no set, or with None for
+    # both, builds the full |G|^2 block
     def full(call):
         parts = [*call.args[1:], *(k.value for k in call.keywords)]
         return all(isinstance(p, ast.Constant) and p.value is None for p in parts)
@@ -202,6 +202,4 @@ def test_only_the_explicit_matrix_paths_read_the_full_table():
                 for node in ast.walk(func)
             ):
                 callers.add(func.name)
-    assert callers == {
-        "class_index_table", "class_products", "gather_table", "conjugation_table",
-    }
+    assert callers == {"conjugation_table"}

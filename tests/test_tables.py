@@ -46,7 +46,7 @@ from terw.conjugacy import (
     structure_tensor,
 )
 from terw.groups import (
-    _square_tables, conjugation_minima, conjugation_table, conjugations, index_tables, translations
+    conjugation_minima, conjugation_table, conjugations, index_tables, inverses, translations
 )
 from terw.instances import random_general_instances
 
@@ -87,7 +87,7 @@ NAMED = [
 
 @pytest.mark.parametrize("group", NAMED, ids=lambda g: g.name)
 def test_tables_match_loop_on_named_families(group):
-    mult, inv = index_tables(group)
+    mult, inv = index_tables(group), inverses(group)
     ref_mult, ref_inv = loop_tables(group)
     assert mult.dtype == inv.dtype == np.int32
     assert np.array_equal(mult, ref_mult)
@@ -103,12 +103,11 @@ def test_class_reps_are_the_representatives_indices(group):
 
 def test_products_over_index_sets_are_the_table_block():
     group = g2_group(16, 7, 8)
-    mult, _ = index_tables(group)
+    mult = index_tables(group)
     left, right = np.array([0, 3, 5, 17, 20]), np.array([31, 2, 16, 2])  # any right order
     block = index_tables(group, left, right)
     assert block.dtype == np.int32 and not block.flags.writeable
     assert np.array_equal(block, mult[np.ix_(left, right)])
-    assert index_tables(group)[0] is mult  # a part is built afresh, the square is kept
     with pytest.raises(ValueError, match="lists a coset element before an element of A"):
         index_tables(group, np.array([17, 3]), right)
 
@@ -120,7 +119,7 @@ CENTRALIZER_GROUPS = NAMED + [
 
 @pytest.mark.parametrize("group", CENTRALIZER_GROUPS, ids=lambda g: g.name)
 def test_rep_products_are_the_table_rows_at_the_representatives(group):
-    mult, _ = index_tables(group)
+    mult = index_tables(group)
     reps = conjugacy_classes(group).reps
     rows, orders = rep_products(group)
     assert rows.dtype == np.int32 and np.array_equal(rows, mult[reps])
@@ -141,8 +140,25 @@ def test_rep_products_peak_at_what_they_keep():
         tracemalloc.stop()
     assert peak < rows.nbytes + orders.nbytes + 4 * (1 << 17) * 4
     reps = conjugacy_classes(group).reps
-    assert np.array_equal(rows, index_tables(group)[0][reps])
+    assert np.array_equal(rows, index_tables(group)[reps])
     assert np.array_equal(orders, centralizer_sizes(group)[reps])
+
+
+def test_class_index_table_peaks_below_three_squares_and_is_c_contiguous():
+    # one int32 block with the inverses on the left and its temporary, then
+    # the labels gathered from it, where the kept square, its columns at the
+    # inverses and their labels were three; the same values read off a
+    # transposed block would be in Fortran order, which slows the row scans
+    group = dihedral([(2, 9)])  # Dih(C512), |G| = 1024
+    conjugacy_classes(group)  # per-group artefacts, built before tracing
+    tracemalloc.start()
+    try:
+        table = class_index_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * group.order**2 * 4
+    assert table.flags.c_contiguous
 
 
 def test_seeded_centralizer_groups_have_a_square_and_go_above_128():
@@ -157,7 +173,7 @@ def test_tables_match_loop_on_seeded_general_groups():
     assert any(g.abelian.rank > 1 for g in groups)
     assert max(g.order for g in groups) > 192
     for group in groups:
-        mult, inv = index_tables(group)
+        mult, inv = index_tables(group), inverses(group)
         ref_mult, ref_inv = loop_tables(group)
         assert np.array_equal(mult, ref_mult), group.name
         assert np.array_equal(inv, ref_inv), group.name
@@ -219,9 +235,7 @@ def test_orbit_labelling_matches_the_references(s3, d4, q8, sd16):
 
 def test_tables_are_built_once_and_read_only():
     group = g2_group(16, 7, 8)
-    mult, inv = index_tables(group)
-    again = index_tables(group)
-    assert again[0] is mult and again[1] is inv
+    mult, inv = index_tables(group), inverses(group)
     for build in CACHED:
         assert build(group) is build(group), build.__name__
     classes = conjugacy_classes(group)
@@ -240,12 +254,10 @@ def test_tables_are_built_once_and_read_only():
             arr[0] = 1
     with pytest.raises(TypeError):
         table.labels[0] = None
-    # a fresh group of the same shape builds its own tables
-    assert index_tables(g2_group(16, 7, 8))[0] is not mult
 
 
 CACHED = [
-    _square_tables, rep_products, conjugacy_classes, class_index_table, character_labels,
+    rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
     gather_table, conjugation_minima, conjugation_certificate,
 ]
@@ -269,7 +281,7 @@ def test_a_dropped_group_is_freed_with_its_artefacts():
 @pytest.fixture
 def builds(monkeypatch):
     """Builds of each cached artefact, counted by name, and the blocks that
-    ``index_tables`` builds over given index sets, as "index_tables_part"."""
+    ``index_tables`` builds, as "index_tables_part"."""
     counts = dict.fromkeys((build.__name__ for build in CACHED), 0)
     for cached in CACHED:
         build = cached.__wrapped__
@@ -283,7 +295,7 @@ def builds(monkeypatch):
     real = terw.groups.index_tables
 
     def parts_counted(group, left=None, right=None):
-        counts["index_tables_part"] += left is not None or right is not None
+        counts["index_tables_part"] += 1
         return real(group, left, right)
 
     for name, module in list(sys.modules.items()):
@@ -296,16 +308,18 @@ def test_sweep_builds_each_row_once(builds):
     assert main(["sweep", "--kind", "dihedral", "--range", "3:12"]) == 0
     # ten rows, each through the dimensions and wedderburn checks
     assert builds["conjugacy_classes"] == builds["character_table"] == 10
-    assert builds["_square_tables"] == builds["rep_products"] == 10
-    assert builds["index_tables_part"] == 20
+    assert builds["rep_products"] == 10
+    # two blocks of rep_products and one of the class-index table per row
+    assert builds["index_tables_part"] == 30
 
 
 def test_verify_builds_each_artefact_once(builds, capsys):
     assert main(["verify", "--kind", "dihedral", "--factors", "2^5"]) == 0
     capsys.readouterr()
-    # each artefact once, and the two blocks of rep_products; the full
-    # closure forms no product, so it builds no gather table
-    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 2, "gather_table": 0}
+    # each artefact once, the two blocks of rep_products and the block of
+    # the class-index table; the full closure forms no product, so it builds
+    # no gather table
+    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 3, "gather_table": 0}
 
 
 def test_enumeration_limit_is_checked_before_any_work(builds, capsys, monkeypatch):
@@ -351,13 +365,14 @@ SEEDED_ABOVE_GUARD = next(
 )
 def test_formula_route_reads_no_full_table(argv, monkeypatch):
     # above the matrix guard, dims, wedderburn and chartable read the
-    # representative rows only: a build of the full square raises
+    # representative rows only: a block with all of G on both sides, given
+    # or by default, raises
     expected = formula_reports(argv)
     real = terw.groups.index_tables
 
     def parts_only(group, left=None, right=None):
-        if left is None and right is None:
-            raise RuntimeError("the formula route read the full table")
+        if all(side is None or len(side) == group.order for side in (left, right)):
+            raise RuntimeError("the formula route read a full |G| x |G| block")
         return real(group, left, right)
 
     for name, module in list(sys.modules.items()):
@@ -372,7 +387,7 @@ def test_central_idempotents_build_no_tables(builds):
     group = dicyclic([(3, 1), (2, 3)], [0, 4])  # fresh, so that nothing is built yet
     table = character_table(group)
     verify_central_idempotents(group, table, multiplicities_closed_form(group).values)
-    assert builds["_square_tables"] == builds["rep_products"] == builds["index_tables_part"] == 0
+    assert builds["rep_products"] == builds["index_tables_part"] == 0
 
 
 def test_invariant_fires_under_optimize():
