@@ -122,13 +122,6 @@ class AbelianGroup:
             idx = idx * m + v
         return idx
 
-    def element(self, idx: int) -> AbElem:
-        out = []
-        for m in reversed(self.moduli):
-            idx, r = divmod(idx, m)
-            out.append(r)
-        return tuple(reversed(out))
-
     def describe(self) -> str:
         return " x ".join(f"C{f.m}" for f in self.factors) if self.factors else "1"
 

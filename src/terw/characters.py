@@ -100,7 +100,9 @@ class CharacterTable(NamedTuple):
     zero coefficient marks an absent term (its exponent is 0).  Only this
     module reads the arrays; other modules read ``value``, ``class_sums``
     and the exports.  It keeps the group's order and root order, not the
-    group, because the group keeps the table.
+    group, because the group keeps the table.  The three exports read the
+    entries through one step, ``_cells``, which evaluates and formats each
+    distinct entry once, and each writes its report in one join.
     """
 
     order: int
@@ -167,59 +169,13 @@ class CharacterTable(NamedTuple):
 
     # -- exports -----------------------------------------------------------
 
-    def to_text(self) -> str:
-        def fmt(v: RootSum) -> str:
-            n = v.is_integer()
-            if n is not None:
-                return str(n)
-            z = v.eval_complex()
-            return f"{z.real:.4g}{z.imag:+.4g}i"
-
+    def _cells(self, fmt) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct entry as ``fmt(terms, z)`` in an object array, and the (l, l)
+        index of each entry among them.  z sums c * exp(2 pi i e / M) from 0j over
+        the terms in ``RootSum``'s order, with the root cached per exponent: the
+        float operations of ``eval_complex`` in its order, so bit-identical to it."""
         entries, inverse = self._distinct_entries()
-        cells = [fmt(RootSum(self.root_order, terms)) for terms in entries]
-        headers = [""] + [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in self.classes]
-        grid = [headers]
-        for label, row in zip(self.labels, inverse.tolist()):
-            grid.append([label.describe()] + [cells[i] for i in row])
-        widths = [max(len(r[i]) for r in grid) for i in range(len(headers))]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in grid
-        )
-
-    def to_csv(self) -> str:
-        def fmt(z: complex) -> str:
-            return f"{z.real:.12g}{z.imag:+.12g}i"
-
-        entries, inverse = self._distinct_entries()
-        cells = [fmt(RootSum(self.root_order, terms).eval_complex()) for terms in entries]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["character"] + [f"class_{c.index}" for c in self.classes]
-        )
-        for label, row in zip(self.labels, inverse.tolist()):
-            writer.writerow([label.describe()] + [cells[i] for i in row])
-        return buf.getvalue()
-
-    def to_json(self, head: dict) -> str:
-        """The report {**head, "root_order", "classes", "characters"} as the
-        text ``json.dumps`` writes for it.
-
-        Each distinct entry is encoded once, straight from its terms: the
-        sorted "terms", and the "complex" value summed from 0j over the
-        terms in ``RootSum``'s order, each c * exp(2 pi i e / M) with the
-        root cached per exponent.  Those are the float operations of
-        ``eval_complex`` in its order, so the floats are bit-identical, and
-        ``!r`` writes them as ``json.dumps`` does.  The head goes through
-        one ``json.dumps``, the classes are formatted directly, and the
-        cells are gathered through one object array indexed by the entries'
-        (l, l) index.  The report is one join over the row heads and the
-        cells, each carrying its separator; the first head carries the
-        head and the classes.
-        """
-        entries, inverse = self._distinct_entries()
-        step = 2j * cmath.pi / self.root_order
-        roots: dict[int, complex] = {}
+        step, roots = 2j * cmath.pi / self.root_order, {}
         cells = []
         for terms in entries:
             z = 0j
@@ -227,24 +183,68 @@ class CharacterTable(NamedTuple):
                 if e not in roots:
                     roots[e] = cmath.exp(step * e)
                 z += c * roots[e]
+            cells.append(fmt(terms, z))
+        return np.array(cells, dtype=object), inverse
+
+    def to_text(self) -> str:
+        """Right-aligned columns, each entry its integer where ``RootSum.is_integer``
+        finds one, else its complex value to 4 digits, after the pad of its column."""
+        def fmt(terms, z: complex) -> str:
+            n = RootSum(self.root_order, terms).is_integer()
+            return f"{z.real:.4g}{z.imag:+.4g}i" if n is None else str(n)
+
+        cells, inverse = self._cells(fmt)
+        heads = [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in self.classes]
+        labels = [label.describe() for label in self.labels]
+        lengths = np.array([len(cell) for cell in cells])[inverse]
+        widths = np.maximum(lengths.max(axis=0), [len(h) for h in heads]) + 2  # and the gap
+        pads = np.array([" " * k for k in range(widths.max() + 1)], dtype=object)
+        label_width = max(map(len, labels))
+        grid = np.empty((len(labels), 2 * len(labels) + 1), dtype=object)
+        grid[:, 0] = ["\n" + label.rjust(label_width) for label in labels]
+        grid[:, 1::2], grid[:, 2::2] = pads[widths - lengths], cells[inverse]
+        return "".join([" " * label_width, *map(str.rjust, heads, widths), *grid.ravel().tolist()])
+
+    def to_csv(self) -> str:
+        """One row per character, each entry its complex value to 12 digits after its
+        comma; one ``csv.writer`` call writes the header and quotes the labels."""
+        cells, inverse = self._cells(lambda terms, z: f",{z.real:.12g}{z.imag:+.12g}i")
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["character"] + [f"class_{c.index}" for c in self.classes],
+                                   *([label.describe()] for label in self.labels)])
+        header, *labels, _ = buf.getvalue().split("\r\n")
+        grid = np.empty((len(labels), len(labels) + 1), dtype=object)
+        grid[:, 0], grid[:, 1:] = labels, cells[inverse]
+        grid[0, 0] = f"{header}\r\n{labels[0]}"
+        grid[:, -1] += "\r\n"
+        return "".join(grid.ravel().tolist())
+
+    def to_json(self, head: dict) -> str:
+        """The report {**head, "root_order", "classes", "characters"} as the text
+        ``json.dumps`` writes for it.  ``_cells`` encodes each distinct entry once, its
+        sorted "terms" and its "complex" value written by ``!r`` as ``json.dumps`` does;
+        the head goes through one ``json.dumps``, the classes are formatted directly,
+        and the cells follow the row heads, each with its separator."""
+        def fmt(terms, z: complex) -> str:
             body = ", ".join([f"[{e}, {c}]" for e, c in sorted(terms)])
-            cells.append(f'{{"terms": [{body}], "complex": [{z.real!r}, {z.imag!r}]}}')
+            return f'{{"terms": [{body}], "complex": [{z.real!r}, {z.imag!r}]}}'
+
+        cells, inverse = self._cells(fmt)
         classes = ", ".join([
             f'{{"index": {c.index}, "kind": "{c.kind}", "size": {c.size}, '
             f'"rep": [[{", ".join(map(str, c.rep[0]))}], {c.rep[1]}]}}'
             for c in self.classes
         ])
         start = json.dumps({**head, "root_order": self.root_order})
-        ell = len(self.labels)
-        grid = np.empty((ell, ell + 1), dtype=object)
+        grid = np.empty((len(inverse), len(inverse) + 1), dtype=object)
         grid[:, 0] = [
             f'{", " if r else ""}{{"label": {json.dumps(label.describe())}, '
             f'"degree": {label.degree}, "values": ['
             for r, label in enumerate(self.labels)
         ]
         grid[0, 0] = f'{start[:-1]}, "classes": [{classes}], "characters": [{grid[0, 0]}'
-        grid[:, 1:] = np.array([cell + ", " for cell in cells], dtype=object)[inverse]
-        grid[:, -1] = np.array([cell + "]}" for cell in cells], dtype=object)[inverse[:, -1]]
+        grid[:, 1:] = (cells + ", ")[inverse]
+        grid[:, -1] = (cells + "]}")[inverse[:, -1]]
         grid[-1, -1] += "]}"
         return "".join(grid.ravel().tolist())
 

@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, spec_flags: bool = True):
+    def add_common(p: argparse.ArgumentParser, spec_flags: bool = True,
+                   formats: Sequence[str] = ("text", "json", "csv")):
         if spec_flags:
             p.add_argument("--spec", help="JSON file with the group description")
             p.add_argument("--kind", choices=KINDS)
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--y", help="square of b as an exponent vector")
             p.add_argument("--n", help="cyclic order (g2)")
             p.add_argument("--t", help="exponent of b^2 (g2)")
-        p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
         p.add_argument("--oracle", action="store_true", help="force brute-force cross-checks")
         p.add_argument(
             "--guard",
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "run every check with oracles forced on"),
     ]:
         p = sub.add_parser(name, help=doc)
-        add_common(p)
+        add_common(p, formats=("text", "json") if name == "verify" else ("text", "json", "csv"))
         if name == "classes":
             p.add_argument(
                 "--dump-matrices",
@@ -258,8 +259,6 @@ def _emit(payload: Any, args: argparse.Namespace, text=None, table=None) -> int:
     if args.fmt == "json":
         body = _json(payload)
     elif args.fmt == "csv":
-        if table is None:
-            raise InvalidGroupError("this command has no CSV form")
         body = _csv(*table(payload))
     else:
         body = text(payload)
@@ -365,8 +364,9 @@ def cmd_classes(spec: GroupSpec, args: argparse.Namespace) -> int:
         ],
     }
     if args.dump_matrices:
+        dump = dump_matrices(group, guard=args.guard)  # a guard error leaves the file as it was
         with open(args.dump_matrices, "w") as fh:
-            fh.write(dump_matrices(group, guard=args.guard))
+            fh.write(dump)
 
     def text(p):
         lines = [f"{p['name']}: {len(p['classes'])} classes {p['counts']}"]

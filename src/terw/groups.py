@@ -108,9 +108,6 @@ class D2Group:
         fa = self.twist.apply(a)
         return (self.abelian.inv(self.abelian.mul(fa, self.square)), 1)
 
-    def conjugate(self, g: D2Elem, by: D2Elem) -> D2Elem:
-        return self.mul(self.mul(by, g), self.inv(by))
-
     # -- enumeration -----------------------------------------------------
 
     def elements(self) -> Iterator[D2Elem]:

@@ -45,7 +45,9 @@ comparison, is what shows the table is right.  The centralizer reference
 compares the whole multiplication table with its transpose, where the
 library counts the commuting products on the representative rows only, and
 the member reference lists each class element by element, where the
-library keeps no member tuples.  The tests compare each pair on small inputs.
+library keeps no member tuples.  ``conjugate`` forms one by g by^-1 by
+``group.mul``, where the library conjugates whole label arrays.  The tests
+compare each pair on small inputs.
 """
 
 import csv
@@ -462,6 +464,11 @@ def canonical_classes(group, orbits):
     return classes, fixed + paired + coset
 
 
+def conjugate(group, g, by):
+    """by g by^-1, by ``group.mul`` and ``group.inv``."""
+    return group.mul(group.mul(by, g), group.inv(by))
+
+
 def enumerated_conjugacy_classes(group):
     """Conjugacy classes as the orbits {hgh^-1 : h in G}, one for each element
     g not yet in an orbit, canonically ordered, with the class index of each
@@ -472,7 +479,7 @@ def enumerated_conjugacy_classes(group):
     for g in elems:
         if g not in remaining:
             continue
-        orbit = {group.conjugate(g, h) for h in elems}
+        orbit = {conjugate(group, g, h) for h in elems}
         orbits.append(tuple(sorted(orbit, key=group.index)))  # g comes first
         remaining -= orbit
     classes, members = canonical_classes(group, orbits)

@@ -658,6 +658,20 @@ def test_chartable_text_and_csv_are_byte_identical_to_the_references(data, capsy
     assert first_difference(capsys.readouterr().out, chartable_csv(table)) is None
 
 
+@pytest.mark.parametrize("group", [dihedral([(3, 1)]), C4_C9], ids=["S3", "C4xC9"])
+def test_exports_evaluate_no_entry_through_eval_complex(group, monkeypatch):
+    # the three formats read their floats from one evaluation of each distinct entry
+    table, head = character_table(group), {"name": group.name}
+    want = (chartable_text(table), chartable_csv(table),
+            json.dumps({**head, **chartable_json_dict(table)}))
+
+    def refuse(self):
+        raise AssertionError("an export called RootSum.eval_complex")
+
+    monkeypatch.setattr(RootSum, "eval_complex", refuse)
+    assert (table.to_text(), table.to_csv(), table.to_json(head)) == want
+
+
 # (e1, e2, c1, c2) of planted entries: zero ones, with and without an
 # exponent on an absent term, a lone +-z^e in either slot, merged 2z^e and
 # a cancelled z^e - z^e, two terms stored out of order, and coefficients

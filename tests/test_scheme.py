@@ -38,6 +38,7 @@ from terw.scheme import dump_matrices
 import dense_reference
 from dense_reference import (
     all_rows_scheme_axioms,
+    conjugate,
     dense_scheme_axioms,
     dense_structure_tensor,
     dense_view,
@@ -473,7 +474,7 @@ def conjugation_permutation(group, g) -> np.ndarray:
     """The permutation matrix of u -> g u g^-1, from ``group.conjugate`` alone."""
     mat = np.zeros((group.order, group.order), dtype=np.int64)
     for u in group.elements():
-        mat[group.index(u), group.index(group.conjugate(u, g))] = 1
+        mat[group.index(u), group.index(conjugate(group, u, g))] = 1
     return mat
 
 

@@ -16,6 +16,7 @@ import pytest
 from dense_reference import (
     centralizer_sizes,
     class_members,
+    conjugate,
     enumerated_conjugacy_classes,
     min_propagation_orbitals,
 )
@@ -199,7 +200,7 @@ def test_gathers_match_loops(group):
                 for v in cj
             }
             assert class_products(group, i, j) == expected
-    conj = [[group.index(group.conjugate(x, g)) for x in elems] for g in elems]
+    conj = [[group.index(conjugate(group, x, g)) for x in elems] for g in elems]
     assert np.array_equal(conjugation_table(group), conj)
     # row s of the generator conjugations is x -> s^-1 x s, row s^-1 of conj
     gen_inverses = [group.index(group.inv(s)) for s in group.generators()]
