@@ -103,11 +103,13 @@ class AbelianGroup:
         return tuple(v % m for v, m in zip(t, self.moduli))
 
     def mul(self, x: AbElem, y: AbElem) -> AbElem:
+        """x + y; a coordinate may be an ndarray, and the sum broadcasts."""
         if len(x) != len(self.factors) or len(y) != len(self.factors):
             raise DimensionMismatchError("element has wrong number of coordinates")
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
     def inv(self, x: AbElem) -> AbElem:
+        """-x; a coordinate may be an ndarray."""
         if len(x) != len(self.factors):
             raise DimensionMismatchError("element has wrong number of coordinates")
         return tuple((-a) % m for a, m in zip(x, self.moduli))
@@ -117,6 +119,8 @@ class AbelianGroup:
         return _iterproduct(*(range(m) for m in self.moduli))
 
     def index(self, x: AbElem) -> int:
+        """The mixed-radix index, last coordinate fastest; an array of
+        indices where a coordinate is an ndarray."""
         idx = 0
         for v, m in zip(x, self.moduli):
             idx = idx * m + v
@@ -165,6 +169,7 @@ class Involution(NamedTuple):
     moduli: tuple[int, ...]
 
     def apply(self, x: AbElem) -> AbElem:
+        """f(x); a coordinate may be an ndarray."""
         return tuple((si * t) % m for si, t, m in zip(self.s, x, self.moduli))
 
 

@@ -170,28 +170,38 @@ class CharacterTable(NamedTuple):
     # -- exports -----------------------------------------------------------
 
     def _cells(self, fmt) -> tuple[np.ndarray, np.ndarray]:
-        """Each distinct entry as ``fmt(terms, z)`` in an object array, and the (l, l)
-        index of each entry among them.  z sums c * exp(2 pi i e / M) from 0j over
-        the terms in ``RootSum``'s order, with the root cached per exponent: the
+        """The distinct entries as the strings ``fmt(entries, values)`` gives for the
+        list of their terms and of their values, in an object array, and the (l, l)
+        index of each entry among them.  A value sums c * exp(2 pi i e / M) from 0j
+        over the terms in ``RootSum``'s order, with the root cached per exponent: the
         float operations of ``eval_complex`` in its order, so bit-identical to it."""
         entries, inverse = self._distinct_entries()
         step, roots = 2j * cmath.pi / self.root_order, {}
-        cells = []
+        values = []
         for terms in entries:
             z = 0j
             for e, c in terms:
                 if e not in roots:
                     roots[e] = cmath.exp(step * e)
                 z += c * roots[e]
-            cells.append(fmt(terms, z))
-        return np.array(cells, dtype=object), inverse
+            values.append(z)
+        return np.array(fmt(entries, values), dtype=object), inverse
 
     def to_text(self) -> str:
-        """Right-aligned columns, each entry its integer where ``RootSum.is_integer``
-        finds one, else its complex value to 4 digits, after the pad of its column."""
-        def fmt(terms, z: complex) -> str:
-            n = RootSum(self.root_order, terms).is_integer()
-            return f"{z.real:.4g}{z.imag:+.4g}i" if n is None else str(n)
+        """Right-aligned columns, each entry its integer where it is a rational
+        integer, else its complex value to 4 digits, after the pad of its column.
+        One ``reduced_sums`` over the terms of every distinct entry decides which
+        are integers, exactly: those with no nonzero coordinate but the first."""
+        def fmt(entries, values) -> list[str]:
+            rows = [r for r, terms in enumerate(entries) for _ in terms]
+            exps, coeffs = np.array([t for terms in entries for t in terms]).reshape(-1, 2).T
+            keys, coords, sums = reduced_sums(self.root_order, (np.array(rows), exps, coeffs))
+            exact = np.ones(len(entries), dtype=bool)
+            exact[keys[coords != 0]] = False
+            ints = np.zeros(len(entries), dtype=np.int64)
+            ints[keys[coords == 0]] = sums[coords == 0]
+            return [str(n) if ok else f"{z.real:.4g}{z.imag:+.4g}i"
+                    for n, ok, z in zip(ints.tolist(), exact.tolist(), values)]
 
         cells, inverse = self._cells(fmt)
         heads = [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in self.classes]
@@ -208,7 +218,8 @@ class CharacterTable(NamedTuple):
     def to_csv(self) -> str:
         """One row per character, each entry its complex value to 12 digits after its
         comma; one ``csv.writer`` call writes the header and quotes the labels."""
-        cells, inverse = self._cells(lambda terms, z: f",{z.real:.12g}{z.imag:+.12g}i")
+        cells, inverse = self._cells(
+            lambda entries, values: [f",{z.real:.12g}{z.imag:+.12g}i" for z in values])
         buf = io.StringIO()
         csv.writer(buf).writerows([["character"] + [f"class_{c.index}" for c in self.classes],
                                    *([label.describe()] for label in self.labels)])
@@ -225,9 +236,12 @@ class CharacterTable(NamedTuple):
         sorted "terms" and its "complex" value written by ``!r`` as ``json.dumps`` does;
         the head goes through one ``json.dumps``, the classes are formatted directly,
         and the cells follow the row heads, each with its separator."""
-        def fmt(terms, z: complex) -> str:
-            body = ", ".join([f"[{e}, {c}]" for e, c in sorted(terms)])
-            return f'{{"terms": [{body}], "complex": [{z.real!r}, {z.imag!r}]}}'
+        def fmt(entries, values) -> list[str]:
+            cells = []
+            for terms, z in zip(entries, values):
+                body = ", ".join([f"[{e}, {c}]" for e, c in sorted(terms)])
+                cells.append(f'{{"terms": [{body}], "complex": [{z.real!r}, {z.imag!r}]}}')
+            return cells
 
         cells, inverse = self._cells(fmt)
         classes = ", ".join([

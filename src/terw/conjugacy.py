@@ -29,7 +29,8 @@ The two oracles here, ``conjugacy_classes_bruteforce`` and
 minima ``groups.conjugation_minima`` of the generator conjugations, and the
 second composes the right translations by the generators and the inversion
 of ``groups.translations``.  Both are built with ``group.mul`` and
-``group.inv`` alone, so a wrong table still disagrees with them.
+``group.inv`` alone, 2k calls on coordinate arrays, one per coset, so a
+wrong table still disagrees with them.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ Per-group artefacts (``per_group``) are built once and kept on the group.
 The element indices come from two sides: ``index_tables``, blocks of
 normal-form products built afresh on each call, with ``inverses`` read off
 the normal form, and ``translations``, the right translations by the
-generators and the inversion, counted with ``group.mul`` and ``group.inv``
-alone.  The oracles that must not read the tables compose ``translations``:
-``conjugations``, the generator conjugations, and their orbit minima
-``conjugation_minima``, the brute-force classes and the axiom (iv) columns.
+generators and the inversion, computed with ``group.mul`` and ``group.inv``
+alone: 2k calls on coordinate arrays, one per coset.  The oracles that must
+not read the tables compose ``translations``: ``conjugations``, the
+generator conjugations, and their orbit minima ``conjugation_minima``, the
+brute-force classes and the axiom (iv) columns.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class D2Group:
         return (self.abelian.identity, 0)
 
     def mul(self, g: D2Elem, h: D2Elem) -> D2Elem:
+        """g * h in normal form.  A coordinate may be an ndarray, so one
+        call multiplies a whole coset, provided beta and gamma are scalars."""
         a, beta = g
         c, gamma = h
         if beta:
@@ -101,6 +104,8 @@ class D2Group:
         return (prod, (beta + gamma) % 2)
 
     def inv(self, g: D2Elem) -> D2Elem:
+        """g^-1 in normal form; a coordinate may be an ndarray, provided
+        beta is a scalar."""
         a, beta = g
         if beta == 0:
             return (self.abelian.inv(a), 0)
@@ -116,6 +121,8 @@ class D2Group:
                 yield (a, beta)
 
     def index(self, g: D2Elem) -> int:
+        """The element index, elements of A first; an array of indices where
+        a coordinate is an ndarray, provided beta is a scalar."""
         a, beta = g
         return self.abelian.index(a) + beta * self.n
 
@@ -305,14 +312,19 @@ def orbit_minima(perms: Sequence[np.ndarray]) -> np.ndarray:
 @per_group
 def translations(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     """The right translations rho_s: x -> x*s of element indices, one row per
-    generator s, and the inversion iota: x -> x^-1, from ``group.mul``,
-    ``group.inv`` and ``group.index`` alone, not the tables: k * |G|
-    products and |G| inverses, in int32.  The table-free oracles compose
-    these."""
-    elems, gens = list(group.elements()), group.generators()
-    index = group.index
-    rho = np.array([[index(group.mul(x, s)) for x in elems] for s in gens], dtype=np.int32)
-    iota = np.array([index(group.inv(x)) for x in elems], dtype=np.int32)
+    generator s, and the inversion iota: x -> x^-1, in int32, from
+    ``group.mul``, ``group.inv`` and ``group.index`` alone, not the tables.
+    Each call takes a whole coset at once, its coordinates as arrays with
+    beta a scalar: 2k products and 2 inverses on coordinate arrays, one per
+    coset, in element order.  The table-free oracles compose these."""
+    coords = np.unravel_index(np.arange(group.n), group.abelian.moduli)
+    halves = [(coords, 0), (coords, 1)]
+
+    def indices(images) -> np.ndarray:
+        return np.concatenate([group.index(g) for g in images]).astype(np.int32)
+
+    rho = np.stack([indices(group.mul(x, s) for x in halves) for s in group.generators()])
+    iota = indices(group.inv(x) for x in halves)
     return read_only(rho), read_only(iota)
 
 

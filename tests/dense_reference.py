@@ -46,8 +46,11 @@ compares the whole multiplication table with its transpose, where the
 library counts the commuting products on the representative rows only, and
 the member reference lists each class element by element, where the
 library keeps no member tuples.  ``conjugate`` forms one by g by^-1 by
-``group.mul``, where the library conjugates whole label arrays.  The tests
-compare each pair on small inputs.
+``group.mul``, where the library conjugates whole label arrays.
+``elementwise_translations`` calls ``group.mul`` once per generator and
+element and ``group.inv`` once per element, where the library calls each
+once per coset on whole coordinate arrays.  The tests compare each pair on
+small inputs.
 """
 
 import csv
@@ -79,6 +82,16 @@ from terw.conjugacy import (
 )
 from terw.characters import elem_json
 from terw.groups import conjugation_table, index_tables, inverses, read_only
+
+
+def elementwise_translations(group):
+    """The right translations x -> x*s by the generators s, one row each, and
+    the inversion x -> x^-1, as int32 element indices: one ``group.mul`` per
+    generator and element, one ``group.inv`` per element."""
+    elems = list(group.elements())
+    rho = [[group.index(group.mul(x, s)) for x in elems] for s in group.generators()]
+    iota = [group.index(group.inv(x)) for x in elems]
+    return np.array(rho, dtype=np.int32), np.array(iota, dtype=np.int32)
 
 
 def structure_constant(group, i, j, k):

@@ -203,3 +203,19 @@ def test_only_the_explicit_matrix_paths_read_the_full_table():
             ):
                 callers.add(func.name)
     assert callers == {"conjugation_table"}
+
+
+def test_no_module_walks_the_group_element_by_element():
+    # the library works on index and coordinate arrays: only groups.py, which
+    # defines elements(), and instances.py, which lists the involutions of A
+    # for the dicyclic groups, call it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("groups.py", "instances.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "elements"
+    ]
+    assert not found, f"elements() called in the library: {found}"

@@ -17,6 +17,7 @@ from dense_reference import (
     centralizer_sizes,
     class_members,
     conjugate,
+    elementwise_translations,
     enumerated_conjugacy_classes,
     min_propagation_orbitals,
 )
@@ -111,6 +112,37 @@ def test_products_over_index_sets_are_the_table_block():
     assert np.array_equal(block, mult[np.ix_(left, right)])
     with pytest.raises(ValueError, match="lists a coset element before an element of A"):
         index_tables(group, np.array([17, 3]), right)
+
+
+SEEDED_TRANSLATED = random_general_instances(8, 256, seed=3701)
+LARGE_TRANSLATED = dicyclic([(2, 4), (3, 2), (5, 1)], [8, 0, 0])  # |G| = 1440
+TRANSLATED = [
+    dihedral([(3, 1)]),
+    dihedral([(2, 2)]),
+    dicyclic([(2, 2)], [2]),
+    g2_group(8, 3, 0),
+    g2_group(16, 7, 8),
+    dicyclic([(2, 3), (3, 1)], [4, 0]),
+    *SEEDED_TRANSLATED,
+    LARGE_TRANSLATED,
+]
+
+
+def test_translation_cases_cover_a_square_three_factors_and_a_large_group():
+    assert any(any(g.square) for g in SEEDED_TRANSLATED)
+    assert any(g.abelian.rank == 3 for g in SEEDED_TRANSLATED)
+    assert LARGE_TRANSLATED.order > 1024
+
+
+@pytest.mark.parametrize("group", TRANSLATED, ids=lambda g: g.name)
+def test_translations_are_the_elementwise_reference(group):
+    # one group.mul per generator and coset on coordinate arrays gives the
+    # same int32 indices, in the same element order, as one per element
+    rho, iota = translations(group)
+    ref_rho, ref_iota = elementwise_translations(group)
+    assert rho.dtype == iota.dtype == np.int32
+    assert not rho.flags.writeable and not iota.flags.writeable
+    assert np.array_equal(rho, ref_rho) and np.array_equal(iota, ref_iota)
 
 
 CENTRALIZER_GROUPS = NAMED + [
