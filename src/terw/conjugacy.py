@@ -163,7 +163,7 @@ def structure_tensor(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     Each v gives exactly one u = v^-1 * y_k, which is rho_{y_k}[iota[v]]
     for the right translation rho_{y_k} by y_k, composed from
     ``translations`` and not read from the tables; the constants are the
-    run lengths of the sorted codes.
+    run lengths of the codes, sorted in place.
     """
     classes = conjugacy_classes(group)
     ell = len(classes)
@@ -175,9 +175,16 @@ def structure_tensor(group: D2Group) -> tuple[np.ndarray, np.ndarray]:
     codes += np.arange(ell)[:, None] * ell
     codes *= ell
     codes += classes.labels
-    codes = np.sort(codes, axis=1).ravel()
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    return read_only(codes[starts]), read_only(np.diff(starts, append=codes.size))
+    codes.sort(axis=1)
+    codes = codes.ravel()
+    first = np.empty(codes.size, dtype=bool)  # where a run of equal codes starts
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    # the full-size codes are freed before the counts are formed
+    size, codes = codes.size, codes[starts]
+    return read_only(codes), read_only(np.diff(starts, append=size))
 
 
 def _translations_to(

@@ -12,7 +12,10 @@ l^3 class triples, where the library counts the distinct sandwich codes of the o
 representatives.  The triple-code reference codes every pair (u, v) of G x G, where the library
 codes the l rows of the class representatives.  The rank
 reference eliminates over ``Fraction``, where the library keeps primitive
-integer rows.  The explicit-matrix closure reference multiplies on both
+integer rows.  The per-row product reference gathers each frontier row
+densely through an (|G|, orbit count) source table and sums the rows of
+each class, where the library scatters the nonzeros of a block of rows
+through a source-keyed index.  The explicit-matrix closure reference multiplies on both
 sides with Python ints only, where the library multiplies on the right, in
 int64 when a bound proves the product fits.  The orbital reference
 propagates minimum labels sweep after sweep over the pair permutations and
@@ -388,6 +391,64 @@ def fraction_closure_rank(vectors, operators):
     while frontier:
         frontier = [prod for vec in frontier for op in operators if basis.insert(prod := op(vec))]
     return basis.dimension
+
+
+def gather_sources(group):
+    """The int32 (|G|, orbit count) source table of the scheme products:
+    sources[k, c] is the orbit of (u, g_k^-1 v), for the representative
+    (u, v) of orbit c and the elements g_k listed class by class, with the
+    row offsets of each class and the largest class size."""
+    classes = conjugacy_classes(group)
+    orb = conjugation_orbitals(group)
+    rep_u, rep_v = orb.reps
+    sizes = np.bincount(classes.labels, minlength=len(classes))
+    by_class = inverses(group)[np.argsort(classes.labels, kind="stable")]
+    sources = orb.labels[rep_u, index_tables(group, by_class, rep_v)]
+    return sources, (0, *np.cumsum(sizes).tolist()), int(sizes.max())
+
+
+def _runs(keys, cols, vals):
+    bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+    return [(cols[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def gathered_scheme_products(gathered, vec):
+    """The nonzero X N_j of one sparse row, in class order, from the
+    ``gather_sources`` of its group: one gather of the dense row by the
+    sources, one sum over the rows of each class, in int64 when max|X|
+    times the largest class size is below 2^63 and in Python ints
+    otherwise."""
+    sources, offsets, largest = gathered
+    cols, vals = vec
+    top = max(int(vals.max()), -int(vals.min()))
+    cap = sources.shape[1]
+    row = np.zeros(cap, np.int64 if top * largest < 2**63 else object)
+    row[cols] = vals
+    rows = row[sources]
+    sums = np.empty((len(offsets) - 1, cap), row.dtype)
+    for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        np.add.reduce(rows[a:b], axis=0, out=sums[j])
+    flat = np.flatnonzero(sums)
+    classes, out = np.divmod(flat, cap)
+    return _runs(classes, out, sums.ravel()[flat])
+
+
+def per_row_orbit_products(group, include_scheme=True, include_dual=True):
+    """The frontier products of ``closure.orbit_products`` formed one row at
+    a time: the X N_j of each row by its dense gather, then its X E*_i by a
+    stable sort of its support by the class of each orbit's v."""
+    gathered = gather_sources(group) if include_scheme else None
+    col_class = conjugacy_classes(group).labels[conjugation_orbitals(group).reps[1]]
+
+    def row_products(vec):
+        prods = gathered_scheme_products(gathered, vec) if include_scheme else []
+        if include_dual:
+            cols, vals = vec
+            order = np.argsort(col_class[cols], kind="stable")
+            prods += _runs(col_class[cols][order], cols[order], vals[order])
+        return prods
+
+    return lambda frontier: (prod for vec in frontier for prod in row_products(vec))
 
 
 def two_sided_algebra_dimension(generators):

@@ -10,6 +10,7 @@ from dense_reference import (
     FractionBasis,
     conjugate,
     fraction_closure_rank,
+    per_row_orbit_products,
     two_sided_algebra_dimension,
 )
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from terw import (
     algebra_dimension,
     conjugacy_classes,
     conjugation_orbitals,
+    dicyclic,
     dihedral,
     dim_centralizer,
     dim_closed_form,
@@ -36,14 +38,16 @@ from terw import (
     make_involution,
     terwilliger_closure_dim,
 )
+from terw.cli import GroupSpec
 from terw.closure import (
+    BLOCK_ENTRIES,
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
     conjugation_certificate,
-    gather_table,
     orbit_products,
     right_products,
     sandwich_count,
+    scatter_index,
     terwilliger_generator_coords,
 )
 from terw.conjugacy import class_index_table
@@ -271,7 +275,7 @@ def test_orbit_operators_multiply_dense_matrices(s3, d4, sd16):
             (orbit_products(group, include_dual=False), scheme),
             (orbit_products(group, include_scheme=False), duals),
         ):
-            assert_products_equal_dense(products(vec), x, gens, orb.reps)
+            assert_products_equal_dense(list(products([vec])), x, gens, orb.reps)
 
 
 def dense_operator(group, gen):
@@ -300,11 +304,152 @@ def test_scheme_products_past_the_int64_bound_stay_exact(s3, sd16):
         big = np.array([2**62 - 7 * c for c in range(orb.count)], dtype=object)
         scheme = adjacency_matrices(group)
         products = orbit_products(group, include_dual=False)
-        assert_products_equal_dense(products(sparse(big)), big[orb.labels], scheme, orb.reps)
+        assert_products_equal_dense(
+            list(products([sparse(big)])), big[orb.labels], scheme, orb.reps
+        )
         rows = [sparse(big), *terwilliger_generator_coords(group, include_dual=False)]
         vectors = [dict(zip(cols.tolist(), vals.tolist())) for cols, vals in rows]
         expected = fraction_closure_rank(vectors, [dense_operator(group, g) for g in scheme])
         assert closure_dim_in_orbit_coords(rows, products, orb.count) == expected
+
+
+PRODUCT_GROUPS = [
+    dihedral([(3, 1)]),
+    dihedral([(2, 2)]),
+    dicyclic([(2, 2)], [2]),
+    g2_group(16, 7, 8),
+    dicyclic([(2, 3), (3, 1)], [4, 0]),
+    *random_general_instances(6, 64, seed=3801),
+]
+
+
+def test_product_groups_include_a_square():
+    assert any(any(group.square) for group in PRODUCT_GROUPS[5:])
+
+
+def assert_same_run(products, reference):
+    """The same products in the same order: equal int64 columns and equal
+    values."""
+    products, reference = list(products), list(reference)
+    assert len(products) == len(reference)
+    for (cols, vals), (ref_cols, ref_vals) in zip(products, reference):
+        assert cols.dtype == ref_cols.dtype == np.int64
+        assert np.array_equal(cols, ref_cols)
+        assert vals.tolist() == ref_vals.tolist()
+
+
+@pytest.mark.parametrize("group", PRODUCT_GROUPS, ids=lambda g: g.name)
+def test_frontier_products_are_the_per_row_gathers(group):
+    # frontiers of one row, of several rows and of all rows, of the
+    # generators and of their products, for each choice of families
+    rows = terwilliger_generator_coords(group)
+    for kwargs in ({}, dict(include_dual=False), dict(include_scheme=False)):
+        products = orbit_products(group, **kwargs)
+        reference = per_row_orbit_products(group, **kwargs)
+        round_one = list(reference(rows))
+        for frontier in (rows[:1], rows[1:4], rows, round_one[-1:], round_one[::3], round_one):
+            assert_same_run(products(frontier), reference(frontier))
+
+
+def test_mixed_frontier_past_the_int64_bound_stays_exact(s3, sd16):
+    # a row near 2^62 beside a 0/1 row: their block is summed in Python
+    # ints, and both rows' products are the per-row reference's
+    for group in (s3, sd16):
+        orb = conjugation_orbitals(group)
+        big = sparse(np.array([2**62 - 7 * c for c in range(orb.count)], dtype=object))
+        small = terwilliger_generator_coords(group)[1]
+        for frontier in ([big, small], [small, big]):
+            products = list(orbit_products(group)(frontier))
+            assert all(vals.dtype == object for _, vals in products)
+            assert_same_run(products, per_row_orbit_products(group)(frontier))
+
+
+def count_scatters(monkeypatch):
+    """The (output size, entry count) of every ``np.add.at`` the closure
+    module calls from now on."""
+    calls = []
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def at(self, out, at, values):
+            calls.append((len(out), len(at)))
+            return np.add.at(out, at, values)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(terw.closure, "np", Numpy())
+    return calls
+
+
+def test_scheme_products_scatter_once_per_block_of_frontier_rows(monkeypatch):
+    group = dihedral([(2, 4)])  # Dih(C16), |G| = 32
+    frontiers = []
+
+    def recorded(*args):
+        products = orbit_products(*args)
+        return lambda frontier: frontiers.append(len(frontier)) or products(frontier)
+
+    scatters = count_scatters(monkeypatch)
+    monkeypatch.setattr(terw.closure, "orbit_products", recorded)
+    ell = len(conjugacy_classes(group))
+    assert terwilliger_closure_dim(group, include_dual=False) == ell
+    # each round's frontier fits in one block here
+    assert len(scatters) == len(frontiers) >= 1
+    assert sum(frontiers) >= ell > len(frontiers)
+
+
+def test_a_large_frontier_scatters_in_blocks_of_bounded_size(monkeypatch):
+    group = dihedral([(2, 5)])  # Dih(C32), |G| = 64
+    span = len(conjugacy_classes(group)) * conjugation_orbitals(group).count
+    rows = terwilliger_generator_coords(group, include_dual=False)
+    frontier = list(per_row_orbit_products(group, include_dual=False)(rows))
+    products = orbit_products(group, include_dual=False)
+    scatters = count_scatters(monkeypatch)
+    assert_same_run(products(frontier), per_row_orbit_products(group, include_dual=False)(frontier))
+    assert 1 < len(scatters) < len(frontier)
+    # a block holds at most BLOCK_ENTRIES outputs and entries, unless it is one row
+    assert all(size + entries <= BLOCK_ENTRIES or size == span for size, entries in scatters)
+
+
+def recorded_inserts(monkeypatch, closure):
+    """The dimension closure() returns and the items of every vector it
+    offers to the basis, in order."""
+    offered = []
+    insert = SparseRationalBasis.insert
+
+    def recorded(basis, vec):
+        offered.append(list(vec.items()))
+        return insert(basis, vec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SparseRationalBasis, "insert", recorded)
+        return closure(), offered
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(dihedral([(2, 4)]), id="Dih(C16)"),
+    pytest.param(GroupSpec("general", factors=[[3, 1], [2, 3]], s=[2, 7], y=[0, 4]).build(),
+                 id="general-3^1,2^3"),
+])
+def test_restricted_closures_insert_what_the_per_row_reference_inserts(group, monkeypatch):
+    cap = conjugation_orbitals(group).count
+    for kwargs in (dict(include_dual=False), dict(include_scheme=False)):
+        library = recorded_inserts(
+            monkeypatch, lambda: terwilliger_closure_dim(group, guard=group.order, **kwargs)
+        )
+        reference = recorded_inserts(monkeypatch, lambda: closure_dim_in_orbit_coords(
+            terwilliger_generator_coords(group, **kwargs),
+            per_row_orbit_products(group, **kwargs),
+            cap,
+        ))
+        assert library == reference
+        assert library[0] == len(conjugacy_classes(group))
 
 
 def test_scheme_coords_lead_the_full_coords(s3):
@@ -334,24 +479,24 @@ def test_closure_without_generators_raises_before_any_work():
 def test_full_closure_never_builds_the_operators(monkeypatch):
     # the sandwiches fill every block in round 0, so no product is formed
     def unused(group):
-        raise AssertionError("gather table built")
+        raise AssertionError("scatter index built")
 
-    monkeypatch.setattr(gather_table, "__wrapped__", unused)
+    monkeypatch.setattr(scatter_index, "__wrapped__", unused)
     for group in (dihedral([(2, 4)]), *random_general_instances(1, 64, seed=1010)):
         assert terwilliger_closure_dim(group) == conjugation_orbitals(group).count
 
 
 def test_scheme_closure_builds_the_operators_once(monkeypatch):
-    # repeated restricted closures share one gather table, which only the
+    # repeated restricted closures share one scatter index, which only the
     # scheme products read
     built = []
-    original = gather_table.__wrapped__
+    original = scatter_index.__wrapped__
 
     def counted(group):
         built.append(group)
         return original(group)
 
-    monkeypatch.setattr(gather_table, "__wrapped__", counted)
+    monkeypatch.setattr(scatter_index, "__wrapped__", counted)
     s3, sd16 = dihedral([(3, 1)]), g2_group(8, 3, 0)  # fresh, so that nothing is built yet
     for group in (s3, sd16):
         ell = len(conjugacy_classes(group))
@@ -377,10 +522,11 @@ def test_closure_peak_memory_on_dih_c128():
 
 
 def test_restricted_closure_peak_memory_on_dih_c32():
-    # one frontier row's products at a time, never a whole round; the scheme
-    # products of a row are one (|G|, orbit count) int64 gather, 0.3 MiB here
+    # one block of frontier rows' products at a time, never a whole round;
+    # a block is at most BLOCK_ENTRIES dense outputs and scatter entries,
+    # and the scheme-only closure peaks at 0.58 MiB of tracemalloc here
     group = dihedral([(2, 5)])  # |G| = 64, 616 orbits, 19 classes
-    for build in (conjugations, conjugation_orbitals, class_index_table, gather_table):
+    for build in (conjugations, conjugation_orbitals, class_index_table, scatter_index):
         build(group)
     for kwargs, bound in ((dict(include_dual=False), 1.25), (dict(include_scheme=False), 0.2)):
         tracemalloc.start()
@@ -613,13 +759,13 @@ def object_array(entries, shape):
 
 
 def batched_products(matrices, cap):
-    """The nonzero products M x of a sparse row x, in Python ints."""
+    """The nonzero products M x of each sparse row x of a frontier, row by
+    row, in Python ints."""
     dense = [object_array(m, (cap, cap)) for m in matrices]
 
-    def products(vec):
-        cols, vals = vec
-        x = object_array(dict(zip(cols.tolist(), vals.tolist())), cap)
-        return [prod for m in dense if len((prod := sparse(m @ x))[0])]
+    def products(frontier):
+        xs = [object_array(dict(zip(cols.tolist(), vals.tolist())), cap) for cols, vals in frontier]
+        return [prod for x in xs for m in dense if len((prod := sparse(m @ x))[0])]
 
     return products
 

@@ -40,7 +40,7 @@ from terw import (
 )
 import terw.groups
 from terw.cli import main
-from terw.closure import conjugation_certificate, gather_table
+from terw.closure import conjugation_certificate, scatter_index
 from terw.conjugacy import (
     class_index_table,
     class_products,
@@ -280,7 +280,7 @@ def test_tables_are_built_once_and_read_only():
         mult, inv, *rep_products(group), classes.labels, classes.reps,
         class_index_table(group), table.exponents, table.coefficients,
         orb.labels, orb.reps, conjugations(group), *structure_tensor(group), *translations(group),
-        gather_table(group).sources, conjugation_minima(group),
+        scatter_index(group).targets, scatter_index(group).indptr, conjugation_minima(group),
     )
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ def test_tables_are_built_once_and_read_only():
 CACHED = [
     rep_products, conjugacy_classes, class_index_table, character_labels,
     character_table, conjugations, conjugation_orbitals, structure_tensor, translations,
-    gather_table, conjugation_minima, conjugation_certificate,
+    scatter_index, conjugation_minima, conjugation_certificate,
 ]
 
 
@@ -351,8 +351,8 @@ def test_verify_builds_each_artefact_once(builds, capsys):
     capsys.readouterr()
     # each artefact once, the two blocks of rep_products and the block of
     # the class-index table; the full closure forms no product, so it builds
-    # no gather table
-    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 3, "gather_table": 0}
+    # no scatter index
+    assert builds == {**dict.fromkeys(builds, 1), "index_tables_part": 3, "scatter_index": 0}
 
 
 def test_enumeration_limit_is_checked_before_any_work(builds, capsys, monkeypatch):
