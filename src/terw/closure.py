@@ -3,14 +3,13 @@
 ``algebra_dimension`` is the plain oracle: seed a basis with the generator
 matrices, append the products of basis elements with the generators on the
 right, and row-reduce the flattened matrices exactly until the dimension
-stabilizes.  Each matrix is multiplied by all the generators at once, as one
-float64 product with their stack (BLAS) when a bound over all of them keeps
-every entry and every partial sum below 2^53, so that each is an exact
-float64 integer and no summation order can round, and with Python ints
-otherwise: no tolerance, no overflow.
-Right products suffice: when the search stops, every element that grew the
-span W has been multiplied on the right by every generator s, so W s lies in
-W; by induction W holds every word in the generators, so it is the algebra.
+stabilizes or reaches side^2.  ``matrix_products`` multiplies a block of
+them by all the generators at once and sums the terms by one sort, in int64
+when a bound keeps every partial sum below 2^63 and in Python ints
+otherwise: no tolerance, no overflow.  Right products suffice: when the
+search stops, every element that grew the span W has been multiplied on the
+right by every generator s, so W s lies in W; by induction W holds every
+word in the generators, so it is the algebra.
 
 ``terwilliger_closure_dim`` specializes it to the scheme matrices and the
 dual idempotents.  They commute with every conjugation permutation, which
@@ -25,20 +24,19 @@ caps the dimension (reaching it certifies equality with the centralizer
 algebra).  The orbits are labelled by union-find (``groups.orbit_minima``)
 over the pair permutations (u, v) -> (s^-1 u s, s^-1 v s), with no inverses.
 
-The search is the right-product closure of ``algebra_dimension`` in orbit
-coordinates: one basis, seeded with the generators, and one batched product
-function (``orbit_products``) that forms, a block of frontier rows at a
-time, all their products with the generators of the families it was given;
-without the dual idempotents it is the adjacency algebra.  The products by
-the N_j read one ``per_group`` artefact, ``scatter_index``: for each source
-orbit, the (class, orbit) codes its entry adds to, in CSR form.  A block of
-rows is one ``np.add.at`` of the rows' nonzeros at the codes of their
-columns, in int64 when max|row| times the largest class size is below 2^63
-and in Python ints otherwise, so its cost follows the nonzeros times |G|.
-The product by E*_i keeps the entries whose orbit representative (u, v) has
-v in class i; one stable sort of the block's product keys splits the
-scheme products and these apart, row by row.  Each block's products go to
-the basis as they are formed, so a round is never formed whole.
+Both run one search, ``closure_dim_in_orbit_coords``: one basis, seeded with
+the generators, and one batched product function that forms, a block of
+frontier rows at a time, all their products with the generators, and hands
+each block's products to the basis as they are formed, so that a round is
+never formed whole: ``matrix_products`` for explicit matrices, and in orbit
+coordinates ``orbit_products`` for the families it was given (without the
+dual idempotents, the adjacency algebra).  The products by the N_j read one
+``per_group`` artefact, ``scatter_index``, the (class, orbit) codes each
+source orbit adds to, so their cost follows the nonzeros of a block times |G|.
+The basis, ``SparseRationalBasis``, ranks integer vectors over Q.  It
+eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
+each row primitive instead of dividing by the previous pivot; no rational
+number is ever formed.  The rank stops at ``cap`` only when it reaches it.
 
 The full closure needs no elimination: each orbit lies in exactly one
 sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
@@ -46,22 +44,16 @@ sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
 passes the orbit count, so a count at the cap is the closure dimension; for
 the groups here it always is, and the product rounds run only below it.
 
-Both paths rank integer vectors over Q with one basis, ``SparseRationalBasis``.
-It eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
-each row primitive instead of dividing by the previous pivot; no rational
-number is ever formed.  The rank stops at ``cap`` only when it reaches it.
-
-Both searches keep most products away from the basis (``_unseen``).  A
+The search keeps most products away from the basis (``_unseen``).  A
 product is skipped when it is zero, when it equals a vector of the previous
 frontier (X I = X, E E = E), or when it equals a product already formed in
 the same round (A_i A_j = A_j A_i).  Each of these already lies in the span
 the basis holds: the frontier vectors grew it, and an earlier product of the
 round was offered to it first.  So its insert would return False, and the
 frontiers, the order of growth and the dimension are those of the search
-without the skip.  Products are compared by their exact content (the bytes
-of an int64 matrix, the Python ints of an object matrix, the column bytes
-and the Python ints of a sparse row), never by a digest, and the keys are
-kept for one round only.
+without the skip.  Products are compared by their exact content, the column
+bytes and the Python ints of a sparse row, never by a digest, and the keys
+are kept for one round only.
 """
 
 from __future__ import annotations
@@ -79,11 +71,10 @@ from .groups import (
 from .limits import DEFAULT_MATRIX_GUARD, check_guard
 
 SparseVec = dict[int, int]
+SparseRow = tuple[np.ndarray, np.ndarray]  # increasing columns and their nonzero values
+Products = Callable[[Sequence[SparseRow]], Iterable[SparseRow]]
 
 INT64_LIMIT = 2**63
-
-# every integer of absolute value up to 2^53 is a float64
-FLOAT64_EXACT = 2**53
 
 
 class SparseRationalBasis:
@@ -132,65 +123,113 @@ class SparseRationalBasis:
         return True
 
 
+def _row_content(vec: SparseRow) -> Hashable:
+    cols, vals = vec
+    return (cols.tobytes(), tuple(vals.tolist())) if len(cols) else None
+
+
 def _unseen(
-    candidates: Iterable[Any], previous: Iterable[Hashable], content: Callable[[Any], Hashable]
-) -> Iterator[tuple[Any, Hashable]]:
+    candidates: Iterable[SparseRow], previous: Iterable[Hashable]
+) -> Iterator[tuple[SparseRow, Hashable]]:
     """The candidates that are nonzero and repeat neither a vector of the
-    previous frontier, given by its ``content`` keys, nor an earlier
-    candidate, each with its key; ``content`` is None for a zero vector.
-    Every candidate left out lies in the span of the basis already (see the
-    module docstring)."""
+    previous frontier, given by its ``_row_content`` keys, nor an earlier
+    candidate, each with its key.  Every candidate left out lies in the span
+    of the basis already (see the module docstring)."""
     seen = {None, *previous}
     for vec in candidates:
-        key = content(vec)
+        key = _row_content(vec)
         if key not in seen:
             seen.add(key)
             yield vec, key
 
 
-def right_products(
-    generators: Sequence[np.ndarray],
-) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
-    """The function that forms X s for every generator s, in generator
-    order, exactly: as one float64 product with the stack of the generators
-    when a bound proves it exact, cast back to int64, and with Python ints
-    otherwise.
+def _positions(indptr: np.ndarray, keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions in a CSR index of the entries of each key in turn, ``lengths`` of each."""
+    ends = np.cumsum(lengths)
+    at = np.repeat(indptr[keys] - ends + lengths, lengths)
+    at += np.arange(len(at))
+    return at
 
-    Every entry of X s, and every partial sum of it, is at most max|X| times
-    ``col_sum``, the largest absolute column sum over all the generators
-    (at least 1; it also bounds every entry of a generator).  Below 2^53
-    each of these is an integer that float64 holds exactly, so no sum
-    rounds, whatever order BLAS adds the terms in and with or without fused
-    multiply-adds.
+
+def matrix_products(generators: Sequence[SparseRow], side: int) -> Products:
+    """The function that yields the nonzero products X s of a frontier of
+    side x side matrices with each generator s on the right: row by row,
+    generator by generator, columns increasing.  Matrices and generators
+    are sparse rows over the codes i * side + k.
+
+    The generators' entries are indexed by their row k in CSR form.  In a
+    block of at most ``BLOCK_ENTRIES`` terms (``_blocks``), entry (i, k) of
+    block row f adds X[i, k] s[k, j] at f * (count * side^2) + g * side^2 +
+    i * side + j for each entry (k, j) of each generator g; one stable sort
+    and one ``np.add.reduceat`` sum the terms of each code.  Every term and
+    partial sum is at most max|X| times the largest absolute column sum of a
+    generator (at least 1): below 2^63 they are summed in int64, otherwise in
+    Python ints; no term passes through float64, whose sums are exact to 2^53.
     """
-    gens = [np.asarray(g, dtype=object) for g in generators]
-    col_sum = max(max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens)
-    stack = np.stack(gens).astype(np.float64) if col_sum < FLOAT64_EXACT else None
+    count, area = len(generators), side * side
+    gen = np.repeat(np.arange(count), [len(cols) for cols, _ in generators])
+    row, col = np.divmod(np.concatenate([cols for cols, _ in generators]), side)
+    vals = np.concatenate([vals for _, vals in generators]).astype(object)
+    by_row = np.argsort(row, kind="stable")
+    targets, values = (gen * area + col)[by_row], vals[by_row]
+    indptr = np.searchsorted(row[by_row], np.arange(side + 1))
+    col_sums = np.zeros(count * side, dtype=object)
+    np.add.at(col_sums, gen * side + col, np.abs(vals))
+    col_sum = max([1, *col_sums.tolist()])
+    values64 = values.astype(np.int64) if col_sum < INT64_LIMIT else None
 
-    def products(mat: np.ndarray) -> Sequence[np.ndarray]:
-        top = max(int(mat.max(initial=1)), -int(mat.min(initial=0)))
-        if top * col_sum < FLOAT64_EXACT:  # so col_sum < 2^53 and the stack exists
-            return (mat.astype(np.float64) @ stack).astype(np.int64)
-        return [mat.astype(object, copy=False) @ gen for gen in gens]
+    def products(frontier: Sequence[SparseRow]) -> Iterator[SparseRow]:
+        sizes = [len(cols) for cols, _ in frontier]
+        i, k = np.divmod(np.concatenate([cols for cols, _ in frontier]), side)
+        x = np.concatenate([vals for _, vals in frontier])
+        lengths = indptr[k + 1] - indptr[k]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for first, last in _blocks(np.add.reduceat(lengths, bounds[:-1]).tolist()):
+            a, b = bounds[first], bounds[last]
+            at = _positions(indptr, k[a:b], lengths[a:b])
+            base = np.repeat(np.arange(last - first), sizes[first:last]) * (count * area)
+            code = targets[at] + np.repeat(base + i[a:b] * side, lengths[a:b])
+            top = max(int(x[a:b].max()), -int(x[a:b].min()))
+            exact = top * col_sum < INT64_LIMIT  # so col_sum < 2^63 and values64 exists
+            terms = np.repeat(x[a:b].astype(np.int64 if exact else object), lengths[a:b])
+            terms *= (values64 if exact else values)[at]
+            order = np.argsort(code, kind="stable")
+            code = code[order]
+            starts = np.flatnonzero(np.diff(code, prepend=-1))
+            sums = np.add.reduceat(terms[order], starts)
+            nonzero = sums != 0
+            key, out = np.divmod(code[starts][nonzero], area)
+            yield from _runs(key, out, sums[nonzero])
 
     return products
 
 
-def algebra_dimension(
-    generators: Sequence[np.ndarray],
-    guard: int = DEFAULT_MATRIX_GUARD,
-) -> int:
-    """Dimension of the matrix algebra generated by the given integer matrices.
+def _is_integer(val: Any) -> bool:
+    try:
+        return int(val) == val
+    except (TypeError, ValueError, OverflowError):
+        return False
 
-    Breadth-first closure: new candidates are the products X s of each
-    matrix X that grew the basis with each generator s, on the right (see
-    the module docstring); stops when a full round adds nothing.  Products
-    that are zero or exact repeats never reach the basis (``_unseen``).
-    ``right_products`` forms the products of X with every generator at once,
-    in float64 when max|X| times the largest absolute column sum is below
-    2^53, which makes every partial sum an exact float64 integer, and with
-    Python ints otherwise.
-    """
+
+def _flattened(gen: np.ndarray, side: int) -> SparseRow:
+    """The nonzero entries of gen as a sparse row of Python ints over the codes
+    i * side + k.  A ValueError names the first entry that differs from its
+    int(), since int() alone would truncate 0.5 to 0."""
+    entries = np.asarray(gen).ravel()
+    cols = np.flatnonzero(entries)
+    vals = entries[cols].tolist()
+    for col, val in zip(cols.tolist(), vals):
+        if not _is_integer(val):
+            raise ValueError(f"generator entry {divmod(col, side)} is {val!r}, not an integer")
+    return cols, np.array([int(val) for val in vals], dtype=object)
+
+
+def algebra_dimension(generators: Sequence[np.ndarray], guard: int = DEFAULT_MATRIX_GUARD) -> int:
+    """Dimension of the matrix algebra generated by the given integer matrices:
+    ``closure_dim_in_orbit_coords`` on the flattened matrices, with the right
+    products of ``matrix_products`` and the cap side^2.  Integral floats and
+    objects are read as exact Python ints; any other entry raises ValueError
+    before any work, as a generator of the wrong shape does."""
     if not generators:
         raise ValueError("need at least one generator")
     shapes = [np.shape(g) for g in generators]
@@ -199,34 +238,8 @@ def algebra_dimension(
     side = shapes[0][0]
     if side > guard:
         raise GuardExceededError(f"matrix side {side} exceeds guard {guard}")
-    products = right_products(generators)
-    zero = bytes(8 * side * side)  # an all-zero int64 matrix
-
-    def content(mat: np.ndarray) -> Hashable:
-        if mat.dtype == np.int64:
-            key = mat.tobytes()
-            return None if key == zero else key
-        key = tuple(mat.ravel().tolist())
-        return key if any(key) else None
-
-    def flat(mat: np.ndarray) -> SparseVec:
-        entries = mat.ravel()
-        cols = np.flatnonzero(entries)
-        return dict(zip(cols.tolist(), entries[cols].tolist()))
-
-    basis = SparseRationalBasis()
-    # the seeds are the products I s, in the dtype of the products, so that
-    # X I = X matches its generator X
-    batch: Iterable[np.ndarray] = products(np.eye(side, dtype=np.int64))
-    previous: list[Hashable] = []
-    while True:
-        frontier = [
-            (mat, key) for mat, key in _unseen(batch, previous, content) if basis.insert(flat(mat))
-        ]
-        if not frontier:
-            return basis.dimension
-        previous = [key for _, key in frontier]
-        batch = (prod for mat, _ in frontier for prod in products(mat))
+    rows = [_flattened(gen, side) for gen in generators]
+    return closure_dim_in_orbit_coords(rows, matrix_products(rows, side), side * side)
 
 
 # -- conjugation orbits -------------------------------------------------------
@@ -290,12 +303,9 @@ def conjugation_certificate(group: D2Group) -> int | None:
     return first_not_preserving(class_index_table(group), conjugations(group))
 
 
-SparseRow = tuple[np.ndarray, np.ndarray]  # increasing columns and their nonzero values
-Products = Callable[[Sequence[SparseRow]], Iterable[SparseRow]]
-
 # the most entries of one block of frontier rows, unless it is one row: its
-# dense output, rows times class count times orbit count, plus its scatter
-# entries, so that a block's temporaries stay below about 1 MiB
+# scatter entries, plus for the orbit products its dense output, rows times
+# class count times orbit count, so that a block's temporaries stay at a few MiB
 BLOCK_ENTRIES = 2**15
 
 
@@ -353,8 +363,7 @@ def scatter_index(group: D2Group) -> ScatterIndex:
 
 
 def _runs(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[SparseRow]:
-    """The (cols, vals) of each run of equal keys, for keys in increasing
-    order."""
+    """The (cols, vals) of each run of equal keys, for increasing keys."""
     bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
     return [(cols[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
 
@@ -391,10 +400,7 @@ def _scatter(
     size; below 2^63 the sums are int64, otherwise Python ints."""
     top = max(int(vals.max()), -int(vals.min()))
     dtype = np.int64 if top * index.largest < INT64_LIMIT else object
-    ends = np.cumsum(lengths)
-    at = np.repeat(index.indptr[cols] - ends + lengths, lengths)
-    at += np.arange(len(at))
-    at = index.targets[at] + np.repeat(rows * span, lengths)
+    at = index.targets[_positions(index.indptr, cols, lengths)] + np.repeat(rows * span, lengths)
     size = (int(rows[-1]) + 1) * span
     out = np.zeros(size, dtype)
     np.add.at(out, at, np.repeat(vals.astype(dtype), lengths))
@@ -412,8 +418,7 @@ def orbit_products(
     """The function that yields the nonzero products of a frontier of orbit
     vectors with each generator on the right: row by row, in the order of
     ``terwilliger_generator_coords``, by every scheme matrix N_j, then by
-    every dual idempotent E*_i.  The search needs no left products (see the
-    module docstring).
+    every dual idempotent E*_i.
 
     The rows go in blocks of about ``BLOCK_ENTRIES``.  The scheme products
     of a block are one scatter (``_scatter``) through ``scatter_index``, so
@@ -481,27 +486,22 @@ def terwilliger_generator_coords(
     return rows
 
 
-def _row_content(vec: SparseRow) -> Hashable:
-    cols, vals = vec
-    return (cols.tobytes(), tuple(vals.tolist())) if len(cols) else None
-
-
 def closure_dim_in_orbit_coords(rows: Iterable[SparseRow], products: Products, cap: int) -> int:
-    """Exact breadth-first closure dimension in orbit coordinates.
+    """Exact breadth-first closure dimension of sparse integer rows.
 
-    The basis is seeded with the sparse integer rows.  Each round hands the
-    vectors that grew the basis in the round before to ``products`` as one
-    frontier and offers their products to the basis as they come; zero and
-    repeated products are skipped (``_unseen``).  ``cap`` is the orbit count: since
-    every product stays constant on orbits, a rank that reaches it proves
-    closure without generating more products.
+    The basis is seeded with the rows.  Each round hands the vectors that
+    grew the basis in the round before to ``products`` as one frontier and
+    offers their products to the basis as they come; zero and repeated
+    products are skipped (``_unseen``).  ``cap`` bounds the rank, the orbit
+    count in orbit coordinates and side^2 for flattened matrices, so a rank
+    that reaches it proves closure without generating more products.
     """
     basis = SparseRationalBasis()
     batch: Iterable[SparseRow] = rows
     previous: list[Hashable] = []
     while True:
         frontier = []
-        for vec, key in _unseen(batch, previous, _row_content):
+        for vec, key in _unseen(batch, previous):
             if basis.insert(dict(zip(vec[0].tolist(), key[1]))):
                 if basis.dimension == cap:
                     return cap

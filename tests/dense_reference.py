@@ -15,9 +15,12 @@ reference eliminates over ``Fraction``, where the library keeps primitive
 integer rows.  The per-row product reference gathers each frontier row
 densely through an (|G|, orbit count) source table and sums the rows of
 each class, where the library scatters the nonzeros of a block of rows
-through a source-keyed index.  The explicit-matrix closure reference multiplies on both
-sides with Python ints only, where the library multiplies on the right, in
-int64 when a bound proves the product fits.  The orbital reference
+through a source-keyed index.  The two explicit-matrix closure references
+multiply dense matrices: one on the right, in float64 (BLAS) when a bound
+proves every partial sum an exact float64 integer and in Python ints
+otherwise, the other on both sides with Python ints only, where the library
+multiplies sparse rows on the right, summing their terms by one sort, in
+int64 when a bound proves the sums fit.  The orbital reference
 propagates minimum labels sweep after sweep over the pair permutations and
 their inverses, and the class reference
 conjugates every element by every element and orders the orbits by kind,
@@ -449,6 +452,47 @@ def per_row_orbit_products(group, include_scheme=True, include_dual=True):
         return prods
 
     return lambda frontier: (prod for vec in frontier for prod in row_products(vec))
+
+
+def dense_algebra_dimension(generators):
+    """Dimension of the algebra generated by the integer matrices, by the
+    right-product closure on dense matrices: each matrix that grew the basis
+    is multiplied by the stack of the generators as one float64 product when
+    max|X| times the largest absolute column sum is below 2^53, which keeps
+    every partial sum an exact float64 integer, and by each generator in
+    Python ints otherwise.  Zero products and products equal to a vector of
+    the previous frontier or to an earlier product of the round are skipped,
+    by their Python-int content, until a round adds nothing."""
+    gens = [np.asarray(g, dtype=object) for g in generators]
+    side = gens[0].shape[0]
+    col_sum = max(max(np.abs(g).sum(axis=0).max(initial=0), 1) for g in gens)
+    stack = np.stack(gens).astype(np.float64) if col_sum < 2**53 else None
+
+    def products(mat):
+        top = max(int(mat.max(initial=1)), -int(mat.min(initial=0)))
+        if top * col_sum < 2**53:
+            return list((mat.astype(np.float64) @ stack).astype(np.int64))
+        return [mat.astype(object) @ gen for gen in gens]
+
+    def flat(mat):
+        entries = mat.ravel()
+        cols = np.flatnonzero(entries)
+        return dict(zip(cols.tolist(), entries[cols].tolist()))
+
+    basis = SparseRationalBasis()
+    batch, previous = products(np.eye(side, dtype=np.int64)), []
+    while True:
+        seen, frontier = {(), *previous}, []
+        for mat in batch:
+            key = tuple(flat(mat).items())
+            if key not in seen:
+                seen.add(key)
+                if basis.insert(dict(key)):
+                    frontier.append((mat, key))
+        if not frontier:
+            return basis.dimension
+        previous = [key for _, key in frontier]
+        batch = [prod for mat, _ in frontier for prod in products(mat)]
 
 
 def two_sided_algebra_dimension(generators):

@@ -3,12 +3,14 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from dense_reference import (
     FractionBasis,
     conjugate,
+    dense_algebra_dimension,
     fraction_closure_rank,
     per_row_orbit_products,
     two_sided_algebra_dimension,
@@ -44,8 +46,8 @@ from terw.closure import (
     SparseRationalBasis,
     closure_dim_in_orbit_coords,
     conjugation_certificate,
+    matrix_products,
     orbit_products,
-    right_products,
     sandwich_count,
     scatter_index,
     terwilliger_generator_coords,
@@ -95,7 +97,7 @@ def test_generic_closure_matches_fast_path_general_instance():
     assert algebra_dimension(gens) == terwilliger_closure_dim(group)
 
 
-@pytest.mark.parametrize("generators, dim", [
+OVERFLOW_CASES = [
     pytest.param([np.array([[2**40, 1], [0, 2**40]])], 2, id="square-2^80"),
     pytest.param([np.array([[3**40]], dtype=object)], 1, id="1x1-3^40"),
     # the squares 2^64 and 2^66 wrap to 0 in int64, which would drop D^2
@@ -115,29 +117,54 @@ def test_generic_closure_matches_fast_path_general_instance():
     pytest.param(
         [np.array([[2**64, 0], [0, 1]], dtype=object)] * 2, 2, id="repeated-object-2^64"
     ),
-])
+]
+
+
+@pytest.mark.parametrize("generators, dim", OVERFLOW_CASES)
 def test_products_that_overflow_int64_stay_exact(generators, dim):
     assert algebra_dimension(generators) == two_sided_algebra_dimension(generators) == dim
 
 
-def test_products_at_the_float64_bound_take_float64_and_stay_exact():
-    # 2^53 - 1 = 441650591 * 20394401: max|X| times the largest column sum
+def flattened(mat):
+    """A matrix as a sparse row over the codes i * side + k."""
+    return sparse(np.asarray(mat).ravel())
+
+
+def assert_matrix_products_exact(frontier, gens):
+    """The products of ``matrix_products`` are the nonzero flattened X s in
+    Python ints, frontier matrix by frontier matrix, generator by
+    generator; returns them."""
+    products = matrix_products([flattened(g) for g in gens], len(gens[0]))
+    got = list(products([flattened(x) for x in frontier]))
+    exact = [np.asarray(x, dtype=object) @ np.asarray(g, dtype=object) for x in frontier for g in gens]
+    assert listed(got) == listed(prod for x in exact if len((prod := flattened(x))[0]))
+    return got
+
+
+def test_products_at_the_int64_bound_stay_int64_and_exact():
+    # 2^63 - 1 = 2028184990993 * 4547599: max|X| times the largest column sum
     # is one below the bound, and entry (0, 0) of X s reaches it
-    mat = np.full((2, 2), 441650591, dtype=np.int64)
-    gens = [np.array([[10197200, 1], [10197201, 0]]), np.eye(2, dtype=np.int64)]
-    prods = right_products(gens)(mat)
-    assert prods.dtype == np.int64
-    assert prods[0, 0, 0] == 2**53 - 1
-    exact = [(mat.astype(object) @ g.astype(object)).tolist() for g in gens]
-    assert [p.tolist() for p in prods] == exact
+    mat = np.full((2, 2), 2028184990993, dtype=np.int64)
+    gens = [np.array([[2273799, 1], [2273800, 0]]), np.eye(2, dtype=np.int64)]
+    prods = assert_matrix_products_exact([mat], gens)
+    assert all(vals.dtype == np.int64 for _, vals in prods)
+    assert prods[0][1][0] == 2**63 - 1
 
 
-def test_products_past_the_float64_bound_take_python_ints():
-    # (2^31 + 1)(2^31 - 1) = 2^62 - 1 fits int64, but float64 rounds it to 2^62
-    mat, gens = np.array([[2**31 + 1]]), [np.array([[2**31 - 1]])]
-    prods = right_products(gens)(mat)
-    assert [p.tolist() for p in prods] == [[[2**62 - 1]]]
-    assert [p.dtype for p in prods] == [object]
+def test_products_past_the_int64_bound_take_python_ints():
+    # 2^32 * 2^31 = 2^63 wraps to -2^63 in int64
+    prods = assert_matrix_products_exact([np.array([[2**32]])], [np.array([[2**31]])])
+    assert [vals.tolist() for _, vals in prods] == [[2**63]]
+    assert [vals.dtype for _, vals in prods] == [object]
+
+
+def test_mixed_matrix_frontier_past_the_int64_bound_stays_exact():
+    # a matrix at 2^32 beside a 0/1 one: their block is summed in Python ints
+    gens = [np.array([[0, 2**31, 1], [1, 0, 0], [0, 1, 1]]), np.eye(3, dtype=np.int64)]
+    big, small = np.diag([2**32, 1, 2**32 - 5]), np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for frontier in ([big, small], [small, big]):
+        prods = assert_matrix_products_exact(frontier, gens)
+        assert all(vals.dtype == object for _, vals in prods)
 
 
 @pytest.mark.parametrize("group", [
@@ -147,6 +174,84 @@ def test_products_past_the_float64_bound_take_python_ints():
 def test_explicit_closure_at_order_32(group):
     gens = adjacency_matrices(group) + dual_idempotents(group)
     assert algebra_dimension(gens) == terwilliger_closure_dim(group) == dim_closed_form(group)
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(dihedral([(2, 5)]), id="Dih(C32)"),
+    pytest.param(g2_group(32, 15, 16), id="G2(32,15,16)"),
+])
+def test_explicit_closure_at_the_default_guard(group):
+    # |G| = 64: the explicit matrices have side 64, the default matrix guard
+    gens = adjacency_matrices(group) + dual_idempotents(group)
+    assert algebra_dimension(gens) == terwilliger_closure_dim(group) == dim_closed_form(group) == 616
+
+
+def test_explicit_closure_peak_memory_on_dih_c16():
+    # one block of frontier rows' terms at a time: 3.2 MiB of tracemalloc
+    # here, against 10.2 MiB for the dense float64 products
+    group = dihedral([(2, 4)])  # |G| = 32, side 32, 184 orbits
+    gens = adjacency_matrices(group) + dual_idempotents(group)
+    tracemalloc.start()
+    try:
+        assert algebra_dimension(gens) == 184
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+# the |G| <= 16 groups of the subalgebra benchmark under two seeds, and two
+# groups of order 32
+EXPLICIT_GROUPS = [
+    dihedral([(3, 1)]),
+    dihedral([(2, 2)]),
+    dicyclic([(2, 2)], [2]),
+    g2_group(8, 3, 0),
+    *(GroupSpec("general", factors=f, s=s, y=y).build() for f, s, y in (
+        ([[3, 1], [2, 1]], [2, 1], [0, 0]),
+        ([[2, 2], [2, 1]], [3, 1], [2, 1]),
+        ([[3, 1], [2, 1]], [2, 1], [0, 1]),
+        ([[2, 2], [2, 1]], [3, 1], [0, 0]),
+    )),
+    dihedral([(2, 4)]),
+    g2_group(16, 7, 8),
+]
+
+
+@pytest.mark.parametrize("generators", [
+    *(pytest.param(lambda g=g: adjacency_matrices(g) + dual_idempotents(g), id=g.name)
+      for g in EXPLICIT_GROUPS),
+    *(pytest.param(lambda g=g: adjacency_matrices(g), id=f"{g.name}-scheme")
+      for g in EXPLICIT_GROUPS[-2:]),
+    *(pytest.param(lambda gens=case.values[0]: gens, id=case.id) for case in OVERFLOW_CASES),
+])
+def test_explicit_closure_inserts_what_the_dense_reference_inserts(generators, monkeypatch):
+    gens = generators()
+    library = recorded_inserts(monkeypatch, lambda: algebra_dimension(gens))
+    reference = recorded_inserts(monkeypatch, lambda: dense_algebra_dimension(gens))
+    if library[0] < len(gens[0]) ** 2:
+        assert library == reference
+    else:  # the search stops at the cap side^2, where the reference searches on
+        assert library[0] == reference[0]
+
+
+def test_integral_floats_and_objects_read_as_exact_ints():
+    assert algebra_dimension([np.eye(3)]) == 1
+    # 2.0^70 is an integer that int64 cannot hold
+    assert algebra_dimension([np.array([[2.0**70, 1.0], [0.0, 2.0**70]])]) == 2
+    assert algebra_dimension([np.array([[Fraction(4, 2), 0], [0, 1]], dtype=object)]) == 2
+
+
+@pytest.mark.parametrize("generators, entry", [
+    pytest.param([np.array([[0.5]])], r"\(0, 0\) is 0.5", id="half"),
+    pytest.param([np.eye(2), np.array([[1.0, np.nan], [0.5, 0.0]])], r"\(0, 1\) is nan", id="nan"),
+    pytest.param([np.array([[1, Fraction(1, 3)], [0, 1]], dtype=object)], r"\(0, 1\)",
+                 id="fraction"),
+])
+def test_a_non_integral_entry_raises_before_any_work(generators, entry, basis_inserts):
+    with pytest.raises(ValueError, match=entry):
+        algebra_dimension(generators)
+    assert basis_inserts == []
 
 
 def test_fixed_inputs_equal_the_two_sided_reference(s3):
