@@ -36,7 +36,12 @@ source orbit adds to, so their cost follows the nonzeros of a block times |G|.
 The basis, ``SparseRationalBasis``, ranks integer vectors over Q.  It
 eliminates fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps
 each row primitive instead of dividing by the previous pivot; no rational
-number is ever formed.  The rank stops at ``cap`` only when it reaches it.
+number is ever formed.  Its rows are in reduced echelon form, each zero at
+every other row's pivot, so a vector is reduced in one pass over the pivots
+where it is nonzero, with no fill-in to chase; a row that grows the basis
+is cleared from the rows that hold its pivot column.  It takes the search's
+sparse rows as they are and reads their values once, by ``tolist``.  The
+rank stops at ``cap`` only when it reaches it.
 
 The full closure needs no elimination: each orbit lies in exactly one
 sandwich E*_a N_j E*_b, so the distinct sandwiches are independent and
@@ -77,49 +82,87 @@ Products = Callable[[Sequence[SparseRow]], Iterable[SparseRow]]
 INT64_LIMIT = 2**63
 
 
-class SparseRationalBasis:
-    """Row-reduced basis of sparse integer vectors, ranked over Q.
+def _subtract(work: SparseVec, coeff: int, row: SparseVec, pivot: int) -> SparseVec:
+    """A positive multiple of work minus a multiple of row, zero at pivot,
+    for coeff = work[pivot]: fraction-free, work is scaled by row[pivot] /
+    gcd(coeff, row[pivot]) rather than by row[pivot], to keep entries small.
+    work may be changed in place, and zeros may remain."""
+    lead = row[pivot]
+    if lead != 1:
+        shared = gcd(coeff, lead)
+        coeff, lead = coeff // shared, lead // shared
+        if lead != 1:
+            work = {col: val * lead for col, val in work.items()}
+    for col, val in row.items():
+        work[col] = work.get(col, 0) - coeff * val
+    return work
 
-    The pivot of a row is its smallest nonzero coordinate.  Each row is
-    primitive (its entries have gcd 1) with a positive pivot coefficient.
-    Entries are Python ints, so no product can overflow.
+
+def _primitive(work: SparseVec, pivot: int) -> SparseVec:
+    """The nonzero entries of work divided by their gcd, signed so that the
+    pivot entry is positive."""
+    lead = work[pivot]
+    content = 1 if lead in (1, -1) else gcd(*work.values())  # the gcd divides the lead
+    if lead < 0:
+        content = -content
+    return {col: val // content for col, val in work.items() if val}
+
+
+class SparseRationalBasis:
+    """Basis of sparse integer vectors in reduced row-echelon form, ranked
+    over Q.
+
+    The pivot of a row is its smallest nonzero coordinate, and every row is
+    zero at the pivot of every other row.  Each row is primitive (its
+    entries have gcd 1) with a positive pivot coefficient, so the rows are
+    the one such basis of their span.  Entries are Python ints, so no
+    product can overflow.
     """
 
     def __init__(self):
         self.rows: dict[int, SparseVec] = {}
+        # the pivots of the rows that are nonzero at each column besides their
+        # pivot, so that a new pivot is cleared without a scan of every row
+        self.holders: dict[int, set[int]] = {}
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: SparseVec) -> bool:
-        """Reduce vec against the basis; add the residual if nonzero."""
-        work = {int(col): int(val) for col, val in vec.items() if val}
-        while work:
-            pivot = min(work)
-            row = self.rows.get(pivot)
-            if row is None:
-                break
-            coeff, lead = work[pivot], row[pivot]
-            if lead != 1:
-                # scale by lead / gcd(coeff, lead) rather than by lead, to keep
-                # entries small
-                shared = gcd(coeff, lead)
-                coeff, lead = coeff // shared, lead // shared
-                work = {col: val * lead for col, val in work.items()}
-            for col, val in row.items():
-                new = work.get(col, 0) - coeff * val
-                if new:
-                    work[col] = new
-                else:
-                    work.pop(col, None)
-        if not work:
+    def insert(self, vec: SparseRow) -> bool:
+        """Reduce the sparse row vec against the basis; add the residual if
+        nonzero.  Its values may be of any integer dtype or Python ints in
+        an object array; ``tolist`` reads them all as exact Python ints,
+        and the arrays are left unchanged.
+
+        The basis rows are zero at each other's pivots, so subtracting one
+        changes vec at no other pivot: one pass over the pivots where vec
+        is nonzero reduces it.  A nonzero residual becomes a new row, and
+        its pivot is cleared from every row that has it, fraction-free.
+        """
+        cols, vals = vec
+        work = dict(zip(cols.tolist(), vals.tolist()))
+        rows = self.rows
+        for pivot in rows.keys() & work.keys():
+            coeff = work[pivot]
+            if coeff:
+                work = _subtract(work, coeff, rows[pivot], pivot)
+        if not any(work.values()):
             return False
-        pivot = min(work)
-        content = gcd(*work.values())
-        if work[pivot] < 0:
-            content = -content
-        self.rows[pivot] = {col: val // content for col, val in work.items()}
+        pivot = min(col for col, val in work.items() if val)
+        new = _primitive(work, pivot)
+        holders = self.holders
+        others = new.keys() - {pivot}
+        for at in holders.pop(pivot, ()):
+            row = rows[at] = _primitive(_subtract(rows[at], rows[at][pivot], new, pivot), at)
+            for col in others:  # only the columns of new can change
+                if col in row:
+                    holders.setdefault(col, set()).add(at)
+                elif col in holders:
+                    holders[col].discard(at)
+        for col in others:
+            holders.setdefault(col, set()).add(pivot)
+        rows[pivot] = new
         return True
 
 
@@ -502,7 +545,7 @@ def closure_dim_in_orbit_coords(rows: Iterable[SparseRow], products: Products, c
     while True:
         frontier = []
         for vec, key in _unseen(batch, previous):
-            if basis.insert(dict(zip(vec[0].tolist(), key[1]))):
+            if basis.insert(vec):
                 if basis.dimension == cap:
                     return cap
                 frontier.append((vec, key))

@@ -11,16 +11,18 @@ right translations by the generators preserve the table.  The sandwich reference
 l^3 class triples, where the library counts the distinct sandwich codes of the orbit
 representatives.  The triple-code reference codes every pair (u, v) of G x G, where the library
 codes the l rows of the class representatives.  The rank
-reference eliminates over ``Fraction``, where the library keeps primitive
-integer rows.  The per-row product reference gathers each frontier row
-densely through an (|G|, orbit count) source table and sums the rows of
+reference eliminates over ``Fraction`` to echelon form, where the library
+keeps primitive integer rows in reduced echelon form.  The per-row product
+reference gathers each frontier row densely through an (|G|, orbit count)
+source table and sums the rows of
 each class, where the library scatters the nonzeros of a block of rows
 through a source-keyed index.  The two explicit-matrix closure references
 multiply dense matrices: one on the right, in float64 (BLAS) when a bound
 proves every partial sum an exact float64 integer and in Python ints
-otherwise, the other on both sides with Python ints only, where the library
-multiplies sparse rows on the right, summing their terms by one sort, in
-int64 when a bound proves the sums fit.  The orbital reference
+otherwise, the other on both sides with Python ints only, both ranked by
+the ``Fraction`` reference, where the library multiplies sparse rows on the
+right, summing their terms by one sort, in int64 when a bound proves the
+sums fit.  The orbital reference
 propagates minimum labels sweep after sweep over the pair permutations and
 their inverses, and the class reference
 conjugates every element by every element and orders the orbits by kind,
@@ -76,7 +78,7 @@ from terw import (
     adjacency_matrices,
     central_idempotent,
 )
-from terw.closure import Orbitals, SparseRationalBasis, conjugation_orbitals
+from terw.closure import Orbitals, conjugation_orbitals
 from terw.conjugacy import (
     COSET,
     FIXED,
@@ -479,7 +481,7 @@ def dense_algebra_dimension(generators):
         cols = np.flatnonzero(entries)
         return dict(zip(cols.tolist(), entries[cols].tolist()))
 
-    basis = SparseRationalBasis()
+    basis = FractionBasis()
     batch, previous = products(np.eye(side, dtype=np.int64)), []
     while True:
         seen, frontier = {(), *previous}, []
@@ -506,7 +508,7 @@ def two_sided_algebra_dimension(generators):
         cols = np.flatnonzero(entries)
         return dict(zip(cols.tolist(), entries[cols].tolist()))
 
-    basis = SparseRationalBasis()
+    basis = FractionBasis()
     frontier = [g for g in gens if basis.insert(flat(g))]
     while frontier:
         frontier = [

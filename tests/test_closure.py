@@ -228,7 +228,7 @@ EXPLICIT_GROUPS = [
 def test_explicit_closure_inserts_what_the_dense_reference_inserts(generators, monkeypatch):
     gens = generators()
     library = recorded_inserts(monkeypatch, lambda: algebra_dimension(gens))
-    reference = recorded_inserts(monkeypatch, lambda: dense_algebra_dimension(gens))
+    reference = recorded_inserts(monkeypatch, lambda: dense_algebra_dimension(gens), FractionBasis)
     if library[0] < len(gens[0]) ** 2:
         assert library == reference
     else:  # the search stops at the cap side^2, where the reference searches on
@@ -522,18 +522,22 @@ def test_a_large_frontier_scatters_in_blocks_of_bounded_size(monkeypatch):
     assert all(size + entries <= BLOCK_ENTRIES or size == span for size, entries in scatters)
 
 
-def recorded_inserts(monkeypatch, closure):
-    """The dimension closure() returns and the items of every vector it
-    offers to the basis, in order."""
+def recorded_inserts(monkeypatch, closure, basis_type=SparseRationalBasis):
+    """The dimension closure() returns and the (column, value) items of
+    every vector it offers to a basis of basis_type, in order: a sparse row
+    for ``SparseRationalBasis``, a dict for ``FractionBasis``."""
     offered = []
-    insert = SparseRationalBasis.insert
+    insert = basis_type.insert
 
     def recorded(basis, vec):
-        offered.append(list(vec.items()))
+        if isinstance(vec, dict):
+            offered.append(list(vec.items()))
+        else:
+            offered.append(list(zip(vec[0].tolist(), vec[1].tolist())))
         return insert(basis, vec)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SparseRationalBasis, "insert", recorded)
+        patch.setattr(basis_type, "insert", recorded)
         return closure(), offered
 
 
@@ -688,25 +692,37 @@ def test_int64_entries_whose_products_overflow_keep_the_exact_rank():
     rows = np.array([[1, 2**32, 0], [2**32, 0, 0]], dtype=np.int64)
     assert closure_dim_in_orbit_coords(map(sparse, rows), no_products, cap=3) == 2
     basis = SparseRationalBasis()
-    assert all(basis.insert(dict(enumerate(row))) for row in rows)
+    assert all(basis.insert((np.arange(len(row)), row)) for row in rows)
 
 
-def assert_rows_primitive(basis):
+def sparse_row(vec):
+    """The {column: value} dict as a sparse row of Python ints, columns
+    increasing; zero values stay."""
+    cols = sorted(vec)
+    return np.array(cols, dtype=np.int64), np.array([vec[col] for col in cols], dtype=object)
+
+
+def assert_rows_reduced(basis):
+    """Every stored row is primitive with a positive pivot at its smallest
+    column, holds Python ints and is zero at every other row's pivot."""
     for pivot, row in basis.rows.items():
         assert pivot == min(row)
         assert row[pivot] > 0
         assert math.gcd(*row.values()) == 1
-        assert all(type(val) is int for val in row.values())
+        assert all(type(val) is int and val for val in row.values())
+        assert not row.keys() & basis.rows.keys() - {pivot}
 
 
 def test_stored_rows_are_primitive_with_a_positive_pivot():
     basis = SparseRationalBasis()
     for vec in ({0: -4, 2: 6}, {0: 6, 1: -9, 3: 3}, {1: 2, 2: 8}, {2: -5, 4: 10}):
-        assert basis.insert(vec)
-    assert_rows_primitive(basis)
-    assert basis.rows[0] == {0: 2, 2: -3}
+        assert basis.insert(sparse_row(vec))
+    assert_rows_reduced(basis)
+    # the reduced echelon form, worked by hand: with r_p the row of pivot p,
+    # the vectors are -4 r_0 + 6 r_2, 6 r_0 - 9 r_1 + 3 r_3, 2 r_1 + 8 r_2, -5 r_2
+    assert basis.rows == {0: {0: 1, 4: -3}, 1: {1: 1, 4: 8}, 2: {2: 1, 4: -2}, 3: {3: 1, 4: 30}}
     assert basis.dimension == 4
-    assert not basis.insert({0: 2, 1: -9, 2: 6, 3: 3})  # the sum of the first two
+    assert not basis.insert(sparse_row({0: 2, 1: -9, 2: 6, 3: 3}))  # the sum of the first two
 
 
 @pytest.fixture
@@ -717,7 +733,7 @@ def basis_inserts(monkeypatch):
     insert = SparseRationalBasis.insert
 
     def recorded(basis, vec):
-        assert vec, "an empty vector reached the basis"
+        assert len(vec[0]), "an empty vector reached the basis"
         grew.append(insert(basis, vec))
         return grew[-1]
 
@@ -768,7 +784,7 @@ def round0_rank(group):
         for col, val in zip(cols.tolist(), vals.tolist()):
             parts.setdefault(block_of[col], {})[col] = val
         for part in parts.values():
-            basis.insert(part)
+            basis.insert(sparse_row(part))
     return basis.dimension
 
 
@@ -891,5 +907,52 @@ def test_closure_rank_equals_fraction_reference(problem):
 def test_basis_rank_equals_fraction_reference(vectors):
     basis, reference = SparseRationalBasis(), FractionBasis()
     for vec in vectors:
-        assert basis.insert(vec) == reference.insert(vec)
-    assert_rows_primitive(basis)
+        assert basis.insert(sparse_row(vec)) == reference.insert(vec)
+    assert_rows_reduced(basis)
+
+
+def offered_vectors(rng, count, width, rank):
+    """count seeded integer vectors over width columns, as dicts: each is
+    s a + t b for two of rank hidden sparse vectors and the earlier ones,
+    with s, t and the hidden entries from values such as 6, 3^41 and -2^64,
+    so their span has dimension at most rank < width and a reduced basis of
+    it keeps leads other than 1."""
+    values = [1, -1, 2, -3, 6, 10, -15, 3**41, -(2**64 + 3), 2**70 * 9]
+    hidden = [{col: rng.choice(values) for col in rng.sample(range(width), 3)}
+              for _ in range(rank)]
+    vectors = []
+    for _ in range(count):
+        a, b = rng.sample(hidden + vectors, 2)
+        s, t = rng.choice(values), rng.choice(values)
+        vectors.append({col: s * a.get(col, 0) + t * b.get(col, 0) for col in a.keys() | b.keys()})
+    return vectors
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_unit_leads_and_entries_past_int64_keep_the_reduced_form(seed):
+    # every basis row of the subalgebra closures holds only +-1 entries, so
+    # there the leads are all 1; here they are not, and entries pass 2^63
+    basis, reference = SparseRationalBasis(), FractionBasis()
+    for vec in offered_vectors(random.Random(seed), 40, 12, 7):
+        assert basis.insert(sparse_row(vec)) == reference.insert(vec)
+        assert basis.dimension == reference.dimension
+        assert_rows_reduced(basis)
+    assert any(row[pivot] != 1 for pivot, row in basis.rows.items())
+    assert any(abs(val) >= 2**63 for row in basis.rows.values() for val in row.values())
+
+
+def test_insert_reads_integer_dtypes_drops_zeros_and_leaves_its_arrays_unchanged():
+    basis = SparseRationalBasis()
+    offered = [
+        (np.array([0, 2, 3]), np.array([2, 0, -4], dtype=np.int8)),
+        (np.array([0, 1]), np.array([0, 2**64 - 1], dtype=np.uint64)),
+        (np.array([1, 4]), np.array([0, -(2**70)], dtype=object)),
+        (np.array([0, 5]), np.array([0, 0], dtype=np.int64)),
+    ]
+    kept = [(cols.copy(), vals.copy()) for cols, vals in offered]
+    assert [basis.insert(vec) for vec in offered] == [True, True, True, False]
+    assert basis.rows == {0: {0: 1, 3: -2}, 1: {1: 1}, 4: {4: 1}}
+    assert_rows_reduced(basis)
+    for (cols, vals), (cols0, vals0) in zip(offered, kept):
+        assert np.array_equal(cols, cols0) and vals.dtype == vals0.dtype
+        assert vals.tolist() == vals0.tolist()
