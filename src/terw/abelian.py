@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from itertools import product as _iterproduct
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -43,12 +44,10 @@ def is_prime(n: int) -> bool:
     )
 
 
-class CyclicFactor(NamedTuple):
-    """One cyclic factor C_m with m = p^e."""
+class CyclicFactor(namedtuple("CyclicFactor", "p e m")):
+    """One cyclic factor C_m with m = p^e: ``p``, ``e`` and ``m`` are ints."""
 
-    p: int
-    e: int
-    m: int
+    __slots__ = ()
 
 
 class AbelianGroup:
@@ -162,11 +161,11 @@ def make_abelian(factor_list: Sequence[tuple[int, int]]) -> AbelianGroup:
     return group
 
 
-class Involution(NamedTuple):
-    """Order-2 coordinate-diagonal automorphism t_i -> s_i * t_i mod m_i."""
+class Involution(namedtuple("Involution", "s moduli")):
+    """Order-2 coordinate-diagonal automorphism t_i -> s_i * t_i mod m_i:
+    ``s`` and ``moduli`` are tuple[int, ...]."""
 
-    s: tuple[int, ...]
-    moduli: tuple[int, ...]
+    __slots__ = ()
 
     def apply(self, x: AbElem) -> AbElem:
         """f(x); a coordinate may be an ndarray."""
@@ -189,17 +188,15 @@ def make_involution(group: AbelianGroup, s_vector: Sequence[int]) -> Involution:
     return Involution(s=s, moduli=moduli)
 
 
-class FixedData(NamedTuple):
+class FixedData(namedtuple("FixedData", "d_vec n_vec d")):
     """Per-factor gcd data for an involution: d_i = gcd(s_i - 1, m_i), n_i = m_i / d_i.
 
     The fixed subgroup consists of vectors with n_i | t_i (size d = prod d_i);
     the twisted-commutator subgroup {f(x) - x} of vectors with d_i | t_i
-    (size prod n_i).
+    (size prod n_i).  ``d_vec`` and ``n_vec`` are tuple[int, ...], ``d`` an int.
     """
 
-    d_vec: tuple[int, ...]
-    n_vec: tuple[int, ...]
-    d: int
+    __slots__ = ()
 
     @property
     def twisted_size(self) -> int:

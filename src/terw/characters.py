@@ -29,7 +29,7 @@ import cmath
 import csv
 import io
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,11 +40,14 @@ from .groups import D2Group, per_group, read_only
 from .limits import ENUMERATION_LIMIT, check_guard
 
 
-class LinearLabel(NamedTuple):
-    """One-dimensional character chi_{I,sign}; I_i is taken mod d_i."""
+class LinearLabel(namedtuple("LinearLabel", "i_vec sign")):
+    """One-dimensional character chi_{I,sign}; I_i is taken mod d_i.
 
-    i_vec: tuple[int, ...]
-    sign: int  # 1: principal square root on the coset, 2: negated
+    ``i_vec`` is I, a tuple[int, ...]; ``sign`` is an int, 1 for the
+    principal square root on the coset and 2 for its negation.
+    """
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -54,10 +57,11 @@ class LinearLabel(NamedTuple):
         return f"chi[{','.join(map(str, self.i_vec))};{self.sign}]"
 
 
-class TwoDimLabel(NamedTuple):
-    """Two-dimensional character phi_J; J is the orbit minimum of {J, J*s}."""
+class TwoDimLabel(namedtuple("TwoDimLabel", "j_vec")):
+    """Two-dimensional character phi_J; J, the tuple[int, ...] ``j_vec``, is
+    the orbit minimum of {J, J*s}."""
 
-    j_vec: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -91,7 +95,8 @@ def character_labels(group: D2Group) -> tuple[CharLabel, ...]:
     return tuple(labels)
 
 
-class CharacterTable(NamedTuple):
+class CharacterTable(namedtuple(
+        "CharacterTable", "order root_order classes labels exponents coefficients")):
     """Rows are irreducible characters, columns are conjugacy classes.
 
     Entry (r, c) is the sum of coefficients[r, c, t] * z^exponents[r, c, t]
@@ -103,14 +108,13 @@ class CharacterTable(NamedTuple):
     group, because the group keeps the table.  The three exports read the
     entries through one step, ``_cells``, which evaluates and formats each
     distinct entry once, and each writes its report in one join.
+
+    Fields: ``order`` and ``root_order`` (int), ``classes`` (ClassList),
+    ``labels`` (tuple[CharLabel, ...]), ``exponents`` and ``coefficients``
+    (np.ndarray).
     """
 
-    order: int
-    root_order: int
-    classes: ClassList
-    labels: tuple[CharLabel, ...]
-    exponents: np.ndarray
-    coefficients: np.ndarray
+    __slots__ = ()
 
     @property
     def degrees(self) -> list[int]:

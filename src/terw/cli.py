@@ -28,7 +28,8 @@ import json
 import os
 import re
 import sys
-from typing import Any, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Any, Sequence
 
 from .characters import character_table, elem_json, verify_orthogonality
 from .conjugacy import conjugacy_classes, conjugacy_classes_bruteforce
@@ -75,15 +76,15 @@ def _factor_pairs(value: Any, name: str) -> list[list[int]]:
     return [_integers(f, name) for f in value]
 
 
-class GroupSpec(NamedTuple):
-    """Parsed description of one group instance."""
+class GroupSpec(namedtuple("GroupSpec", "kind factors s y n t", defaults=(None,) * 5)):
+    """Parsed description of one group instance.
 
-    kind: str
-    factors: list[list[int]] | None = None
-    s: Any = None  # vector for general, integer for g2
-    y: list[int] | None = None
-    n: int | None = None
-    t: int | None = None
+    ``kind`` is a str; every other field defaults to None: ``factors`` is a
+    list[list[int]], ``s`` a list[int] for general and an int for g2, ``y``
+    a list[int], ``n`` and ``t`` ints.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self._asdict().items() if v is not None}

@@ -35,7 +35,8 @@ wrong table still disagrees with them.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple
+from collections import namedtuple
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -52,11 +53,11 @@ PAIRED: Kind = "paired"
 COSET: Kind = "coset"
 
 
-class ConjClass(NamedTuple):
-    kind: Kind
-    rep: D2Elem
-    size: int
-    index: int
+class ConjClass(namedtuple("ConjClass", "kind rep size index")):
+    """One conjugacy class: ``kind`` (Kind), ``rep`` (D2Elem), ``size`` and
+    ``index`` (int)."""
+
+    __slots__ = ()
 
 
 class ClassList:

@@ -369,7 +369,13 @@ def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray
     """The int32 block of left[i] * right[j] from the normal form, one
     coordinate at a time: (x, beta) * (x', gamma) has coordinates
     x_j + f^beta(x')_j + beta * gamma * y_j mod m_j and coset bit
-    beta + gamma mod 2, accumulated in place with one int32 temporary."""
+    beta + gamma mod 2.  The right summand f^beta(x')_j + beta * gamma * y_j
+    is reduced mod m_j once per column, so each cell adds two summands in
+    [0, m_j) and one conditional subtraction, min(t, t - m_j) read as uint32,
+    reduces their sum without an integer division.  The rows go in chunks
+    of about 2^16 cells: a chunk's coordinates are summed in one int32
+    temporary of its size and added into the block in place, so no
+    temporary grows with the block."""
     n, moduli = group.n, group.abelian.moduli
     weights = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
     split = int(np.count_nonzero(left < n))  # the rows with beta = 0 come first
@@ -377,16 +383,24 @@ def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray
         raise ValueError("the left index set lists a coset element before an element of A")
     xs, ys = ([x.astype(np.int32) for x in np.unravel_index(i % n, moduli)] for i in (left, right))
     gamma = (right >= n).astype(np.int32)
+    twisted = [(s * y + gamma * sq) % m
+               for y, s, sq, m in zip(ys, group.twist.s, group.square, moduli)]
 
     mult = np.empty((len(left), len(right)), dtype=np.int32)
-    mult[:split], mult[split:] = gamma * n, (1 - gamma) * n
-    term = np.empty_like(mult)
-    for x, y, s, sq, m, w in zip(xs, ys, group.twist.s, group.square, moduli, weights):
-        np.add(x[:split, None], y, out=term[:split])
-        np.add(x[split:, None], (s * y + gamma * sq) % m, out=term[split:])
-        term %= m
-        term *= w
-        mult += term
+    step = max(1, (1 << 16) // max(1, len(right)))
+    term = np.empty((min(step, len(left)), len(right)), dtype=np.int32)
+    for start, stop, summands, bits in ((0, split, ys, gamma * n),
+                                        (split, len(left), twisted, (1 - gamma) * n)):
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            out, t = mult[lo:hi], term[:hi - lo]
+            out[...] = bits
+            for x, y, m, w in zip(xs, summands, moduli, weights):
+                np.add(x[lo:hi, None], y, out=t)
+                u = t.view(np.uint32)
+                np.minimum(u, u - np.uint32(m), out=u)
+                t *= w
+                out += t
     return mult
 
 

@@ -35,7 +35,7 @@ representative, so the pairs (rep_i, v) over all v already give every triple.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -193,14 +193,14 @@ def dim_closed_form(group: D2Group) -> int:
     return total // 2
 
 
-class TransitivityReport(NamedTuple):
-    """The four dimension computations and the resulting verdict."""
+class TransitivityReport(namedtuple(
+        "TransitivityReport",
+        "dim_t0 dim_closed_form dim_centralizer dim_closure triply_transitive")):
+    """The four dimension computations and the resulting verdict: ``dim_t0``,
+    ``dim_closed_form`` and ``dim_centralizer`` are ints, ``dim_closure`` an
+    int or None, ``triply_transitive`` a bool."""
 
-    dim_t0: int
-    dim_closed_form: int
-    dim_centralizer: int
-    dim_closure: int | None
-    triply_transitive: bool
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int, int | None]:
         return (self.dim_t0, self.dim_closed_form, self.dim_centralizer, self.dim_closure)

@@ -25,7 +25,7 @@ dense matrix.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -43,11 +43,11 @@ from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 from .scheme import dim_centralizer
 
 
-class MultiplicityVector(NamedTuple):
-    """Per-character block multiplicities, in table row order."""
+class MultiplicityVector(namedtuple("MultiplicityVector", "labels values")):
+    """Per-character block multiplicities, in table row order: ``labels``
+    is a tuple[CharLabel, ...], ``values`` a tuple[int, ...]."""
 
-    labels: tuple[CharLabel, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def blocks(self) -> list[int]:
         """Nonzero block sizes, in label order (zero summands are vacuous)."""
@@ -219,15 +219,14 @@ def _block_trace_counts(group: D2Group) -> np.ndarray:
 # -- combined report -----------------------------------------------------------
 
 
-class WedderburnReport(NamedTuple):
-    group_name: str
-    order: int
-    labels: tuple[CharLabel, ...]
-    closed_form: tuple[int, ...]
-    blocks: tuple[int, ...]
-    sum_d_sq: int
-    sum_d_deg: int
-    centralizer_dim: int
+class WedderburnReport(namedtuple(
+        "WedderburnReport",
+        "group_name order labels closed_form blocks sum_d_sq sum_d_deg centralizer_dim")):
+    """What ``wedderburn_report`` found: ``group_name`` (str), ``order``,
+    ``sum_d_sq``, ``sum_d_deg`` and ``centralizer_dim`` (int), ``labels``
+    (tuple[CharLabel, ...]), ``closed_form`` and ``blocks`` (tuple[int, ...])."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

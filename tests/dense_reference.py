@@ -500,20 +500,26 @@ def dense_algebra_dimension(generators):
 def two_sided_algebra_dimension(generators):
     """Dimension of the algebra generated by the integer matrices: products
     of each matrix that grew the basis with each generator on both sides,
-    all on ``object`` arrays, until a round adds nothing."""
+    all on ``object`` arrays, until a round adds nothing.  A zero product, or
+    one equal entry for entry to a matrix already offered, lies in the span
+    and is not offered to the basis again."""
     gens = [np.asarray(g, dtype=object) for g in generators]
+    basis, offered = FractionBasis(), set()
 
-    def flat(mat):
+    def grows(mat):
         entries = mat.ravel()
         cols = np.flatnonzero(entries)
-        return dict(zip(cols.tolist(), entries[cols].tolist()))
+        key = tuple(zip(cols.tolist(), entries[cols].tolist()))
+        if not key or key in offered:
+            return False
+        offered.add(key)
+        return basis.insert(dict(key))
 
-    basis = FractionBasis()
-    frontier = [g for g in gens if basis.insert(flat(g))]
+    frontier = [g for g in gens if grows(g)]
     while frontier:
         frontier = [
             prod for mat in frontier for gen in gens for prod in (mat @ gen, gen @ mat)
-            if basis.insert(flat(prod))
+            if grows(prod)
         ]
     return basis.dimension
 

@@ -3,7 +3,16 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import terw
+from terw.abelian import CyclicFactor, FixedData, Involution
+from terw.characters import CharacterTable, LinearLabel, TwoDimLabel
+from terw.cli import GroupSpec
+from terw.closure import Orbitals
+from terw.conjugacy import ConjClass
+from terw.scheme import TransitivityReport
+from terw.wedderburn import MultiplicityVector, WedderburnReport
 
 SOURCES = sorted(Path(terw.__file__).parent.rglob("*.py"))
 
@@ -33,16 +42,55 @@ def test_no_fractions_import():
 
 
 def test_no_dataclasses_import():
-    # records are NamedTuples or classes with slots: generating a dataclass's
-    # methods costs each import of terw about ten times as much
+    # records are collections.namedtuple subclasses or classes with slots:
+    # generating a dataclass's methods costs each import of terw about ten
+    # times as much, and typing.NamedTuple turns every string annotation
+    # into a ForwardRef, more than twice the cost of a namedtuple subclass
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "typing"
+            and any(a.name == "NamedTuple" for a in node.names)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "NamedTuple")
     ]
-    assert not found, f"dataclasses imported in the library: {found}"
+    assert not found, f"dataclasses or typing.NamedTuple in the library: {found}"
+
+
+RECORDS = {
+    CyclicFactor: "p e m",
+    Involution: "s moduli",
+    FixedData: "d_vec n_vec d",
+    LinearLabel: "i_vec sign",
+    TwoDimLabel: "j_vec",
+    CharacterTable: "order root_order classes labels exponents coefficients",
+    GroupSpec: "kind factors s y n t",
+    Orbitals: "count labels reps",
+    ConjClass: "kind rep size index",
+    TransitivityReport: "dim_t0 dim_closed_form dim_centralizer dim_closure triply_transitive",
+    MultiplicityVector: "labels values",
+    WedderburnReport:
+        "group_name order labels closed_form blocks sum_d_sq sum_d_deg centralizer_dim",
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_records_are_slotted_tuples_with_their_fields(record):
+    # the CLI, the planted-fault tests and the README read _replace, _fields,
+    # _asdict and tuple equality; only GroupSpec has defaults, all None
+    fields = tuple(RECORDS[record].split())
+    assert issubclass(record, tuple) and record._fields == fields
+    assert record._field_defaults == (
+        dict.fromkeys(fields[1:]) if record is GroupSpec else {})
+    instance = record(*range(len(fields)))
+    assert not hasattr(instance, "__dict__")
+    replaced = instance._replace(**{fields[-1]: -1})
+    assert type(replaced) is record and replaced[:-1] == instance[:-1] and replaced[-1] == -1
 
 
 def test_integrality_is_decided_without_a_tolerance():

@@ -177,6 +177,23 @@ def test_rep_products_peak_at_what_they_keep():
     assert np.array_equal(orders, centralizer_sizes(group)[reps])
 
 
+def test_index_tables_peak_at_what_they_keep():
+    # the rows go in chunks of about 2^16 cells, each coordinate summed into
+    # one int32 chunk, where one int32 temporary the size of the block was
+    # alive beside it
+    group = dihedral([(2, 10)])  # Dih(C1024), |G| = 2048, a 16 MiB block
+    left = inverses(group)
+    tracemalloc.start()
+    try:
+        block = index_tables(group, left, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + (1 << 20)
+    mult = index_tables(group)
+    assert np.array_equal(block, mult[left])
+
+
 def test_class_index_table_peaks_below_three_squares_and_is_c_contiguous():
     # one int32 block with the inverses on the left and its temporary, then
     # the labels gathered from it, where the kept square, its columns at the
