@@ -10,10 +10,11 @@ because they are square roots of values on the abelian part.  The table
 keeps them exactly as two (l, l, 2) integer arrays, exponents mod M and
 coefficients, filled by integer matrix products over the label vectors and
 the class representatives, and ``verify_orthogonality`` certifies the rows
-exactly: the certificate, not a second evaluation of the same formula, is
-the evidence that the table is right.  The "+" character takes the
-principal square root on the coset; swapping the two signs permutes rows
-but never changes the table as a multiset (tested, not assumed).
+exactly, from residues in F_p under as many primes as its bound needs: the
+certificate, not a second evaluation of the same formula, is the evidence
+that the table is right.  The "+" character takes the principal square
+root on the coset; swapping the two signs permutes rows but never changes
+the table as a multiset (tested, not assumed).
 
 Both label lists are read off the class list.  For a diagonal twist,
 J -> J*s acts on character indices as the twist f acts on A, and J is
@@ -29,6 +30,7 @@ import cmath
 import csv
 import io
 import json
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -346,33 +348,126 @@ def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ..
     (c), and both orthogonality relations, e_j e_m = delta_jm e_j and sum_j
     e_j = 1 follow as theorems, with no float read.
 
-    The clauses are first checked in F_p under one embedding ev: Z[z_M] ->
-    F_p, z -> omega, with p = 1 (mod M) prime and omega of order M
-    (``cyclotomic.embedding``); the kernel of ev is a prime P over p.  A
-    clause is an element x_j of Z[z_M] built from row j, its conjugate and
-    rational constants (class sizes, p_sb^c, |G|, the degree), and each of
-    its power-basis coordinates is at most ``_clause_bound`` in absolute
-    value.  For each generator i of the units mod M, sigma_i (z -> z^i)
-    must carry every row j exactly onto a row pi_i(j) of the same degree:
-    the exponents times i, -z^e written z^(e + M/2) when M is even and each
-    entry's two terms sorted, equal the table's row raw.  sigma_i fixes the
-    constants and commutes with conjugation, so sigma_i x_j = x_pi_i(j),
-    and by composition the rows are closed under every sigma_u.  So
-    ev(sigma_u x_j) = ev(x_pi_u(j)) = 0 for every unit u once every row
-    passes under ev, and x_j lies in the intersection of the sigma_u^-1 P,
-    which is pZ[z_M] as p does not divide M: every coordinate is divisible
-    by p, and below p/2 in absolute value, so x_j = 0.  This holds for (c),
-    (0) and (a) alike.  (b) needs neither: different residues are different
-    values, and the residues pick the same S as the values unless two of
-    them collide.
+    The clauses are decided in F_p under the embeddings ev_p: Z[z_M] -> F_p,
+    z -> omega_p, of ``cyclotomic.embedding``, for successive primes p = 1
+    (mod M) until their product exceeds twice ``_clause_bound``; the kernel
+    of ev_p is a prime P over p.  A clause is an element x_j of Z[z_M] built
+    from row j, its conjugate and rational constants (class sizes, p_sb^c,
+    |G|, the degree), so a nonzero residue proves x_j != 0, and the first
+    row with one fails at its first such clause.  Else each generator i of
+    the units mod M must carry each row onto a row pi_i(j) of its degree,
+    entry by entry in a canonical form, or a row fails.  sigma_i fixes the
+    constants and commutes with conjugation, so sigma_i x_j = x_pi_i(j), and
+    by composition ev_p(sigma_u x_j) = 0 for every unit u: x_j lies in the
+    intersection of the sigma_u^-1 P, which is pZ[z_M] as p does not divide
+    M.  Every coordinate of x_j is then divisible by the product of the
+    primes and below half of it in absolute value, so x_j = 0.
 
-    Whatever the residues cannot certify goes to ``_exact_certificate``,
-    which reduces every clause in Z[z_M] by ``cyclotomic.reduced_sums`` and
-    decides the result: a nonzero residue, two rows equal on every class, an
-    image row with no raw match, or a bound at or above p/2.  A failure
-    names two equal rows for (b), else the first failing row."""
-    chosen = _modular_certificate(group, table)
-    return _exact_certificate(group, table) if chosen is None else chosen
+    (b) sorts the rows of residues under the first ev and takes S where
+    neighbours first differ: different residues are different values, and
+    the residues pick the S of the values unless two of them collide.  Two
+    rows tied on every class are equal, by the same argument, when their
+    difference vanishes under every ev_p sigma_u, and (b) fails; else the
+    residues under the first ev_p sigma_u that tells them apart join the
+    sort.  The rows go in blocks of about 2^16 entries: only the residues of
+    (b) and the canonical codes of the Galois match are kept (l, l) whole."""
+    ell, order = len(table.labels), table.root_order
+    exps, coeffs = table.exponents, table.coefficients
+    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
+    primes, bound = [embedding(order)], 2 * _clause_bound(table)
+    while math.prod(p for p, _, _ in primes) <= bound:
+        primes.append(embedding(order, len(primes)))
+    step = max(1, (1 << 16) // ell)
+    blocks = [slice(lo, lo + step) for lo in range(0, ell, step)]
+
+    def residues(p: int, powers: np.ndarray) -> np.ndarray:
+        out = np.empty((*powers.shape[:-1], ell, ell), dtype=np.int64)
+        for rows in blocks:
+            out[..., rows, :] = _residues(exps[rows], coeffs[rows], p, powers)
+        return out
+
+    # the residues of the entries and of their conjugates under the first ev, kept whole
+    by_size = sizes.argsort(kind="stable")
+    scale = (np.lcm.reduce(degrees) // degrees)[:, None]
+    tables = [np.array((powers, powers[::-1])) for _, powers, _ in primes]
+    both = residues(primes[0][0], tables[0])
+    forms = (both[0].take(by_size, axis=1) * scale % primes[0][0])[..., None]
+    first, tied = _separating_classes(forms)
+    while tied:
+        sigma = _telling_apart(exps[tied], coeffs[tied], scale[tied], primes)
+        if sigma is None:
+            raise OrthogonalityFailure(
+                f"character certificate failed for rows {tied[0]} and {tied[1]}: (b) equal")
+        forms = np.dstack((forms, residues(*sigma).take(by_size, axis=1) * scale % sigma[0]))
+        first, tied = _separating_classes(forms)
+    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]]
+    del forms
+
+    # (c), (0) and (a) with the keys 0, 1 and 2 + t l + b for s = S[t] of the reference; (a)
+    # with y = |Cl_b| chi_j(b) reads y_s y_b = deg_j sum_c p_sb^c y_c, by one reduceat a block
+    n, offset = len(chosen) * ell, np.full(ell, -1)
+    offset[chosen] = np.arange(0, n, ell)
+    codes, counts = structure_tensor(group)
+    pick = np.flatnonzero((offset >= 0)[codes // ell % ell])
+    c, sb = np.divmod(codes[pick], ell * ell)
+    o = (key := offset[sb // ell] + sb % ell).argsort(kind="stable")
+    c, count = c[o], counts[pick[o]]
+    starts = np.searchsorted(key[o], np.arange(n))  # Cl_s Cl_b is never empty
+    for rows in blocks:
+        e, cf, d = exps[rows], coeffs[rows], degrees[rows]
+        bad = False
+        for k, (p, _, _) in enumerate(primes):
+            r, conj = both[:, rows] if k == 0 else _residues(e, cf, p, tables[k])
+            y = r * sizes % p
+            sums = np.add.reduceat(y.take(c, axis=1) * count, starts, axis=1) % p
+            yy = (y.take(chosen, axis=1)[..., None] * y[:, None, :]).reshape(len(d), n)
+            norm = (r * conj % p) @ sizes % p != group.order % p
+            bad = bad | np.concatenate(
+                (norm[:, None], r[:, :1] != d[:, None], (yy - sums * d[:, None]) % p != 0), axis=1)
+        if bad.any():
+            j, q = divmod(int(bad.argmax()), 2 + n)
+            t, b = divmod(q - 2, ell)
+            what = ["(c) sum_k |Cl_k| |chi(k)|^2 != |G|", "(0) chi(1) != its degree",
+                    f"(a) omega is not multiplicative at s = {chosen[t]}, b = {b}"][min(q, 2)]
+            raise OrthogonalityFailure(f"character certificate failed for row {rows.start + j} "
+                                       f"{table.labels[rows.start + j].describe()}: {what}")
+    del both, r, conj  # r and conj are views of both
+
+    # the Galois closure on one code per entry and unit u (1 for the table): the terms c z^(e u),
+    # z^(e + M/2) = -z^e folded for even M and equal exponents merged, each f (4 c_max + 1) + a +
+    # 2 c_max (2 c_max for none), min and max, and the degree.  The rows are distinct by (b), so
+    # sigma_u maps each row to a row of its degree exactly when the images are the rows, as a set
+    half = order // 2 if order % 2 == 0 else order
+    radix = 4 * max(-int(coeffs.min()), int(coeffs.max())) + 1
+    dtype = np.int64 if (half * radix) ** 2 < 2**63 else object
+    units = np.array((1, *primes[0][2]))
+    flip, folded = np.divmod(np.arange(order) * units[:, None] % order, half)
+    base, sign = folded.astype(dtype) * radix, 1 - 2 * flip
+    canon = np.empty((len(units), ell, ell + 1), dtype)
+    canon[..., ell] = degrees
+    for rows in blocks:
+        e, c = exps[rows], coeffs[rows].astype(dtype, copy=False)
+        a = sign.take(e, axis=1) * c
+        same = folded[0].take(e)
+        same = same[..., 0] == same[..., 1]
+        a[..., 0] += a[..., 1] * same
+        a[..., 1] *= ~same
+        t = base.take(e, axis=1) * (a != 0) + (a + radix // 2)
+        canon[:, rows, :ell] = np.minimum(t[..., 0], t[..., 1]) * (half * radix)
+        canon[:, rows, :ell] += np.maximum(t[..., 0], t[..., 1])
+    if dtype is object:  # 62-bit digits, so that the rows compare as bytes
+        digits = range(0, ((half * radix) ** 2).bit_length(), 62)
+        canon = np.concatenate([canon >> k & (2**62 - 1) for k in digits], -1).astype(np.int64)
+    keys = canon.view(np.dtype((np.void, canon[0, 0].nbytes)))[..., 0]
+    ranked = np.sort(keys[0]).view(np.int64)
+    if any((np.sort(image).view(np.int64) != ranked).any() for image in keys[1:]):
+        rows = set(keys[0].tolist())
+        j, i = min((j, i) for i, image in enumerate(keys[1:].tolist(), 1)
+                   for j, row in enumerate(image) if row not in rows)
+        raise OrthogonalityFailure(f"character certificate failed for row {j} "
+                                   f"{table.labels[j].describe()}: (g) z -> z^{units[i]} "
+                                   "maps it to no row")
+    return tuple(chosen.tolist())
 
 
 def _clause_bound(table: CharacterTable) -> int:
@@ -380,139 +475,43 @@ def _clause_bound(table: CharacterTable) -> int:
     is a sum of terms c z^e with sum |c| at most 8 |Cl_s| |Cl_b| c_max^2 <=
     2 |G|^2 c_max^2, for c_max the table's largest |coefficient|, and each
     z^e has coordinates at most ``cyclotomic.coordinate_bound``."""
-    c_max = int(np.abs(table.coefficients).max())
+    c_max = max(-int(table.coefficients.min()), int(table.coefficients.max()))
     return 2 * table.order**2 * c_max**2 * coordinate_bound(table.root_order)
 
 
-def _separating_classes(forms: np.ndarray, by_size: np.ndarray) -> np.ndarray:
-    """The classes S of (b), from (l, l, w) integer forms: forms[j, t] stands for
-    chi_j at class by_size[t], and different forms are different values.  With the
-    rows sorted by bytes, S is the classes where adjacent rows first differ, the
-    greedy choice smallest class first; raises ``OrthogonalityFailure`` for two rows
-    whose forms are equal on every class."""
+def _residues(e: np.ndarray, c: np.ndarray, p: int, powers: np.ndarray) -> np.ndarray:
+    """sum_t c[..., t] powers[..., e[..., t]] mod p for (..., 2) integer terms, one (..., l, l)
+    block for each table of ``powers``: the entries under z -> omega when powers[..., e] is
+    omega^e.  The coefficients are reduced mod p first, so each product is below p^2 < 2^62
+    and the sum of two fits int64."""
+    terms = c % p * powers.take(e, axis=-1)
+    return (terms[..., 0] + terms[..., 1]) % p
+
+
+def _telling_apart(exps, coeffs, scale, primes) -> tuple[int, np.ndarray] | None:
+    """(p, powers of omega_p^u) for the first of the ``embedding`` primes p and unit u under
+    which the two scaled rows of exps and coeffs differ, or None if they agree under every one."""
+    for p, powers, _ in primes:
+        order = len(powers) - 1
+        for u in np.flatnonzero(np.gcd(np.arange(order), order) == 1):
+            image = powers[np.arange(order) * u % order]
+            r = _residues(exps, coeffs, p, image) * scale % p
+            if (r[0] != r[1]).any():
+                return p, image
+
+
+def _separating_classes(forms: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """For (l, l, w) integer forms, forms[j, t] standing for chi_j at the t-th class in size
+    order, with different forms different values: sorted by bytes, where adjacent rows first
+    differ (S is those positions, the greedy choice smallest class first), and the first row
+    whose forms equal another's on every class with the first such other row, or None."""
     ell = len(forms)
-    rows = forms.reshape(ell, -1)
+    rows = np.ascontiguousarray(forms.reshape(ell, -1))
     o = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
-    equal = (rows[o[1:]] == rows[o[:-1]]).reshape(ell - 1, ell, -1).all(axis=2)
+    ranked = rows[o]
+    equal = (ranked[1:] == ranked[:-1]).reshape(ell - 1, ell, -1).all(axis=2)
     first = np.argmin(equal, axis=1)
-    if (same := equal[np.arange(ell - 1), first]).any():
-        j, m = sorted(o[np.argmax(same) + np.arange(2)].tolist())
-        raise OrthogonalityFailure(f"character certificate failed for rows {j} and {m}: (b) equal")
-    return by_size[np.bincount(first, minlength=ell).nonzero()[0]]
-
-
-def _modular_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...] | None:
-    """S when every clause of ``verify_orthogonality`` holds under ev and the
-    rows are closed under the Galois action, else None.  A residue is below
-    p < 2^31, and the bound keeps |G| c_max below 2^15, so every product and
-    sum below fits int64."""
-    ell, order = len(table.labels), table.root_order
-    p, powers, units = embedding(order)
-    if 2 * _clause_bound(table) >= p:
-        return None
-    exps, coeffs = table.exponents, table.coefficients
-    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
-    terms, conj = coeffs * powers[exps], coeffs * powers[order - exps]
-    res = (terms[..., 0] + terms[..., 1]) % p
-    conj = (conj[..., 0] + conj[..., 1]) % p
-    if (res[:, 0] != degrees).any() or ((res * conj % p) @ sizes % p != group.order % p).any():
-        return None
-    # (b) on chi_j(k) lcm(deg) / deg_j, as for the exact forms
-    by_size = np.argsort(sizes, kind="stable")
-    scaled = np.take(res, by_size, axis=1) * (np.lcm.reduce(degrees) // degrees)[:, None] % p
-    try:
-        chosen = _separating_classes(scaled[..., None], by_size)
-    except OrthogonalityFailure:
-        return None
-
-    # (a) with y = |Cl_b| chi_j(b): y_s y_b = deg_j sum_c p_sb^c y_c, the constants p_sb^c of
-    # s = S[t] summed into key t l + b; the sum over c is below 2^31 |Cl_s| |Cl_b|
-    n = len(chosen) * ell
-    keys = np.full((ell, ell), -1)
-    keys[chosen] = np.arange(n).reshape(-1, ell)
-    codes, counts = structure_tensor(group)
-    c, sb = np.divmod(codes, ell * ell)
-    key = keys.ravel()[sb]
-    pick = key >= 0
-    key, c, count = key[pick, None], c[pick], counts[pick, None]
-    y = res * sizes % p
-    step = max(1, (1 << 18) // (len(c) + n))
-    for lo in range(0, ell, step):
-        yb = y[lo:lo + step]
-        sums = np.zeros(len(yb) * n, dtype=np.int64)
-        np.add.at(sums, key + n * np.arange(len(yb)), yb.T[c] * count)
-        rhs = sums.reshape(len(yb), -1, ell) * degrees[lo:lo + step, None, None]
-        if ((yb[:, chosen, None] * yb[:, None, :] - rhs) % p).any():
-            return None
-
-    # the Galois closure, on one code per entry: its two terms, each e (2 c_max + 1) + c + c_max
-    # with -z^e as z^(e + M/2) for even M and an absent term as (0, 0), min and max
-    e, c, every = exps, coeffs, np.arange(order)
-    if order % 2 == 0:
-        e, c = np.where(c < 0, ((every + order // 2) % order)[e], e), np.abs(c)
-    c_max = int(np.abs(c).max())
-    e, shift = np.where(c == 0, 0, e), c + c_max
-
-    def entry_codes(e: np.ndarray) -> np.ndarray:
-        terms = e * (2 * c_max + 1) + shift
-        lo, hi = np.minimum(terms[..., 0], terms[..., 1]), np.maximum(terms[..., 0], terms[..., 1])
-        return lo * (order * (2 * c_max + 1)) + hi
-
-    # a row is found by its degree and its codes on S, which tell the rows apart by (b)
-    table_codes, deg = entry_codes(e), table.degrees
-    row_of = {k: m for m, k in enumerate(zip(deg, *table_codes[:, chosen].T.tolist()))}
-    for u in units:
-        image = entry_codes((every * u % order)[e])
-        pi = [row_of.get(k, -1) for k in zip(deg, *image[:, chosen].T.tolist())]
-        if -1 in pi or (image != table_codes[pi]).any():
-            return None
-    return tuple(chosen.tolist())
-
-
-def _exact_certificate(group: D2Group, table: CharacterTable) -> tuple[int, ...]:
-    """The clauses of ``verify_orthogonality`` reduced in Z[z_M] by
-    ``cyclotomic.reduced_sums``, every row and every clause; return S or
-    raise ``OrthogonalityFailure`` for the first failing row."""
-    ell, order = len(table.labels), table.root_order
-    exps, coeffs = table.exponents, table.coefficients
-    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
-    # (b) on chi_j(k) lcm(deg) / deg_j as forms: (coordinate + 1, value), zero-padded
-    by_size = np.argsort(sizes, kind="stable")
-    entry, coord, value = reduced_sums(order, (
-        np.arange(ell * ell).reshape(ell, ell, 1), exps[:, by_size],
-        coeffs[:, by_size] * (np.lcm.reduce(degrees) // degrees)[:, None, None]))
-    slot = np.arange(entry.size) - np.searchsorted(entry, entry)
-    forms = np.zeros((ell * ell, 2, int(slot.max(initial=0)) + 1), dtype=np.int64)
-    forms[entry, 0, slot], forms[entry, 1, slot] = coord + 1, value
-    chosen = _separating_classes(forms.reshape(ell, ell, -1), by_size).tolist()
-
-    # key j n + q for row j of a block: (c) q = 0, (0) q = 1, (a) 2 + t l + b for s = S[t]
-    n, offset = 2 + len(chosen) * ell, np.full(ell, -1)
-    offset[chosen] = np.arange(len(chosen)) * ell + 2
-    k, ib = np.divmod(structure_tensor(group)[0], ell * ell)
-    pick = offset[ib // ell] >= 0
-    q, k, p = offset[ib[pick] // ell] + ib[pick] % ell, k[pick], -structure_tensor(group)[1][pick]
-    step = max(1, (1 << 13) // (4 * (n + ell) + 2 * len(p)))  # about 2^13 terms a block
-    for lo in range(0, ell, step):
-        e, c, d = exps[lo:lo + step], coeffs[lo:lo + step], degrees[lo:lo + step]
-        key = np.arange(0, len(e) * n, n)[:, None]
-        bad = reduced_sums(
-            order,
-            (key[..., None, None], e[..., :, None] - e[..., None, :],
-             sizes[:, None, None] * c[..., :, None] * c[..., None, :]),
-            (key + 1, e[:, 0], c[:, 0]),
-            (key + [0, 1], 0, -(d[:, None] * [0, 1] + [group.order, 0])),
-            ((key[..., None] + offset[chosen, None] + np.arange(ell))[..., None, None],
-             e[:, chosen, None, :, None] + e[:, None, :, None, :],
-             (c[:, chosen] * sizes[chosen, None])[:, :, None, :, None]
-             * (c * sizes[:, None])[:, None, :, None, :]),
-            ((key + q)[..., None], e[:, k], (d[:, None] * p * sizes[k])[..., None] * c[:, k]),
-        )[0]
-        if bad.size:
-            j, eq = divmod(int(bad[0]), n)
-            t, b = divmod(eq - 2, ell)
-            what = ["(c) sum_k |Cl_k| |chi(k)|^2 != |G|", "(0) chi(1) != its degree",
-                    f"(a) omega is not multiplicative at s = {chosen[t]}, b = {b}"][min(eq, 2)]
-            raise OrthogonalityFailure(f"character certificate failed for row {lo + j} "
-                                       f"{table.labels[lo + j].describe()}: {what}")
-    return tuple(chosen)
+    if not (same := equal[np.arange(ell - 1), first]).any():
+        return first, None
+    run = np.concatenate(([0], ~same)).cumsum()[o.argsort()]  # equal rows share a run
+    return first, np.flatnonzero(run == run[np.bincount(run)[run] > 1][0])[:2].tolist()

@@ -14,21 +14,18 @@ q = M / rad; ``reduced_sums`` does it for sparse lists of terms.
 
 Both reductions stay, each where it is the faster: dense (rows, M) blocks
 through ``integer_values`` for sums with about 2l terms on each key (the
-rows of ``CharacterTable.class_sums``), and ``reduced_sums`` for per-entry
-forms and per-clause sums with a few terms on each key, where a dense block
-is mostly zeros.  Routing the class sums through ``reduced_sums`` as well
-made each sum 2.5-5.4 times slower on the ``formula`` benchmark's instances
-(|G| 128-384), and a trial of it read 7-10 % fewer ``formula`` groups per
+rows of ``CharacterTable.class_sums``), and ``reduced_sums`` for the
+per-entry forms of ``CharacterTable.to_text``, where a dense block is mostly
+zeros.  Routing the class sums through ``reduced_sums`` as well made each
+sum 2.5-5.4 times slower on the ``formula`` benchmark's instances (|G|
+128-384), and a trial of it read 7-10 % fewer ``formula`` groups per
 reference second.
 
-``embedding`` maps Z[z_M] onto F_p, z -> omega, for a prime p = 1 (mod M)
-below 2^31 and omega of order M, with generators of the units mod M for the
-Galois action; ``coordinate_bound`` bounds the power-basis coordinates of
-one root.  ``characters.verify_orthogonality`` checks its clauses under that
-embedding first and calls ``reduced_sums`` only for a table the residues
-cannot certify: a wrong one, one whose clause bound reaches p/2, or one
-whose Galois images match none of its rows raw.  On Dih(C2048) (|G| = 4096)
-the residues take 0.6 s where ``reduced_sums`` took 3.3 s.
+``embedding`` maps Z[z_M] onto F_p, z -> omega of order M, for the primes
+p = 1 (mod M) below 2^31, largest first, with generators of the units mod M
+for the Galois action, and ``coordinate_bound`` bounds the power-basis
+coordinates of one root: ``characters.verify_orthogonality`` decides its
+clauses under as many of these embeddings as that bound needs.
 """
 
 from __future__ import annotations
@@ -254,14 +251,17 @@ def coordinate_bound(order: int) -> int:
 
 
 @functools.cache
-def embedding(order: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """(p, powers, units), kept per order: the largest prime p < 2^31 with p = 1 (mod order),
-    powers[e] = omega^e mod p for 0 <= e <= order as read-only int64, for an omega of
-    multiplicative order exactly ``order``, and generators of the units mod ``order``.  omega
-    is the first x^((p-1)/order) with no omega^(order/q) = 1 for a prime q | order, so p - 1 is
-    never factored; the units are added greedily, each one missing from the subgroup so far."""
-    p = (2**31 - 2) // order * order + 1
+def embedding(order: int, index: int = 0) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """(p, powers, units), kept per order and index: p the prime p < 2^31 with p = 1 (mod order)
+    that is the index-th counted down from the largest, powers[e] = omega^e mod p for
+    0 <= e <= order as read-only int64, for an omega of multiplicative order exactly ``order``,
+    and generators of the units mod ``order``.  omega is the first x^((p-1)/order) with no
+    omega^(order/q) = 1 for a prime q | order, so p - 1 is never factored; the units are added
+    greedily, each one missing from the subgroup so far."""
+    p = embedding(order, index - 1)[0] - order if index else (2**31 - 2) // order * order + 1
     while not is_prime(p):
+        if p <= order:
+            raise ValueError(f"fewer than {index + 1} primes p = 1 (mod {order}) below 2^31")
         p -= order
     primes = [q for q, _ in factorize(order)]
     x, omega = 2, 1

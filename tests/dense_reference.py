@@ -19,10 +19,10 @@ each class, where the library scatters the nonzeros of a block of rows
 through a source-keyed index.  The two explicit-matrix closure references
 multiply dense matrices: one on the right, in float64 (BLAS) when a bound
 proves every partial sum an exact float64 integer and in Python ints
-otherwise, the other on both sides with Python ints only, both ranked by
-the ``Fraction`` reference, where the library multiplies sparse rows on the
-right, summing their terms by one sort, in int64 when a bound proves the
-sums fit.  The orbital reference
+otherwise, ranked by the ``Fraction`` reference, the other on both sides
+with Python ints only, ranked by one fraction-free (Bareiss) elimination,
+where the library multiplies sparse rows on the right, summing their terms
+by one sort, in int64 when a bound proves the sums fit.  The orbital reference
 propagates minimum labels sweep after sweep over the pair permutations and
 their inverses, and the class reference
 conjugates every element by every element and orders the orbits by kind,
@@ -49,7 +49,10 @@ paired class representatives.  The per-entry reference evaluates the
 table's formula one entry at a time with ``RootSum`` arithmetic, where the
 library fills whole blocks of the integer arrays by matrix products; it is
 the same formula, so the certificate of ``verify_orthogonality``, not this
-comparison, is what shows the table is right.  The centralizer reference
+comparison, is what shows the table is right.  The certificate reference
+reduces every clause of that certificate in Z[z_M] by
+``cyclotomic.reduced_sums``, where the library decides them from residues
+in F_p under one prime or, past its bound, several.  The centralizer reference
 compares the whole multiplication table with its transpose, where the
 library counts the commuting products on the representative rows only, and
 the member reference lists each class element by element, where the
@@ -73,6 +76,7 @@ from terw import (
     IdempotencyFailure,
     LinearLabel,
     OracleMismatch,
+    OrthogonalityFailure,
     RootSum,
     TwoDimLabel,
     adjacency_matrices,
@@ -87,8 +91,10 @@ from terw.conjugacy import (
     ConjClass,
     class_index_table,
     conjugacy_classes,
+    structure_tensor,
 )
 from terw.characters import elem_json
+from terw.cyclotomic import reduced_sums
 from terw.groups import conjugation_table, index_tables, inverses, read_only
 
 
@@ -259,6 +265,66 @@ def float_orthogonality(table):
     first = (mat * sizes) @ mat.conj().T / order - np.eye(len(table.labels))
     second = mat.conj().T @ mat - np.diag(order / sizes)
     return float(np.abs(first).max()), float(np.abs(second).max())
+
+
+def _exact_certificate(group, table):
+    """The clauses of ``verify_orthogonality`` reduced in Z[z_M] by
+    ``cyclotomic.reduced_sums``, every row and every clause; return S or
+    raise ``OrthogonalityFailure`` for the first row equal to another on
+    every class and the first such other row, else for the first failing
+    row."""
+    ell, order = len(table.labels), table.root_order
+    exps, coeffs = table.exponents, table.coefficients
+    sizes, degrees = np.array(table.classes.sizes), np.array(table.degrees)
+    # (b) on chi_j(k) lcm(deg) / deg_j as forms: (coordinate + 1, value), zero-padded; with the
+    # rows sorted by bytes, S is the classes where adjacent rows first differ
+    by_size = np.argsort(sizes, kind="stable")
+    entry, coord, value = reduced_sums(order, (
+        np.arange(ell * ell).reshape(ell, ell, 1), exps[:, by_size],
+        coeffs[:, by_size] * (np.lcm.reduce(degrees) // degrees)[:, None, None]))
+    slot = np.arange(entry.size) - np.searchsorted(entry, entry)
+    forms = np.zeros((ell * ell, 2, int(slot.max(initial=0)) + 1), dtype=np.int64)
+    forms[entry, 0, slot], forms[entry, 1, slot] = coord + 1, value
+    rows = forms.reshape(ell, -1)
+    o = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    equal = (rows[o[1:]] == rows[o[:-1]]).reshape(ell - 1, ell, -1).all(axis=2)
+    first = np.argmin(equal, axis=1)
+    if (same := equal[np.arange(ell - 1), first]).any():
+        run = np.cumsum(np.r_[0, ~same])[np.argsort(o)]  # rows equal on every class share a run
+        j, m = np.flatnonzero(run == run[np.bincount(run)[run] > 1][0])[:2].tolist()
+        raise OrthogonalityFailure(f"character certificate failed for rows {j} and {m}: (b) equal")
+    chosen = by_size[np.bincount(first, minlength=ell).nonzero()[0]].tolist()
+
+    # key j n + q for row j of a block: (c) q = 0, (0) q = 1, (a) 2 + t l + b for s = S[t]
+    n, offset = 2 + len(chosen) * ell, np.full(ell, -1)
+    offset[chosen] = np.arange(len(chosen)) * ell + 2
+    k, ib = np.divmod(structure_tensor(group)[0], ell * ell)
+    pick = offset[ib // ell] >= 0
+    q, k, p = offset[ib[pick] // ell] + ib[pick] % ell, k[pick], -structure_tensor(group)[1][pick]
+    step = max(1, (1 << 13) // (4 * (n + ell) + 2 * len(p)))  # about 2^13 terms a block
+    for lo in range(0, ell, step):
+        e, c, d = exps[lo:lo + step], coeffs[lo:lo + step], degrees[lo:lo + step]
+        key = np.arange(0, len(e) * n, n)[:, None]
+        bad = reduced_sums(
+            order,
+            (key[..., None, None], e[..., :, None] - e[..., None, :],
+             sizes[:, None, None] * c[..., :, None] * c[..., None, :]),
+            (key + 1, e[:, 0], c[:, 0]),
+            (key + [0, 1], 0, -(d[:, None] * [0, 1] + [group.order, 0])),
+            ((key[..., None] + offset[chosen, None] + np.arange(ell))[..., None, None],
+             e[:, chosen, None, :, None] + e[:, None, :, None, :],
+             (c[:, chosen] * sizes[chosen, None])[:, :, None, :, None]
+             * (c * sizes[:, None])[:, None, :, None, :]),
+            ((key + q)[..., None], e[:, k], (d[:, None] * p * sizes[k])[..., None] * c[:, k]),
+        )[0]
+        if bad.size:
+            j, eq = divmod(int(bad[0]), n)
+            t, b = divmod(eq - 2, ell)
+            what = ["(c) sum_k |Cl_k| |chi(k)|^2 != |G|", "(0) chi(1) != its degree",
+                    f"(a) omega is not multiplicative at s = {chosen[t]}, b = {b}"][min(eq, 2)]
+            raise OrthogonalityFailure(f"character certificate failed for row {lo + j} "
+                                       f"{table.labels[lo + j].describe()}: {what}")
+    return tuple(chosen)
 
 
 def float_idempotent_relations(group, table):
@@ -499,21 +565,32 @@ def dense_algebra_dimension(generators):
 
 def two_sided_algebra_dimension(generators):
     """Dimension of the algebra generated by the integer matrices: products
-    of each matrix that grew the basis with each generator on both sides,
-    all on ``object`` arrays, until a round adds nothing.  A zero product, or
-    one equal entry for entry to a matrix already offered, lies in the span
-    and is not offered to the basis again."""
+    of each matrix that grew the rank with each generator on both sides, all
+    on ``object`` arrays, until a round adds nothing.  A zero product, or one
+    equal entry for entry to a matrix already offered, lies in the span and
+    is not offered again.  The offered matrices are ranked by one
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in Python ints,
+    in the order offered, each carried through the pivot steps before it
+    when it is offered: a step with pivot row P, its first nonzero column c
+    and value v there turns a later row r into (v r - r[c] P) / w, for w the
+    previous step's v (1 at the first), and the division is exact, since
+    every entry is a minor of the offered rows (Sylvester's identity).  A row
+    still nonzero after every step is the next pivot."""
     gens = [np.asarray(g, dtype=object) for g in generators]
-    basis, offered = FractionBasis(), set()
+    steps, offered = [], set()
 
     def grows(mat):
-        entries = mat.ravel()
-        cols = np.flatnonzero(entries)
-        key = tuple(zip(cols.tolist(), entries[cols].tolist()))
-        if not key or key in offered:
+        row = mat.ravel().tolist()
+        if not any(row) or tuple(row) in offered:
             return False
-        offered.add(key)
-        return basis.insert(dict(key))
+        offered.add(tuple(row))
+        for pivot, c, v, w in steps:
+            a = row[c]
+            row = [(v * x - a * y) // w for x, y in zip(row, pivot)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            steps.append((row, c, row[c], steps[-1][2] if steps else 1))
+        return c is not None
 
     frontier = [g for g in gens if grows(g)]
     while frontier:
@@ -521,7 +598,7 @@ def two_sided_algebra_dimension(generators):
             prod for mat in frontier for gen in gens for prod in (mat @ gen, gen @ mat)
             if grows(prod)
         ]
-    return basis.dimension
+    return len(steps)
 
 
 def min_propagation_orbitals(group):

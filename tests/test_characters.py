@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (
+    _exact_certificate,
     char_value,
     chartable_csv,
     chartable_json_dict,
@@ -44,9 +45,10 @@ from terw import (
     verify_orthogonality,
 )
 from terw.abelian import AbelianGroup, square_roots_of_unity
-from terw.characters import _clause_bound, _exact_certificate, _modular_certificate
+from terw.characters import _clause_bound, _residues
 from terw.cli import EXIT_GUARD, GroupSpec, main
-from terw.conjugacy import COSET, PAIRED, ClassList
+from terw.conjugacy import COSET, PAIRED, ClassList, structure_tensor
+from terw.groups import factorize
 from terw.instances import (
     abelian_factorizations,
     dicyclic_instances,
@@ -347,8 +349,15 @@ def test_certificate_names_a_doubled_and_a_duplicated_row(sd16):
         OrthogonalityFailure, match=r"^character certificate failed for rows 0 and 1: \(b\) equal$"
     ):
         verify_orthogonality(sd16, copied)
-    assert _modular_certificate(sd16, doubled) is None
-    assert _modular_certificate(sd16, copied) is None
+    # two pairs of linear rows equal: the first row equal to another is named,
+    # with its first copy, whichever pair the forms sort first
+    copies = with_rows(table, [2, 1, 2, 1, *range(4, len(table.labels))])
+    with pytest.raises(
+        OrthogonalityFailure, match=r"^character certificate failed for rows 0 and 2: \(b\) equal$"
+    ):
+        verify_orthogonality(sd16, copies)
+    for planted in (doubled, copied, copies):
+        assert_the_reference_message(sd16, planted)
 
 
 def test_certificate_names_a_swapped_linear_and_two_dimensional_row(sd16):
@@ -382,15 +391,23 @@ def test_certificate_names_an_off_identity_shift():
         verify_orthogonality(group, table._replace(exponents=exponents))
 
 
+def assert_the_reference_message(group, planted):
+    with pytest.raises(OrthogonalityFailure) as reference:
+        _exact_certificate(group, planted)
+    with pytest.raises(OrthogonalityFailure) as got:
+        verify_orthogonality(group, planted)
+    assert str(got.value) == str(reference.value)
+
+
 def _no_exact_reduction(*_):
-    raise AssertionError("the exact certificate ran")
+    raise AssertionError("an exact reduction ran")
 
 
 def test_modular_certificate_decides_every_real_table(s3, d4, q8, sd16, monkeypatch):
     # the groups of test_orthogonality_passes pass in F_p alone, and the
-    # classes S read are those of the exact certificate
+    # classes S read are those of the exact reference
     dic_c3_c4 = dicyclic([(3, 1), (2, 2)], [0, 2])
-    groups = [s3, d4, q8, sd16, dic_c3_c4, g2_group(16, 7, 8),
+    groups = [s3, d4, q8, sd16, dic_c3_c4, g2_group(16, 7, 8), C4_C9,
               *random_general_instances(8, 256, seed=2701)]
     exact = [_exact_certificate(group, character_table(group)) for group in groups]
     monkeypatch.setattr(terw.characters, "reduced_sums", _no_exact_reduction)
@@ -405,41 +422,103 @@ def test_verify_makes_no_exact_reduction(monkeypatch, capsys):
     assert {"check": "orthogonality", "ok": True} in checks
 
 
-def _counted_reductions(monkeypatch) -> list:
-    calls = []
-    reduce = terw.characters.reduced_sums
-    monkeypatch.setattr(terw.characters, "reduced_sums",
-                        lambda *args: calls.append(1) or reduce(*args))
-    return calls
+def _small_embedding(p, order):
+    """(p, powers, units) as ``cyclotomic.embedding`` gives them, for a given prime p = 1 (mod
+    order): omega the first x^((p - 1)/order) of multiplicative order exactly order."""
+    x, omega = 2, 1
+    while any(pow(omega, order // q, p) == 1 for q, _ in factorize(order)):
+        omega, x = pow(x, (p - 1) // order, p), x + 1
+    powers = np.array([pow(omega, e, p) for e in range(order + 1)], dtype=np.int64)
+    return p, powers, terw.characters.embedding(order)[2]
 
 
-def test_a_prime_below_the_bound_hands_over_to_the_exact_certificate(monkeypatch):
-    # p = 17 for M = 16 on Dih(C8): the bound 2 |G|^2 = 512 is above p/2, so
-    # the exact routine decides.  17 added to a coefficient of the trivial row
-    # keeps every residue and the row Galois-fixed: without the bound the
-    # residues would pass that table
+def _patched_primes(monkeypatch, order, primes) -> list:
+    """Replace the primes p = 1 (mod order) of the certificate by the given ones, in order;
+    return the list of indices asked for."""
+    fakes, asked, embedding = [_small_embedding(p, order) for p in primes], [], terw.characters.embedding
+    monkeypatch.setattr(terw.characters, "embedding", lambda m, index=0: (
+        asked.append(index) or fakes[index] if m == order else embedding(m, index)))
+    return asked
+
+
+def test_primes_past_the_bound_decide_by_crt(monkeypatch):
+    # Dih(C8), M = 16, under the primes 17, 97, 113, 193: the clause bound 2 |G|^2 = 512 needs
+    # two of them, since 17 < 2 * 512 < 17 * 97.  17 added to a coefficient of the trivial row
+    # keeps every residue mod 17 and the row Galois-fixed, and raises c_max to 18, so the bound
+    # needs all four; the second prime names (c)
     group = dihedral([(2, 3)])
     table = character_table(group)
-    assert table.root_order == 16
-    embedding = terw.characters.embedding
-    small = (17, np.array([pow(3, e, 17) for e in range(17)]), embedding(16)[2])  # 3 has order 16
-    monkeypatch.setattr(terw.characters, "embedding",
-                        lambda order: small if order == 16 else embedding(order))
-    calls = _counted_reductions(monkeypatch)
+    assert table.root_order == 16 and _clause_bound(table) == 512
+    asked = _patched_primes(monkeypatch, 16, [17, 97, 113, 193])
+    monkeypatch.setattr(terw.characters, "reduced_sums", _no_exact_reduction)
     assert verify_orthogonality(group, table) == _exact_certificate(group, table)
-    assert calls and _modular_certificate(group, table) is None
+    assert asked == [0, 1]
 
     coefficients = table.coefficients.copy()
     coefficients[0, 1, 0] += 17
     planted = table._replace(coefficients=coefficients)
+    sizes = np.array(table.classes.sizes)
+    for p, powers, _ in map(_small_embedding, (17, 97), (16, 16)):
+        e, c = planted.exponents[:1], planted.coefficients[:1]
+        res = _residues(e, c, p, powers) * _residues(e, c, p, powers[::-1]) % p
+        assert (res @ sizes % p == group.order % p).all() == (p == 17)
+    asked.clear()
     with pytest.raises(
         OrthogonalityFailure,
         match=r"^character certificate failed for row 0 chi\[0;1\]: "
         r"\(c\) sum_k \|Cl_k\| \|chi\(k\)\|\^2 != \|G\|$",
     ):
         verify_orthogonality(group, planted)
-    monkeypatch.setattr(terw.characters, "_clause_bound", lambda _: 0)
-    assert _modular_certificate(group, planted) is not None
+    assert asked == [0, 1, 2, 3]
+    monkeypatch.undo()
+    assert_the_reference_message(group, planted)
+
+
+def test_rows_tied_under_a_small_prime_are_told_apart_under_the_next(monkeypatch):
+    # under a prime p = 1 (mod M), p does not divide |G|, so the rows of a right table never tie
+    # mod p; a row equal to another mod 17 and not otherwise does.  Row 1 of Dih(C8) becomes row 0
+    # with 17 added to one coefficient: the certificate separates the two under 97 and names
+    # the reference's failure, where a (b) tie would name rows 0 and 1
+    group = dihedral([(2, 3)])
+    table = character_table(group)
+    exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
+    exponents[1], coefficients[1] = exponents[0], coefficients[0]
+    coefficients[1, 3, 0] += 17
+    tied = table._replace(exponents=exponents, coefficients=coefficients)
+    _patched_primes(monkeypatch, 16, [17, 97, 113, 193])
+    told, telling_apart = [], terw.characters._telling_apart
+    monkeypatch.setattr(terw.characters, "_telling_apart",
+                        lambda *args: told.append(found := telling_apart(*args)) or found)
+    assert_the_reference_message(group, tied)
+    assert [found[0] for found in told] == [97]
+    with pytest.raises(OrthogonalityFailure, match=r"^character certificate failed for row 1 "):
+        verify_orthogonality(group, tied)
+
+    # a copy written differently, 2 z^e - z^e for z^e: equal under every ev sigma_u, so (b)
+    exponents[1], coefficients[1] = exponents[0], coefficients[0]
+    k = next(k for k in range(len(table.labels)) if coefficients[0, k, 1] == 0)
+    exponents[1, k, 1] = exponents[1, k, 0]
+    coefficients[1, k] = 2 * coefficients[1, k, 0], -coefficients[1, k, 0]
+    with pytest.raises(
+        OrthogonalityFailure, match=r"^character certificate failed for rows 0 and 1: \(b\) equal$"
+    ):
+        verify_orthogonality(group, table._replace(exponents=exponents, coefficients=coefficients))
+    assert told[-1] is None
+
+
+def test_a_huge_coefficient_certifies_by_crt_on_python_ints():
+    # z^e written (2^40 + 1) z^e + 2^40 z^(e + M/2): the same value, a bound past 2^89 that takes
+    # three primes, and canonical codes past int64, so the Galois match runs on Python ints
+    group = dihedral([(2, 3)])
+    table = character_table(group)
+    exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
+    j, k = next((j, k) for j in range(len(table.labels)) for k in range(len(table.labels))
+                if coefficients[j, k, 1] == 0 and coefficients[j, k, 0] == 1)
+    exponents[j, k, 1] = (exponents[j, k, 0] + table.root_order // 2) % table.root_order
+    coefficients[j, k] = 2**40 + 1, 2**40
+    huge = table._replace(exponents=exponents, coefficients=coefficients)
+    assert 2 * _clause_bound(huge) > terw.characters.embedding(16)[0] ** 2
+    assert verify_orthogonality(group, huge) == verify_orthogonality(group, table)
 
 
 def test_a_coefficient_raised_by_p_lifts_the_bound_to_p_over_2():
@@ -452,9 +531,9 @@ def test_a_coefficient_raised_by_p_lifts_the_bound_to_p_over_2():
         assert 2 * _clause_bound(table._replace(coefficients=coefficients)) >= p
 
 
-def test_a_row_without_a_raw_galois_image_goes_to_the_exact_certificate(monkeypatch):
-    # one value z^e of a linear row of C4 x C9 written as 2 z^e - z^e: the
-    # table is right, but sigma_u of that row matches no row raw
+def test_equal_exponents_merge_before_the_galois_match(monkeypatch):
+    # one value z^e of a linear row of C4 x C9 written as 2 z^e - z^e: the table is right, and
+    # once the two terms merge, sigma_u of that row matches a row
     table = character_table(C4_C9)
     order, unit = table.root_order, terw.characters.embedding(table.root_order)[2][0]
     j, k = next((j, k) for j in range(len(table.labels)) for k in range(len(table.labels))
@@ -464,16 +543,36 @@ def test_a_row_without_a_raw_galois_image_goes_to_the_exact_certificate(monkeypa
     exponents[j, k, 1] = exponents[j, k, 0]
     coefficients[j, k] = 2 * coefficients[j, k, 0], -coefficients[j, k, 0]
     rewritten = table._replace(exponents=exponents, coefficients=coefficients)
-    assert _modular_certificate(C4_C9, rewritten) is None
-    calls = _counted_reductions(monkeypatch)
+    monkeypatch.setattr(terw.characters, "reduced_sums", _no_exact_reduction)
     assert verify_orthogonality(C4_C9, rewritten) == verify_orthogonality(C4_C9, table)
-    assert calls
+
+
+def test_a_row_without_a_galois_image_fails():
+    # z^e of a linear row of C4 x C9 (M = 72) written z^(e - 12) + z^(e + 12), the same value
+    # since z^12 + z^-12 = 1: every clause holds, but the canonical forms of that row and of its
+    # preimage no longer match under a unit.  The reference certifies the table
+    table = character_table(C4_C9)
+    order, unit = table.root_order, terw.characters.embedding(table.root_order)[2][0]
+    j, k = next((j, k) for j in range(len(table.labels)) for k in range(len(table.labels))
+                if table.degrees[j] == 1 and table.coefficients[j, k, 1] == 0
+                and table.exponents[j, k, 0] * unit % order != table.exponents[j, k, 0])
+    exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
+    exponents[j, k] = (exponents[j, k, 0] - 12) % order, (exponents[j, k, 0] + 12) % order
+    coefficients[j, k] = coefficients[j, k, 0], coefficients[j, k, 0]
+    rewritten = table._replace(exponents=exponents, coefficients=coefficients)
+    assert _exact_certificate(C4_C9, rewritten) == _exact_certificate(C4_C9, table)
+    with pytest.raises(
+        OrthogonalityFailure,
+        match=r"^character certificate failed for row \d+ chi\[[\d,]+;\d\]: "
+        r"\(g\) z -> z\^\d+ maps it to no row$",
+    ):
+        verify_orthogonality(C4_C9, rewritten)
 
 
 def test_single_exponent_plants_fail_with_the_exact_message():
     # every nonzero term of Dih(C32) at the identity class and the two coset
     # classes moved by one 64th root: 42 wrong tables, each refused with the
-    # message the exact routine gives, and none certified in F_p
+    # message the exact reference gives
     group = dihedral([(2, 5)])
     table = character_table(group)
     columns = [0, *(c.index for c in table.classes if c.kind == COSET)]
@@ -483,13 +582,23 @@ def test_single_exponent_plants_fail_with_the_exact_message():
     for j, k, t in plants:
         exponents = table.exponents.copy()
         exponents[j, k, t] = (exponents[j, k, t] + 1) % table.root_order
-        planted = table._replace(exponents=exponents)
-        assert _modular_certificate(group, planted) is None
-        with pytest.raises(OrthogonalityFailure) as exact:
-            _exact_certificate(group, planted)
-        with pytest.raises(OrthogonalityFailure) as got:
-            verify_orthogonality(group, planted)
-        assert str(got.value) == str(exact.value)
+        assert_the_reference_message(group, table._replace(exponents=exponents))
+
+
+def test_certificate_peaks_at_its_kept_arrays():
+    # Dih(C2048), l = 1027: the table's arrays are 32.2 MiB; the certificate keeps
+    # the (l, l) residues of (b) and the canonical codes of the Galois match whole,
+    # and forms the rest a block of rows at a time
+    group = dihedral([(2, 11)])
+    table = character_table(group)
+    structure_tensor(group)  # a per-group artefact, built before tracing
+    tracemalloc.start()
+    try:
+        verify_orthogonality(group, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_class_sums_match_the_complex_values_across_blocks():

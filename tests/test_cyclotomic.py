@@ -159,8 +159,8 @@ def test_is_prime_matches_trial_division():
         make_abelian([(2**64 + 1, 1)])
 
 
-def check_embedding(order):
-    p, powers, units = embedding.__wrapped__(order)  # not kept
+def check_embedding(order, index=0):
+    p, powers, units = embedding.__wrapped__(order, index)  # not kept
     omega = int(powers[1])
     assert powers.tolist() == [pow(omega, e, p) for e in range(order + 1)]
     assert p < 2**31 and p % order == 1 % order and _trial_division(p), order
@@ -189,3 +189,17 @@ def test_embedding_on_the_benchmark_and_ladder_orders():
 @given(st.integers(1, 2**13))
 def test_embedding(order):
     check_embedding(order)
+
+
+def test_successive_embeddings_count_down_the_primes():
+    # the certificate's primes past the first: each the next prime p = 1 (mod M) below the one
+    # before, none skipped, each with its omega of order M
+    for order in (16, 72, 2310, 4096):
+        primes = [embedding(order, index)[0] for index in range(4)]
+        assert primes[0] == embedding(order)[0]
+        for index, (hi, lo) in enumerate(zip(primes, primes[1:]), 1):
+            assert lo < hi and not any(map(_trial_division, range(lo + order, hi, order)))
+            check_embedding(order, index)
+    # 2^30 + 1 is composite and the next candidate is 1: no prime, so no endless count down
+    with pytest.raises(ValueError, match=r"^fewer than 1 primes p = 1 \(mod 1073741824\)"):
+        embedding.__wrapped__(2**30)

@@ -267,3 +267,29 @@ def test_no_module_walks_the_group_element_by_element():
         and node.func.attr == "elements"
     ]
     assert not found, f"elements() called in the library: {found}"
+
+
+def test_only_the_text_export_reduces_exactly():
+    # the character certificate decides every table in F_p; the exact reduction of its
+    # clauses, _exact_certificate, is the reference in tests/dense_reference.py
+    def calls_reduced_sums(func):
+        return any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "reduced_sums"
+            for node in ast.walk(func)
+        )
+
+    callers, defined = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(func, ast.FunctionDef) and calls_reduced_sums(func):
+                    callers.add(f"{top.name}.{func.name}" if func is not top else func.name)
+        defined += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_exact_certificate"
+        ]
+    assert callers == {"CharacterTable.to_text"}, callers
+    assert not defined, f"_exact_certificate defined in the library: {defined}"
