@@ -33,7 +33,6 @@ from .conjugacy import (
     conjugacy_classes,
     conjugacy_classes_bruteforce,
 )
-from .cyclotomic import RootSum
 from .errors import (
     AxiomFailure,
     BadDicyclicYError,
@@ -44,7 +43,6 @@ from .errors import (
     IdempotencyFailure,
     IdentityAutomorphismError,
     InvalidGroupError,
-    MixedRootOrdersError,
     MultiplicityMismatch,
     NonIntegralMultiplicity,
     NonPrimeError,

@@ -9,12 +9,14 @@ order M; the b-coset values of the linear characters need the doubled order
 because they are square roots of values on the abelian part.  The table
 keeps them exactly as two (l, l, 2) integer arrays, exponents mod M and
 coefficients, filled by integer matrix products over the label vectors and
-the class representatives, and ``verify_orthogonality`` certifies the rows
-exactly, from residues in F_p under as many primes as its bound needs: the
-certificate, not a second evaluation of the same formula, is the evidence
-that the table is right.  The "+" character takes the principal square
-root on the coset; swapping the two signs permutes rows but never changes
-the table as a multiset (tested, not assumed).
+the class representatives.  ``CharacterTable`` owns the normal form of an
+entry and its complex value, which the exports and ``complex_values`` read.
+``verify_orthogonality`` certifies the rows exactly, from residues in F_p
+under as many primes as its bound needs: the certificate, not a second
+evaluation of the same formula, is the evidence that the table is right.
+The "+" character takes the principal square root on the coset; swapping
+the two signs permutes rows but never changes the table as a multiset
+(tested, not assumed).
 
 Both label lists are read off the class list.  For a diagonal twist,
 J -> J*s acts on character indices as the twist f acts on A, and J is
@@ -36,7 +38,7 @@ from collections import namedtuple
 import numpy as np
 
 from .conjugacy import COSET, PAIRED, ClassList, conjugacy_classes, structure_tensor
-from .cyclotomic import RootSum, coordinate_bound, embedding, integer_values, reduced_sums
+from .cyclotomic import coordinate_bound, embedding, integer_values, reduced_sums
 from .errors import CharacterTableFailure, OrthogonalityFailure
 from .groups import D2Group, per_group, read_only
 from .limits import ENUMERATION_LIMIT, check_guard
@@ -105,11 +107,13 @@ class CharacterTable(namedtuple(
     over t = 0, 1, with z = exp(2 pi i / root_order): the arrays are
     (l, l, 2) int64, read-only, exponents reduced mod the root order, and a
     zero coefficient marks an absent term (its exponent is 0).  Only this
-    module reads the arrays; other modules read ``value``, ``class_sums``
-    and the exports.  It keeps the group's order and root order, not the
-    group, because the group keeps the table.  The three exports read the
-    entries through one step, ``_cells``, which evaluates and formats each
-    distinct entry once, and each writes its report in one join.
+    module reads the arrays, and ``_entries`` alone normalises and
+    evaluates an entry; other modules read ``class_sums``,
+    ``complex_values`` and the exports.  It keeps the group's order and root
+    order, not the group, because the group keeps the table.  The three
+    exports read the entries through one step, ``_cells``, which evaluates
+    and formats each distinct entry once, and each writes its report in one
+    join.
 
     Fields: ``order`` and ``root_order`` (int), ``classes`` (ClassList),
     ``labels`` (tuple[CharLabel, ...]), ``exponents`` and ``coefficients``
@@ -121,11 +125,6 @@ class CharacterTable(namedtuple(
     @property
     def degrees(self) -> list[int]:
         return [label.degree for label in self.labels]
-
-    def value(self, row: int, col: int) -> RootSum:
-        """Entry (row, col) as an exact RootSum."""
-        terms = zip(self.exponents[row, col].tolist(), self.coefficients[row, col].tolist())
-        return RootSum(self.root_order, terms)
 
     def class_sums(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For every row j, sum_k weights[k] conj(chi_j(k)) over the classes k,
@@ -148,49 +147,50 @@ class CharacterTable(namedtuple(
                 block.reshape(len(e), order), order)
         return values, exact
 
-    def _distinct_entries(self) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
-        """The distinct entries, each as the (exponent, coefficient) terms
-        that ``RootSum`` keeps for it, in its order, and the (l, l) index of
-        each entry among them.  An entry is keyed by one int64 from
-        (e1, e2, c1, c2); zero coefficients are dropped and equal exponents
-        merged by hand, as ``RootSum`` does."""
+    def complex_values(self) -> np.ndarray:
+        """The (l, l) complex values of the entries, from the one evaluation
+        of each distinct entry that the exports read."""
+        _, values, inverse = self._entries()
+        return np.array(values)[inverse]
+
+    def _entries(self) -> tuple[list[tuple[tuple[int, int], ...]], list[complex], np.ndarray]:
+        """The distinct entries in normal form, their complex values, and the
+        (l, l) index of each entry among them.  The normal form of an entry
+        is its (exponent, coefficient) terms in slot order, with zero
+        coefficients dropped and equal exponents merged.  An entry is keyed
+        by one int64 from (e1, e2, c1, c2).  A value sums c * exp(2 pi i e /
+        M) from 0j over the terms in order, with the root cached per
+        exponent."""
         low = min(int(self.coefficients.min()), 0)
         span = int(self.coefficients.max()) - low + 1
         shape = (self.root_order, self.root_order, span, span)
         e, c = self.exponents, self.coefficients - low
         keys = np.ravel_multi_index((e[..., 0], e[..., 1], c[..., 0], c[..., 1]), shape)
         distinct, inverse = np.unique(keys, return_inverse=True)
-        entries = []
+        entries, values = [], []
+        step, roots = 2j * cmath.pi / self.root_order, {}
         for e1, e2, c1, c2 in zip(*(x.tolist() for x in np.unravel_index(distinct, shape))):
             c1, c2 = c1 + low, c2 + low
-            if not c1:
-                entries.append(((e2, c2),) if c2 else ())
-            elif not c2:
-                entries.append(((e1, c1),))
-            elif e1 == e2:
-                entries.append(((e1, c1 + c2),) if c1 + c2 else ())
-            else:
-                entries.append(((e1, c1), (e2, c2)))
-        return entries, inverse.reshape(keys.shape)  # numpy 1.x returns it flat
+            if e1 == e2:
+                c1, c2 = c1 + c2, 0
+            terms = ((e1, c1), (e2, c2)) if c1 and c2 else ((e1, c1),) if c1 else (
+                ((e2, c2),) if c2 else ())
+            z = 0j
+            for e, c in terms:
+                if e not in roots:
+                    roots[e] = cmath.exp(step * e)
+                z += c * roots[e]
+            entries.append(terms)
+            values.append(z)
+        return entries, values, inverse.reshape(keys.shape)  # numpy 1.x returns it flat
 
     # -- exports -----------------------------------------------------------
 
     def _cells(self, fmt) -> tuple[np.ndarray, np.ndarray]:
         """The distinct entries as the strings ``fmt(entries, values)`` gives for the
         list of their terms and of their values, in an object array, and the (l, l)
-        index of each entry among them.  A value sums c * exp(2 pi i e / M) from 0j
-        over the terms in ``RootSum``'s order, with the root cached per exponent: the
-        float operations of ``eval_complex`` in its order, so bit-identical to it."""
-        entries, inverse = self._distinct_entries()
-        step, roots = 2j * cmath.pi / self.root_order, {}
-        values = []
-        for terms in entries:
-            z = 0j
-            for e, c in terms:
-                if e not in roots:
-                    roots[e] = cmath.exp(step * e)
-                z += c * roots[e]
-            values.append(z)
+        index of each entry among them."""
+        entries, values, inverse = self._entries()
         return np.array(fmt(entries, values), dtype=object), inverse
 
     def to_text(self) -> str:
@@ -408,7 +408,10 @@ def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ..
     n, offset = len(chosen) * ell, np.full(ell, -1)
     offset[chosen] = np.arange(0, n, ell)
     codes, counts = structure_tensor(group)
-    pick = np.flatnonzero((offset >= 0)[codes // ell % ell])
+    mid = codes // ell
+    mid %= ell  # the class of s, in place
+    pick = np.flatnonzero((offset >= 0)[mid])
+    del mid
     c, sb = np.divmod(codes[pick], ell * ell)
     o = (key := offset[sb // ell] + sb % ell).argsort(kind="stable")
     c, count = c[o], counts[pick[o]]
@@ -439,7 +442,8 @@ def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ..
     # sigma_u maps each row to a row of its degree exactly when the images are the rows, as a set
     half = order // 2 if order % 2 == 0 else order
     radix = 4 * max(-int(coeffs.min()), int(coeffs.max())) + 1
-    dtype = np.int64 if (half * radix) ** 2 < 2**63 else object
+    width = (half * radix) ** 2  # int32 codes for every table the program builds
+    dtype = np.int32 if width < 2**31 else np.int64 if width < 2**63 else object
     units = np.array((1, *primes[0][2]))
     flip, folded = np.divmod(np.arange(order) * units[:, None] % order, half)
     base, sign = folded.astype(dtype) * radix, 1 - 2 * flip
@@ -456,11 +460,11 @@ def verify_orthogonality(group: D2Group, table: CharacterTable) -> tuple[int, ..
         canon[:, rows, :ell] = np.minimum(t[..., 0], t[..., 1]) * (half * radix)
         canon[:, rows, :ell] += np.maximum(t[..., 0], t[..., 1])
     if dtype is object:  # 62-bit digits, so that the rows compare as bytes
-        digits = range(0, ((half * radix) ** 2).bit_length(), 62)
+        digits = range(0, width.bit_length(), 62)
         canon = np.concatenate([canon >> k & (2**62 - 1) for k in digits], -1).astype(np.int64)
     keys = canon.view(np.dtype((np.void, canon[0, 0].nbytes)))[..., 0]
-    ranked = np.sort(keys[0]).view(np.int64)
-    if any((np.sort(image).view(np.int64) != ranked).any() for image in keys[1:]):
+    ranked = np.sort(keys[0]).view(canon.dtype)
+    if any((np.sort(image).view(canon.dtype) != ranked).any() for image in keys[1:]):
         rows = set(keys[0].tolist())
         j, i = min((j, i) for i, image in enumerate(keys[1:].tolist(), 1)
                    for j, row in enumerate(image) if row not in rows)

@@ -1,16 +1,18 @@
-"""Exact formal sums of roots of unity.
+"""Exact arithmetic on integer sums of roots of unity, as coefficient arrays.
 
-A RootSum over root order M is an integer combination of the M-th roots of
-unity, stored as a sparse exponent -> coefficient table with exponents
-reduced mod M and zero coefficients pruned.  Addition, multiplication and
-conjugation are exact term arithmetic.  Identities that cancel across
-different exponents (vanishing sums, integrality) are decided exactly by
-reducing mod the cyclotomic polynomial Phi_M: the reduced coordinates in the
-power basis 1, z, ..., z^(phi(M)-1) of Q(z_M) are unique, so a sum is the
-integer n iff they are (n, 0, ..., 0).  ``power_basis_coordinates`` does the
-reduction for whole (..., M) integer coefficient blocks at once, using
-Phi_M(x) = Phi_rad(x^q) with rad the product of the primes dividing M and
-q = M / rad; ``reduced_sums`` does it for sparse lists of terms.
+A sum over root order M is an integer combination of the M-th roots of
+unity; the library keeps such sums as integer arrays (exponents and
+coefficients, or dense (..., M) coefficient blocks) and never as objects.
+Identities that cancel across different exponents (vanishing sums,
+integrality) are decided exactly by reducing mod the cyclotomic polynomial
+Phi_M: the reduced coordinates in the power basis 1, z, ..., z^(phi(M)-1)
+of Q(z_M) are unique, so a sum is the integer n iff they are
+(n, 0, ..., 0).  ``power_basis_coordinates`` does the reduction for whole
+(..., M) integer coefficient blocks at once, using Phi_M(x) = Phi_rad(x^q)
+with rad the product of the primes dividing M and q = M / rad;
+``reduced_sums`` does it for sparse lists of terms.  The reduction tables
+are kept for the last ``CACHED_RADICALS`` radicals and orders only: a sweep
+meets hundreds, and each table is rad x phi(rad) int64.
 
 Both reductions stay, each where it is the faster: dense (rows, M) blocks
 through ``integer_values`` for sums with about 2l terms on each key (the
@@ -30,117 +32,15 @@ clauses under as many of these embeddings as that bound needs.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from .abelian import is_prime
-from .errors import MixedRootOrdersError
 from .groups import factorize, read_only
 
-
-class RootSum:
-    """Integer combination of M-th roots of unity."""
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        self.order = order
-        table: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
-            if coeff == 0:
-                continue
-            exp %= order
-            new = table.get(exp, 0) + coeff
-            if new:
-                table[exp] = new
-            else:
-                table.pop(exp, None)
-        self.terms = table
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> RootSum:
-        return cls(order)
-
-    @classmethod
-    def root(cls, order: int, exponent: int, coeff: int = 1) -> RootSum:
-        return cls(order, {exponent: coeff})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: RootSum) -> None:
-        if self.order != other.order:
-            raise MixedRootOrdersError(
-                f"cannot combine root orders {self.order} and {other.order}"
-            )
-
-    def __add__(self, other: RootSum) -> RootSum:
-        self._check(other)
-        return RootSum(self.order, [*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: RootSum) -> RootSum:
-        return self + (-other)
-
-    def __neg__(self) -> RootSum:
-        return self.scale(-1)
-
-    def __mul__(self, other: RootSum | int) -> RootSum:
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        return RootSum(self.order, (
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
-        ))
-
-    __rmul__ = __mul__
-
-    def scale(self, k: int) -> RootSum:
-        return RootSum(self.order, ((e, k * c) for e, c in self.terms.items()))
-
-    def conjugate(self) -> RootSum:
-        return RootSum(self.order, ((-e, c) for e, c in self.terms.items()))
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval_complex(self) -> complex:
-        step = 2j * cmath.pi / self.order
-        return sum((c * cmath.exp(step * e) for e, c in self.terms.items()), 0j)
-
-    def is_integer(self) -> int | None:
-        """The value if it is a rational integer, else None; exact."""
-        dense = np.zeros(self.order, dtype=object)  # Python ints cannot overflow
-        for exp, coeff in self.terms.items():
-            dense[exp] = coeff
-        value, exact = integer_values(dense, self.order)
-        return int(value) if exact else None
-
-    # -- housekeeping ---------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[int, int]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RootSum):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"RootSum({self.order}, 0)"
-        body = " + ".join(
-            (f"{c}*" if c != 1 else "") + (f"z{self.order}^{e}" if e else "1")
-            for e, c in self.sorted_terms()
-        )
-        return f"RootSum({self.order}, {body})"
+CACHED_RADICALS = 8
 
 
 # -- exact reduction mod Phi_M ---------------------------------------------------
@@ -179,7 +79,7 @@ def cyclotomic_poly(n: int) -> np.ndarray:
     return spread
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHED_RADICALS)
 def _power_reduction(rad: int) -> np.ndarray:
     """R[j] = coefficients of y^j mod Phi_rad(y) for 0 <= j < rad (read-only)."""
     phi = cyclotomic_poly(rad)
@@ -205,7 +105,7 @@ def power_basis_coordinates(coeffs: np.ndarray, order: int) -> np.ndarray:
     return (_power_reduction(rad).T @ blocks).reshape(*coeffs.shape[:-1], -1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHED_RADICALS)
 def _power_terms(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(start, coords, values, phi): z^e = sum of values[t] z^coords[t] over start[e] <= t <
     start[e + 1] in the phi-dimensional basis of ``power_basis_coordinates``."""

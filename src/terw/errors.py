@@ -58,13 +58,6 @@ class GuardExceededError(TerwError):
     """The group is too large for an explicit-matrix or enumeration path."""
 
 
-# -- arithmetic misuse ------------------------------------------------------
-
-
-class MixedRootOrdersError(TerwError):
-    """Two cyclotomic sums over different root orders were combined."""
-
-
 # -- verification failures --------------------------------------------------
 
 

@@ -402,9 +402,3 @@ def _products(group: D2Group, left: np.ndarray, right: np.ndarray) -> np.ndarray
                 t *= w
                 out += t
     return mult
-
-
-def conjugation_table(group: D2Group) -> np.ndarray:
-    """C[g, x] = index of g x g^-1, over element indices, from a full block."""
-    mult = index_tables(group)
-    return mult[mult, inverses(group)[:, None]]

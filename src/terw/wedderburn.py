@@ -19,8 +19,10 @@ The primitive central idempotents e_j give a further oracle: the block
 T~ e_j has dimension d_j^2, a character sum over integer counts
 (``_block_trace_counts``), through ``class_sums`` too.  Their relations
 e_j e_m = delta_jm e_j and sum e_j = I follow from the certificate of
-``characters.verify_orthogonality``; ``central_idempotent`` builds e_j as a
-dense matrix.
+``characters.verify_orthogonality``.  ``central_idempotent`` builds e_j as a
+dense matrix, for the tests: the row's complex values come from
+``CharacterTable.complex_values`` and the conjugations g u g^-1 from the
+full ``index_tables`` block, so it is guarded by the matrix guard.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .characters import (
 )
 from .conjugacy import conjugacy_classes, rep_products, structure_tensor
 from .errors import IdempotencyFailure, MultiplicityMismatch, NonIntegralMultiplicity, ParityFailure
-from .groups import D2Group, conjugation_table
+from .groups import D2Group, index_tables, inverses
 from .limits import DEFAULT_MATRIX_GUARD, ENUMERATION_LIMIT, check_guard
 from .scheme import dim_centralizer
 
@@ -149,9 +151,9 @@ def central_idempotent(
     order = group.order
     check_guard(order, guard, "idempotent matrices")
     # e[u, g u g^-1] accumulates conj(chi(g)) over all g
-    row = [table.value(label_index, k).eval_complex() for k in range(len(table.classes))]
-    weights = np.conjugate(row)[table.classes.labels]
-    targets = np.arange(order)[None, :] * order + conjugation_table(group)
+    weights = np.conjugate(table.complex_values()[label_index])[table.classes.labels]
+    mult = index_tables(group)
+    targets = np.arange(order) * order + mult[mult, inverses(group)[:, None]]
     e = np.zeros(order * order, dtype=complex)
     np.add.at(e, targets.ravel(), np.repeat(weights, order))
     deg = table.labels[label_index].degree

@@ -28,7 +28,7 @@ their inverses, and the class reference
 conjugates every element by every element and orders the orbits by kind,
 where the library labels both orbit sets by union-find over the generators
 only and orders the classes by their minima.  The character-table
-export references format every entry on its own from ``table.value``: the
+export references format every entry on its own from ``table_entry``: the
 report as one dict for ``json.dumps``, the text and CSV exports with their
 format strings, where the library formats each distinct entry once from the
 integer arrays.  The structure-constant references are dense (l, l, l)
@@ -46,10 +46,11 @@ the library sums the structure constants against the permutation
 character.  The label reference walks the character indices of A and
 pairs J with J*s, where the library reads the labels off the coset and
 paired class representatives.  The per-entry reference evaluates the
-table's formula one entry at a time with ``RootSum`` arithmetic, where the
-library fills whole blocks of the integer arrays by matrix products; it is
-the same formula, so the certificate of ``verify_orthogonality``, not this
-comparison, is what shows the table is right.  The certificate reference
+table's formula one entry at a time as a normalised {exponent: coefficient}
+dict, where the library fills whole blocks of the integer arrays by matrix
+products; it is the same formula, so the certificate of
+``verify_orthogonality``, not this comparison, is what shows the table is
+right.  The certificate reference
 reduces every clause of that certificate in Z[z_M] by
 ``cyclotomic.reduced_sums``, where the library decides them from residues
 in F_p under one prime or, past its bound, several.  The centralizer reference
@@ -64,6 +65,7 @@ once per coset on whole coordinate arrays.  The tests compare each pair on
 small inputs.
 """
 
+import cmath
 import csv
 import io
 from fractions import Fraction
@@ -77,7 +79,6 @@ from terw import (
     LinearLabel,
     OracleMismatch,
     OrthogonalityFailure,
-    RootSum,
     TwoDimLabel,
     adjacency_matrices,
     central_idempotent,
@@ -94,8 +95,38 @@ from terw.conjugacy import (
     structure_tensor,
 )
 from terw.characters import elem_json
-from terw.cyclotomic import reduced_sums
-from terw.groups import conjugation_table, index_tables, inverses, read_only
+from terw.cyclotomic import integer_values, reduced_sums
+from terw.groups import index_tables, inverses, read_only
+
+
+def normalise(order, terms):
+    """The sum of c z^e over the (e, c) ``terms``, z = exp(2 pi i / order), as
+    an {exponent: coefficient} dict: exponents mod order, equal ones merged
+    and zero coefficients dropped, each exponent where its first term put it."""
+    entry = {}
+    for e, c in terms:
+        e %= order
+        entry[e] = entry.get(e, 0) + c
+        if not entry[e]:
+            del entry[e]
+    return entry
+
+
+def evaluate(order, entry):
+    """The complex value of a normalised entry, summed from 0j in its order."""
+    step = 2j * cmath.pi / order
+    return sum((c * cmath.exp(step * e) for e, c in entry.items()), 0j)
+
+
+def multiply(order, a, b):
+    """The product of two normalised entries, normalised."""
+    return normalise(order, [(e + f, c * d) for e, c in a.items() for f, d in b.items()])
+
+
+def table_entry(table, r, c):
+    """Entry (r, c) of ``table``, read from its arrays and normalised."""
+    terms = zip(table.exponents[r, c].tolist(), table.coefficients[r, c].tolist())
+    return normalise(table.root_order, terms)
 
 
 def elementwise_translations(group):
@@ -251,9 +282,10 @@ def all_rows_scheme_axioms(group, table):
 
 
 def complex_values(table):
-    """The table's values as an (l, l) complex array, one ``eval_complex`` each."""
-    ell = len(table.labels)
-    return np.array([[table.value(r, c).eval_complex() for c in range(ell)] for r in range(ell)])
+    """The table's values as an (l, l) complex array, one ``evaluate`` each."""
+    ell, order = len(table.labels), table.root_order
+    return np.array([[evaluate(order, table_entry(table, r, c)) for c in range(ell)]
+                     for r in range(ell)])
 
 
 def float_orthogonality(table):
@@ -365,12 +397,12 @@ def orbit_block_trace_counts(group):
     rep_u, rep_v = orb.reps
     orbit_ids = np.arange(orb.count)
     inv = inverses(group)
-    conj = conjugation_table(group)
+    mult = index_tables(group)
     classes = conjugacy_classes(group)
     counts = []
     for k in range(len(classes)):
-        inverted = inv[classes.labels == k]
-        moved = conj[np.ix_(inverted, rep_v)]  # g^-1 v g
+        members = np.flatnonzero(classes.labels == k)
+        moved = mult[mult[np.ix_(inv[members], rep_v)], members[:, None]]  # g^-1 v g
         counts.append(np.count_nonzero(orb.labels[rep_u, moved] == orbit_ids))
     return np.array(counts)
 
@@ -606,11 +638,12 @@ def min_propagation_orbitals(group):
     min-propagation: each pair takes the smallest label among its images under
     the pair permutations of the generators and of their inverses, until a
     full sweep moves no label.  The conjugations x -> g x g^-1 by the
-    generators g are rows of ``conjugation_table``, which the tables build."""
+    generators g are read off the full ``index_tables`` block and ``inverses``."""
     order = group.order
     gens = [group.index(g) for g in group.generators()]
     all_perms = []
-    for p in conjugation_table(group)[gens]:
+    mult = index_tables(group)
+    for p in mult[mult[gens], inverses(group)[gens, None]]:
         all_perms.append(p)
         q = np.empty_like(p)
         q[p] = np.arange(order)
@@ -743,28 +776,28 @@ def char_value(group, label, cls):
                 li * (2 * zi + vi) * (order // (2 * di))
                 for li, zi, vi, di in zip(label.i_vec, rep_a, group.square, group.fixed.d_vec)
             )
-            return RootSum.root(order, exp, 1 if label.sign == 1 else -1)
+            return normalise(order, [(exp, 1 if label.sign == 1 else -1)])
         exp = sum(
             li * ti * (order // di) for li, ti, di in zip(label.i_vec, rep_a, group.fixed.d_vec)
         )
-        return RootSum.root(order, exp)
+        return normalise(order, [(exp, 1)])
     if cls.kind == COSET:
-        return RootSum.zero(order)
+        return {}
     e1 = e2 = 0
     for ki, ti, si, mi in zip(label.j_vec, rep_a, group.twist.s, group.abelian.moduli):
         e1 += ki * ti * (order // mi)
         e2 += ki * ti * si * (order // mi)
-    return RootSum.root(order, e1) + RootSum.root(order, e2)
+    return normalise(order, [(e1, 1), (e2, 1)])
 
 
 def chartable_json_dict(table):
     """The ``chartable --format json`` report of ``table`` without its head,
     as a dict for ``json.dumps``: every entry encoded on its own from
-    ``table.value``."""
+    ``table_entry``."""
 
     def encode(v):
-        z = v.eval_complex()
-        return {"terms": v.sorted_terms(), "complex": [z.real, z.imag]}
+        z = evaluate(table.root_order, v)
+        return {"terms": sorted(v.items()), "complex": [z.real, z.imag]}
 
     ell = len(table.labels)
     return {
@@ -777,7 +810,7 @@ def chartable_json_dict(table):
             {
                 "label": label.describe(),
                 "degree": label.degree,
-                "values": [encode(table.value(r, c)) for c in range(ell)],
+                "values": [encode(table_entry(table, r, c)) for c in range(ell)],
             }
             for r, label in enumerate(table.labels)
         ],
@@ -788,21 +821,24 @@ def chartable_text(table):
     """``CharacterTable.to_text``: right-aligned columns, each entry an
     integer where it is one, else its complex value to 4 digits."""
 
-    integers = {}  # is_integer by the sorted terms: it is exact and slow
+    order, integers = table.root_order, {}  # by the sorted terms: exact and slow
 
     def fmt(v):
-        key = tuple(v.sorted_terms())
+        key = tuple(sorted(v.items()))
         if key not in integers:
-            integers[key] = v.is_integer()
-        if integers[key] is not None:
-            return str(integers[key])
-        z = v.eval_complex()
+            dense = np.zeros(order, dtype=object)  # Python ints cannot overflow
+            dense[list(v)] = list(v.values())
+            integers[key] = integer_values(dense, order)
+        value, exact = integers[key]
+        if exact:
+            return str(value)
+        z = evaluate(order, v)
         return f"{z.real:.4g}{z.imag:+.4g}i"
 
     ell = len(table.labels)
     grid = [[""] + [f"{c.kind[0].upper()}{c.index}|{c.size}" for c in table.classes]]
     for r, label in enumerate(table.labels):
-        grid.append([label.describe()] + [fmt(table.value(r, c)) for c in range(ell)])
+        grid.append([label.describe()] + [fmt(table_entry(table, r, c)) for c in range(ell)])
     widths = [max(len(row[i]) for row in grid) for i in range(ell + 1)]
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in grid)
 
@@ -815,6 +851,6 @@ def chartable_csv(table):
     writer = csv.writer(buf)
     writer.writerow(["character"] + [f"class_{c.index}" for c in table.classes])
     for r, label in enumerate(table.labels):
-        values = [table.value(r, c).eval_complex() for c in range(ell)]
+        values = [evaluate(table.root_order, table_entry(table, r, c)) for c in range(ell)]
         writer.writerow([label.describe()] + [f"{z.real:.12g}{z.imag:+.12g}i" for z in values])
     return buf.getvalue()

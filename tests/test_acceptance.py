@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from dense_reference import class_members
+from dense_reference import class_members, table_entry
 
 from terw import (
     character_table,
@@ -164,7 +164,7 @@ def test_criterion_4_character_tables(corpus):
             if label.degree == 2:
                 for cls in table.classes:
                     if cls.kind == COSET:
-                        assert not table.value(r, cls.index)
+                        assert not table_entry(table, r, cls.index)
     _report(4, f"tables on {len(corpus)} instances: counts, degrees, certificate, coset zeros")
 
 

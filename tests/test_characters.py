@@ -16,8 +16,12 @@ from dense_reference import (
     class_members,
     complex_values,
     enumerated_character_labels,
+    evaluate,
     float_idempotent_relations,
     float_orthogonality,
+    multiply,
+    normalise,
+    table_entry,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +33,6 @@ from terw import (
     GuardExceededError,
     LinearLabel,
     OrthogonalityFailure,
-    RootSum,
     TwoDimLabel,
     character_labels,
     character_table,
@@ -66,11 +69,11 @@ C4_C9 = D2Group(_C4_X_C9, make_involution(_C4_X_C9, [3, 1]), [0, 1])
 
 
 def row_values(table, r):
-    return [table.value(r, c) for c in range(len(table.classes))]
+    return [table_entry(table, r, c) for c in range(len(table.classes))]
 
 
 def complex_row(table, r):
-    return [v.eval_complex() for v in row_values(table, r)]
+    return [evaluate(table.root_order, v) for v in row_values(table, r)]
 
 
 def test_label_counts(s3, d4, sd16):
@@ -171,13 +174,13 @@ def test_d4_coset_value_example(d4):
         if isinstance(l, LinearLabel) and l.i_vec == (1,) and l.sign == 2
     )
     col = next(c.index for c in classes if c.kind == COSET and c.rep[0] == (0,))
-    assert table.value(row, col) == RootSum(d4.root_order, {0: -1})
+    assert table_entry(table, row, col) == {0: -1}
 
 
 def test_trivial_character_is_all_ones(s3, d4, q8, sd16):
     for group in (s3, d4, q8, sd16):
         table = character_table(group)
-        assert all(v.is_integer() == 1 for v in row_values(table, 0))
+        assert all(v == {0: 1} for v in row_values(table, 0))
         assert table.labels[0] == LinearLabel(i_vec=(0,) * group.abelian.rank, sign=1)
 
 
@@ -192,10 +195,10 @@ def test_linear_rows_are_homomorphisms(q8, sd16):
                 continue
             for g in elems:
                 for h in elems:
-                    lhs = table.value(r, classes.labels[group.index(group.mul(g, h))])
-                    rhs = table.value(r, classes.labels[group.index(g)]) * table.value(
-                        r, classes.labels[group.index(h)]
-                    )
+                    lhs = table_entry(table, r, classes.labels[group.index(group.mul(g, h))])
+                    rhs = multiply(table.root_order,
+                                   table_entry(table, r, classes.labels[group.index(g)]),
+                                   table_entry(table, r, classes.labels[group.index(h)]))
                     assert lhs == rhs
 
 
@@ -208,8 +211,8 @@ def test_chi_b_squared_equals_chi_y(q8, sd16):
         for r, label in enumerate(table.labels):
             if not isinstance(label, LinearLabel):
                 continue
-            chib = table.value(r, classes.labels[group.index(b)]).eval_complex()
-            chiy = table.value(r, classes.labels[group.index(y)]).eval_complex()
+            chib = evaluate(group.root_order, table_entry(table, r, classes.labels[group.index(b)]))
+            chiy = evaluate(group.root_order, table_entry(table, r, classes.labels[group.index(y)]))
             assert abs(chib * chib - chiy) < 1e-9
 
 
@@ -219,7 +222,7 @@ def test_twodim_vanishes_on_cosets_exactly(sd16):
         if isinstance(label, TwoDimLabel):
             for cls in table.classes:
                 if cls.kind == COSET:
-                    assert not table.value(r, cls.index)
+                    assert not table_entry(table, r, cls.index)
 
 
 def test_values_constant_on_classes():
@@ -234,10 +237,10 @@ def test_values_constant_on_classes():
     # recompute each value from every member of the class, not just the rep
     for r, label in enumerate(table.labels):
         for cls in classes:
-            want = table.value(r, cls.index).eval_complex()
+            want = evaluate(group.root_order, table_entry(table, r, cls.index))
             for g in members[cls.index]:
                 single = type(cls)(kind=cls.kind, rep=g, size=1, index=cls.index)
-                got = char_value(group, label, single).eval_complex()
+                got = evaluate(group.root_order, char_value(group, label, single))
                 assert abs(got - want) < 1e-9
 
 
@@ -255,7 +258,7 @@ def test_twodim_values_independent_of_orbit_representative(sd16):
         )
         assert partner.j_vec != label.j_vec
         for cls in classes:
-            assert char_value(group, partner, cls) == table.value(r, cls.index)
+            assert char_value(group, partner, cls) == table_entry(table, r, cls.index)
 
 
 def sign_swapped(table):
@@ -269,7 +272,7 @@ def sign_swapped(table):
 
 
 def exact_rows(table):
-    return sorted(tuple(tuple(v.sorted_terms()) for v in row_values(table, r))
+    return sorted(tuple(tuple(sorted(v.items())) for v in row_values(table, r))
                   for r in range(len(table.labels)))
 
 
@@ -294,8 +297,8 @@ def test_odd_coordinate_square_needs_doubled_root_order():
     y = (group.square, 0)
     for r, label in enumerate(table.labels):
         if isinstance(label, LinearLabel):
-            chib = table.value(r, classes.labels[group.index(b)]).eval_complex()
-            chiy = table.value(r, classes.labels[group.index(y)]).eval_complex()
+            chib = evaluate(group.root_order, table_entry(table, r, classes.labels[group.index(b)]))
+            chiy = evaluate(group.root_order, table_entry(table, r, classes.labels[group.index(y)]))
             assert abs(chib * chib - chiy) < 1e-9
 
 
@@ -508,7 +511,8 @@ def test_rows_tied_under_a_small_prime_are_told_apart_under_the_next(monkeypatch
 
 def test_a_huge_coefficient_certifies_by_crt_on_python_ints():
     # z^e written (2^40 + 1) z^e + 2^40 z^(e + M/2): the same value, a bound past 2^89 that takes
-    # three primes, and canonical codes past int64, so the Galois match runs on Python ints
+    # three primes, and canonical codes past int64, so the Galois match runs on Python ints;
+    # with 2^13 the codes pass int32 and the match runs in int64
     group = dihedral([(2, 3)])
     table = character_table(group)
     exponents, coefficients = table.exponents.copy(), table.coefficients.copy()
@@ -519,6 +523,10 @@ def test_a_huge_coefficient_certifies_by_crt_on_python_ints():
     huge = table._replace(exponents=exponents, coefficients=coefficients)
     assert 2 * _clause_bound(huge) > terw.characters.embedding(16)[0] ** 2
     assert verify_orthogonality(group, huge) == verify_orthogonality(group, table)
+    coefficients[j, k] = 2**13 + 1, 2**13
+    assert 2**31 < (8 * (4 * (2**13 + 1) + 1)) ** 2 < 2**63  # (M/2 (4 c_max + 1))^2
+    wide = table._replace(exponents=exponents, coefficients=coefficients)
+    assert verify_orthogonality(group, wide) == verify_orthogonality(group, table)
 
 
 def test_a_coefficient_raised_by_p_lifts_the_bound_to_p_over_2():
@@ -587,8 +595,9 @@ def test_single_exponent_plants_fail_with_the_exact_message():
 
 def test_certificate_peaks_at_its_kept_arrays():
     # Dih(C2048), l = 1027: the table's arrays are 32.2 MiB; the certificate keeps
-    # the (l, l) residues of (b) and the canonical codes of the Galois match whole,
-    # and forms the rest a block of rows at a time
+    # the (l, l) residues of (b) and the int32 canonical codes of the Galois match
+    # whole, and forms the rest a block of rows at a time.  It peaks at 34.3 MiB,
+    # with the residues of both signs and one codes-sized temporary of the class of s
     group = dihedral([(2, 11)])
     table = character_table(group)
     structure_tensor(group)  # a per-group artefact, built before tracing
@@ -598,7 +607,7 @@ def test_certificate_peaks_at_its_kept_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert peak <= 36 * 2**20
 
 
 def test_class_sums_match_the_complex_values_across_blocks():
@@ -653,8 +662,7 @@ def test_exports(d4):
     assert data["characters"][0]["degree"] == 1
     # terms round-trip to the evaluated complex value
     entry = data["characters"][-1]["values"][0]
-    v = RootSum(data["root_order"], {e: c for e, c in entry["terms"]})
-    z = v.eval_complex()
+    z = evaluate(data["root_order"], normalise(data["root_order"], entry["terms"]))
     assert abs(z.real - entry["complex"][0]) < 1e-12
     assert abs(z.imag - entry["complex"][1]) < 1e-12
 
@@ -683,7 +691,7 @@ def test_table_arrays_match_the_oracle(group):
     table = character_table(group)
     for r, label in enumerate(table.labels):
         for cls in table.classes:
-            assert table.value(r, cls.index) == char_value(group, label, cls)
+            assert table_entry(table, r, cls.index) == char_value(group, label, cls)
     assert exact_rows(sign_swapped(table)) == exact_rows(table)
     closed = multiplicities_closed_form(group).values
     assert multiplicities_char_sum(group, table).values == closed
@@ -700,8 +708,8 @@ def test_chartable_json_matches_the_oracle_beyond_s3(capsys):
     for label, row in zip(table.labels, data["characters"]):
         for cls, entry in zip(table.classes, row["values"]):
             want = char_value(group, label, cls)
-            assert [tuple(t) for t in entry["terms"]] == want.sorted_terms()
-            z = want.eval_complex()
+            assert [tuple(t) for t in entry["terms"]] == sorted(want.items())
+            z = evaluate(group.root_order, want)
             assert entry["complex"] == [z.real, z.imag]
 
 
@@ -768,17 +776,17 @@ def test_chartable_text_and_csv_are_byte_identical_to_the_references(data, capsy
 
 
 @pytest.mark.parametrize("group", [dihedral([(3, 1)]), C4_C9], ids=["S3", "C4xC9"])
-def test_exports_evaluate_no_entry_through_eval_complex(group, monkeypatch):
-    # the three formats read their floats from one evaluation of each distinct entry
-    table, head = character_table(group), {"name": group.name}
-    want = (chartable_text(table), chartable_csv(table),
-            json.dumps({**head, **chartable_json_dict(table)}))
-
-    def refuse(self):
-        raise AssertionError("an export called RootSum.eval_complex")
-
-    monkeypatch.setattr(RootSum, "eval_complex", refuse)
-    assert (table.to_text(), table.to_csv(), table.to_json(head)) == want
+def test_exports_read_the_tests_evaluation_bit_for_bit(group):
+    # complex_values, the JSON floats and the CSV digits come from the value that
+    # evaluate sums from 0j over each normalised entry: the same float operations
+    # in the same order, so equal to the last bit
+    table = character_table(group)
+    want = complex_values(table)
+    assert table.complex_values().tobytes() == want.tobytes()
+    data = json.loads(table.to_json({}))
+    got = [[complex(*entry["complex"]) for entry in row["values"]] for row in data["characters"]]
+    assert np.array(got).tobytes() == want.tobytes()
+    assert table.to_csv() == chartable_csv(table)
 
 
 # (e1, e2, c1, c2) of planted entries: zero ones, with and without an
@@ -814,6 +822,7 @@ def planted_tables(table):
 def test_exports_of_planted_entries_match_the_references(group):
     head = {"name": group.name}
     for table in planted_tables(character_table(group)):
+        assert table.complex_values().tobytes() == complex_values(table).tobytes()
         assert table.to_json(head) == json.dumps({**head, **chartable_json_dict(table)})
         assert table.to_text() == chartable_text(table)
         assert table.to_csv() == chartable_csv(table)

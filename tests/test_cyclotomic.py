@@ -1,16 +1,21 @@
-"""Exact root-of-unity sums: ring operations and evaluation."""
+"""Exact reduction of root-of-unity sums mod the cyclotomic polynomial, the
+embeddings into F_p, and the tests' own entry helpers."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+from dense_reference import evaluate, multiply, normalise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terw import MixedRootOrdersError, NonPrimeError, RootSum, dihedral, make_abelian
+from terw import NonPrimeError, dihedral, make_abelian
 from terw.abelian import is_prime
 from terw.cyclotomic import (
+    CACHED_RADICALS,
+    _power_reduction,
+    _power_terms,
     cyclotomic_poly,
     embedding,
     integer_values,
@@ -23,70 +28,69 @@ ORDERS = [6, 12, 30, 60, 72, 384, 840]
 
 
 def test_exponent_addition():
-    i = RootSum.root(4, 1)
-    sq = i * i
-    assert sq == RootSum.root(4, 2)
-    assert abs(sq.eval_complex() + 1) < 1e-12
+    sq = multiply(4, {1: 1}, {1: 1})
+    assert sq == {2: 1}
+    assert abs(evaluate(4, sq) + 1) < 1e-12
 
 
 def test_primitive_third_roots_sum_to_minus_one():
-    v = RootSum.root(3, 1) + RootSum.root(3, 2)
-    assert abs(v.eval_complex() + 1.0) < 1e-12
-    assert v.is_integer() == -1
-
-
-def test_conjugate_negates_exponent():
-    assert RootSum.root(8, 3).conjugate() == RootSum.root(8, 5)
+    assert abs(evaluate(3, {1: 1, 2: 1}) + 1.0) < 1e-12
+    value, exact = integer_values(np.array([0, 1, 1]), 3)
+    assert exact and value == -1
 
 
 def test_fold_and_prune():
-    v = RootSum(6, {1: 2, 7: -2})  # 7 = 1 mod 6, cancels
-    assert not v.terms
-    assert not v
-
-
-def test_add_sub_scale():
-    a = RootSum(12, {0: 1, 3: 2})
-    b = RootSum(12, {3: -2, 5: 1})
-    assert (a + b).sorted_terms() == [(0, 1), (5, 1)]
-    assert not (a - a)
-    assert (3 * a).sorted_terms() == [(0, 3), (3, 6)]
-    assert (-a).sorted_terms() == [(0, -1), (3, -2)]
+    assert normalise(6, [(1, 2), (7, -2)]) == {}  # 7 = 1 mod 6, cancels
+    assert normalise(12, [(3, 2), (-9, 1), (0, 0)]) == {3: 3}
+    assert list(normalise(12, [(5, 1), (0, 1), (5, -1), (5, 2)])) == [0, 5]
 
 
 def test_multiplication_distributes():
-    a = RootSum(10, {1: 1, 3: -2})
-    b = RootSum(10, {2: 4, 0: 1})
-    lhs = (a * b).eval_complex()
-    rhs = a.eval_complex() * b.eval_complex()
+    a, b = {1: 1, 3: -2}, {2: 4, 0: 1}
+    lhs = evaluate(10, multiply(10, a, b))
+    rhs = evaluate(10, a) * evaluate(10, b)
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_mixed_orders_rejected():
-    with pytest.raises(MixedRootOrdersError):
-        RootSum.root(4, 1) + RootSum.root(8, 1)
-    with pytest.raises(MixedRootOrdersError):
-        RootSum.root(4, 1) * RootSum.root(8, 1)
-
-
 def test_is_integer_is_exact():
-    assert RootSum(5, {0: 2}).is_integer() == 2
-    assert RootSum(6, {0: 1, 2: 1, 4: 1}).is_integer() == 0  # 1 + z3 + z3^2
-    assert RootSum(6, {1: 1, 5: 1}).is_integer() == 1  # 2 cos(60 deg)
-    assert RootSum(8, {1: 1, 7: 1}).is_integer() is None  # z8 + z8^-1 = sqrt 2
-    assert RootSum(5, {1: 1, 4: 1}).is_integer() is None  # 2 cos(72 deg), irrational
-    assert RootSum(4, {0: 10**30, 2: 1}).is_integer() == 10**30 - 1  # no int64 overflow
-    assert RootSum(9).is_integer() == 0
-
-
-def test_conjugate_matches_complex_conjugate():
-    v = RootSum(7, {1: 2, 3: -1, 6: 4})
-    assert abs(v.conjugate().eval_complex() - v.eval_complex().conjugate()) < 1e-12
+    # each sum as a dense row of coefficients, Python ints where int64 would overflow
+    cases = [
+        (5, {0: 2}, 2),
+        (6, {0: 1, 2: 1, 4: 1}, 0),  # 1 + z3 + z3^2
+        (6, {1: 1, 5: 1}, 1),  # 2 cos(60 deg)
+        (8, {1: 1, 7: 1}, None),  # z8 + z8^-1 = sqrt 2
+        (5, {1: 1, 4: 1}, None),  # 2 cos(72 deg), irrational
+        (4, {0: 10**30, 2: 1}, 10**30 - 1),  # no int64 overflow
+        (9, {}, 0),
+    ]
+    for order, entry, want in cases:
+        dense = np.zeros(order, dtype=object)
+        dense[list(entry)] = list(entry.values())
+        value, exact = integer_values(dense, order)
+        assert (value if exact else None) == want, (order, entry)
 
 
 def test_eval_matches_direct_formula():
-    v = RootSum(12, {5: 3})
-    assert abs(v.eval_complex() - 3 * cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
+    assert abs(evaluate(12, {5: 3}) - 3 * cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
+
+
+def test_reduction_tables_are_kept_for_a_few_radicals_only():
+    # a sweep meets hundreds of radicals, each table rad x phi(rad) int64; the
+    # last CACHED_RADICALS stay, and a radical met again gives the same coordinates
+    radicals = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 30, 42]
+    assert len(radicals) > CACHED_RADICALS
+    rng = np.random.default_rng(7)
+    blocks = {rad: rng.integers(-3, 4, (3, 4 * rad)) for rad in radicals}
+    first = {rad: power_basis_coordinates(blocks[rad], 4 * rad) for rad in radicals}
+    sums = {rad: reduced_sums(4 * rad, (np.zeros(4 * rad, dtype=np.int64), np.arange(4 * rad),
+                                        blocks[rad][0])) for rad in radicals}
+    assert _power_reduction.cache_info().currsize == CACHED_RADICALS
+    assert _power_terms.cache_info().currsize == CACHED_RADICALS
+    for rad in radicals:
+        assert np.array_equal(power_basis_coordinates(blocks[rad], 4 * rad), first[rad])
+        key, coord, value = sums[rad]
+        assert not key.any() and np.array_equal(value, first[rad][0, coord])
+        assert not np.delete(first[rad][0], coord).any()
 
 
 @pytest.mark.parametrize("order", ORDERS)

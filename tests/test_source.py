@@ -94,8 +94,8 @@ def test_records_are_slotted_tuples_with_their_fields(record):
 
 
 def test_integrality_is_decided_without_a_tolerance():
-    # RootSum.is_integer is exact and takes no tolerance, and the old
-    # "empty term table" test is spelled ``not v``
+    # integer_values and reduced_sums decide integrality exactly: no call
+    # passes is_integer a tolerance, and no is_zero_exact is left
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -160,7 +160,7 @@ def test_no_float_verdicts():
 
 def test_only_the_character_table_reads_its_arrays():
     # the (l, l, 2) exponent and coefficient layout has one owner: other
-    # modules read the table through value, class_sums and the exports
+    # modules read the table through class_sums, complex_values and the exports
     found = [
         f"{path.name}:{node.lineno} {node.attr}"
         for path in SOURCES
@@ -250,7 +250,23 @@ def test_only_the_explicit_matrix_paths_read_the_full_table():
                 for node in ast.walk(func)
             ):
                 callers.add(func.name)
-    assert callers == {"conjugation_table"}
+    assert callers == {"central_idempotent"}
+
+
+def test_entries_have_one_owner():
+    # characters.py alone normalises and evaluates a table entry: no module
+    # defines or imports a RootSum or a conjugation_table, and terw exports
+    # neither RootSum nor MixedRootOrdersError
+    gone = {"RootSum", "conjugation_table", "MixedRootOrdersError"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone)
+        or (isinstance(node, ast.ImportFrom) and any(a.name in gone for a in node.names))
+    ]
+    assert not found, f"RootSum, conjugation_table or MixedRootOrdersError in the library: {found}"
+    assert not gone & set(dir(terw))
 
 
 def test_no_module_walks_the_group_element_by_element():
